@@ -13,7 +13,9 @@
 // operator new/delete are replaced with counting versions, and main() runs
 // steady-state probes of the event-kernel and resolve paths (including the
 // lazy poke skip) that fail hard if a single allocation lands inside the
-// probe window. Throughput can mask an added allocation; the counter cannot.
+// probe window, plus a scenario-interpreter probe whose whole-run allocation
+// count must not grow with the number of statements executed. Throughput
+// can mask an added allocation; the counter cannot.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -30,6 +32,8 @@
 #include "obs/trace.hpp"
 #include "pfs/fair_share.hpp"
 #include "pfs/shared_link.hpp"
+#include "scenario/instance.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -607,11 +611,49 @@ bool checkResolveSteadyState() {
   return ok;
 }
 
+// Scenario interpreter: allocations of one whole one-rank run, parse through
+// sim.run(). The loop body binds, branches and binds again without creating
+// events, so only per-statement interpreter allocations can grow with N.
+std::uint64_t scenarioRunAllocations(int iterations) {
+  const std::string text =
+      "scenario \"alloc\"\nworld main { ranks = 1 }\nprogram main {\n"
+      "  loop i : " + std::to_string(iterations) +
+      " { let x = i * 3  if x % 2 == 0 { let y = x } }\n}\n";
+  const std::uint64_t before = allocationsNow();
+  {
+    sim::Simulation sim;
+    scenario::Instance instance(sim, scenario::parseScenario(text));
+    instance.launch();
+    sim.run();
+  }
+  return allocationsNow() - before;
+}
+
+bool checkScenarioInterpreter() {
+  scenarioRunAllocations(1);  // warm-up: the parser's static keyword tables
+  const std::uint64_t small = scenarioRunAllocations(1'000);
+  const std::uint64_t large = scenarioRunAllocations(100'000);
+  if (small != large) {
+    std::fprintf(stderr,
+                 "ALLOCATION CHECK FAILED: scenario interpreter performed "
+                 "%llu allocations at N=1000 but %llu at N=100000 (expected "
+                 "equal)\n",
+                 static_cast<unsigned long long>(small),
+                 static_cast<unsigned long long>(large));
+    return false;
+  }
+  std::printf("allocation check: %-24s %llu allocations at N=1000 and "
+              "N=100000\n",
+              "scenario interpreter", static_cast<unsigned long long>(small));
+  return true;
+}
+
 bool runAllocationChecks() {
   const bool kernel_ok = checkKernelSteadyState();
   const bool traced_ok = checkKernelSteadyStateTraced();
   const bool resolve_ok = checkResolveSteadyState();
-  return kernel_ok && traced_ok && resolve_ok;
+  const bool scenario_ok = checkScenarioInterpreter();
+  return kernel_ok && traced_ok && resolve_ok && scenario_ok;
 }
 
 }  // namespace

@@ -1295,6 +1295,8 @@ void validate(const ScenarioSpec& spec) {
     }
     if (!world.phases.empty()) {
       for (const Phase& phase : world.phases) {
+        // The repeat count sees the globals, not its own loop variable.
+        if (phase.repeat) checkExpr(*phase.repeat, scope, what);
         scope.scopes.emplace_back();
         if (!phase.loop_var.empty()) scope.define(phase.loop_var);
         checkStmts(phase.body, scope, usage, /*rank_dependent=*/false,

@@ -12,7 +12,10 @@
 //     requests under these fault-free/degrade-only plans;
 //   * every generated verify succeeds (the generator only re-checks a
 //     blocking write it just made);
-//   * re-running the same seed reproduces the identical observable digest.
+//   * re-running the same seed reproduces the identical observable digest;
+//   * the interpreter's work counters over seeds 0-511 fold into a pinned
+//     digest, so a change to scoping, control flow or op charging shows up
+//     even when every run stays self-consistent.
 //
 // The suite is split into seed blocks so each TEST stays far inside the
 // per-test ctest timeout even under TSan.
@@ -35,8 +38,8 @@ struct RunDigest {
   double elapsed = 0.0;
   Bytes write_moved = 0;
   Bytes read_moved = 0;
-  std::uint64_t ops = 0;
   std::uint64_t digest = 0;
+  RunStats stats;
 };
 
 /// Parse + run one generated scenario and check every invariant. Returns a
@@ -95,12 +98,12 @@ RunDigest runSeed(std::uint64_t seed) {
   digest.elapsed = t_end;
   digest.write_moved = instance.link().bytesMoved(pfs::Channel::Write);
   digest.read_moved = instance.link().bytesMoved(pfs::Channel::Read);
-  digest.ops = stats.ops;
+  digest.stats = stats;
   char buf[160];
   std::snprintf(buf, sizeof(buf), "%a|%llu|%llu|%llu|%llu|%llu",
                 t_end, static_cast<unsigned long long>(digest.write_moved),
                 static_cast<unsigned long long>(digest.read_moved),
-                static_cast<unsigned long long>(digest.ops),
+                static_cast<unsigned long long>(stats.ops),
                 static_cast<unsigned long long>(stats.collectives),
                 static_cast<unsigned long long>(stats.verified));
   digest.digest = hashName(buf);
@@ -132,6 +135,33 @@ TEST(ScenarioFuzz, SameSeedIsDeterministic) {
     EXPECT_EQ(first.digest, second.digest) << "seed " << seed;
     EXPECT_EQ(first.elapsed, second.elapsed) << "seed " << seed;
   }
+}
+
+// hashName over eight RunStats counters of seeds 0-511, one line per seed.
+// Integers only: generated sizes are whole KiB, so the value is the same on
+// every platform; elapsed time is pinned by the fig10/fig13 twin digests.
+constexpr std::uint64_t kCorpusCountersDigest = 0x4f23223e7ff403aaULL;
+
+TEST(ScenarioFuzz, CorpusCountersArePinned) {
+  std::string folded;
+  for (std::uint64_t seed = 0; seed < 512; ++seed) {
+    const RunStats stats = runSeed(seed).stats;
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "seed " << seed;
+    char line[200];
+    std::snprintf(line, sizeof(line),
+                  "%llu|%llu|%llu|%llu|%llu|%llu|%llu|%llu\n",
+                  static_cast<unsigned long long>(stats.ops),
+                  static_cast<unsigned long long>(stats.io_submitted),
+                  static_cast<unsigned long long>(stats.write_bytes_requested),
+                  static_cast<unsigned long long>(stats.read_bytes_requested),
+                  static_cast<unsigned long long>(stats.collectives),
+                  static_cast<unsigned long long>(stats.signals),
+                  static_cast<unsigned long long>(stats.recvs),
+                  static_cast<unsigned long long>(stats.verified));
+    folded += line;
+  }
+  EXPECT_EQ(hashName(folded), kCorpusCountersDigest)
+      << std::hex << "0x" << hashName(folded);
 }
 
 TEST(ScenarioFuzz, GeneratorIsPureInSeed) {

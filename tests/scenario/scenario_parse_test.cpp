@@ -1,9 +1,12 @@
-// Error-path coverage for the scenario DSL front end: every malformed
-// document must be rejected with a ScenarioError carrying a precise line
-// and field, and must never crash (this suite runs under ASan/UBSan in the
-// sanitize tier and under TSan in the tsan tier). Runtime-side violations
-// (division by zero, op budget) surface through sim.run(), which rethrows
-// the first uncaught process exception.
+// Error-path coverage for the scenario DSL: every malformed document must be
+// rejected with a ScenarioError carrying a precise line and field, and must
+// never crash (this suite runs under ASan/UBSan in the sanitize tier and
+// under TSan in the tsan tier). Runtime guards -- arithmetic faults, operand
+// types, size/tag/loop-count conversions, request-slot limits, unwaited
+// requests and the per-rank op budget -- surface through sim.run(), which
+// rethrows the first uncaught process exception. A few well-formed
+// documents pin interpreter semantics (let scoping, short-circuit guards)
+// through RunStats.
 #include <string>
 
 #include <gtest/gtest.h>
@@ -27,7 +30,9 @@ void expectParseError(const std::string& text, int line,
     parseScenario(text);
     FAIL() << "expected ScenarioError, document parsed:\n" << text;
   } catch (const ScenarioError& e) {
-    if (line >= 0) EXPECT_EQ(e.line(), line) << e.what();
+    if (line >= 0) {
+      EXPECT_EQ(e.line(), line) << e.what();
+    }
     if (!field_part.empty()) {
       EXPECT_NE(e.field().find(field_part), std::string::npos) << e.what();
     }
@@ -51,6 +56,16 @@ void expectRuntimeError(const std::string& text,
   } catch (const ScenarioError& e) {
     EXPECT_NE(e.message().find(message_part), std::string::npos) << e.what();
   }
+}
+
+/// Compile + run a document to completion and return its counters.
+RunStats runToCompletion(const std::string& text) {
+  sim::Simulation sim;
+  Instance instance(sim, parseScenario(text));
+  instance.launch();
+  sim.run();
+  instance.requireFinished();
+  return instance.stats();
 }
 
 // --- lexer -----------------------------------------------------------------
@@ -213,6 +228,24 @@ TEST(ScenarioParseError, UnknownVariable) {
                    3, "", "unknown variable 'mystery'");
 }
 
+TEST(ScenarioParseError, UnknownNameInPhaseRepeat) {
+  expectParseError(std::string(kWorld) +
+                       "program main {\n"
+                       "  phase p repeat h : mystery { compute 0.1 }\n"
+                       "}",
+                   4, "world main", "unknown variable 'mystery'");
+  expectParseError(std::string(kWorld) +
+                       "program main {\n"
+                       "  phase p repeat h : h { compute 0.1 }\n"
+                       "}",
+                   4, "world main", "unknown variable 'h'");
+  expectParseError(std::string(kWorld) +
+                       "program main {\n"
+                       "  phase p repeat h : pow(2) { compute 0.1 }\n"
+                       "}",
+                   4, "world main", "'pow' takes 2 argument(s), got 1");
+}
+
 TEST(ScenarioParseError, WaitTargetNeverAssigned) {
   expectParseError(std::string(kWorld) + "program main { wait pending }", -1,
                    "world main", "never assigned by iwrite/iread");
@@ -274,6 +307,110 @@ TEST(ScenarioParseError, RuntimeZeroByteCount) {
                          "let n = 4 - 4\n"
                          "program main { write file \"/f\" at 0 bytes n }",
                      "byte count must be positive");
+}
+
+TEST(ScenarioParseError, RuntimeOpBudget) {
+  // 1 + 2 * 1e6 statements on one rank: the last `let` crosses the budget.
+  // The body creates no events, so this stays fast.
+  expectRuntimeError("scenario \"t\"\nworld main { ranks = 1 }\n"
+                     "program main {\n"
+                     "  loop i : 1000000 { let a = i  let b = i }\n"
+                     "}",
+                     "rank 0 exceeded the 2000000-statement budget");
+}
+
+TEST(ScenarioParseError, RuntimeShiftOutOfRange) {
+  expectRuntimeError(std::string(kWorld) +
+                         "let s = 64\nprogram main { bcast 1 << s }",
+                     "shift amount must lie in [0, 63], got 64");
+}
+
+TEST(ScenarioParseError, RuntimeWaitOnSlotWithManyRequests) {
+  expectRuntimeError(std::string(kWorld) +
+                         "program main {\n"
+                         "  loop i : 3 {\n"
+                         "    iwrite file \"/f\" at i * 8 bytes 8 -> p\n"
+                         "  }\n"
+                         "  wait p\n"
+                         "}",
+                     "slot 'p' holds 3 pending requests; use waitall");
+}
+
+TEST(ScenarioParseError, RuntimeSlotOverflow) {
+  expectRuntimeError("scenario \"t\"\nworld main { ranks = 1 }\n"
+                     "program main {\n"
+                     "  loop i : 4097 {\n"
+                     "    iwrite file \"/f\" at 0 bytes 8 -> p\n"
+                     "  }\n"
+                     "  waitall p\n"
+                     "}",
+                     "slot 'p' accumulated more than 4096 pending requests");
+}
+
+TEST(ScenarioParseError, RuntimeUnwaitedRequest) {
+  // `wait` is legal under rank-dependent control flow, so the validator
+  // accepts this; rank 1 never waits and the end-of-program check fires.
+  expectRuntimeError(std::string(kWorld) +
+                         "program main {\n"
+                         "  iwrite file \"/f{rank}\" at 0 bytes 8 -> p\n"
+                         "  if rank == 0 { wait p }\n"
+                         "}",
+                     "rank 1 ended with 1 unwaited request(s) in slot 'p'");
+}
+
+TEST(ScenarioParseError, RuntimeOperandTypes) {
+  expectRuntimeError(std::string(kWorld) +
+                         "let d = 1.5\nprogram main { bcast 8 & d }",
+                     "operator '&' requires integer operands");
+  expectRuntimeError(std::string(kWorld) +
+                         "program main { bcast splitmix(1.5) }",
+                     "splitmix takes an integer");
+}
+
+TEST(ScenarioParseError, RuntimeConversions) {
+  expectRuntimeError(std::string(kWorld) +
+                         "program main { write file \"/f\" at 0 bytes 8 "
+                         "tag 1.5 }",
+                     "tag must be an integer");
+  expectRuntimeError(std::string(kWorld) +
+                         "let n = 2.5\n"
+                         "program main { loop i : n { compute 0.1 } }",
+                     "loop count must be an integer");
+  expectRuntimeError(std::string(kWorld) +
+                         "let n = 8.5\n"
+                         "program main { write file \"/f\" at 0 bytes n }",
+                     "byte count must be a whole number of bytes, got 8.5");
+}
+
+TEST(ScenarioRuntime, LetShadowingIsStaticAndLoopBodiesAreFresh) {
+  // The program-level x shadows the global; each loop iteration's `let x`
+  // reads that outer x afresh (20, not 200), and the final write sees the
+  // program-level x again: (2 + 20 + 20) bytes x 2 ranks.
+  const RunStats stats = runToCompletion(
+      std::string(kWorld) +
+      "let x = 1\n"
+      "program main {\n"
+      "  let x = x + 1\n"
+      "  loop i : 2 {\n"
+      "    let x = x * 10\n"
+      "    write file \"/f{rank}\" at 0 bytes x\n"
+      "  }\n"
+      "  write file \"/f{rank}\" at 0 bytes x\n"
+      "}");
+  EXPECT_EQ(stats.write_bytes_requested, 84u);
+  EXPECT_EQ(stats.io_submitted, 6u);
+}
+
+TEST(ScenarioRuntime, ShortCircuitAndTernaryGuardDivision) {
+  const RunStats stats = runToCompletion(
+      std::string(kWorld) +
+      "let z = 0\n"
+      "program main {\n"
+      "  if z != 0 && 8 / z > 1 { barrier }\n"
+      "  bcast z == 0 ? 8 : 8 / z\n"
+      "}");
+  EXPECT_EQ(stats.collectives, 2u);
+  EXPECT_EQ(stats.ops, 2u * (1 + 2));
 }
 
 TEST(ScenarioParseError, FileDiagnosticsCarryPath) {
