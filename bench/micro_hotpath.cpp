@@ -13,9 +13,10 @@
 // operator new/delete are replaced with counting versions, and main() runs
 // steady-state probes of the event-kernel and resolve paths (including the
 // lazy poke skip) that fail hard if a single allocation lands inside the
-// probe window, plus a scenario-interpreter probe whose whole-run allocation
-// count must not grow with the number of statements executed. Throughput
-// can mask an added allocation; the counter cannot.
+// probe window, plus scenario-interpreter and MPI-IO request probes whose
+// whole-run allocation counts must not grow with the number of statements
+// or requests executed. Throughput can mask an added allocation; the
+// counter cannot.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -27,10 +28,12 @@
 #include <string>
 #include <vector>
 
+#include "mpisim/world.hpp"
 #include "obs/binlog.hpp"
 #include "obs/stream.hpp"
 #include "obs/trace.hpp"
 #include "pfs/fair_share.hpp"
+#include "pfs/file_store.hpp"
 #include "pfs/shared_link.hpp"
 #include "scenario/instance.hpp"
 #include "scenario/scenario.hpp"
@@ -40,13 +43,18 @@
 
 // --- Counting allocator ----------------------------------------------------
 
+// The helpers are kept out of line so the compiler never sees an inlined
+// malloc in operator new meet an inlined free in operator delete (GCC's
+// -Wmismatched-new-delete would flag every such pair).
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 
-void* countedAlloc(std::size_t size) {
+[[gnu::noinline]] void* countedAlloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size != 0 ? size : 1);
 }
+
+[[gnu::noinline]] void countedFree(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -74,17 +82,17 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { countedFree(p); }
+void operator delete[](void* p) noexcept { countedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { countedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { countedFree(p); }
+void operator delete(void* p, std::align_val_t) noexcept { countedFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { countedFree(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  countedFree(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  countedFree(p);
 }
 
 namespace iobts {
@@ -648,12 +656,64 @@ bool checkScenarioInterpreter() {
   return true;
 }
 
+// MPI-IO request path: allocations of one whole one-rank run, construction
+// through teardown, with no hooks. Each iteration submits a 9 MiB
+// iwrite_at and waits for it; odd iterations compute first, so waits on
+// already-completed and on in-flight requests both occur. A `paced` run
+// caps the rank at 1 GB/s, which splits every request into three
+// sub-requests. Only per-request allocations can grow with N.
+std::uint64_t mpiIoRunAllocations(int iterations, bool paced) {
+  const std::uint64_t before = allocationsNow();
+  {
+    sim::Simulation sim;
+    pfs::LinkConfig link_config;
+    link_config.record_total = false;
+    pfs::SharedLink link(sim, link_config);
+    pfs::FileStore store;
+    mpisim::World world(sim, link, store, mpisim::WorldConfig{});
+    if (paced) world.setRankLimit(0, 1e9);
+    world.launch([iterations](mpisim::RankCtx& ctx) -> sim::Task<void> {
+      mpisim::File file = ctx.open("/pfs/probe");
+      for (int i = 0; i < iterations; ++i) {
+        const auto tag = static_cast<pfs::ContentTag>(i);
+        mpisim::Request request = co_await file.iwriteAt(0, 9 * kMiB, tag);
+        if (i % 2 == 1) co_await ctx.compute(0.01);
+        co_await ctx.wait(request);
+      }
+    });
+    sim.run();
+  }
+  return allocationsNow() - before;
+}
+
+bool checkMpiIoSteadyState(bool paced) {
+  const char* what = paced ? "mpi-io request paced" : "mpi-io request";
+  mpiIoRunAllocations(1, paced);  // warm-up: first-use statics
+  const std::uint64_t small = mpiIoRunAllocations(1'000, paced);
+  const std::uint64_t large = mpiIoRunAllocations(101'000, paced);
+  if (small != large) {
+    std::fprintf(stderr,
+                 "ALLOCATION CHECK FAILED: %s performed %llu allocations at "
+                 "N=1000 but %llu at N=101000 (expected equal)\n",
+                 what, static_cast<unsigned long long>(small),
+                 static_cast<unsigned long long>(large));
+    return false;
+  }
+  std::printf("allocation check: %-24s %llu allocations at N=1000 and "
+              "N=101000\n",
+              what, static_cast<unsigned long long>(small));
+  return true;
+}
+
 bool runAllocationChecks() {
   const bool kernel_ok = checkKernelSteadyState();
   const bool traced_ok = checkKernelSteadyStateTraced();
   const bool resolve_ok = checkResolveSteadyState();
   const bool scenario_ok = checkScenarioInterpreter();
-  return kernel_ok && traced_ok && resolve_ok && scenario_ok;
+  const bool mpiio_ok = checkMpiIoSteadyState(/*paced=*/false);
+  const bool mpiio_paced_ok = checkMpiIoSteadyState(/*paced=*/true);
+  return kernel_ok && traced_ok && resolve_ok && scenario_ok && mpiio_ok &&
+         mpiio_paced_ok;
 }
 
 }  // namespace

@@ -106,7 +106,7 @@ sim::Task<void> AdioEngine::execute(Job& job) {
     // sleep/bank per sub-request. Only *asynchronous* MPI-IO is limited --
     // a blocking operation's duration feeds straight into the runtime, so
     // pacing it would only hurt (Sec. II).
-    for (const Bytes chunk : pacer_.split(info.bytes)) {
+    for (const Bytes chunk : pacer_.subrequests(info.bytes)) {
       bool chunk_done = false;
       while (!chunk_done) {
         const sim::Time t0 = sim_.now();

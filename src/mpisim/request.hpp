@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "mpisim/types.hpp"
+#include "sim/frame_cache.hpp"
 #include "sim/simulation.hpp"
 
 namespace iobts::mpisim {
@@ -22,6 +23,13 @@ struct RequestState {
   RequestInfo info;
   sim::Trigger done;  // the generalized request's completion event
 };
+
+/// A fresh request state, control block included, from the FrameCache.
+inline std::shared_ptr<RequestState> makeRequestState(
+    sim::Simulation& simulation) {
+  return std::allocate_shared<RequestState>(
+      sim::CacheAllocator<RequestState>(), simulation);
+}
 }  // namespace detail
 
 class Request {

@@ -101,7 +101,7 @@ sim::Task<void> RankCtx::chargeIntercept() {
 sim::Task<Request> RankCtx::submitIo(const std::string& path, IoOp op,
                                      Bytes offset, Bytes len,
                                      pfs::ContentTag tag) {
-  auto state = std::make_shared<detail::RequestState>(sim_);
+  auto state = detail::makeRequestState(sim_);
   RequestInfo& info = state->info;
   info.id = next_request_id_++;
   info.rank = rank_;
@@ -119,7 +119,7 @@ sim::Task<Request> RankCtx::submitIo(const std::string& path, IoOp op,
 sim::Task<void> RankCtx::blockingIo(const std::string& path, IoOp op,
                                     Bytes offset, Bytes len,
                                     pfs::ContentTag tag) {
-  auto state = std::make_shared<detail::RequestState>(sim_);
+  auto state = detail::makeRequestState(sim_);
   RequestInfo& info = state->info;
   info.id = next_request_id_++;
   info.rank = rank_;

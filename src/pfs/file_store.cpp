@@ -34,9 +34,17 @@ void FileStore::write(const std::string& path, Bytes offset, Bytes length,
   const Bytes write_end = offset + length;
   IOBTS_CHECK(write_end > offset, "extent overflow");
 
+  auto it = extents.lower_bound(offset);
+  if (it != extents.end() && it->first == offset &&
+      it->second.length == length) {
+    // Exact overwrite (e.g. a loop rewriting its own extent): retag in
+    // place. The carve-out below would erase and re-emplace the same extent.
+    it->second.tag = tag;
+    return;
+  }
+
   // Find the first extent that could overlap: the one before `offset` may
   // reach into the window.
-  auto it = extents.lower_bound(offset);
   if (it != extents.begin()) {
     auto prev = std::prev(it);
     if (prev->second.end() > offset) it = prev;

@@ -6,6 +6,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pfs/fair_share.hpp"
+#include "sim/frame_cache.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -17,7 +18,9 @@ namespace {
 constexpr double kDrainEpsilonBytes = 0.5;
 }  // namespace
 
-struct SharedLink::Transfer {
+// Recycled through the per-thread FrameCache together with the transfer()
+// frame that owns it: a steady-state transfer allocates nothing.
+struct SharedLink::Transfer : sim::CacheAllocated<SharedLink::Transfer> {
   explicit Transfer(sim::Simulation& simulation) : done(simulation) {}
 
   StreamId stream = 0;

@@ -13,8 +13,10 @@ void Trigger::fire() {
   fired_ = true;
   // Resume through the queue so firing order is deterministic and no
   // coroutine runs inline inside another's context.
-  for (const auto h : waiters_) sim_->scheduleResume(0.0, h);
-  waiters_.clear();
+  if (!first_waiter_) return;
+  sim_->scheduleResume(0.0, std::exchange(first_waiter_, {}));
+  for (const auto h : later_waiters_) sim_->scheduleResume(0.0, h);
+  later_waiters_.clear();
 }
 
 Simulation::~Simulation() {
@@ -22,6 +24,11 @@ Simulation::~Simulation() {
   // the queue may point into those frames; they are never resumed again).
   // Pending callback slots release their captures via ~SmallCallback.
   processes_.clear();
+  callback_slots_.clear();
+  // The run is over: hand this thread's cached frames back to the global
+  // allocator instead of pinning them (and fragmenting the heap the next
+  // run allocates from) until the thread exits.
+  FrameCache::trim();
 }
 
 void Simulation::scheduleResume(Time dt, std::coroutine_handle<> h) {

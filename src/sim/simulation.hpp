@@ -154,7 +154,10 @@ class SmallCallback {
 };
 
 /// One-shot broadcast event: any number of coroutines can wait; fire()
-/// resumes them all (through the event queue, at the current time).
+/// resumes them all (through the event queue, at the current time, in
+/// arrival order). The first waiter is held inline, so the common
+/// single-waiter trigger (a transfer's completion, a blocking MPI_Wait)
+/// never allocates.
 class Trigger {
  public:
   explicit Trigger(Simulation& simulation) : sim_(&simulation) {}
@@ -170,7 +173,11 @@ class Trigger {
       Trigger* trigger;
       bool await_ready() const noexcept { return trigger->fired_; }
       void await_suspend(std::coroutine_handle<> h) {
-        trigger->waiters_.push_back(h);
+        if (!trigger->first_waiter_) {
+          trigger->first_waiter_ = h;
+        } else {
+          trigger->later_waiters_.push_back(h);
+        }
       }
       void await_resume() const noexcept {}
     };
@@ -180,7 +187,8 @@ class Trigger {
  private:
   Simulation* sim_;
   bool fired_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::coroutine_handle<> first_waiter_{};
+  std::vector<std::coroutine_handle<>> later_waiters_;
 };
 
 /// Handle to a spawned process; outlives the process itself.

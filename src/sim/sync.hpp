@@ -7,14 +7,75 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <deque>
+#include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "sim/simulation.hpp"
 #include "util/check.hpp"
 
 namespace iobts::sim {
+
+namespace detail {
+
+/// Grow-only FIFO ring. Capacity doubles when full and never shrinks, so a
+/// queue that has reached its peak depth stops allocating (std::deque keeps
+/// allocating and freeing chunks as its window slides). pop_front destroys
+/// the element at once: no payload outlives its receipt in a stale slot.
+template <class T>
+class Ring {
+  static_assert(std::is_nothrow_move_constructible_v<T>,
+                "ring growth relocates elements");
+
+ public:
+  Ring() = default;
+  Ring(const Ring&) = delete;
+  Ring& operator=(const Ring&) = delete;
+  ~Ring() {
+    while (!empty()) pop_front();
+    if (slots_ != nullptr) std::allocator<T>().deallocate(slots_, capacity_);
+  }
+
+  bool empty() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept { return size_; }
+  T& front() noexcept { return slots_[head_]; }
+
+  void push_back(T value) {
+    if (size_ == capacity_) grow();
+    std::construct_at(slots_ + ((head_ + size_) & (capacity_ - 1)),
+                      std::move(value));
+    ++size_;
+  }
+
+  void pop_front() noexcept {
+    std::destroy_at(slots_ + head_);
+    head_ = (head_ + 1) & (capacity_ - 1);
+    --size_;
+  }
+
+ private:
+  void grow() {
+    const std::size_t capacity = capacity_ == 0 ? 4 : 2 * capacity_;
+    T* const slots = std::allocator<T>().allocate(capacity);
+    for (std::size_t i = 0; i < size_; ++i) {
+      T* const from = slots_ + ((head_ + i) & (capacity_ - 1));
+      std::construct_at(slots + i, std::move(*from));
+      std::destroy_at(from);
+    }
+    if (slots_ != nullptr) std::allocator<T>().deallocate(slots_, capacity_);
+    slots_ = slots;
+    capacity_ = capacity;
+    head_ = 0;
+  }
+
+  T* slots_ = nullptr;
+  std::size_t capacity_ = 0;  // zero or a power of two
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
+}  // namespace detail
 
 /// Counting semaphore; acquire suspends when the count is zero. Waiters wake
 /// in FIFO order through the event queue.
@@ -58,7 +119,7 @@ class Semaphore {
  private:
   Simulation* sim_;
   std::size_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  detail::Ring<std::coroutine_handle<>> waiters_;
 };
 
 /// Unbounded channel. Multiple senders; receivers wake FIFO. A message is
@@ -114,8 +175,8 @@ class Mailbox {
 
  private:
   Simulation* sim_;
-  std::deque<T> values_;
-  std::deque<std::coroutine_handle<>> receivers_;
+  detail::Ring<T> values_;
+  detail::Ring<std::coroutine_handle<>> receivers_;
 };
 
 /// Reusable n-party barrier. The n-th arrival releases everyone; the barrier

@@ -18,6 +18,9 @@
 //  * Exceptions propagate to the awaiter; a spawned root task's exception is
 //    captured by the Simulation and rethrown from run().
 //  * Move-only; the Task object owns the coroutine frame.
+//  * Frames are recycled through the per-thread FrameCache (see
+//    frame_cache.hpp), so a steady-state await chain does not touch the
+//    global allocator.
 #pragma once
 
 #include <coroutine>
@@ -26,6 +29,7 @@
 #include <optional>
 #include <utility>
 
+#include "sim/frame_cache.hpp"
 #include "util/check.hpp"
 
 namespace iobts::sim {
@@ -61,7 +65,7 @@ struct PromiseBase {
 };
 
 template <class T>
-struct Promise : PromiseBase {
+struct Promise : PromiseBase, CacheAllocated<Promise<T>> {
   std::optional<T> result;
 
   Task<T> get_return_object() noexcept;
@@ -72,7 +76,7 @@ struct Promise : PromiseBase {
 };
 
 template <>
-struct Promise<void> : PromiseBase {
+struct Promise<void> : PromiseBase, CacheAllocated<Promise<void>> {
   Task<void> get_return_object() noexcept;
   void return_void() noexcept {}
 };

@@ -16,22 +16,9 @@ void Pacer::setLimit(std::optional<BytesPerSec> limit) {
   deficit_ = 0.0;
 }
 
-std::vector<Bytes> Pacer::split(Bytes total) const {
-  std::vector<Bytes> chunks;
-  if (total == 0) return chunks;
-  if (!limit_ || total <= config_.subrequest_size) {
-    chunks.push_back(total);
-    return chunks;
-  }
-  Bytes remaining = total;
-  chunks.reserve((total + config_.subrequest_size - 1) /
-                 config_.subrequest_size);
-  while (remaining > 0) {
-    const Bytes piece = std::min(remaining, config_.subrequest_size);
-    chunks.push_back(piece);
-    remaining -= piece;
-  }
-  return chunks;
+Subrequests Pacer::subrequests(Bytes total) const noexcept {
+  const bool split = limit_ && total > config_.subrequest_size;
+  return Subrequests(total, split ? config_.subrequest_size : total);
 }
 
 Seconds Pacer::requiredTime(Bytes bytes) const noexcept {

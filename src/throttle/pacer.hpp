@@ -22,9 +22,9 @@
 // ~max(required, actual) across retries instead of paying twice.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "util/units.hpp"
 
@@ -48,6 +48,35 @@ struct PacerStats {
   Bytes paced_bytes = 0;           // payload bytes reported under a limit
 };
 
+/// The sub-request sizes of one request (step 1) as an allocation-free
+/// range: pieces of a fixed chunk size, the final one holding the remainder.
+/// The chunk size is fixed when the range is made, so a limit change while
+/// the request is in flight does not re-split it.
+class Subrequests {
+ public:
+  struct Iterator {
+    Bytes remaining;
+    Bytes chunk;
+
+    Bytes operator*() const noexcept { return std::min(remaining, chunk); }
+    Iterator& operator++() noexcept {
+      remaining -= **this;
+      return *this;
+    }
+    bool operator==(const Iterator&) const noexcept = default;
+  };
+
+  Subrequests(Bytes total, Bytes chunk) noexcept
+      : total_(total), chunk_(chunk) {}
+
+  Iterator begin() const noexcept { return {total_, chunk_}; }
+  Iterator end() const noexcept { return {0, chunk_}; }
+
+ private:
+  Bytes total_;
+  Bytes chunk_;
+};
+
 class Pacer {
  public:
   Pacer() = default;
@@ -61,9 +90,10 @@ class Pacer {
 
   const PacerConfig& config() const noexcept { return config_; }
 
-  /// Split a request into sub-request sizes (step 1). The final chunk holds
-  /// the remainder. Unlimited requests are not split.
-  std::vector<Bytes> split(Bytes total) const;
+  /// Split a request into sub-request sizes (step 1) under the current
+  /// limit. The final chunk holds the remainder. Unlimited requests, and
+  /// requests no larger than the sub-request size, are not split.
+  Subrequests subrequests(Bytes total) const noexcept;
 
   /// Required execution time for a sub-request under the current limit
   /// (step 2); zero when unlimited.

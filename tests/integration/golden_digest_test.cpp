@@ -17,10 +17,10 @@
 // must hash to the *same* constant as these hand-coded runs.
 //
 // When a change *intends* to alter results, regenerate the constants:
-//   IOBTS_DUMP_GOLDEN=1 ./build/tests/integration_test \
+//   IOBTS_DUMP_GOLDEN=1 ./build/tests/integration_test
 //       --gtest_filter='GoldenDigest.*'
-// prints each case's canonical text and digest; review the textual diff
-// before updating the constants.
+// (one command line) prints each case's canonical text and digest; review
+// the textual diff before updating the constants.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>

@@ -264,7 +264,9 @@ TEST(Journey, FaultedRetriesKeepTheJourneyId) {
 
   // No other journey exists in this single-request run.
   for (const obs::TraceEvent& ev : sink.snapshot()) {
-    if (ev.flow != 0) EXPECT_EQ(ev.flow, journey);
+    if (ev.flow != 0) {
+      EXPECT_EQ(ev.flow, journey);
+    }
   }
 }
 
@@ -415,7 +417,9 @@ TEST(JourneySampling, SampledRunKeepsOnlyCompleteNthChains) {
   }
   // Every kept-eligible journey from the reference run did survive.
   for (const auto& [journey, counts] : unsampled) {
-    if (journey % 3 == 0) EXPECT_TRUE(sampled.count(journey));
+    if (journey % 3 == 0) {
+      EXPECT_TRUE(sampled.count(journey));
+    }
   }
 }
 

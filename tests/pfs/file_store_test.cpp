@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace iobts::pfs {
 namespace {
 
@@ -148,6 +155,138 @@ TEST(FileStore, ManyRanksDistinctFiles) {
   EXPECT_EQ(fs.fileCount(), 64u);
   EXPECT_TRUE(fs.verify("/scratch/hacc.7", 64, 38'000'000, 1007u));
   EXPECT_FALSE(fs.verify("/scratch/hacc.7", 64, 38'000'000, 1008u));
+}
+
+// Differential check of write() against a per-byte model. Every byte
+// remembers which write last covered it; because the store neither merges
+// extents nor splits them except where a later write cuts in, its extents
+// are exactly the model's maximal runs of one write. The generator favours
+// the shapes write() special-cases or carves differently: exact overwrites
+// of an existing extent (retagged in place), partial overlaps, writes
+// adjacent to an extent, and writes spanning several extents.
+class FileStoreModel {
+ public:
+  static constexpr Bytes kSize = 256;
+
+  void write(Bytes offset, Bytes length, ContentTag tag) {
+    ++writes_;
+    for (Bytes b = offset; b < offset + length; ++b) {
+      writer_[b] = writes_;
+      tag_[b] = tag;
+    }
+  }
+
+  std::vector<Extent> extents() const {
+    std::vector<Extent> out;
+    for (Bytes b = 0; b < kSize; ++b) {
+      if (writer_[b] == 0) continue;
+      if (!out.empty() && out.back().end() == b &&
+          writer_[b] == writer_[b - 1]) {
+        ++out.back().length;
+      } else {
+        out.push_back(Extent{b, 1, tag_[b]});
+      }
+    }
+    return out;
+  }
+
+  ContentTag tagAt(Bytes b) const { return tag_[b]; }
+
+  bool verify(Bytes offset, Bytes length, ContentTag tag) const {
+    for (Bytes b = offset; b < offset + length; ++b) {
+      if (writer_[b] == 0 || tag_[b] != tag) return false;
+    }
+    return true;
+  }
+
+  Bytes size() const {
+    for (Bytes b = kSize; b > 0; --b) {
+      if (writer_[b - 1] != 0) return b;
+    }
+    return 0;
+  }
+
+  Bytes totalBytes() const {
+    Bytes total = 0;
+    for (const std::uint32_t w : writer_) total += w != 0 ? 1 : 0;
+    return total;
+  }
+
+ private:
+  std::uint32_t writes_ = 0;
+  std::array<std::uint32_t, kSize> writer_{};  // 0 = never written
+  std::array<ContentTag, kSize> tag_{};
+};
+
+TEST(FileStore, MatchesPerByteModelUnderRandomWrites) {
+  constexpr Bytes kSize = FileStoreModel::kSize;
+  int exact_overwrites = 0;
+  int verified = 0;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    Rng rng(seed, "file-store-differential");
+    FileStore fs;
+    FileStoreModel model;
+    const auto pick = [&rng](Bytes n) { return rng.uniformInt(n); };
+    for (int step = 0; step < 200; ++step) {
+      const std::vector<Extent> current = fs.read("/f", 0, kSize);
+      Bytes offset = pick(kSize);
+      Bytes length = 1 + pick(kSize - offset);
+      if (!current.empty()) {
+        const Extent& e = current[pick(current.size())];
+        const Extent& other = current[pick(current.size())];
+        switch (pick(5)) {
+          case 0:  // exact overwrite
+            offset = e.offset;
+            length = e.length;
+            ++exact_overwrites;
+            break;
+          case 1:  // partial overlap: starts inside e, any length
+            offset = e.offset + pick(e.length);
+            length = 1 + pick(kSize - offset);
+            break;
+          case 2:  // adjacent: starts at e's end, or ends at e's start
+            if (e.end() < kSize && pick(2) == 0) {
+              offset = e.end();
+              length = 1 + pick(kSize - offset);
+            } else if (e.offset > 0) {
+              length = 1 + pick(e.offset);
+              offset = e.offset - length;
+            }
+            break;
+          case 3: {  // spanning: from e's start to other's end (or back)
+            const Bytes lo = std::min(e.offset, other.offset);
+            const Bytes hi = std::max(e.end(), other.end());
+            offset = lo;
+            length = hi - lo;
+            break;
+          }
+          default:  // anywhere
+            break;
+        }
+      }
+      const ContentTag tag = 1 + pick(4);  // few tags: equal neighbours occur
+      fs.write("/f", offset, length, tag);
+      model.write(offset, length, tag);
+
+      ASSERT_EQ(fs.read("/f", 0, kSize), model.extents())
+          << "seed " << seed << " step " << step << " wrote [" << offset
+          << ", " << offset + length << ") tag " << tag;
+      ASSERT_EQ(fs.size("/f"), model.size());
+      ASSERT_EQ(fs.totalBytes(), model.totalBytes());
+      for (int probe = 0; probe < 4; ++probe) {
+        const Bytes at = pick(kSize);
+        const Bytes len = 1 + pick(std::min<Bytes>(kSize - at, 32));
+        const ContentTag want = model.tagAt(at);
+        const bool expected = model.verify(at, len, want);
+        ASSERT_EQ(fs.verify("/f", at, len, want), expected)
+            << "seed " << seed << " step " << step << " verify [" << at
+            << ", " << at + len << ") tag " << want;
+        verified += expected ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(exact_overwrites, 1000);  // the in-place path ran plenty
+  EXPECT_GT(verified, 1000);          // verify() saw matches, not only misses
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace iobts::sim {
@@ -56,6 +57,24 @@ TEST(Trigger, BroadcastsToAllWaiters) {
   sim.spawn(firer());
   sim.run();
   EXPECT_EQ(woke, 5);
+}
+
+TEST(Trigger, WaitersResumeInArrivalOrder) {
+  // The first waiter is held inline and later ones queue behind it; five
+  // waiters straddle that split. They are spawned out of arrival order so
+  // spawn order cannot explain the result.
+  Simulation sim;
+  Trigger trig(sim);
+  std::vector<int> order;
+  auto waiter = [&](int id) -> Task<void> {
+    co_await sim.delay(0.5 * id);
+    co_await trig.wait();
+    order.push_back(id);
+  };
+  for (const int id : {3, 0, 4, 1, 2}) sim.spawn(waiter(id));
+  sim.post(5.0, [&] { trig.fire(); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(Trigger, DoubleFireIsIdempotent) {
@@ -220,6 +239,56 @@ TEST(Mailbox, MoveOnlyPayload) {
   sim.run();
   ASSERT_TRUE(got);
   EXPECT_EQ(*got, 5);
+}
+
+TEST(Mailbox, FifoAcrossRingGrowthWithWrappedHead) {
+  // Send 6, receive 4, send 20: the ring's head has wrapped when it grows,
+  // and growth must relocate the queued values in send order.
+  Simulation sim;
+  Mailbox<int> box(sim);
+  std::vector<int> got;
+  for (int v = 0; v < 6; ++v) box.send(v);
+  for (int i = 0; i < 4; ++i) got.push_back(*box.tryRecv());
+  for (int v = 6; v < 26; ++v) box.send(v);
+  EXPECT_EQ(box.size(), 22u);
+  auto receiver = [&]() -> Task<void> {
+    while (!box.empty()) got.push_back(co_await box.recv());
+  };
+  sim.spawn(receiver());
+  sim.run();
+  std::vector<int> expected(26);
+  for (int v = 0; v < 26; ++v) expected[v] = v;
+  EXPECT_EQ(got, expected);
+}
+
+TEST(Mailbox, ReceivedPayloadIsNotPinnedByItsSlot) {
+  // A payload whose moved-from husk still holds its reference: only
+  // destroying the ring slot on receipt releases it.
+  struct Sticky {
+    explicit Sticky(std::shared_ptr<int> r) : ref(std::move(r)) {}
+    Sticky(Sticky&& other) noexcept : ref(other.ref) {}
+    Sticky(const Sticky&) = delete;
+    Sticky& operator=(const Sticky&) = delete;
+    std::shared_ptr<int> ref;
+  };
+  Simulation sim;
+  Mailbox<Sticky> box(sim);
+  const auto tracked = std::make_shared<int>(7);
+  box.send(Sticky(tracked));
+  box.send(Sticky(tracked));
+  EXPECT_EQ(tracked.use_count(), 3);
+  {
+    const std::optional<Sticky> got = box.tryRecv();
+    EXPECT_EQ(tracked.use_count(), 3);  // `got` and the queued second
+  }
+  EXPECT_EQ(tracked.use_count(), 2);
+  auto receiver = [&]() -> Task<void> {
+    const Sticky got = co_await box.recv();
+    EXPECT_EQ(tracked.use_count(), 2);  // `got` only
+  };
+  sim.spawn(receiver());
+  sim.run();
+  EXPECT_EQ(tracked.use_count(), 1);
 }
 
 TEST(Barrier, ReleasesWhenAllArrive) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <thread>
 
 #include "sim/simulation.hpp"
 
@@ -110,6 +111,30 @@ TEST(Task, MoveTransfersOwnership) {
   a = std::move(b);
   EXPECT_TRUE(a.valid());
   EXPECT_FALSE(b.valid());
+}
+
+TEST(Task, FrameOutlivesTheThreadThatCreatedIt) {
+  // Frames come from a per-thread cache. This one is allocated on a thread
+  // that has cached a frame of its own (so its cache drains at exit), then
+  // run and destroyed here after that thread is gone: the release joins
+  // this thread's cache, and the Simulation's teardown trims it.
+  auto make = [](int v) -> Task<int> { co_return v; };
+  Task<int> task;
+  std::thread maker([&] {
+    { const Task<int> recycled = make(1); }
+    task = make(7);
+  });
+  maker.join();
+  int got = 0;
+  {
+    Simulation sim;
+    auto runner = [&]() -> Task<void> { got = co_await std::move(task); };
+    sim.spawn(runner());
+    sim.run();
+    task = Task<int>();
+  }
+  EXPECT_EQ(got, 7);
+  EXPECT_EQ(FrameCache::cachedBlocks(), 0u);
 }
 
 }  // namespace

@@ -3,16 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "util/check.hpp"
 
 namespace iobts::throttle {
 namespace {
 
+std::vector<Bytes> chunksOf(const Pacer& pacer, Bytes total) {
+  std::vector<Bytes> chunks;
+  for (const Bytes chunk : pacer.subrequests(total)) chunks.push_back(chunk);
+  return chunks;
+}
+
 TEST(Pacer, UnlimitedNeverSplitsNorSleeps) {
   Pacer pacer;
   EXPECT_FALSE(pacer.limited());
-  const auto chunks = pacer.split(100 * kMiB);
+  const auto chunks = chunksOf(pacer, 100 * kMiB);
   ASSERT_EQ(chunks.size(), 1u);
   EXPECT_EQ(chunks[0], 100 * kMiB);
   EXPECT_DOUBLE_EQ(pacer.onSubrequestDone(100 * kMiB, 0.001), 0.0);
@@ -22,7 +29,7 @@ TEST(Pacer, UnlimitedNeverSplitsNorSleeps) {
 TEST(Pacer, SplitRespectsSubrequestSize) {
   Pacer pacer(PacerConfig{.subrequest_size = 4 * kMiB});
   pacer.setLimit(1e9);
-  const auto chunks = pacer.split(10 * kMiB);
+  const auto chunks = chunksOf(pacer, 10 * kMiB);
   ASSERT_EQ(chunks.size(), 3u);
   EXPECT_EQ(chunks[0], 4 * kMiB);
   EXPECT_EQ(chunks[1], 4 * kMiB);
@@ -36,15 +43,29 @@ TEST(Pacer, SmallRequestExecutedWhole) {
   // executed."
   Pacer pacer(PacerConfig{.subrequest_size = 4 * kMiB});
   pacer.setLimit(1e9);
-  const auto chunks = pacer.split(kMiB);
+  const auto chunks = chunksOf(pacer, kMiB);
   ASSERT_EQ(chunks.size(), 1u);
   EXPECT_EQ(chunks[0], kMiB);
+}
+
+TEST(Pacer, SplitIsFixedWhenTheRangeIsMade) {
+  // The engine splits a request when it picks it up; a limit change while
+  // the request is in flight (the tracer's strategies do this) must not
+  // re-split the remaining sub-requests.
+  Pacer pacer(PacerConfig{.subrequest_size = 4 * kMiB});
+  pacer.setLimit(1e9);
+  std::vector<Bytes> chunks;
+  for (const Bytes chunk : pacer.subrequests(10 * kMiB)) {
+    chunks.push_back(chunk);
+    pacer.setLimit(std::nullopt);
+  }
+  EXPECT_EQ(chunks, (std::vector<Bytes>{4 * kMiB, 4 * kMiB, 2 * kMiB}));
 }
 
 TEST(Pacer, SplitZeroIsEmpty) {
   Pacer pacer;
   pacer.setLimit(1e9);
-  EXPECT_TRUE(pacer.split(0).empty());
+  EXPECT_TRUE(chunksOf(pacer, 0).empty());
 }
 
 TEST(Pacer, RequiredTimeFromLimit) {
@@ -118,7 +139,7 @@ TEST_P(PacerPacing, TotalTimeMatchesLimit) {
   pacer.setLimit(limit);
   const Bytes total = 10 * kMiB;
   double elapsed = 0.0;
-  for (const Bytes chunk : pacer.split(total)) {
+  for (const Bytes chunk : pacer.subrequests(total)) {
     const double required = static_cast<double>(chunk) / limit;
     const double exec = required * exec_fraction;
     elapsed += exec + pacer.onSubrequestDone(chunk, exec);

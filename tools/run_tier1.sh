@@ -2,7 +2,7 @@
 # Tier-1 gate: the standard build + test line from ROADMAP.md, plus an
 # ASan+UBSan pass over the event-kernel and PFS hot paths (the code most
 # exposed to lifetime bugs: SBO callback relocation, pooled event slots,
-# in-place completion compaction).
+# in-place completion compaction, recycled coroutine frames).
 #
 # A ThreadSanitizer pass over the sharded parallel kernel follows: the
 # sim/pfs/mpisim/parallel suites rebuilt with -fsanitize=thread, so the
@@ -94,18 +94,23 @@ if [[ "$SKIP_SANITIZE" == 1 ]]; then
   exit 0
 fi
 
-echo "== sanitize: configure + build (ASan+UBSan, sim+pfs+fault+scenario+ckpt+obs tests + hotpath asserts) =="
+echo "== sanitize: configure + build (ASan+UBSan, sim+pfs+mpisim+throttle+fault+scenario+ckpt+obs tests + hotpath asserts) =="
 cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Sanitize \
   -DIOBTS_BUILD_BENCH=ON -DIOBTS_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build build-sanitize -j --target sim_test pfs_test fault_test scenario_test ckpt_test obs_test micro_hotpath
+cmake --build build-sanitize -j --target sim_test pfs_test mpisim_test throttle_test fault_test scenario_test ckpt_test obs_test micro_hotpath
 
-echo "== sanitize: run sim_test + pfs_test + fault_test + scenario_test + ckpt_test + obs_test =="
+echo "== sanitize: run sim_test + pfs_test + mpisim_test + throttle_test + fault_test + scenario_test + ckpt_test + obs_test =="
 # ASan instrumentation defeats the coroutine symmetric-transfer tail call,
 # so the 100k-deep Task chain test consumes real stack per hop; lift the
 # stack limit for the sanitized run only.
 ulimit -s unlimited 2>/dev/null || true
 ./build-sanitize/tests/sim_test
 ./build-sanitize/tests/pfs_test
+# The request path recycles coroutine frames, link transfers and request
+# state through the per-thread FrameCache; the mpisim and throttle suites
+# drive that reuse (poisoned while cached) end to end.
+./build-sanitize/tests/mpisim_test
+./build-sanitize/tests/throttle_test
 # The fault suite crosses every layer (fault plan -> link -> engine -> world
 # -> cluster) including teardown-by-abort paths: prime lifetime-bug ground.
 ./build-sanitize/tests/fault_test
