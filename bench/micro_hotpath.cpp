@@ -30,7 +30,6 @@
 
 #include "mpisim/world.hpp"
 #include "obs/binlog.hpp"
-#include "obs/stream.hpp"
 #include "obs/trace.hpp"
 #include "pfs/fair_share.hpp"
 #include "pfs/file_store.hpp"
@@ -203,30 +202,10 @@ void BM_DispatchTracingOn(benchmark::State& state) {
 }
 BENCHMARK(BM_DispatchTracingOn)->Arg(100000);
 
-// Same churn with a callback-mode TraceStreamer attached at the default
-// half-occupancy watermark: the ring drains repeatedly inside the timed
-// region, so this measures dispatch with streaming export on -- the extra
-// cost over BM_DispatchTracingOn is the copy-out-and-deliver overhead.
-void BM_DispatchTracingStreamed(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  obs::TraceSink sink;
-  std::uint64_t delivered = 0;
-  obs::TraceStreamer streamer(
-      sink, [&delivered](const std::vector<obs::TraceEvent>& batch) {
-        delivered += batch.size();
-      });
-  obs::ScopedTraceSink install(sink);
-  for (auto _ : state) dispatchChurn(n);
-  benchmark::DoNotOptimize(delivered);
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_DispatchTracingStreamed)->Arg(100000);
-
-// Same churn with the binary flight recorder attached instead of the JSON
-// streamer: the ring drains into length-prefixed binary chunks (interned
-// strings, fixed 64-byte records) written to a growing memory buffer. The
-// gap to BM_DispatchTracingStreamed is the serialization saving of the
-// binary container over per-event JSON delivery.
+// Same churn with the binary flight recorder attached: the ring drains at
+// half occupancy, inside the timed region, into delta-encoded chunks
+// (interned strings, varint records) whose bytes are counted and
+// discarded. The gap to BM_DispatchTracingOn is the cost of recording.
 void BM_DispatchTracingBinary(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   obs::TraceSink sink;
@@ -241,13 +220,10 @@ BENCHMARK(BM_DispatchTracingBinary)->Arg(100000);
 
 // Pure serialization throughput of the binary writer, no simulation in the
 // loop: fill a detached ring with representative events, then time one
-// drain-and-encode pass per iteration. This is the ceiling the streamed
-// dispatch benchmarks are bounded by. Runs once per container version --
-// the v2/v1 pair gives both encode-throughput ratio and the on-disk
-// bytes_per_event each format achieves for the same event stream (v1's is
-// the fixed 64-byte record plus container overhead; v2's is the delta
-// encoding's doing), recorded into BENCH_obs_overhead.json.
-void binaryWriterDrain(benchmark::State& state, std::uint32_t version) {
+// drain-and-encode pass per iteration. This is the ceiling
+// BM_DispatchTracingBinary is bounded by; the on-disk bytes_per_event it
+// achieves for this event stream is recorded into BENCH_obs_overhead.json.
+void BM_BinaryWriterDrain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   obs::TraceSinkConfig cfg;
   cfg.capacity = static_cast<std::size_t>(n);
@@ -260,10 +236,7 @@ void binaryWriterDrain(benchmark::State& state, std::uint32_t version) {
       sink.complete("sim", "dispatch", obs::track::kKernel, 0,
                     static_cast<double>(i), 0.5, static_cast<double>(i));
     }
-    obs::BinaryTraceWriterConfig wcfg;
-    wcfg.version = version;
-    obs::BinaryTraceWriter writer(sink, static_cast<std::string*>(nullptr),
-                                  wcfg);
+    obs::BinaryTraceWriter writer(sink, static_cast<std::string*>(nullptr));
     state.ResumeTiming();
     writer.drain();
     writer.close();
@@ -277,16 +250,7 @@ void binaryWriterDrain(benchmark::State& state, std::uint32_t version) {
           : 0.0;
   state.counters["bytes_per_event"] = benchmark::Counter(bytes_per_event);
 }
-
-void BM_BinaryWriterDrain(benchmark::State& state) {
-  binaryWriterDrain(state, obs::kBinlogVersion);
-}
 BENCHMARK(BM_BinaryWriterDrain)->Arg(100000);
-
-void BM_BinaryWriterDrainV1(benchmark::State& state) {
-  binaryWriterDrain(state, obs::kBinlogVersionV1);
-}
-BENCHMARK(BM_BinaryWriterDrainV1)->Arg(100000);
 
 // Flow-emitting churn under journey sampling: each dispatch opens and
 // closes a journey flow the way the ADIO engine does, gated through

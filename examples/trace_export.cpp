@@ -1,33 +1,34 @@
-// Trace export walkthrough: run a traced asynchronous-I/O workload, dump a
-// Perfetto-loadable Chrome trace plus a unified metrics table, and
-// cross-check the trace against the link's own resolve counters.
+// Trace export walkthrough: record a traced asynchronous-I/O workload into
+// a binary flight-recorder trace, derive a Perfetto-loadable Chrome trace
+// from it, dump a unified metrics table, and cross-check the recording
+// against the link's own resolve counters.
 //
 //   $ ./trace_export [RUN_DIR]          # default: trace_export.out/
-//   $ ./tools/trace_summarize trace_export.out/trace.json
-//   $ ./tools/trace_summarize trace_export.out/trace.json --journeys
+//   $ ./tools/iobts_profile trace_export.out/trace.bin
+//   $ ./tools/iobts_profile trace_export.out/trace.bin --critical-path
 //
 // Everything lands in one run directory (created if needed) instead of
 // littering the invoking directory. Load trace.json in
-// https://ui.perfetto.dev (or
-// chrome://tracing) and enable flow arrows: each I/O request is one
-// "journey" — an arrow chain from the ADIO queue span through its paced
-// subrequests into the shared-link settle and back to the completion.
-// The sink is installed *before* the instrumented components are
-// constructed so their setup-time track names land in the trace metadata;
-// everything the components record afterwards is derived purely from
-// virtual time and stable simulation ids, so rerunning this example
-// produces a byte-identical trace file. A TraceStreamer mirrors the run
-// into a second, incrementally-written file to show that streaming export
-// produces the same loadable document without retaining the whole ring.
+// https://ui.perfetto.dev (or chrome://tracing) and enable flow arrows:
+// each I/O request is one "journey" — an arrow chain from the ADIO queue
+// span through its paced subrequests into the shared-link settle and back
+// to the completion. The sink is installed *before* the instrumented
+// components are constructed so their setup-time track names land in the
+// trace metadata; everything the components record afterwards is derived
+// purely from virtual time and stable simulation ids, so rerunning this
+// example produces byte-identical trace files.
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <string_view>
 
 #include "fault/plan.hpp"
 #include "mpisim/world.hpp"
+#include "obs/binlog.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/stream.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "pfs/file_store.hpp"
 #include "pfs/shared_link.hpp"
@@ -64,13 +65,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // 1. Install the sink first. Everything below is traced. The streamer
-  // drains the ring into a file as the run progresses (at the default
-  // half-occupancy watermark), so the streamed copy never needs the whole
-  // history resident.
+  // 1. Install the sink first. Everything below is traced. The binary
+  // writer drains the ring into trace.bin as the run progresses (at half
+  // occupancy), so the recording never needs the whole history resident
+  // and no event is ever overwritten.
   obs::TraceSink sink;  // default: 65536 events, no wall-clock capture
-  const std::string streamed_path = run_dir + "/streamed.json";
-  obs::TraceStreamer streamer(sink, streamed_path);
+  const std::string recording_path = run_dir + "/trace.bin";
+  obs::BinaryTraceWriter recorder(sink, recording_path);
+  if (!recorder.good()) {
+    std::fprintf(stderr, "cannot open %s\n", recording_path.c_str());
+    return 1;
+  }
   obs::ScopedTraceSink install(sink);
 
   sim::Simulation sim;
@@ -103,41 +108,8 @@ int main(int argc, char** argv) {
   sim.run();
 
   std::printf("run finished in %.2f virtual seconds\n", world.elapsed());
-  std::printf("trace: %zu events retained, %llu recorded, %llu dropped\n",
-              sink.size(),
-              static_cast<unsigned long long>(sink.recorded()),
-              static_cast<unsigned long long>(sink.dropped()));
 
-  // 2. Cross-check: the trace must agree with the link's own counters.
-  const auto write_stats = link.resolveStats(pfs::Channel::Write);
-  std::uint64_t resolve_spans = 0;
-  std::uint64_t skip_instants = 0;
-  for (const obs::TraceEvent& ev : sink.snapshot()) {
-    if (ev.pid != obs::track::kLink) continue;
-    if (ev.tid != static_cast<std::uint32_t>(pfs::Channel::Write)) continue;
-    const std::string_view name = ev.name;
-    if (name == "resolve") ++resolve_spans;
-    if (name == "resolve.skip") ++skip_instants;
-  }
-  std::printf(
-      "write channel: %llu resolve spans (link says %llu executed), "
-      "%llu skip instants (link says %llu skipped)\n",
-      static_cast<unsigned long long>(resolve_spans),
-      static_cast<unsigned long long>(write_stats.executed),
-      static_cast<unsigned long long>(skip_instants),
-      static_cast<unsigned long long>(write_stats.lazy_skipped));
-
-  // 3. Journeys: each request's flow chain starts with one "s" event.
-  std::uint64_t journey_starts = 0;
-  for (const obs::TraceEvent& ev : sink.snapshot()) {
-    if (ev.phase == obs::Phase::FlowStart) ++journey_starts;
-  }
-  std::printf(
-      "%llu request journeys in the trace (follow the flow arrows in "
-      "Perfetto, or run trace_summarize --journeys)\n",
-      static_cast<unsigned long long>(journey_starts));
-
-  // 4. Annotate the trace with the tracer's Eq. 3 application-level
+  // 2. Annotate the trace with the tracer's Eq. 3 application-level
   // required-bandwidth series, then collect every layer's metrics --
   // including the tmio bandwidth aggregates and the sink's own span
   // histograms -- into one registry.
@@ -149,25 +121,57 @@ int main(int argc, char** argv) {
   tmio::exportTracerMetrics(tracer, metrics);
   sink.exportMetrics(metrics);
 
-  // 5. Export: the one-shot document first (it snapshots the ring), then
-  // close the streamer, which drains the remaining events into the
-  // incrementally-written copy.
+  // 3. Finish the recording and read it back. The ring was drained all
+  // along, so the cross-checks below run over the decoded recording --
+  // the whole run -- not over what the ring still holds.
+  if (!recorder.close()) {
+    std::fprintf(stderr, "cannot write %s\n", recording_path.c_str());
+    return 1;
+  }
+  const obs::BinaryTrace trace = obs::readBinaryTrace(recording_path);
+  std::printf("trace: %zu events recorded, %llu dropped -> %s\n",
+              trace.events.size(),
+              static_cast<unsigned long long>(trace.totals.dropped),
+              recording_path.c_str());
+
+  // 4. Cross-check: the trace must agree with the link's own counters.
+  const auto write_stats = link.resolveStats(pfs::Channel::Write);
+  std::uint64_t resolve_spans = 0;
+  std::uint64_t skip_instants = 0;
+  std::uint64_t journey_starts = 0;
+  for (const obs::BinEvent& ev : trace.events) {
+    // Journeys: each request's flow chain starts with one "s" event.
+    if (ev.phase == obs::Phase::FlowStart) ++journey_starts;
+    if (ev.pid != obs::track::kLink) continue;
+    if (ev.tid != static_cast<std::uint32_t>(pfs::Channel::Write)) continue;
+    const std::string_view name = trace.strings[ev.name];
+    if (name == "resolve") ++resolve_spans;
+    if (name == "resolve.skip") ++skip_instants;
+  }
+  std::printf(
+      "write channel: %llu resolve spans (link says %llu executed), "
+      "%llu skip instants (link says %llu skipped)\n",
+      static_cast<unsigned long long>(resolve_spans),
+      static_cast<unsigned long long>(write_stats.executed),
+      static_cast<unsigned long long>(skip_instants),
+      static_cast<unsigned long long>(write_stats.lazy_skipped));
+  std::printf(
+      "%llu request journeys in the trace (follow the flow arrows in "
+      "Perfetto, or run iobts_profile --critical-path)\n",
+      static_cast<unsigned long long>(journey_starts));
+
+  // 5. Export: the Chrome document is derived from the recording, and the
+  // metrics table goes next to it.
   const std::string trace_path = run_dir + "/trace.json";
   const std::string metrics_path = run_dir + "/metrics.txt";
-  if (!obs::writeChromeTrace(sink, trace_path) ||
-      !obs::writeMetrics(metrics, metrics_path)) {
+  std::ofstream json(trace_path, std::ios::binary | std::ios::trunc);
+  json << obs::chromeJsonFromBinaryTrace(trace);
+  json.close();
+  if (!json || !obs::writeMetrics(metrics, metrics_path)) {
     std::fprintf(stderr, "export failed\n");
     return 1;
   }
-  if (!streamer.close()) {
-    std::fprintf(stderr, "streaming export failed\n");
-    return 1;
-  }
   std::printf("\nwrote %s (load it in ui.perfetto.dev)\n", trace_path.c_str());
-  std::printf("wrote %s (streamed copy: %llu events in %llu batches)\n",
-              streamed_path.c_str(),
-              static_cast<unsigned long long>(streamer.events()),
-              static_cast<unsigned long long>(streamer.batches()));
   std::printf("wrote %s:\n\n%s", metrics_path.c_str(),
               metrics.dumpText().c_str());
   return 0;

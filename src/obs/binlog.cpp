@@ -1,15 +1,5 @@
 #include "obs/binlog.hpp"
 
-#if IOBTS_BINLOG_X86
-#include <immintrin.h>
-#endif
-
-#if defined(__GNUC__) || defined(__clang__)
-#define IOBTS_RESTRICT __restrict__
-#else
-#define IOBTS_RESTRICT
-#endif
-
 // GCC needs the vectorizer cranked up for the checksum's lane scan to turn
 // into packed shift/xor; everything else in this file is fine at -O2.
 #if defined(__GNUC__) && !defined(__clang__)
@@ -19,7 +9,6 @@
 #endif
 
 #include <algorithm>
-#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -94,12 +83,6 @@ void appendU32(std::string& out, std::uint32_t v) {
 void appendU64(std::string& out, std::uint64_t v) {
   char buf[8];
   putU64(buf, v);
-  out.append(buf, sizeof(buf));
-}
-
-void appendF64(std::string& out, double v) {
-  char buf[8];
-  putF64(buf, v);
   out.append(buf, sizeof(buf));
 }
 
@@ -251,7 +234,26 @@ std::uint64_t readPaddedWord(const char* data, std::size_t n) noexcept {
   return readU64(buf);
 }
 
-// --- v2 delta record encoding ----------------------------------------------
+// --- Delta record encoding --------------------------------------------------
+
+/// Worst-case bytes of one delta-encoded event record (flags byte plus up
+/// to nine varints) and the smallest one (a flags byte and five 1-byte
+/// varints).
+constexpr std::size_t kMaxRecordBytes = 72;
+constexpr std::size_t kMinRecordBytes = 6;
+
+/// Per-open-chunk delta state: the previous record's bit patterns the next
+/// record's deltas are taken against, and the chunk's running time cover.
+/// Resets at every chunk seal so chunks decode independently.
+struct DeltaState {
+  std::uint64_t ts_bits = 0;
+  std::uint64_t wall = 0;
+  std::uint64_t dur_bits = 0;
+  std::uint64_t value_bits = 0;
+  double t_min = 0.0;
+  double t_max = 0.0;
+  std::uint64_t count = 0;
+};
 
 char* putVarint(char* dst, std::uint64_t v) noexcept {
   while (v >= 0x80) {
@@ -276,7 +278,7 @@ std::uint64_t unzigzag(std::uint64_t v) noexcept {
 }
 
 /// Fold one event's virtual-time span into the open chunk's cover.
-void coverEvent(detail::BinlogDeltaState& st, double ts, double dur) noexcept {
+void coverEvent(DeltaState& st, double ts, double dur) noexcept {
   const double lo = ts;
   const double hi = ts + (dur > 0.0 ? dur : 0.0);
   if (st.count == 0) {
@@ -289,7 +291,7 @@ void coverEvent(detail::BinlogDeltaState& st, double ts, double dur) noexcept {
   ++st.count;
 }
 
-// v2 record flag bits (bits 0-2 are the phase).
+// Record flag bits (bits 0-2 are the phase).
 constexpr unsigned kFlagDur = 0x08;
 constexpr unsigned kFlagValue = 0x10;
 constexpr unsigned kFlagFlow = 0x20;
@@ -297,10 +299,10 @@ constexpr unsigned kFlagWall = 0x40;
 constexpr unsigned kFlagReserved = 0x80;
 
 /// Encode one event against the chunk's delta state. Writes at most
-/// kBinlogV2MaxRecordBytes; returns the advanced cursor.
+/// kMaxRecordBytes; returns the advanced cursor.
 char* encodeDeltaRecord(char* dst, const TraceEvent& e,
                         std::uint32_t category_id, std::uint32_t name_id,
-                        detail::BinlogDeltaState& st) noexcept {
+                        DeltaState& st) noexcept {
   const std::uint64_t ts_bits = f64Bits(e.ts);
   const std::uint64_t dur_bits = f64Bits(e.dur);
   const std::uint64_t value_bits = f64Bits(e.value);
@@ -371,12 +373,9 @@ std::uint64_t binlogChecksum(const char* data, std::size_t size) noexcept {
   // Four rotate-xor lanes compressed with FNV-1a at the end. Word j feeds
   // lane j % 4 as lane = rotl(lane, 1) ^ word: the lane pass is pure
   // shift/xor with no multiplies or cross-word dependencies, so it runs
-  // near memory speed, and -- the reason it is four lanes and not eight --
-  // all four accumulators fit in registers alongside the writer's loop
-  // state, letting BinaryTraceWriter fold each 64-byte event record into
-  // the running lanes inline with zero stack traffic. Every payload bit
-  // lands in a lane (flips are always detected; the rotation count
-  // position-stamps each word within its lane), the combine step is
+  // near memory speed. Every payload bit lands in a lane (flips are always
+  // detected; the rotation count position-stamps each word within its
+  // lane), the combine step is
   // genuine FNV-1a over the four lanes, and the payload length is bound
   // last -- a final partial word is zero-padded, which the bound length
   // disambiguates.
@@ -418,7 +417,7 @@ std::uint64_t binlogTrailerDigest(const char* data, std::size_t size) {
     }
     const std::uint32_t kind = readU32(data + pos);
     const std::uint64_t len = readU64(data + pos + 4);
-    if (size - pos - 12 < len + 8) {
+    if (size - pos - 12 < 8 || len > size - pos - 12 - 8) {
       throw BinlogError(BinlogErrorKind::Truncated,
                         "<trailer digest>: chunk payload truncated at offset " +
                             std::to_string(pos));
@@ -449,11 +448,6 @@ const char* binlogErrorKindName(BinlogErrorKind kind) noexcept {
   return "unknown";
 }
 
-bool looksLikeBinaryTrace(const std::string& bytes) noexcept {
-  return bytes.size() >= sizeof(kBinlogMagic) &&
-         std::memcmp(bytes.data(), kBinlogMagic, sizeof(kBinlogMagic)) == 0;
-}
-
 TraceEvent BinaryTrace::event(std::size_t i) const {
   const BinEvent& e = events.at(i);
   TraceEvent out;
@@ -474,6 +468,48 @@ TraceEvent BinaryTrace::event(std::size_t i) const {
 
 namespace {
 
+/// Verify one chunk's stored checksum; every reader reports a mismatch
+/// with the same diagnostic.
+void requireChunkChecksum(const std::string& origin, std::uint32_t kind,
+                          const char* payload, std::uint64_t len,
+                          std::uint64_t want) {
+  const std::uint64_t got = binlogChecksum(payload, len);
+  if (got != want) {
+    char buf[112];
+    std::snprintf(buf, sizeof(buf),
+                  ": chunk kind %u payload checksum mismatch "
+                  "(stored 0x%016llx, computed 0x%016llx)",
+                  static_cast<unsigned>(kind),
+                  static_cast<unsigned long long>(want),
+                  static_cast<unsigned long long>(got));
+    throw BinlogError(BinlogErrorKind::ChunkChecksum, origin + buf);
+  }
+}
+
+/// Verify the stored trailer digest against the one folded while parsing.
+void requireFileChecksum(const std::string& origin, std::uint64_t want,
+                         std::uint64_t got) {
+  if (got != want) {
+    char buf[112];
+    std::snprintf(buf, sizeof(buf),
+                  ": file checksum mismatch "
+                  "(stored 0x%016llx, computed 0x%016llx)",
+                  static_cast<unsigned long long>(want),
+                  static_cast<unsigned long long>(got));
+    throw BinlogError(BinlogErrorKind::FileChecksum, origin + buf);
+  }
+}
+
+void requireVersion(std::uint32_t version, const std::string& origin) {
+  if (version != kBinlogVersion) {
+    throw BinlogError(BinlogErrorKind::BadVersion,
+                      origin + ": binary trace format version " +
+                          std::to_string(version) +
+                          " is not supported (this build reads version " +
+                          std::to_string(kBinlogVersion) + ")");
+  }
+}
+
 /// The chunk-sequence decoder shared by the strict whole-file reader, the
 /// index-seeking windowed reader, and the --follow tail reader. Callers
 /// verify each chunk's checksum, then hand the payload to consumeChunk();
@@ -491,8 +527,6 @@ class ContainerDecoder {
   ContainerDecoder(std::string origin, bool strict)
       : origin_(std::move(origin)), strict_(strict) {}
 
-  void setVersion(std::uint32_t v) noexcept { version_ = v; }
-  std::uint32_t version() const noexcept { return version_; }
   bool footerSeen() const noexcept { return footer_seen_; }
   bool indexSeen() const noexcept { return index_seen_; }
   std::uint64_t indexOffset() const noexcept { return index_offset_; }
@@ -520,11 +554,8 @@ class ContainerDecoder {
       case binchunk::kStrings: {
         requirePreIndex("strings");
         PayloadReader p(payload, len, origin_, "strings");
-        std::uint32_t shard = 0;
-        if (version_ >= 2) {
-          shard = p.u32("shard id");
-          checkShard(shard, "strings chunk");
-        }
+        const std::uint32_t shard = p.u32("shard id");
+        checkShard(shard, "strings chunk");
         entry.shard = shard;
         auto& table = shards_[shard].strings;
         const std::uint32_t count = p.u32("string count");
@@ -539,11 +570,7 @@ class ContainerDecoder {
       case binchunk::kEvents: {
         requirePreIndex("events");
         ++events_chunks_;
-        if (version_ >= 2) {
-          decodeEventsV2(payload, len, entry);
-        } else {
-          decodeEventsV1(payload, len, entry);
-        }
+        decodeEvents(payload, len, entry);
         break;
       }
       case binchunk::kMeta: {
@@ -568,12 +595,8 @@ class ContainerDecoder {
         break;
       }
       case binchunk::kIndex: {
-        if (version_ < 2) {
-          throw BinlogError(BinlogErrorKind::Malformed,
-                            origin_ + ": unknown chunk kind " +
-                                std::to_string(kind));
-        }
         decodeIndex(payload, len);
+        index_chunk_offset_ = offset;
         break;
       }
       case binchunk::kFooter: {
@@ -586,9 +609,8 @@ class ContainerDecoder {
                           origin_ + ": unknown chunk kind " +
                               std::to_string(kind));
     }
-    if (version_ >= 2 &&
-        (kind == binchunk::kStrings || kind == binchunk::kEvents ||
-         kind == binchunk::kMeta)) {
+    if (kind == binchunk::kStrings || kind == binchunk::kEvents ||
+        kind == binchunk::kMeta) {
       observed_.push_back(entry);
     }
     return entry;
@@ -597,7 +619,6 @@ class ContainerDecoder {
   /// The canonically merged trace from everything consumed so far.
   BinaryTrace finalize() const {
     BinaryTrace t;
-    t.version = version_;
     std::uint32_t max_shard_plus1 = 0;
     for (const auto& [shard, state] : shards_) {
       max_shard_plus1 = std::max(max_shard_plus1, shard + 1);
@@ -609,8 +630,7 @@ class ContainerDecoder {
     t.index = declared_index_;
     if (shards_.size() <= 1) {
       // Single recording stream: file order *is* canonical order and the
-      // shard's local string ids are already global -- this identity path
-      // is what keeps v2 single-writer reports byte-identical to v1's.
+      // shard's local string ids are already global.
       if (!shards_.empty()) t.strings = shards_.begin()->second.strings;
       t.events = events_;
     } else {
@@ -693,70 +713,26 @@ class ContainerDecoder {
     }
   }
 
-  void decodeEventsV1(const char* payload, std::uint64_t len,
-                      BinlogIndexEntry& entry) {
-    PayloadReader p(payload, len, origin_, "events");
-    if (p.remaining() % kBinlogEventBytes != 0) {
-      throw BinlogError(
-          BinlogErrorKind::Malformed,
-          origin_ + ": events chunk payload of " +
-              std::to_string(p.remaining()) +
-              " byte(s) is not a whole number of " +
-              std::to_string(kBinlogEventBytes) + "-byte event record(s)");
-    }
-    const std::size_t count = p.remaining() / kBinlogEventBytes;
-    auto& shard0 = shards_[0];
-    detail::BinlogDeltaState cover;
-    events_.reserve(events_.size() + count);
-    for (std::size_t i = 0; i < count; ++i) {
-      const char* r = p.take(kBinlogEventBytes, "event record");
-      BinEvent e;
-      e.ts = readF64(r);
-      e.dur = readF64(r + 8);
-      e.pid = readU32(r + 16);
-      e.tid = readU32(r + 20);
-      const std::uint32_t phase = readU32(r + 24);
-      if (phase > static_cast<std::uint32_t>(Phase::FlowEnd)) {
-        throw BinlogError(BinlogErrorKind::Malformed,
-                          origin_ + ": event " +
-                              std::to_string(events_.size()) +
-                              " has unknown phase " + std::to_string(phase));
-      }
-      e.phase = static_cast<Phase>(phase);
-      e.value = readF64(r + 32);
-      e.wall_ns = readU64(r + 40);
-      e.flow = readU64(r + 48);
-      e.category = readU32(r + 56);
-      e.name = readU32(r + 60);
-      const auto table = static_cast<std::uint32_t>(shard0.strings.size());
-      if (e.category >= table || e.name >= table) {
-        const std::uint32_t bad = e.category >= table ? e.category : e.name;
-        throw BinlogError(
-            BinlogErrorKind::BadStringRef,
-            origin_ + ": event " + std::to_string(events_.size()) +
-                " references string id " + std::to_string(bad) +
-                " but only " + std::to_string(table) +
-                " string(s) are defined at this point");
-      }
-      coverEvent(cover, e.ts, e.dur);
-      events_.push_back(e);
-      seqs_.push_back(shard0.seq++);
-    }
-    entry.shard = 0;
-    entry.event_count = count;
-    entry.t_min = cover.t_min;
-    entry.t_max = cover.t_max;
-  }
-
-  void decodeEventsV2(const char* payload, std::uint64_t len,
-                      BinlogIndexEntry& entry) {
+  void decodeEvents(const char* payload, std::uint64_t len,
+                    BinlogIndexEntry& entry) {
     PayloadReader p(payload, len, origin_, "events");
     const std::uint32_t shard = p.u32("shard id");
     checkShard(shard, "events chunk");
     entry.shard = shard;
     const std::uint32_t count = p.u32("event count");
+    // The count sizes a reservation: bound it by what the payload can hold
+    // before trusting it.
+    if (count > p.remaining() / kMinRecordBytes) {
+      throw BinlogError(BinlogErrorKind::Malformed,
+                        origin_ + ": events chunk declares " +
+                            std::to_string(count) + " event(s) but its " +
+                            std::to_string(p.remaining()) +
+                            "-byte payload holds at most " +
+                            std::to_string(p.remaining() /
+                                           kMinRecordBytes));
+    }
     auto& state = shards_[shard];
-    detail::BinlogDeltaState d;
+    DeltaState d;
     events_.reserve(events_.size() + count);
     auto varintU32 = [this, &p](const char* what) {
       const std::uint64_t v = p.varint(what);
@@ -915,24 +891,29 @@ class ContainerDecoder {
   }
 
   void decodeFooter(const char* payload, std::uint64_t len) {
-    const std::uint64_t want_len =
-        version_ >= 2 ? kBinlogFooterBytes : kBinlogFooterBytesV1;
-    if (len != want_len) {
+    if (len != kBinlogFooterBytes) {
       throw BinlogError(BinlogErrorKind::Malformed,
                         origin_ + ": footer chunk payload is " +
                             std::to_string(len) + " byte(s), expected " +
-                            std::to_string(want_len));
+                            std::to_string(kBinlogFooterBytes));
     }
     const std::uint64_t event_count = readU64(payload);
     const std::uint64_t string_count = readU64(payload + 8);
     totals_.recorded = readU64(payload + 16);
     totals_.dropped = readU64(payload + 24);
     totals_.streamed = readU64(payload + 32);
-    if (version_ >= 2) index_offset_ = readU64(payload + 40);
+    index_offset_ = readU64(payload + 40);
     if (!strict_) return;
-    if (version_ >= 2 && !index_seen_) {
+    if (!index_seen_) {
       throw BinlogError(BinlogErrorKind::BadIndex,
                         origin_ + ": footer arrived without an index chunk");
+    }
+    if (index_offset_ != index_chunk_offset_) {
+      throw BinlogError(BinlogErrorKind::BadIndex,
+                        origin_ + ": footer declares index offset " +
+                            std::to_string(index_offset_) +
+                            " but the index chunk is at offset " +
+                            std::to_string(index_chunk_offset_));
     }
     if (event_count != events_.size()) {
       throw BinlogError(BinlogErrorKind::Malformed,
@@ -956,7 +937,6 @@ class ContainerDecoder {
 
   std::string origin_;
   bool strict_;
-  std::uint32_t version_ = kBinlogVersion;
   std::map<std::uint32_t, ShardState> shards_;
   std::vector<BinEvent> events_;  // category/name are shard-local ids here
   std::vector<std::uint64_t> seqs_;
@@ -966,7 +946,8 @@ class ContainerDecoder {
   std::vector<BinlogIndexEntry> declared_index_;
   std::vector<BinlogIndexEntry> observed_;
   std::uint32_t declared_shard_count_ = 0;
-  std::uint64_t index_offset_ = 0;
+  std::uint64_t index_offset_ = 0;        // as the footer declares it
+  std::uint64_t index_chunk_offset_ = 0;  // where the index chunk really is
   std::uint64_t chunks_ = 0;
   std::uint64_t events_chunks_ = 0;
   bool index_seen_ = false;
@@ -984,16 +965,8 @@ BinaryTrace decodeBinaryTrace(const std::string& bytes,
                       origin + ": not a binary trace file (bad magic)");
   }
   const std::uint32_t version = reader.u32("format version");
-  if (version != kBinlogVersionV1 && version != kBinlogVersion) {
-    throw BinlogError(
-        BinlogErrorKind::BadVersion,
-        origin + ": binary trace format version " + std::to_string(version) +
-            " is not supported (this build reads versions " +
-            std::to_string(kBinlogVersionV1) + " and " +
-            std::to_string(kBinlogVersion) + ")");
-  }
+  requireVersion(version, origin);
   ContainerDecoder decoder(origin, /*strict=*/true);
-  decoder.setVersion(version);
   std::uint64_t trailer = kFnvOffset;
   trailer = fnvWordStep(trailer, readU64(bytes.data()));
   trailer = fnvWordStep(trailer, version);
@@ -1009,33 +982,13 @@ BinaryTrace decodeBinaryTrace(const std::string& bytes,
     const std::uint64_t payload_len = reader.u64("chunk payload length");
     const char* payload = reader.take(payload_len, "chunk payload");
     const std::uint64_t want = reader.u64("chunk checksum");
-    const std::uint64_t got = binlogChecksum(payload, payload_len);
-    if (got != want) {
-      char buf[112];
-      std::snprintf(buf, sizeof(buf),
-                    ": chunk kind %u payload checksum mismatch "
-                    "(stored 0x%016llx, computed 0x%016llx)",
-                    static_cast<unsigned>(kind),
-                    static_cast<unsigned long long>(want),
-                    static_cast<unsigned long long>(got));
-      throw BinlogError(BinlogErrorKind::ChunkChecksum, origin + buf);
-    }
+    requireChunkChecksum(origin, kind, payload, payload_len, want);
     trailer = fnvWordStep(trailer, kind);
     trailer = fnvWordStep(trailer, payload_len);
     trailer = fnvWordStep(trailer, want);
     decoder.consumeChunk(kind, payload, payload_len, chunk_offset);
   }
-  const std::uint64_t want = reader.u64("file checksum");
-  const std::uint64_t got = trailer;
-  if (got != want) {
-    char buf[112];
-    std::snprintf(buf, sizeof(buf),
-                  ": file checksum mismatch "
-                  "(stored 0x%016llx, computed 0x%016llx)",
-                  static_cast<unsigned long long>(want),
-                  static_cast<unsigned long long>(got));
-    throw BinlogError(BinlogErrorKind::FileChecksum, origin + buf);
-  }
+  requireFileChecksum(origin, reader.u64("file checksum"), trailer);
   if (reader.remaining() != 0) {
     throw BinlogError(BinlogErrorKind::Malformed,
                       origin + ": " + std::to_string(reader.remaining()) +
@@ -1070,8 +1023,6 @@ class ByteSource {
   virtual std::uint64_t size() = 0;
   /// Read exactly n bytes at `offset` (caller bounds-checks against size()).
   virtual void read(std::uint64_t offset, char* dst, std::size_t n) = 0;
-  /// The whole container image (v1 fallback path).
-  virtual std::string readAll() = 0;
 };
 
 class MemorySource final : public ByteSource {
@@ -1081,7 +1032,6 @@ class MemorySource final : public ByteSource {
   void read(std::uint64_t offset, char* dst, std::size_t n) override {
     std::memcpy(dst, bytes_.data() + offset, n);
   }
-  std::string readAll() override { return bytes_; }
 
  private:
   const std::string& bytes_;
@@ -1110,17 +1060,6 @@ class FileSource final : public ByteSource {
                         path_ + ": binary trace read failed");
     }
   }
-  std::string readAll() override {
-    in_.clear();
-    in_.seekg(0);
-    std::string bytes((std::istreambuf_iterator<char>(in_)),
-                      std::istreambuf_iterator<char>());
-    if (in_.bad()) {
-      throw BinlogError(BinlogErrorKind::Io,
-                        path_ + ": binary trace read failed");
-    }
-    return bytes;
-  }
 
  private:
   std::string path_;
@@ -1139,23 +1078,6 @@ void applyWindowFilter(BinaryTrace& trace, const TraceWindow& window) {
   trace.stats.events_in_window = trace.events.size();
 }
 
-/// Verify one chunk's stored checksum; same diagnostic as the strict path.
-void requireChunkChecksum(const std::string& origin, std::uint32_t kind,
-                          const char* payload, std::uint64_t len,
-                          std::uint64_t want) {
-  const std::uint64_t got = binlogChecksum(payload, len);
-  if (got != want) {
-    char buf[112];
-    std::snprintf(buf, sizeof(buf),
-                  ": chunk kind %u payload checksum mismatch "
-                  "(stored 0x%016llx, computed 0x%016llx)",
-                  static_cast<unsigned>(kind),
-                  static_cast<unsigned long long>(want),
-                  static_cast<unsigned long long>(got));
-    throw BinlogError(BinlogErrorKind::ChunkChecksum, origin + buf);
-  }
-}
-
 BinaryTrace windowedDecode(ByteSource& src, const std::string& origin,
                            const TraceWindow& window) {
   const std::uint64_t fsize = src.size();
@@ -1172,31 +1094,16 @@ BinaryTrace windowedDecode(ByteSource& src, const std::string& origin,
     throw BinlogError(BinlogErrorKind::BadMagic,
                       origin + ": not a binary trace file (bad magic)");
   }
-  const std::uint32_t version = readU32(header + sizeof(kBinlogMagic));
-  if (version == kBinlogVersionV1) {
-    // v1 has no index: full strict decode, then filter. used_index stays
-    // false and the decode counters reflect the full pass.
-    BinaryTrace trace = decodeBinaryTrace(src.readAll(), origin);
-    applyWindowFilter(trace, window);
-    return trace;
-  }
-  if (version != kBinlogVersion) {
-    throw BinlogError(
-        BinlogErrorKind::BadVersion,
-        origin + ": binary trace format version " + std::to_string(version) +
-            " is not supported (this build reads versions " +
-            std::to_string(kBinlogVersionV1) + " and " +
-            std::to_string(kBinlogVersion) + ")");
-  }
+  requireVersion(readU32(header + sizeof(kBinlogMagic)), origin);
   if (fsize < sizeof(header) + kBinlogTailBytes) {
     throw BinlogError(BinlogErrorKind::Truncated,
                       origin + ": truncated trace: need " +
                           std::to_string(kBinlogTailBytes) +
-                          " byte(s) for the fixed v2 file tail, only " +
+                          " byte(s) for the fixed file tail, only " +
                           std::to_string(fsize - sizeof(header)) +
                           " past the header");
   }
-  // The v2 footer chunk is the fixed-size file tail: seek it directly.
+  // The footer chunk is the fixed-size file tail: seek it directly.
   char tail[kBinlogTailBytes];
   src.read(fsize - kBinlogTailBytes, tail, sizeof(tail));
   const std::uint32_t tail_kind = readU32(tail);
@@ -1215,12 +1122,14 @@ BinaryTrace windowedDecode(ByteSource& src, const std::string& origin,
   requireChunkChecksum(origin, tail_kind, tail + 12, kBinlogFooterBytes,
                        readU64(tail + 12 + kBinlogFooterBytes));
   ContainerDecoder decoder(origin, /*strict=*/false);
-  decoder.setVersion(version);
   decoder.consumeChunk(binchunk::kFooter, tail + 12, kBinlogFooterBytes,
                        fsize - kBinlogTailBytes);
+  // Offsets and lengths come from the file: every bound below subtracts
+  // from the file size instead of adding to the untrusted value, so a value
+  // near 2^64 cannot wrap past the check.
   const std::uint64_t index_offset = decoder.indexOffset();
   if (index_offset < sizeof(header) ||
-      index_offset + 12 + 8 > fsize - kBinlogTailBytes + 12) {
+      index_offset > fsize - kBinlogTailBytes - 8) {
     throw BinlogError(BinlogErrorKind::BadIndex,
                       origin + ": footer index offset " +
                           std::to_string(index_offset) +
@@ -1235,7 +1144,7 @@ BinaryTrace windowedDecode(ByteSource& src, const std::string& origin,
         origin + ": footer index offset does not point at an index chunk");
   }
   const std::uint64_t ilen = readU64(ihdr + 4);
-  if (ilen > fsize || index_offset + 12 + ilen + 8 > fsize) {
+  if (ilen > fsize - index_offset - 12 - 8) {
     throw BinlogError(BinlogErrorKind::BadIndex,
                       origin + ": index chunk at offset " +
                           std::to_string(index_offset) +
@@ -1270,8 +1179,8 @@ BinaryTrace windowedDecode(ByteSource& src, const std::string& origin,
       stats.payload_bytes_skipped += entry.payload_len;
       continue;
     }
-    if (entry.offset < sizeof(header) || entry.payload_len > fsize ||
-        entry.offset + 12 + entry.payload_len + 8 > fsize) {
+    if (entry.offset < sizeof(header) || entry.offset > fsize - 12 - 8 ||
+        entry.payload_len > fsize - entry.offset - 12 - 8) {
       throw BinlogError(BinlogErrorKind::BadIndex,
                         origin + ": index entry " + std::to_string(i) +
                             " lies outside the file");
@@ -1364,10 +1273,9 @@ BinaryTrace readBinaryTraceWindow(const std::string& path,
 namespace detail {
 
 /// The shared chunk-emitting backend: file/memory staging, trailer digest,
-/// and the v2 index ledger. BinaryTraceWriter owns one; ShardedBinaryWriter
+/// and the index ledger. BinaryTraceWriter owns one; ShardedBinaryWriter
 /// funnels every shard's chunks through one.
 struct BinlogContainer {
-  std::uint32_t version;
   std::size_t flush_bytes;
   std::ofstream file;
   bool file_mode = false;
@@ -1379,10 +1287,8 @@ struct BinlogContainer {
   std::uint64_t bytes_written = 0;
   std::vector<BinlogIndexEntry> index;
 
-  BinlogContainer(const std::string& path, std::uint32_t ver,
-                  std::size_t flush)
-      : version(ver),
-        flush_bytes(flush),
+  BinlogContainer(const std::string& path, std::size_t flush)
+      : flush_bytes(flush),
         file(path, std::ios::binary | std::ios::trunc),
         file_mode(true) {
     file_ok = static_cast<bool>(file);
@@ -1390,8 +1296,8 @@ struct BinlogContainer {
     writeHeader();
   }
 
-  BinlogContainer(std::string* o, std::uint32_t ver, std::size_t flush)
-      : version(ver), flush_bytes(flush), out(o) {
+  BinlogContainer(std::string* o, std::size_t flush)
+      : flush_bytes(flush), out(o) {
     writeHeader();
   }
 
@@ -1400,11 +1306,11 @@ struct BinlogContainer {
   void writeHeader() {
     char header[sizeof(kBinlogMagic) + 4];
     std::memcpy(header, kBinlogMagic, sizeof(kBinlogMagic));
-    putU32(header + sizeof(kBinlogMagic), version);
+    putU32(header + sizeof(kBinlogMagic), kBinlogVersion);
     emitRaw(header, sizeof(header));
     trailer_fnv = kFnvOffset;
     trailer_fnv = fnvWordStep(trailer_fnv, readU64(header));
-    trailer_fnv = fnvWordStep(trailer_fnv, version);
+    trailer_fnv = fnvWordStep(trailer_fnv, kBinlogVersion);
   }
 
   void emitRaw(const char* data, std::size_t size) {
@@ -1416,14 +1322,11 @@ struct BinlogContainer {
     }
   }
 
-  /// Emit one complete chunk. `indexed` chunks get a ledger entry (v2
-  /// only) carrying the shard tag, event count and time cover that will be
-  /// pinned into the index chunk at finish().
-  void emitChunk(std::uint32_t kind, const char* data, std::size_t size,
-                 std::uint64_t checksum, std::uint32_t shard,
-                 std::uint64_t event_count, double t_min, double t_max,
-                 bool indexed) {
+  /// Emit one complete chunk; returns the file offset of its kind word.
+  std::uint64_t emitChunk(std::uint32_t kind, const char* data,
+                          std::size_t size) {
     const std::uint64_t offset = bytes_written;
+    const std::uint64_t checksum = binlogChecksum(data, size);
     char header[12];
     putU32(header, kind);
     putU64(header + 4, size);
@@ -1435,23 +1338,17 @@ struct BinlogContainer {
     trailer_fnv = fnvWordStep(trailer_fnv, kind);
     trailer_fnv = fnvWordStep(trailer_fnv, size);
     trailer_fnv = fnvWordStep(trailer_fnv, checksum);
-    if (version >= 2 && indexed) {
-      BinlogIndexEntry e;
-      e.kind = kind;
-      e.shard = shard;
-      e.offset = offset;
-      e.payload_len = size;
-      e.event_count = event_count;
-      e.t_min = t_min;
-      e.t_max = t_max;
-      index.push_back(e);
-    }
+    return offset;
   }
 
-  void emitChunk(std::uint32_t kind, const std::string& payload,
-                 std::uint32_t shard, bool indexed) {
-    emitChunk(kind, payload.data(), payload.size(), binlogChecksum(payload),
-              shard, 0, 0.0, 0.0, indexed);
+  /// Emit a strings/events/meta chunk and record the ledger entry (shard
+  /// tag, event count, time cover) that finish() pins into the index.
+  void emitIndexed(std::uint32_t kind, const char* data, std::size_t size,
+                   std::uint32_t shard, std::uint64_t event_count = 0,
+                   double t_min = 0.0, double t_max = 0.0) {
+    const std::uint64_t offset = emitChunk(kind, data, size);
+    index.push_back(BinlogIndexEntry{kind, shard, offset, size, event_count,
+                                     t_min, t_max});
   }
 
   void flushFile(bool force) {
@@ -1473,235 +1370,150 @@ struct BinlogContainer {
     }
   }
 
-  /// Index (v2) + footer + trailer digest; closes the file. Idempotent.
-  bool finish(std::uint64_t event_count, std::uint64_t string_count,
-              const BinlogTotals& totals, std::uint32_t shard_count) {
+  /// Meta + index + footer + trailer digest; closes the file. Idempotent.
+  bool finish(const TraceSink* names, std::uint64_t event_count,
+              std::uint64_t string_count, const BinlogTotals& totals,
+              std::uint32_t shard_count) {
     if (finished) return good();
-    if (version >= 2) {
-      std::string ip;
-      appendU32(ip, static_cast<std::uint32_t>(index.size()));
-      appendU32(ip, shard_count);
-      for (const BinlogIndexEntry& e : index) {
-        char buf[kBinlogIndexEntryBytes];
-        putU32(buf, e.kind);
-        putU32(buf + 4, e.shard);
-        putU64(buf + 8, e.offset);
-        putU64(buf + 16, e.payload_len);
-        putU64(buf + 24, e.event_count);
-        putF64(buf + 32, e.t_min);
-        putF64(buf + 40, e.t_max);
-        ip.append(buf, sizeof(buf));
-      }
-      const std::uint64_t index_offset = bytes_written;
-      emitChunk(binchunk::kIndex, ip, 0, /*indexed=*/false);
-      std::string footer;
-      appendU64(footer, event_count);
-      appendU64(footer, string_count);
-      appendU64(footer, totals.recorded);
-      appendU64(footer, totals.dropped);
-      appendU64(footer, totals.streamed);
-      appendU64(footer, index_offset);
-      emitChunk(binchunk::kFooter, footer, 0, /*indexed=*/false);
-    } else {
-      std::string footer;
-      appendU64(footer, event_count);
-      appendU64(footer, string_count);
-      appendU64(footer, totals.recorded);
-      appendU64(footer, totals.dropped);
-      appendU64(footer, totals.streamed);
-      emitChunk(binchunk::kFooter, footer, 0, /*indexed=*/false);
+    // Meta chunk last among the indexed ones: every track name registered
+    // during the run is known by now.
+    const std::string meta = buildMetaPayload(names);
+    emitIndexed(binchunk::kMeta, meta.data(), meta.size(), 0);
+    std::string ip;
+    appendU32(ip, static_cast<std::uint32_t>(index.size()));
+    appendU32(ip, shard_count);
+    for (const BinlogIndexEntry& e : index) {
+      char buf[kBinlogIndexEntryBytes];
+      putU32(buf, e.kind);
+      putU32(buf + 4, e.shard);
+      putU64(buf + 8, e.offset);
+      putU64(buf + 16, e.payload_len);
+      putU64(buf + 24, e.event_count);
+      putF64(buf + 32, e.t_min);
+      putF64(buf + 40, e.t_max);
+      ip.append(buf, sizeof(buf));
     }
+    const std::uint64_t index_offset =
+        emitChunk(binchunk::kIndex, ip.data(), ip.size());
+    std::string footer;
+    appendU64(footer, event_count);
+    appendU64(footer, string_count);
+    appendU64(footer, totals.recorded);
+    appendU64(footer, totals.dropped);
+    appendU64(footer, totals.streamed);
+    appendU64(footer, index_offset);
+    emitChunk(binchunk::kFooter, footer.data(), footer.size());
     // The trailer digest already covers the header and every chunk summary
     // (folded as each chunk was emitted); it is not part of its own hash.
     char tail[8];
     putU64(tail, trailer_fnv);
-    bytes_written += sizeof(tail);
+    emitRaw(tail, sizeof(tail));
     if (file_mode) {
-      staged.append(tail, sizeof(tail));
       flushFile(true);
       file.close();
       if (!file) file_ok = false;
-    } else if (out != nullptr) {
-      out->append(tail, sizeof(tail));
     }
     finished = true;
     return good();
   }
 };
 
-}  // namespace detail
+// --- Encoder ----------------------------------------------------------------
 
-// --- Writer -----------------------------------------------------------------
+/// The event encoder for one recording stream: string interning, delta
+/// records and chunk sealing, emitting finished chunks into a container.
+/// BinaryTraceWriter runs one; ShardedBinaryWriter runs one per shard
+/// against a shared container. The owner serializes every call.
+class BinlogEncoder {
+ public:
+  BinlogEncoder(BinlogContainer& container, std::uint32_t shard)
+      : container_(container),
+        shard_(shard),
+        flush_bytes_(container.flush_bytes) {
+    growPending(flush_bytes_ + kMaxRecordBytes + 8);
+    resetPending();
+    pending_strings_.assign(8, '\0');
+  }
+  // Drains hand the encoder's address to the sink as callback context.
+  BinlogEncoder(const BinlogEncoder&) = delete;
+  BinlogEncoder& operator=(const BinlogEncoder&) = delete;
 
-BinaryTraceWriter::BinaryTraceWriter(TraceSink& sink, const std::string& path,
-                                     BinaryTraceWriterConfig config)
-    : sink_(sink), config_(config) {
-  config_.version =
-      config_.version == kBinlogVersionV1 ? kBinlogVersionV1 : kBinlogVersion;
-  container_ = std::make_unique<detail::BinlogContainer>(path, config_.version,
-                                                         config_.flush_bytes);
-  initLocked();
-  sink_.setDrainHook(&BinaryTraceWriter::drainThunk, this,
-                     config_.occupancy_watermark, config_.time_watermark);
-}
+  /// TraceSink::DrainSegmentFn adapter: `ctx` is the encoder. Runs under
+  /// the sink lock from drainSegments, with the owner's lock already held.
+  static void segmentThunk(void* ctx, const TraceEvent* events,
+                           std::size_t count) {
+    static_cast<BinlogEncoder*>(ctx)->append(events, count);
+  }
 
-BinaryTraceWriter::BinaryTraceWriter(TraceSink& sink, std::string* out,
-                                     BinaryTraceWriterConfig config)
-    : sink_(sink), config_(config) {
-  config_.version =
-      config_.version == kBinlogVersionV1 ? kBinlogVersionV1 : kBinlogVersion;
-  container_ = std::make_unique<detail::BinlogContainer>(out, config_.version,
-                                                         config_.flush_bytes);
-  initLocked();
-  sink_.setDrainHook(&BinaryTraceWriter::drainThunk, this,
-                     config_.occupancy_watermark, config_.time_watermark);
-}
-
-BinaryTraceWriter::~BinaryTraceWriter() { close(); }
-
-void BinaryTraceWriter::initLocked() {
-  resetChunkLanesLocked();
-  growPendingLocked(config_.flush_bytes + kBinlogV2MaxRecordBytes + 8);
-  resetPendingLocked();
-  pending_strings_.assign(config_.version >= 2 ? 8 : 4, '\0');
-}
-
-void BinaryTraceWriter::drainThunk(void* ctx) {
-  static_cast<BinaryTraceWriter*>(ctx)->drain();
-}
-
-void BinaryTraceWriter::segmentThunk(void* ctx, const TraceEvent* events,
-                                     std::size_t count) {
-  // Runs under the *sink* lock from drainSegments; the writer lock is
-  // already held by drain()/close().
-  static_cast<BinaryTraceWriter*>(ctx)->appendLocked(events, count);
-}
-
-void BinaryTraceWriter::drain() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (closed_) return;
-  if (sink_.drainSegments(&BinaryTraceWriter::segmentThunk, this) > 0) {
-    ++batches_;
-    if (pending_size_ >= config_.flush_bytes) {
-      sealEventsChunkLocked();
+  void append(const TraceEvent* events, std::size_t count) {
+    // Seal inside the loop, not once per drain: a drain can deliver far
+    // more than flush_bytes at once (the ring watermark, not the chunk
+    // size, decides drain cadence), and bounded chunks are what give the
+    // footer index time-local entries worth seeking by. The seal point is
+    // a pure function of the encoded byte stream, so chunk boundaries stay
+    // deterministic (and thread-count-invariant per shard). The
+    // constructor sized the buffer past flush_bytes + one max record, so
+    // the grow check almost never fires.
+    for (std::size_t i = 0; i < count; ++i) {
+      const TraceEvent& e = events[i];
+      std::uint32_t category_id;
+      std::uint32_t name_id;
+      if (!probeSlot(e.category, category_id)) {
+        category_id = intern(e.category);
+      }
+      if (!probeSlot(e.name, name_id)) {
+        name_id = intern(e.name);
+      }
+      if (pending_size_ + kMaxRecordBytes > pending_cap_) {
+        growPending(pending_size_ + kMaxRecordBytes);
+      }
+      char* dst = encodeDeltaRecord(pending_.get() + pending_size_, e,
+                                    category_id, name_id, delta_);
+      pending_size_ = static_cast<std::size_t>(dst - pending_.get());
+      if (pending_size_ >= flush_bytes_) {
+        seal();
+      }
     }
+    events_written_ += count;
   }
-}
 
-void BinaryTraceWriter::append(const TraceEvent* events, std::size_t count) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (closed_) return;
-  appendLocked(events, count);
-  if (pending_size_ >= config_.flush_bytes) {
-    sealEventsChunkLocked();
-  }
-}
-
-bool BinaryTraceWriter::probeSlot(const char* text,
-                                  std::uint32_t& id) const noexcept {
-  const auto key = reinterpret_cast<std::uintptr_t>(text);
-  std::size_t i = static_cast<std::size_t>(
-                      (static_cast<std::uint64_t>(key) *
-                       0x9e3779b97f4a7c15ULL) >> 32) &
-                  (kInternSlots - 1);
-  for (std::size_t probe = 0; probe < kInternSlots; ++probe) {
-    const InternSlot& slot = intern_slots_[i];
-    if (slot.ptr == text) {
-      id = slot.id;
-      return true;
+  /// Emit the pending string-table entries and the open events chunk.
+  void seal() {
+    if (pending_string_count_ > 0) {
+      putU32(pending_strings_.data(), shard_);
+      putU32(pending_strings_.data() + 4, pending_string_count_);
+      container_.emitIndexed(binchunk::kStrings, pending_strings_.data(),
+                             pending_strings_.size(), shard_);
+      pending_strings_.assign(8, '\0');
+      pending_string_count_ = 0;
     }
-    if (slot.ptr == nullptr) return false;
-    i = (i + 1) & (kInternSlots - 1);
-  }
-  return false;
-}
-
-std::uint32_t BinaryTraceWriter::internLocked(const char* text) {
-  const auto key = reinterpret_cast<std::uintptr_t>(text);
-  std::size_t i = static_cast<std::size_t>(
-                      (static_cast<std::uint64_t>(key) *
-                       0x9e3779b97f4a7c15ULL) >> 32) &
-                  (kInternSlots - 1);
-  InternSlot* claim = nullptr;
-  for (std::size_t probe = 0; probe < kInternSlots; ++probe) {
-    InternSlot& slot = intern_slots_[i];
-    if (slot.ptr == text) return slot.id;
-    if (slot.ptr == nullptr) {
-      claim = &slot;
-      break;
+    if (delta_.count > 0) {
+      putU32(pending_.get(), shard_);
+      putU32(pending_.get() + 4, static_cast<std::uint32_t>(delta_.count));
+      container_.emitIndexed(binchunk::kEvents, pending_.get(), pending_size_,
+                             shard_, delta_.count, delta_.t_min,
+                             delta_.t_max);
+      resetPending();
     }
-    i = (i + 1) & (kInternSlots - 1);
+    container_.flushFile(false);
   }
-  // Slow path: resolve by content so two distinct literals with equal text
-  // share one id (ids then depend only on the event stream, not on linker
-  // layout).
-  std::string content(text);
-  auto [it, inserted] = intern_by_content_.try_emplace(content, 0);
-  if (inserted) {
-    it->second = next_string_id_++;
-    appendU32(pending_strings_, static_cast<std::uint32_t>(content.size()));
-    pending_strings_ += content;
-    ++pending_string_count_;
-  }
-  if (claim != nullptr) {
-    claim->ptr = text;
-    claim->id = it->second;
-  }
-  return it->second;
-}
 
-void BinaryTraceWriter::resetChunkLanesLocked() {
-  for (unsigned i = 0; i < 4; ++i) chunk_lanes_[i] = fnvLaneSeed(i);
-}
+  std::uint64_t events() const noexcept { return events_written_; }
+  std::uint32_t strings() const noexcept { return next_string_id_; }
 
-void BinaryTraceWriter::resetPendingLocked() {
-  if (config_.version >= 2) {
-    // Reserve the u32 shard + u32 count chunk prologue; patched at seal.
-    std::memset(pending_base_, 0, 8);
-    pending_size_ = 8;
-  } else {
-    pending_size_ = 0;
-  }
-  delta_ = detail::BinlogDeltaState{};
-}
-
-void BinaryTraceWriter::growPendingLocked(std::size_t need) {
-  std::size_t cap = pending_cap_ == 0 ? (std::size_t{1} << 16) : pending_cap_;
-  while (cap < need) cap *= 2;
-  // Over-allocate so the record area can start on a 64-byte boundary:
-  // v1 records are 64 bytes and pending_size_ only ever grows by whole
-  // records, so every record lands 32-byte aligned -- what the x86 fast
-  // path's non-temporal stores require.
-  auto grown = std::make_unique<char[]>(cap + 63);
-  char* const base = reinterpret_cast<char*>(
-      (reinterpret_cast<std::uintptr_t>(grown.get()) + 63) &
-      ~static_cast<std::uintptr_t>(63));
-  if (pending_size_ > 0) {
-    std::memcpy(base, pending_base_, pending_size_);
-  }
-  pending_data_ = std::move(grown);
-  pending_base_ = base;
-  pending_cap_ = cap;
-}
-
-#if IOBTS_BINLOG_X86
-__attribute__((target("avx2"))) std::size_t BinaryTraceWriter::encodeRunAvx2(
-    const InternSlot* slots, const TraceEvent*& ev_io, std::size_t count,
-    char*& dst_io, std::uint64_t* lanes_io) {
-  const TraceEvent* IOBTS_RESTRICT ev = ev_io;
-  char* IOBTS_RESTRICT dst = dst_io;
-  // All four checksum lanes ride in one 256-bit register; rotl1 across
-  // them is two shifts and an or.
-  __m256i lanes =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes_io));
-  const auto probe = [slots](const char* text, std::uint32_t& id) noexcept {
+ private:
+  static std::size_t slotOf(const char* text) noexcept {
     const auto key = reinterpret_cast<std::uintptr_t>(text);
-    std::size_t i = static_cast<std::size_t>(
-                        (static_cast<std::uint64_t>(key) *
-                         0x9e3779b97f4a7c15ULL) >> 32) &
-                    (kInternSlots - 1);
-    for (std::size_t p = 0; p < kInternSlots; ++p) {
-      const InternSlot& slot = slots[i];
+    return static_cast<std::size_t>(
+               (static_cast<std::uint64_t>(key) * 0x9e3779b97f4a7c15ULL) >>
+               32) &
+           (kInternSlots - 1);
+  }
+
+  bool probeSlot(const char* text, std::uint32_t& id) const noexcept {
+    std::size_t i = slotOf(text);
+    for (std::size_t probe = 0; probe < kInternSlots; ++probe) {
+      const InternSlot& slot = intern_slots_[i];
       if (slot.ptr == text) {
         id = slot.id;
         return true;
@@ -1710,292 +1522,130 @@ __attribute__((target("avx2"))) std::size_t BinaryTraceWriter::encodeRunAvx2(
       i = (i + 1) & (kInternSlots - 1);
     }
     return false;
-  };
-  // Consecutive events nearly always share a category (a component's spans
-  // and counters carry the same one), so one register-resident cache entry
-  // turns most category lookups into a pointer compare. Names typically
-  // *alternate* -- a span name and a counter name per dispatch -- which a
-  // single entry never catches, so names get two entries.
-  const char* cached_category = nullptr;
-  std::uint32_t cached_category_id = 0;
-  const char* cached_name0 = nullptr;
-  const char* cached_name1 = nullptr;
-  std::uint32_t cached_name0_id = 0;
-  std::uint32_t cached_name1_id = 0;
-  std::size_t n = 0;
-  for (; n < count; ++n, ++ev) {
-    std::uint32_t name_id;
-    if (ev->category != cached_category) {
-      if (!probe(ev->category, cached_category_id)) break;
-      cached_category = ev->category;
-    }
-    if (ev->name == cached_name0) {
-      name_id = cached_name0_id;
-    } else if (ev->name == cached_name1) {
-      name_id = cached_name1_id;
-    } else {
-      if (!probe(ev->name, name_id)) break;
-      cached_name1 = cached_name0;
-      cached_name1_id = cached_name0_id;
-      cached_name0 = ev->name;
-      cached_name0_id = name_id;
-    }
-    const std::uint64_t ids =
-        cached_category_id | (static_cast<std::uint64_t>(name_id) << 32);
-    static_assert(offsetof(TraceEvent, category) == 56);
-    const char* IOBTS_RESTRICT src = reinterpret_cast<const char*>(&ev->ts);
-    // Record words 0..3 / 4..7: the low half is verbatim event bytes; the
-    // high half swaps the string pointers (word 7) for the interned ids
-    // via a blend (cheaper than a cross-lane insert).
-    const __m256i lo =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
-    const __m256i hi = _mm256_blend_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 32)),
-        _mm256_set1_epi64x(static_cast<long long>(ids)), 0xC0);
-    // Non-temporal stores: the record area is written once and not read
-    // again until the chunk seals (the checksum folds from the source
-    // event), so bypassing the cache skips the read-for-ownership traffic
-    // a regular store would add per line -- on a bandwidth-bound encode
-    // that is the difference that puts the binary sink ahead of the JSON
-    // streamer. dst is 32-byte aligned by construction (see
-    // growPendingLocked).
-    _mm256_stream_si256(reinterpret_cast<__m256i*>(dst), lo);
-    _mm256_stream_si256(reinterpret_cast<__m256i*>(dst + 32), hi);
-    // Two generic checksum rounds (word j -> lane j % 4); rotl1 across
-    // all four lanes is two shifts and an or.
-    lanes = _mm256_xor_si256(
-        _mm256_or_si256(_mm256_slli_epi64(lanes, 1),
-                        _mm256_srli_epi64(lanes, 63)),
-        lo);
-    lanes = _mm256_xor_si256(
-        _mm256_or_si256(_mm256_slli_epi64(lanes, 1),
-                        _mm256_srli_epi64(lanes, 63)),
-        hi);
-    dst += kBinlogEventBytes;
   }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes_io), lanes);
-  // Order the streaming stores before anything the caller publishes.
-  _mm_sfence();
-  ev_io = ev;
-  dst_io = dst;
-  return n;
-}
-#endif  // IOBTS_BINLOG_X86
 
-void BinaryTraceWriter::appendLocked(const TraceEvent* events,
-                                     std::size_t count) {
-  if (config_.version >= 2) {
-    appendV2Locked(events, count);
-  } else {
-    appendV1Locked(events, count);
-  }
-}
-
-void BinaryTraceWriter::appendV1Locked(const TraceEvent* events,
-                                       std::size_t count) {
-  // One capacity check covers the whole batch (the ring hands us whole
-  // segments). The inner loop is deliberately call-free: string ids come
-  // from an inline probe of the pointer-keyed slot table, and an intern
-  // *miss* breaks out to the cold path below (which registers the string
-  // and encodes that one record) before the tight loop re-enters. With no
-  // call inside it, the checksum lanes live in vector registers for the
-  // whole run instead of spilling around a potential internLocked() call.
-  // This loop is the reason the binary sink undercuts the JSON streamer's
-  // copy-out in BENCH_obs_overhead.json.
-  const std::size_t need = pending_size_ + count * kBinlogEventBytes;
-  if (need > pending_cap_) growPendingLocked(need);
-  char* dst = pending_base_ + pending_size_;
-  const TraceEvent* ev = events;
-  std::uint64_t lanes[4];
-  for (unsigned w = 0; w < 4; ++w) lanes[w] = chunk_lanes_[w];
-  std::size_t n = 0;
-  while (n < count) {
-#if IOBTS_BINLOG_X86
-    if (use_avx2_) {
-      n += encodeRunAvx2(intern_slots_, ev, count - n, dst, lanes);
-    } else
-#endif
-    for (; n < count; ++n, ++ev) {
-      std::uint32_t category_id;
-      std::uint32_t name_id;
-      if (!probeSlot(ev->category, category_id) ||
-          !probeSlot(ev->name, name_id)) {
+  std::uint32_t intern(const char* text) {
+    std::size_t i = slotOf(text);
+    InternSlot* claim = nullptr;
+    for (std::size_t probe = 0; probe < kInternSlots; ++probe) {
+      InternSlot& slot = intern_slots_[i];
+      if (slot.ptr == text) return slot.id;
+      if (slot.ptr == nullptr) {
+        claim = &slot;
         break;
       }
-      const std::uint64_t ids =
-          category_id | (static_cast<std::uint64_t>(name_id) << 32);
-      if constexpr (kHostLittleEndian) {
-        // TraceEvent was laid out for this: ts through flow (with the
-        // explicit zero padding) is record words 0..6 byte for byte, so
-        // the translation is one bulk copy plus the one word that actually
-        // changes representation -- the interned ids replacing the string
-        // pointers. The checksum lanes fold from the *source* event (and
-        // the ids register), never from dst: reading dst 8 bytes at a time
-        // right after the wide bulk-copy stores would stall on
-        // store-to-load forwarding every record.
-        static_assert(offsetof(TraceEvent, category) == 56);
-        const char* IOBTS_RESTRICT src =
-            reinterpret_cast<const char*>(&ev->ts);
-        std::memcpy(dst, src, 56);
-        putU64(dst + 56, ids);
-        for (unsigned w = 0; w < 3; ++w) {
-          lanes[w] = rotl1(rotl1(lanes[w]) ^ readU64(src + 8 * w)) ^
-                     readU64(src + 8 * (w + 4));
-        }
-        lanes[3] = rotl1(rotl1(lanes[3]) ^ readU64(src + 24)) ^ ids;
-      } else {
-        putF64(dst, ev->ts);
-        putF64(dst + 8, ev->dur);
-        putU32(dst + 16, ev->pid);
-        putU32(dst + 20, ev->tid);
-        putU32(dst + 24, static_cast<std::uint8_t>(ev->phase));
-        putU32(dst + 28, 0);
-        putF64(dst + 32, ev->value);
-        putU64(dst + 40, ev->wall_ns);
-        putU64(dst + 48, ev->flow);
-        putU64(dst + 56, ids);
-        for (unsigned w = 0; w < 4; ++w) {
-          lanes[w] = rotl1(rotl1(lanes[w]) ^ readU64(dst + 8 * w)) ^
-                     readU64(dst + 8 * (w + 4));
-        }
-      }
-      dst += kBinlogEventBytes;
+      i = (i + 1) & (kInternSlots - 1);
     }
-    if (n >= count) break;
-    // Cold path: first sighting of a string pointer. internLocked claims a
-    // probe slot for it, so the tight loop resumes hitting.
-    const std::uint32_t category_id = internLocked(ev->category);
-    const std::uint32_t name_id = internLocked(ev->name);
-    const std::uint64_t ids =
-        category_id | (static_cast<std::uint64_t>(name_id) << 32);
-    if constexpr (kHostLittleEndian) {
-      const char* src = reinterpret_cast<const char*>(&ev->ts);
-      std::memcpy(dst, src, 56);
-      putU64(dst + 56, ids);
-      for (unsigned w = 0; w < 3; ++w) {
-        lanes[w] = rotl1(rotl1(lanes[w]) ^ readU64(src + 8 * w)) ^
-                   readU64(src + 8 * (w + 4));
-      }
-      lanes[3] = rotl1(rotl1(lanes[3]) ^ readU64(src + 24)) ^ ids;
-    } else {
-      putF64(dst, ev->ts);
-      putF64(dst + 8, ev->dur);
-      putU32(dst + 16, ev->pid);
-      putU32(dst + 20, ev->tid);
-      putU32(dst + 24, static_cast<std::uint8_t>(ev->phase));
-      putU32(dst + 28, 0);
-      putF64(dst + 32, ev->value);
-      putU64(dst + 40, ev->wall_ns);
-      putU64(dst + 48, ev->flow);
-      putU64(dst + 56, ids);
-      for (unsigned w = 0; w < 4; ++w) {
-        lanes[w] = rotl1(rotl1(lanes[w]) ^ readU64(dst + 8 * w)) ^
-                   readU64(dst + 8 * (w + 4));
-      }
+    // Slow path: resolve by content so two distinct literals with equal
+    // text share one id (ids then depend only on the event stream, not on
+    // linker layout).
+    std::string content(text);
+    auto [it, inserted] = intern_by_content_.try_emplace(content, 0);
+    if (inserted) {
+      it->second = next_string_id_++;
+      appendU32(pending_strings_, static_cast<std::uint32_t>(content.size()));
+      pending_strings_ += content;
+      ++pending_string_count_;
     }
-    dst += kBinlogEventBytes;
-    ++n;
-    ++ev;
+    if (claim != nullptr) {
+      claim->ptr = text;
+      claim->id = it->second;
+    }
+    return it->second;
   }
-  for (unsigned w = 0; w < 4; ++w) chunk_lanes_[w] = lanes[w];
-  pending_size_ = need;
-  events_written_ += count;
+
+  void resetPending() {
+    // Reserve the u32 shard + u32 count chunk prologue; patched at seal.
+    std::memset(pending_.get(), 0, 8);
+    pending_size_ = 8;
+    delta_ = DeltaState{};
+  }
+
+  void growPending(std::size_t need) {
+    std::size_t cap = pending_cap_ == 0 ? (std::size_t{1} << 16) : pending_cap_;
+    while (cap < need) cap *= 2;
+    auto grown = std::make_unique<char[]>(cap);
+    if (pending_size_ > 0) std::memcpy(grown.get(), pending_.get(), pending_size_);
+    pending_ = std::move(grown);
+    pending_cap_ = cap;
+  }
+
+  BinlogContainer& container_;
+  const std::uint32_t shard_;
+  const std::size_t flush_bytes_;  // events-chunk seal threshold
+  // Records of the open events chunk. A raw buffer, not a std::string: the
+  // hot loop encodes records in place with no per-record size/capacity
+  // bookkeeping. The first 8 bytes hold the shard/count chunk prologue.
+  std::unique_ptr<char[]> pending_;
+  std::size_t pending_size_ = 0;
+  std::size_t pending_cap_ = 0;
+  std::string pending_strings_;  // new string-table entries not yet emitted
+  std::uint32_t pending_string_count_ = 0;
+  DeltaState delta_;
+  // String interning: a pointer-keyed open-addressing fast path in front of
+  // a content-keyed map (the slow path unifies distinct literals with equal
+  // contents, so ids depend only on the event stream).
+  static constexpr std::size_t kInternSlots = 512;
+  struct InternSlot {
+    const char* ptr = nullptr;
+    std::uint32_t id = 0;
+  };
+  InternSlot intern_slots_[kInternSlots] = {};
+  std::map<std::string, std::uint32_t> intern_by_content_;
+  std::uint32_t next_string_id_ = 0;
+  std::uint64_t events_written_ = 0;
+};
+
+}  // namespace detail
+
+// --- Writer -----------------------------------------------------------------
+
+BinaryTraceWriter::BinaryTraceWriter(TraceSink& sink, const std::string& path,
+                                     BinaryTraceWriterConfig config)
+    : BinaryTraceWriter(sink, std::make_unique<detail::BinlogContainer>(
+                                  path, config.flush_bytes)) {}
+
+BinaryTraceWriter::BinaryTraceWriter(TraceSink& sink, std::string* out,
+                                     BinaryTraceWriterConfig config)
+    : BinaryTraceWriter(sink, std::make_unique<detail::BinlogContainer>(
+                                  out, config.flush_bytes)) {}
+
+BinaryTraceWriter::BinaryTraceWriter(
+    TraceSink& sink, std::unique_ptr<detail::BinlogContainer> container)
+    : sink_(sink),
+      container_(std::move(container)),
+      encoder_(std::make_unique<detail::BinlogEncoder>(*container_, 0)) {
+  sink_.setDrainHook(&BinaryTraceWriter::drainThunk, this);
 }
 
-void BinaryTraceWriter::appendV2Locked(const TraceEvent* events,
-                                       std::size_t count) {
-  // Seal inside the loop, not once per drain: a drain can deliver far more
-  // than flush_bytes at once (the ring watermark, not the chunk size,
-  // decides drain cadence), and bounded chunks are what give the footer
-  // index time-local entries worth seeking by. The seal point is a pure
-  // function of the encoded byte stream, so chunk boundaries stay
-  // deterministic. initLocked() sized the buffer past flush_bytes + one
-  // max record, so the grow check almost never fires.
-  for (std::size_t i = 0; i < count; ++i) {
-    const TraceEvent& e = events[i];
-    std::uint32_t category_id;
-    std::uint32_t name_id;
-    if (!probeSlot(e.category, category_id)) {
-      category_id = internLocked(e.category);
-    }
-    if (!probeSlot(e.name, name_id)) {
-      name_id = internLocked(e.name);
-    }
-    if (pending_size_ + kBinlogV2MaxRecordBytes > pending_cap_) {
-      growPendingLocked(pending_size_ + kBinlogV2MaxRecordBytes);
-    }
-    char* dst =
-        encodeDeltaRecord(pending_base_ + pending_size_, e, category_id,
-                          name_id, delta_);
-    pending_size_ = static_cast<std::size_t>(dst - pending_base_);
-    if (pending_size_ >= config_.flush_bytes) {
-      sealEventsChunkLocked();
-    }
-  }
-  events_written_ += count;
+BinaryTraceWriter::~BinaryTraceWriter() { close(); }
+
+void BinaryTraceWriter::drainThunk(void* ctx) {
+  static_cast<BinaryTraceWriter*>(ctx)->drain();
 }
 
-void BinaryTraceWriter::sealEventsChunkLocked() {
-  if (config_.version >= 2) {
-    if (pending_string_count_ > 0) {
-      putU32(pending_strings_.data(), config_.shard);
-      putU32(pending_strings_.data() + 4, pending_string_count_);
-      container_->emitChunk(binchunk::kStrings, pending_strings_,
-                            config_.shard, /*indexed=*/true);
-      pending_strings_.assign(8, '\0');
-      pending_string_count_ = 0;
-    }
-    if (delta_.count > 0) {
-      putU32(pending_base_, config_.shard);
-      putU32(pending_base_ + 4, static_cast<std::uint32_t>(delta_.count));
-      const std::uint64_t sum = binlogChecksum(pending_base_, pending_size_);
-      container_->emitChunk(binchunk::kEvents, pending_base_, pending_size_,
-                            sum, config_.shard, delta_.count, delta_.t_min,
-                            delta_.t_max, /*indexed=*/true);
-      resetPendingLocked();
-    }
-  } else {
-    if (pending_string_count_ > 0) {
-      putU32(pending_strings_.data(), pending_string_count_);
-      container_->emitChunk(binchunk::kStrings, pending_strings_, 0,
-                            /*indexed=*/false);
-      pending_strings_.assign(4, '\0');
-      pending_string_count_ = 0;
-    }
-    if (pending_size_ > 0) {
-      // Finish the incrementally folded lanes exactly the way
-      // binlogChecksum would -- the seal never re-reads the payload.
-      std::uint64_t sum = kFnvOffset;
-      for (unsigned w = 0; w < 4; ++w) sum = fnvWordStep(sum, chunk_lanes_[w]);
-      sum = fnvWordStep(sum, pending_size_);
-      container_->emitChunk(binchunk::kEvents, pending_base_, pending_size_,
-                            sum, 0, pending_size_ / kBinlogEventBytes, 0.0,
-                            0.0, /*indexed=*/false);
-      pending_size_ = 0;
-      resetChunkLanesLocked();
-    }
+void BinaryTraceWriter::drainLocked() {
+  if (sink_.drainSegments(&detail::BinlogEncoder::segmentThunk,
+                          encoder_.get()) > 0) {
+    ++batches_;
   }
-  container_->flushFile(false);
+}
+
+void BinaryTraceWriter::drain() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!closed_) drainLocked();
 }
 
 bool BinaryTraceWriter::close() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (closed_) return container_->good();
   sink_.clearDrainHook();
-  if (sink_.drainSegments(&BinaryTraceWriter::segmentThunk, this) > 0) {
-    ++batches_;
-  }
-  sealEventsChunkLocked();
-  // Meta chunk last: every track name registered during the run is known by
-  // now (mirrors the streamer's metadata-at-close order).
-  container_->emitChunk(binchunk::kMeta, buildMetaPayload(&sink_), 0,
-                        /*indexed=*/true);
-  const bool ok = container_->finish(
-      events_written_, next_string_id_,
-      BinlogTotals{sink_.recorded(), sink_.dropped(), sink_.streamed()},
-      config_.shard + 1);
+  drainLocked();
+  encoder_->seal();
   closed_ = true;
-  return ok;
+  return container_->finish(
+      &sink_, encoder_->events(), encoder_->strings(),
+      BinlogTotals{sink_.recorded(), sink_.dropped(), sink_.streamed()}, 1);
 }
 
 bool BinaryTraceWriter::good() const {
@@ -2005,7 +1655,7 @@ bool BinaryTraceWriter::good() const {
 
 std::uint64_t BinaryTraceWriter::events() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return events_written_;
+  return encoder_->events();
 }
 
 std::uint64_t BinaryTraceWriter::batches() const {
@@ -2021,139 +1671,34 @@ std::uint64_t BinaryTraceWriter::bytesWritten() const {
 // --- Sharded direct recording -----------------------------------------------
 
 struct ShardedBinaryWriter::Impl {
-  /// Per-shard encoder state: its own string table, open delta chunk and
-  /// time cover. Chunks from different shards interleave freely in the
-  /// file; the shard tag on every chunk lets the reader regroup them.
+  /// One shard's encoder and its currently attached staging sink. Chunks
+  /// from different shards interleave freely in the file; the shard tag on
+  /// every chunk lets the reader regroup them.
   struct ShardStream {
-    Impl* owner = nullptr;
-    std::uint32_t shard = 0;
+    ShardStream(Impl* o, std::uint32_t shard)
+        : owner(o), encoder(o->container, shard) {}
+    Impl* owner;
     TraceSink* sink = nullptr;
-    // Pointer-keyed caches in front of the content map (same unification
-    // guarantee as BinaryTraceWriter's slot table, sized for the staging
-    // sinks' narrower string population).
-    const char* cache_ptr[2] = {nullptr, nullptr};
-    std::uint32_t cache_id[2] = {0, 0};
-    std::map<const char*, std::uint32_t> by_ptr;
-    std::map<std::string, std::uint32_t> by_content;
-    std::uint32_t next_id = 0;
-    std::string pending = std::string(8, '\0');
-    std::string pending_strings = std::string(8, '\0');
-    std::uint32_t pending_string_count = 0;
-    detail::BinlogDeltaState delta;
-    std::uint64_t events = 0;
+    detail::BinlogEncoder encoder;
   };
 
   mutable std::mutex mutex;
-  BinaryTraceWriterConfig config;
   detail::BinlogContainer container;
   std::map<std::uint32_t, std::unique_ptr<ShardStream>> streams;
   const TraceSink* name_source = nullptr;
   BinlogTotals totals;
-  std::uint64_t events_total = 0;
   bool closed = false;
 
   Impl(const std::string& path, BinaryTraceWriterConfig cfg)
-      : config(cfg), container(path, kBinlogVersion, cfg.flush_bytes) {
-    config.version = kBinlogVersion;
-  }
+      : container(path, cfg.flush_bytes) {}
   Impl(std::string* out, BinaryTraceWriterConfig cfg)
-      : config(cfg), container(out, kBinlogVersion, cfg.flush_bytes) {
-    config.version = kBinlogVersion;
-  }
+      : container(out, cfg.flush_bytes) {}
 
   static void hookThunk(void* ctx) {
-    ShardStream* s = static_cast<ShardStream*>(ctx);
-    s->owner->drainStream(*s);
-  }
-
-  static void segmentThunk(void* ctx, const TraceEvent* events,
-                           std::size_t count) {
-    // Under the sink lock; the Impl mutex is already held by drainStream
-    // or detachAllLocked.
-    ShardStream* s = static_cast<ShardStream*>(ctx);
-    s->owner->appendStream(*s, events, count);
-  }
-
-  void drainStream(ShardStream& s) {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (closed || s.sink == nullptr) return;
-    s.sink->drainSegments(&Impl::segmentThunk, &s);
-    if (s.pending.size() >= config.flush_bytes) {
-      sealStreamLocked(s);
-      container.flushFile(false);
-    }
-  }
-
-  std::uint32_t internStream(ShardStream& s, const char* text) {
-    if (text == s.cache_ptr[0]) return s.cache_id[0];
-    if (text == s.cache_ptr[1]) {
-      std::swap(s.cache_ptr[0], s.cache_ptr[1]);
-      std::swap(s.cache_id[0], s.cache_id[1]);
-      return s.cache_id[0];
-    }
-    std::uint32_t id;
-    auto it = s.by_ptr.find(text);
-    if (it != s.by_ptr.end()) {
-      id = it->second;
-    } else {
-      std::string content(text);
-      auto [cit, inserted] = s.by_content.try_emplace(std::move(content), 0);
-      if (inserted) {
-        cit->second = s.next_id++;
-        appendU32(s.pending_strings,
-                  static_cast<std::uint32_t>(cit->first.size()));
-        s.pending_strings += cit->first;
-        ++s.pending_string_count;
-      }
-      id = cit->second;
-      s.by_ptr.emplace(text, id);
-    }
-    s.cache_ptr[1] = s.cache_ptr[0];
-    s.cache_id[1] = s.cache_id[0];
-    s.cache_ptr[0] = text;
-    s.cache_id[0] = id;
-    return id;
-  }
-
-  void appendStream(ShardStream& s, const TraceEvent* events,
-                    std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-      const TraceEvent& e = events[i];
-      const std::uint32_t category_id = internStream(s, e.category);
-      const std::uint32_t name_id = internStream(s, e.name);
-      char buf[kBinlogV2MaxRecordBytes];
-      char* end = encodeDeltaRecord(buf, e, category_id, name_id, s.delta);
-      s.pending.append(buf, static_cast<std::size_t>(end - buf));
-      // Same mid-batch seal as the single-sink writer: chunk boundaries
-      // depend only on this shard's byte stream, never on when workers
-      // happened to drain, so they are thread-count-invariant.
-      if (s.pending.size() >= config.flush_bytes) {
-        sealStreamLocked(s);
-      }
-    }
-    s.events += count;
-    events_total += count;
-  }
-
-  void sealStreamLocked(ShardStream& s) {
-    if (s.pending_string_count > 0) {
-      putU32(s.pending_strings.data(), s.shard);
-      putU32(s.pending_strings.data() + 4, s.pending_string_count);
-      container.emitChunk(binchunk::kStrings, s.pending_strings, s.shard,
-                          /*indexed=*/true);
-      s.pending_strings.assign(8, '\0');
-      s.pending_string_count = 0;
-    }
-    if (s.delta.count > 0) {
-      putU32(s.pending.data(), s.shard);
-      putU32(s.pending.data() + 4, static_cast<std::uint32_t>(s.delta.count));
-      container.emitChunk(binchunk::kEvents, s.pending.data(),
-                          s.pending.size(), binlogChecksum(s.pending),
-                          s.shard, s.delta.count, s.delta.t_min, s.delta.t_max,
-                          /*indexed=*/true);
-      s.pending.assign(8, '\0');
-      s.delta = detail::BinlogDeltaState{};
-    }
+    ShardStream& s = *static_cast<ShardStream*>(ctx);
+    std::lock_guard<std::mutex> lock(s.owner->mutex);
+    if (s.owner->closed || s.sink == nullptr) return;
+    s.sink->drainSegments(&detail::BinlogEncoder::segmentThunk, &s.encoder);
   }
 
   void detachAllLocked() {
@@ -2161,7 +1706,7 @@ struct ShardedBinaryWriter::Impl {
       ShardStream& s = *stream;
       if (s.sink == nullptr) continue;
       s.sink->clearDrainHook();
-      s.sink->drainSegments(&Impl::segmentThunk, &s);
+      s.sink->drainSegments(&detail::BinlogEncoder::segmentThunk, &s.encoder);
       // Staging sinks are fresh per window generation, so their lifetime
       // counters sum without double counting.
       totals.recorded += s.sink->recorded();
@@ -2171,27 +1716,26 @@ struct ShardedBinaryWriter::Impl {
     }
   }
 
+  std::uint64_t eventsLocked() const {
+    std::uint64_t n = 0;
+    for (const auto& [shard, stream] : streams) n += stream->encoder.events();
+    return n;
+  }
+
   bool close() {
     std::lock_guard<std::mutex> lock(mutex);
     if (closed) return container.good();
     detachAllLocked();
-    for (auto& [shard, stream] : streams) {
-      sealStreamLocked(*stream);
-    }
-    container.emitChunk(binchunk::kMeta, buildMetaPayload(name_source), 0,
-                        /*indexed=*/true);
-    std::uint64_t event_count = 0;
     std::uint64_t string_count = 0;
-    for (const auto& [shard, stream] : streams) {
-      event_count += stream->events;
-      string_count += stream->next_id;
+    for (auto& [shard, stream] : streams) {
+      stream->encoder.seal();
+      string_count += stream->encoder.strings();
     }
     const std::uint32_t shard_count =
         streams.empty() ? 1u : streams.rbegin()->first + 1u;
-    const bool ok =
-        container.finish(event_count, string_count, totals, shard_count);
     closed = true;
-    return ok;
+    return container.finish(name_source, eventsLocked(), string_count,
+                            totals, shard_count);
   }
 };
 
@@ -2214,18 +1758,12 @@ void ShardedBinaryWriter::attachShard(std::uint32_t shard, TraceSink& sink) {
             std::to_string(kBinlogMaxShards));
   }
   auto& slot = impl_->streams[shard];
-  if (!slot) {
-    slot = std::make_unique<Impl::ShardStream>();
-    slot->owner = impl_.get();
-    slot->shard = shard;
-  }
+  if (!slot) slot = std::make_unique<Impl::ShardStream>(impl_.get(), shard);
   if (slot->sink != nullptr) {
     slot->sink->clearDrainHook();
   }
   slot->sink = &sink;
-  sink.setDrainHook(&Impl::hookThunk, slot.get(),
-                    impl_->config.occupancy_watermark,
-                    impl_->config.time_watermark);
+  sink.setDrainHook(&Impl::hookThunk, slot.get());
 }
 
 void ShardedBinaryWriter::detachAll() {
@@ -2247,7 +1785,7 @@ bool ShardedBinaryWriter::good() const {
 
 std::uint64_t ShardedBinaryWriter::events() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->events_total;
+  return impl_->eventsLocked();
 }
 
 std::uint64_t ShardedBinaryWriter::bytesWritten() const {
@@ -2284,13 +1822,7 @@ struct BinlogTailReader::Impl {
                             origin + ": not a binary trace file (bad magic)");
         }
         const std::uint32_t version = readU32(h + sizeof(kBinlogMagic));
-        if (version != kBinlogVersion && version != kBinlogVersionV1) {
-          throw BinlogError(BinlogErrorKind::BadVersion,
-                            origin + ": unsupported binary trace version " +
-                                std::to_string(version) +
-                                " (this reader reads versions 1 and 2)");
-        }
-        decoder.setVersion(version);
+        requireVersion(version, origin);
         trailer_fnv = fnvWordStep(trailer_fnv, readU64(h));
         trailer_fnv = fnvWordStep(trailer_fnv, version);
         header_seen = true;
@@ -2307,17 +1839,8 @@ struct BinlogTailReader::Impl {
       }
       if (footer_seen) {
         if (avail < 8) break;
-        const std::uint64_t got = readU64(buffer.data() + pos);
-        if (got != trailer_fnv) {
-          char msg[96];
-          std::snprintf(msg, sizeof(msg),
-                        "file checksum mismatch (stored 0x%016llx, computed "
-                        "0x%016llx)",
-                        static_cast<unsigned long long>(got),
-                        static_cast<unsigned long long>(trailer_fnv));
-          throw BinlogError(BinlogErrorKind::FileChecksum,
-                            origin + ": " + msg);
-        }
+        requireFileChecksum(origin, readU64(buffer.data() + pos),
+                            trailer_fnv);
         pos += 8;
         trailer_done = true;
         continue;
@@ -2334,17 +1857,7 @@ struct BinlogTailReader::Impl {
       if (avail < 12 + len + 8) break;  // partial chunk: wait for more bytes
       const char* payload = ch + 12;
       const std::uint64_t want = readU64(payload + len);
-      const std::uint64_t got = binlogChecksum(payload, len);
-      if (got != want) {
-        char msg[96];
-        std::snprintf(msg, sizeof(msg),
-                      "chunk checksum mismatch (stored 0x%016llx, computed "
-                      "0x%016llx)",
-                      static_cast<unsigned long long>(want),
-                      static_cast<unsigned long long>(got));
-        throw BinlogError(BinlogErrorKind::ChunkChecksum,
-                          origin + ": " + msg);
-      }
+      requireChunkChecksum(origin, kind, payload, len, want);
       trailer_fnv = fnvWordStep(trailer_fnv, kind);
       trailer_fnv = fnvWordStep(trailer_fnv, len);
       trailer_fnv = fnvWordStep(trailer_fnv, want);

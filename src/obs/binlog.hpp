@@ -2,12 +2,13 @@
 //
 // Chrome trace JSON is great to *look at* and terrible to *stream*: every
 // event costs a Json object allocation plus ~200 bytes of text. The binlog
-// is the compact on-disk twin of the live stream -- a versioned,
-// length-prefixed, FNV-checksummed chunk container mirroring the src/ckpt
-// checkpoint discipline:
+// is the one format events leave a run in -- a versioned,
+// length-prefixed, checksummed chunk container mirroring the src/ckpt
+// checkpoint discipline; Chrome JSON is derived from it offline
+// (chromeJsonFromBinaryTrace, `iobts_profile --to-chrome`):
 //
 //   magic[8]  = "IOBTRCE\n"
-//   u32       format version (little-endian; 1 or 2)
+//   u32       format version (little-endian; 2)
 //   chunks, in order; per chunk:
 //     u32     chunk kind (strings / events / meta / index / footer)
 //     u64     payload length, then payload bytes
@@ -21,73 +22,58 @@
 // the lanes are compressed with FNV-1a and the payload length bound last,
 // and a final partial word is zero-padded. Byte-wise FNV is a serial
 // xor-multiply chain at ~4 cycles per *byte*; the lane pass has no
-// multiplies at all, so the v1 writer folds each record into the running
-// lanes the moment it is encoded (on x86-64, all four lanes in one vector
-// register) and sealing a chunk never re-reads its payload. The trailer
-// seals the chunk *sequence* rather than re-hashing every file byte:
-// payload integrity is already sealed per chunk, so the trailer only needs
-// to bind the header and each chunk's (kind, length, checksum) summary --
-// O(1) per chunk instead of a second full pass over the event stream.
+// multiplies at all. The trailer seals the chunk *sequence* rather than
+// re-hashing every file byte: payload integrity is already sealed per
+// chunk, so the trailer only needs to bind the header and each chunk's
+// (kind, length, checksum) summary -- O(1) per chunk instead of a second
+// full pass over the event stream.
 //
-// Version 1 chunk payloads (all integers little-endian, doubles as raw
-// IEEE-754 bit patterns, so the encoding is identical on every host and
-// round-trips exactly):
+// Chunk payloads (all integers little-endian, doubles as raw IEEE-754 bit
+// patterns, so the encoding is identical on every host and round-trips
+// exactly; see DESIGN.md for the full diagram):
 //
-//   strings:  u32 count, then per string u32 length + bytes. Ids are
-//             assigned implicitly in file order (append to the table); an
+//   strings:  u32 shard, u32 count, then per string u32 length + bytes.
+//             Ids are per shard and assigned implicitly in file order; an
 //             event may only reference ids from *earlier* chunks.
-//   events:   packed 64-byte records, nothing else -- the record count is
-//             payload length / 64 (a payload that is not a whole number of
-//             records is Malformed). Record layout, deliberately identical
-//             to the in-memory TraceEvent through its first 56 bytes so
-//             encoding is one bulk copy plus the interned-ids word:
-//             f64 ts @0, f64 dur @8, u32 pid @16, u32 tid @20,
-//             u32 phase @24, u32 reserved=0 @28, f64 value @32,
-//             u64 wall_ns @40, u64 flow @48, u32 category id @56,
-//             u32 name id @60.
+//   events:   u32 shard, u32 count, then delta-encoded records: a flags
+//             byte (bits 0-2 phase, bit 3 dur differs from the previous
+//             record's, bit 4 value differs, bit 5 flow != 0, bit 6 wall_ns
+//             differs) followed by varints: pid, tid, category id, name
+//             id, zigzag(ts bit-pattern delta), then the optional fields
+//             the flags declare (zigzag bit-pattern deltas for wall/dur/
+//             value, plain varint for flow). Delta state resets per chunk,
+//             so every chunk decodes independently -- what makes the index
+//             seekable.
 //   meta:     u32 process-name count, per entry u32 pid + u32 len + bytes;
 //             u32 thread-name count, per entry u32 pid + u32 tid +
 //             u32 len + bytes.
+//   index:    (kind 5, emitted after meta, right before the footer) u32
+//             entry count, u32 shard count, then one 48-byte entry per
+//             preceding chunk -- u32 kind, u32 shard, u64 file offset (of
+//             the chunk's kind word), u64 payload length, u64 event count,
+//             f64 t_min, f64 t_max (virtual-time cover of the chunk's
+//             events, ts..ts+dur). A windowed reader seeks the footer, then
+//             the index, then only the chunks whose [t_min, t_max]
+//             intersect the window.
 //   footer:   u64 event count, u64 string count, u64 recorded,
-//             u64 dropped, u64 streamed (the sink's counters at close --
-//             exactly what the live streamer writes into "otherData").
+//             u64 dropped, u64 streamed (the sink's counters at close),
+//             u64 index chunk offset. The footer chunk is therefore always
+//             the fixed 76-byte file tail (12-byte chunk header + 48-byte
+//             payload + 8-byte checksum + 8-byte trailer), which is what
+//             lets a reader find it without scanning.
 //
-// Version 2 keeps the container frame, the meta chunk and every checksum
-// rule, and changes three things (see DESIGN.md for the full diagram):
-//
-//   * strings/events chunks are *shard-tagged* and *delta-encoded*. Both
-//     begin with `u32 shard, u32 count`; string ids are per-shard. An
-//     events record is a flags byte (bits 0-2 phase, bit 3 dur differs
-//     from the previous record's, bit 4 value differs, bit 5 flow != 0,
-//     bit 6 wall_ns differs) followed by varints: pid, tid, category id,
-//     name id, zigzag(ts bit-pattern delta), then the optional fields the
-//     flags declare (zigzag bit-pattern deltas for wall/dur/value, plain
-//     varint for flow). Delta state resets per chunk, so every chunk
-//     decodes independently -- what makes the index seekable.
-//   * an index chunk (kind 5, emitted after meta, right before the
-//     footer): u32 entry count, u32 shard count, then one 48-byte entry
-//     per preceding chunk -- u32 kind, u32 shard, u64 file offset (of the
-//     chunk's kind word), u64 payload length, u64 event count,
-//     f64 t_min, f64 t_max (virtual-time cover of the chunk's events,
-//     ts..ts+dur). A windowed reader seeks the footer, then the index,
-//     then only the chunks whose [t_min, t_max] intersect the window.
-//   * the footer grows a sixth word: u64 index chunk offset. The v2
-//     footer chunk is therefore always the fixed 76-byte file tail
-//     (12-byte chunk header + 48-byte payload + 8-byte checksum + 8-byte
-//     trailer), which is what lets a reader find it without scanning.
-//
-// The writer hangs off TraceSink's drain hook like a TraceStreamer, but
-// drains through TraceSink::drainSegments -- events are encoded straight
-// out of the ring with no staging vector and no per-event allocation,
-// which is what makes the binary sink *cheaper* than the streamed JSON
-// sink (BM_DispatchTracingBinary vs BM_DispatchTracingStreamed in
-// BENCH_obs_overhead.json).
+// The writer hangs off TraceSink's drain hook and drains through
+// TraceSink::drainSegments -- events are encoded straight out of the ring
+// with no staging vector and no per-event allocation. Its cost over an
+// installed sink with no recorder is BM_DispatchTracingBinary vs
+// BM_DispatchTracingOn in BENCH_obs_overhead.json.
 //
 // Reading is strict, ckpt-style: every length is bounds-checked before
 // use, per-chunk checksums are verified before payloads are surfaced,
 // string references are validated against the owning shard's table,
 // the index chunk is cross-checked entry-by-entry against the chunks
-// actually decoded, trailing bytes after the file checksum are an error,
+// actually decoded (and the footer's index offset against where the index
+// chunk really is), trailing bytes after the file checksum are an error,
 // and every failure carries a BinlogError::Kind naming the *first*
 // defect. The corrupt-trace corpus under traces/invalid/ pins one
 // diagnostic per kind. Multi-shard traces are merged canonically on read
@@ -109,42 +95,24 @@
 
 #include "obs/trace.hpp"
 
-// x86-64 builds get a runtime-dispatched AVX2 fast path for the v1 record
-// encoder (baseline code stays generic; the wide path is selected
-// per-process with __builtin_cpu_supports).
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define IOBTS_BINLOG_X86 1
-#else
-#define IOBTS_BINLOG_X86 0
-#endif
-
 namespace iobts::obs {
 
-/// Container format version this build writes by default. The reader
-/// accepts 1 (fixed 64-byte records, no index) and 2 (delta-encoded
-/// shard-tagged chunks + seekable index).
+/// The container format version this build reads and writes. Files of any
+/// other version (including the retired fixed-record version 1) fail with
+/// BinlogErrorKind::BadVersion.
 inline constexpr std::uint32_t kBinlogVersion = 2;
-inline constexpr std::uint32_t kBinlogVersionV1 = 1;
 
 /// The 8-byte file magic.
 inline constexpr char kBinlogMagic[8] = {'I', 'O', 'B', 'T', 'R', 'C', 'E',
                                          '\n'};
 
-/// Bytes of one packed v1 event record inside an events chunk (eight
-/// words; the alignment is what lets the v1 writer checksum records
-/// incrementally). v2 records are variable-length (kBinlogV2MaxRecordBytes
-/// is the worst case).
-inline constexpr std::size_t kBinlogEventBytes = 64;
-inline constexpr std::size_t kBinlogV2MaxRecordBytes = 72;
-
-/// Shard ids in v2 chunks must be below this (a 16-bit budget catches
+/// Shard ids in chunks must be below this (a 16-bit budget catches
 /// corrupted tags long before a resize tries to honor them).
 inline constexpr std::uint32_t kBinlogMaxShards = 1u << 16;
 
-/// v2 fixed sizes: one index entry, the footer payload, and the complete
+/// Fixed sizes: one index entry, the footer payload, and the complete
 /// fixed file tail (footer chunk + trailer digest).
 inline constexpr std::size_t kBinlogIndexEntryBytes = 48;
-inline constexpr std::size_t kBinlogFooterBytesV1 = 40;
 inline constexpr std::size_t kBinlogFooterBytes = 48;
 inline constexpr std::size_t kBinlogTailBytes = 12 + kBinlogFooterBytes + 8 + 8;
 
@@ -210,15 +178,15 @@ class BinlogError : public std::runtime_error {
   BinlogErrorKind kind_;
 };
 
-/// Sink accounting snapshot stored in the footer -- the same three totals
-/// the live streamer writes into the Chrome document's "otherData".
+/// Sink accounting snapshot stored in the footer -- the three totals
+/// chromeJsonFromBinaryTrace writes into the Chrome document's "otherData".
 struct BinlogTotals {
   std::uint64_t recorded = 0;
   std::uint64_t dropped = 0;
   std::uint64_t streamed = 0;
 };
 
-/// One decoded index entry (also what the writer pins into the v2 index
+/// One decoded index entry (also what the writer pins into the index
 /// chunk): which chunk, whose shard, where in the file, and what virtual
 /// time range its events cover.
 struct BinlogIndexEntry {
@@ -241,7 +209,7 @@ struct TraceWindow {
 /// Decode accounting: how much of the file the (windowed) reader actually
 /// touched. The --from/--to acceptance gate asserts on these counters.
 struct BinlogReadStats {
-  bool used_index = false;  ///< false for v1 files (full decode + filter)
+  bool used_index = false;  ///< true when the windowed reader seeked
   std::uint64_t chunks_total = 0;
   std::uint64_t events_chunks_decoded = 0;
   std::uint64_t events_chunks_skipped = 0;
@@ -268,19 +236,18 @@ struct BinEvent {
 
 /// A decoded binary trace: events in canonical order plus the interned
 /// string table, track names, and footer totals. Single-shard traces
-/// (every v1 file, and v2 files from one BinaryTraceWriter) keep exact
-/// file = recording order; multi-shard traces are merged canonically by
+/// (every file from one BinaryTraceWriter) keep exact file = recording
+/// order; multi-shard traces are merged canonically by
 /// (ts, shard, per-shard sequence) with string ids remapped to a global
 /// content-deduplicated table in merged order.
 struct BinaryTrace {
-  std::uint32_t version = kBinlogVersion;
   std::uint32_t shard_count = 1;
   std::vector<std::string> strings;
   std::vector<BinEvent> events;
   std::map<std::uint32_t, std::string> process_names;
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::string> thread_names;
   BinlogTotals totals;
-  /// v2: the decoded index chunk (empty for v1 files).
+  /// The decoded index chunk.
   std::vector<BinlogIndexEntry> index;
   /// What the reader touched to produce this trace.
   BinlogReadStats stats;
@@ -302,8 +269,7 @@ BinaryTrace readBinaryTrace(const std::string& path);
 /// Windowed decode: seek the footer, then the index, then only the chunks
 /// whose time range intersects `window` (strings and meta chunks are
 /// always decoded -- events reference them). Events outside the window
-/// inside a decoded chunk are filtered out. v1 files fall back to a full
-/// decode + filter (stats.used_index stays false). The whole-file trailer
+/// inside a decoded chunk are filtered out. The whole-file trailer
 /// and the footer's count cross-checks are deliberately *not* verified on
 /// this path -- skipped chunks were never read; per-chunk checksums and
 /// the index cross-checks still gate everything that was.
@@ -313,53 +279,23 @@ BinaryTrace decodeBinaryTraceWindow(const std::string& bytes,
                                     const std::string& origin,
                                     const TraceWindow& window);
 
-/// True when `bytes` begin with the binary-trace magic. Offline tools use
-/// this to tell a flight-recorder file from Chrome trace JSON and point the
-/// user at the right tool.
-bool looksLikeBinaryTrace(const std::string& bytes) noexcept;
-
 namespace detail {
-
 struct BinlogContainer;
-
-/// Per-open-chunk delta-encoder state (v2): previous bit patterns the next
-/// record's deltas are taken against, and the chunk's running time cover.
-/// Resets at every chunk seal so chunks decode independently.
-struct BinlogDeltaState {
-  std::uint64_t ts_bits = 0;
-  std::uint64_t wall = 0;
-  std::uint64_t dur_bits = 0;
-  std::uint64_t value_bits = 0;
-  double t_min = 0.0;
-  double t_max = 0.0;
-  std::uint64_t count = 0;
-};
-
+class BinlogEncoder;
 }  // namespace detail
 
 struct BinaryTraceWriterConfig {
-  /// Drain-hook watermarks, identical semantics to TraceStreamerConfig: a
-  /// drain fires when ring occupancy reaches this fraction of capacity...
-  double occupancy_watermark = 0.5;
-  /// ...or when an event lands this many virtual seconds past the previous
-  /// drain (0 = occupancy only).
-  sim::Time time_watermark = 0.0;
-  /// File mode: finished chunks accumulate in memory and flush to the file
-  /// once the staging buffer exceeds this size (and at close). Doubles as
-  /// the events-chunk seal threshold, so small values make the file grow
-  /// in small independently-decodable chunks -- what --follow tails.
+  /// Finished chunks accumulate in memory and flush to the file once the
+  /// staging buffer exceeds this size (and at close). Doubles as the
+  /// events-chunk seal threshold, so small values make the file grow in
+  /// small independently-decodable chunks -- what --follow tails.
   std::size_t flush_bytes = 1 << 20;
-  /// Container version to write: kBinlogVersion (2) or kBinlogVersionV1.
-  std::uint32_t version = kBinlogVersion;
-  /// Shard tag stamped into every chunk this writer emits (v2 only).
-  std::uint32_t shard = 0;
 };
 
 /// Incremental binary exporter bound to one TraceSink. Construction
-/// installs the sink's drain hook (one streamer/writer per sink at a
-/// time); close()/destruction drains the remainder, appends the meta,
-/// index (v2) and footer chunks plus the file checksum, and uninstalls
-/// the hook.
+/// installs the sink's drain hook (one writer per sink at a time);
+/// close()/destruction drains the remainder, appends the meta, index and
+/// footer chunks plus the file checksum, and uninstalls the hook.
 ///
 /// Determinism: the byte stream is a pure function of the recorded events
 /// and the sink's registered track names, so with wall capture off two
@@ -386,11 +322,6 @@ class BinaryTraceWriter {
   /// watermark trigger). Safe from any thread.
   void drain();
 
-  /// Encode `count` events directly (bypassing the sink). The drain path
-  /// uses this internally; benchmarks and the sharded replay path may call
-  /// it straight.
-  void append(const TraceEvent* events, std::size_t count);
-
   /// Final drain + meta/index/footer chunks + file checksum + hook
   /// removal. Idempotent. Returns false if any file write failed (memory
   /// mode always returns true).
@@ -406,73 +337,24 @@ class BinaryTraceWriter {
   std::uint64_t bytesWritten() const;
 
  private:
+  BinaryTraceWriter(TraceSink& sink,
+                    std::unique_ptr<detail::BinlogContainer> container);
   static void drainThunk(void* ctx);
-  static void segmentThunk(void* ctx, const TraceEvent* events,
-                           std::size_t count);
-  void initLocked();
-  void appendLocked(const TraceEvent* events, std::size_t count);
-  void appendV1Locked(const TraceEvent* events, std::size_t count);
-  void appendV2Locked(const TraceEvent* events, std::size_t count);
-  std::uint32_t internLocked(const char* text);
-  bool probeSlot(const char* text, std::uint32_t& id) const noexcept;
-#if IOBTS_BINLOG_X86
-  struct InternSlot;
-  // Tight-loop encoder for appendV1Locked: packs records and folds the
-  // checksum lanes with 256-bit ops (all four lanes live in one register).
-  // Stops at an intern miss; returns how many records it encoded and
-  // advances ev/dst. Only called when use_avx2_ is set.
-  __attribute__((target("avx2"))) static std::size_t encodeRunAvx2(
-      const InternSlot* slots, const TraceEvent*& ev, std::size_t count,
-      char*& dst, std::uint64_t* lanes);
-#endif
-  void sealEventsChunkLocked();
-  void growPendingLocked(std::size_t need);
-  void resetChunkLanesLocked();
-  void resetPendingLocked();
+  void drainLocked();
 
   TraceSink& sink_;
   mutable std::mutex mutex_;
-  BinaryTraceWriterConfig config_;
   bool closed_ = false;
   std::unique_ptr<detail::BinlogContainer> container_;
-  // Packed records of the open events chunk. A raw buffer, not a
-  // std::string: the hot loop claims the whole batch's bytes with one
-  // capacity check and encodes records in place, with no per-record
-  // size/capacity bookkeeping. v2 reserves the first 8 bytes for the
-  // shard/count chunk header, patched at seal.
-  std::unique_ptr<char[]> pending_data_;
-  char* pending_base_ = nullptr;  // 64-byte-aligned start within pending_data_
-                                  // (v1 records stay 32-byte aligned for the
-                                  // wide encoder's streaming stores)
-  std::size_t pending_size_ = 0;
-  std::size_t pending_cap_ = 0;
-  std::string pending_strings_;  // new string-table entries not yet emitted
-  std::uint32_t pending_string_count_ = 0;
-  std::uint64_t chunk_lanes_[4];  // v1: incremental checksum lanes of the
-                                  // open events chunk (see binlogChecksum)
-  detail::BinlogDeltaState delta_;  // v2: per-chunk delta/cover state
-  // String interning: a pointer-keyed open-addressing fast path in front of
-  // a content-keyed map (the slow path unifies distinct literals with equal
-  // contents, so ids depend only on the event stream).
-  static constexpr std::size_t kInternSlots = 512;
-  struct InternSlot {
-    const char* ptr = nullptr;
-    std::uint32_t id = 0;
-  };
-  InternSlot intern_slots_[kInternSlots] = {};
-#if IOBTS_BINLOG_X86
-  const bool use_avx2_ = __builtin_cpu_supports("avx2");
-#endif
-  std::map<std::string, std::uint32_t> intern_by_content_;
-  std::uint32_t next_string_id_ = 0;
-  std::uint64_t events_written_ = 0;
+  std::unique_ptr<detail::BinlogEncoder> encoder_;
   std::uint64_t batches_ = 0;
 };
 
-/// One v2 container fed by *several* TraceSinks, one per shard -- the
+/// One container fed by *several* TraceSinks, one per shard -- the
 /// sharded kernel's direct-recording path. Each attached sink gets a drain
-/// hook that encodes straight into that shard's own delta encoder (its own
-/// string table, its own open chunk), and finished shard-tagged chunks are
+/// hook that encodes straight into that shard's own instance of the
+/// BinaryTraceWriter encoder (its own string table, its own open chunk,
+/// its own shard tag), and finished shard-tagged chunks are
 /// appended to the shared container in whatever order the workers finish
 /// them. The *reader* merges shard streams canonically, so reports from a
 /// sharded recording are byte-identical across worker thread counts even
@@ -522,7 +404,7 @@ class ShardedBinaryWriter {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Incremental reader for a *growing* v1/v2 container -- the engine behind
+/// Incremental reader for a *growing* container -- the engine behind
 /// `iobts_profile --follow`. feed() consumes every complete, checksum-
 /// valid chunk from the byte stream and buffers the incomplete tail; a
 /// complete chunk failing its checksum (or a bad header) is real

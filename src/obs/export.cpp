@@ -2,9 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <stdexcept>
-
-#include "obs/binlog.hpp"
 
 namespace iobts::obs {
 
@@ -95,84 +92,6 @@ JsonArray traceMetadataEvents(
     events.push_back(Json(std::move(o)));
   }
   return events;
-}
-
-JsonArray traceMetadataEvents(const TraceSink& sink) {
-  return traceMetadataEvents(sink.processNames(), sink.threadNames());
-}
-
-Json chromeTraceJson(const TraceSink& sink) {
-  // Metadata first: Perfetto picks up track names regardless of position,
-  // but leading metadata keeps the document stable as events accumulate.
-  JsonArray events = traceMetadataEvents(sink);
-  for (const TraceEvent& ev : sink.snapshot()) {
-    events.push_back(traceEventJson(ev));
-  }
-  JsonObject doc;
-  doc["traceEvents"] = Json(std::move(events));
-  doc["displayTimeUnit"] = Json("ms");
-  doc["otherData"] = Json(JsonObject{
-      {"recorded", Json(sink.recorded())},
-      {"dropped", Json(sink.dropped())},
-      {"streamed", Json(sink.streamed())},
-      {"clock", Json(kTraceClockNote)},
-  });
-  return Json(std::move(doc));
-}
-
-std::string chromeTraceString(const TraceSink& sink) {
-  return chromeTraceJson(sink).pretty();
-}
-
-bool writeChromeTrace(const TraceSink& sink, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << chromeTraceString(sink) << '\n';
-  return static_cast<bool>(out);
-}
-
-Json loadChromeTraceFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error(path + ": cannot open trace file");
-  }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw std::runtime_error(path + ": trace file read failed");
-  }
-  if (text.empty()) {
-    throw std::runtime_error(path +
-                             ": empty file (expected a Chrome trace JSON "
-                             "document with a \"traceEvents\" array)");
-  }
-  if (looksLikeBinaryTrace(text)) {
-    throw std::runtime_error(
-        path +
-        ": this is a binary flight-recorder trace (IOBTRCE), not Chrome "
-        "trace JSON; read it with iobts_profile, or convert it with "
-        "iobts_profile --to-chrome");
-  }
-  Json doc;
-  try {
-    doc = Json::parse(text);
-  } catch (const std::exception& e) {
-    throw std::runtime_error(path + ": invalid or truncated trace JSON: " +
-                             e.what());
-  }
-  if (!doc.isObject()) {
-    throw std::runtime_error(path +
-                             ": JSON document has no \"traceEvents\" array "
-                             "(not a Chrome trace export)");
-  }
-  const JsonObject& obj = doc.asObject();
-  const auto events = obj.find("traceEvents");
-  if (events == obj.end() || !events->second.isArray()) {
-    throw std::runtime_error(path +
-                             ": JSON document has no \"traceEvents\" array "
-                             "(not a Chrome trace export)");
-  }
-  return doc;
 }
 
 bool writeMetrics(const MetricsRegistry& registry, const std::string& path) {

@@ -1,8 +1,10 @@
 // Exporters for the observability plane.
 //
 // Chrome trace-event JSON (the "JSON Array Format" that chrome://tracing
-// and Perfetto load): one "process" per simulated subsystem, virtual time
-// mapped to microseconds. Event kinds map as
+// and Perfetto load) is derived from a binary recording, never written
+// live: chromeJsonFromBinaryTrace (obs/profile.hpp) renders a decoded
+// binlog through the helpers below. One "process" per simulated subsystem,
+// virtual time mapped to microseconds. Event kinds map as
 //
 //   Phase::Complete  -> ph "X" (ts + dur)
 //   Phase::Instant   -> ph "i" (thread-scoped)
@@ -11,9 +13,9 @@
 //   Phase::FlowStep  -> ph "t"
 //   Phase::FlowEnd   -> ph "f" with "bp":"e" (bind to enclosing slice)
 //
-// plus ph "M" metadata records for the process/thread names registered on
-// the sink. Serialization goes through util Json (std::map-backed objects),
-// so key order -- and with wall capture off, the whole byte stream -- is
+// plus ph "M" metadata records for the recorded process/thread names.
+// Serialization goes through util Json (std::map-backed objects), so key
+// order -- and with wall capture off, the whole byte stream -- is
 // deterministic across identical runs.
 #pragma once
 
@@ -28,47 +30,22 @@
 
 namespace iobts::obs {
 
-/// The "clock" note every export writes into "otherData" -- shared so the
-/// one-shot exporter, the live streamer, and the offline binlog converter
-/// stay byte-for-byte in agreement.
+/// The "clock" note the Chrome document carries in "otherData".
 inline constexpr const char* kTraceClockNote =
     "virtual (1 us trace time = 1 us simulated)";
 
-/// Serialize one event to its Chrome trace-event object. Shared by the
-/// one-shot exporter below and the streaming exporter (obs/stream.hpp), so
-/// streamed and snapshot exports render events identically.
+/// Serialize one event to its Chrome trace-event object.
 Json traceEventJson(const TraceEvent& event);
 
-/// The ph "M" metadata records for the sink's registered process/thread
-/// names, in deterministic (sorted) order.
-JsonArray traceMetadataEvents(const TraceSink& sink);
-
-/// Same, from bare name maps -- the offline converter renders a decoded
-/// binary trace's track names through the identical code path.
+/// The ph "M" metadata records for the given process/thread names, in
+/// deterministic (sorted) order.
 JsonArray traceMetadataEvents(
     const std::map<std::uint32_t, std::string>& process_names,
     const std::map<std::pair<std::uint32_t, std::uint32_t>, std::string>&
         thread_names);
 
-/// Build the Chrome trace document ({"traceEvents": [...], ...}).
-Json chromeTraceJson(const TraceSink& sink);
-
-/// Serialized pretty-printed Chrome trace document.
-std::string chromeTraceString(const TraceSink& sink);
-
-/// Convenience: write the Chrome trace to `path`. Returns false on I/O
-/// failure.
-bool writeChromeTrace(const TraceSink& sink, const std::string& path);
-
 /// Convenience: write metrics (pretty JSON for ".json" paths, text table
 /// otherwise). Returns false on I/O failure.
 bool writeMetrics(const MetricsRegistry& registry, const std::string& path);
-
-/// Load a Chrome trace JSON document for offline tools, with precise
-/// diagnostics instead of a parser backtrace: distinguishes an unreadable
-/// file, an empty file, binary flight-recorder input (points at
-/// iobts_profile), invalid/truncated JSON, and a document without a
-/// "traceEvents" array. Throws std::runtime_error on all of those.
-Json loadChromeTraceFile(const std::string& path);
 
 }  // namespace iobts::obs

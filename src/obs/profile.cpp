@@ -403,8 +403,7 @@ std::string breqTableCsv(const BinaryTrace& trace) {
 }
 
 std::string chromeJsonFromBinaryTrace(const BinaryTrace& trace) {
-  // Mirror TraceStreamer's file-mode byte stream exactly: header, events
-  // separated by ",\n" as they drained, metadata records at close, footer
+  // Header, events separated by ",\n", metadata records, then a footer
   // with the sink totals (preserved in the binlog footer).
   std::string out = "{\"traceEvents\":[\n";
   bool any_event_written = false;

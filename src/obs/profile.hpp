@@ -6,9 +6,7 @@
 // they are pure functions of the decoded trace, with fixed-precision
 // formatting and stable (virtual-time, then recording-order) sorts.
 //
-//   * profileSummaryText    -- header + top spans by inclusive virtual time
-//                              (the binary twin of trace_summarize's default
-//                              mode).
+//   * profileSummaryText    -- header + top spans by inclusive virtual time.
 //   * criticalPathText      -- per-journey critical-path split
 //                              (queue | pace | link | fault), the paper's
 //                              "where does an async request actually wait"
@@ -22,9 +20,8 @@
 //                              table, with the per-channel maximum (the
 //                              minimal zero-waiting bandwidth, Sec. IV-C).
 //   * chromeJsonFromBinaryTrace -- lossless conversion to Chrome trace
-//                              JSON, byte-identical to what a live
-//                              TraceStreamer in file mode would have
-//                              written for the same run.
+//                              JSON: the only way a run's events become
+//                              Chrome JSON.
 #pragma once
 
 #include <cstddef>
@@ -61,11 +58,10 @@ std::string breqTableText(const BinaryTrace& trace);
 /// the B_req series).
 std::string breqTableCsv(const BinaryTrace& trace);
 
-/// Render the decoded trace as the Chrome trace JSON document the live
-/// streaming exporter (obs::TraceStreamer, file mode) would have produced
-/// for the same run: same event serialization, same metadata-at-close
-/// order, same otherData totals (from the footer). Byte-identical by
-/// construction -- pinned by tests.
+/// Render the decoded trace as a Chrome trace JSON document: events in
+/// recording order joined by ",\n", then the ph "M" track-name records,
+/// then the otherData totals from the footer. The bytes are pinned by
+/// tests.
 std::string chromeJsonFromBinaryTrace(const BinaryTrace& trace);
 
 }  // namespace iobts::obs

@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -71,24 +72,12 @@ void TraceSink::push(const TraceEvent& event) {
       ++dropped_;
     }
     if (event.phase == Phase::Complete) recordSpanStatLocked(event);
-    if (drain_hook_ != nullptr) {
-      bool fire = count_ >= drain_trigger_count_;
-      if (drain_interval_ > 0.0) {
-        if (!drain_ts_armed_) {
-          // First event after (re)arming defines the interval origin.
-          next_drain_ts_ = event.ts + drain_interval_;
-          drain_ts_armed_ = true;
-        } else if (event.ts >= next_drain_ts_) {
-          fire = true;
-        }
-      }
-      if (fire) {
-        hook = drain_hook_;
-        ctx = drain_ctx_;
-      }
+    if (drain_hook_ != nullptr && count_ >= drain_trigger_count_) {
+      hook = drain_hook_;
+      ctx = drain_ctx_;
     }
   }
-  // The hook runs outside the sink lock so it may call drainInto().
+  // The hook runs outside the sink lock so it may drain the ring.
   if (hook != nullptr) hook(ctx);
 }
 
@@ -201,12 +190,6 @@ std::size_t TraceSink::drainInto(std::vector<TraceEvent>& out) {
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back(ring_[(start + i) % config_.capacity]);
   }
-  if (drain_interval_ > 0.0) {
-    // Next time-triggered drain is measured from the last drained event.
-    next_drain_ts_ = ring_[(start + n - 1) % config_.capacity].ts +
-                     drain_interval_;
-    drain_ts_armed_ = true;
-  }
   count_ = 0;  // head_ keeps advancing; the ring is simply empty again
   streamed_ += n;
   return n;
@@ -225,32 +208,16 @@ std::size_t TraceSink::drainSegments(DrainSegmentFn fn, void* ctx) {
       n < config_.capacity - start ? n : config_.capacity - start;
   fn(ctx, ring_.data() + start, first);
   if (first < n) fn(ctx, ring_.data(), n - first);
-  if (drain_interval_ > 0.0) {
-    next_drain_ts_ = ring_[(start + n - 1) % config_.capacity].ts +
-                     drain_interval_;
-    drain_ts_armed_ = true;
-  }
   count_ = 0;
   streamed_ += n;
   return n;
 }
 
-void TraceSink::setDrainHook(void (*hook)(void*), void* ctx,
-                             double occupancy_watermark,
-                             sim::Time time_watermark) {
+void TraceSink::setDrainHook(void (*hook)(void*), void* ctx) {
   std::lock_guard<std::mutex> lock(mutex_);
   drain_hook_ = hook;
   drain_ctx_ = ctx;
-  std::size_t trigger = config_.capacity;
-  if (occupancy_watermark > 0.0) {
-    trigger = static_cast<std::size_t>(
-        occupancy_watermark * static_cast<double>(config_.capacity));
-    if (trigger < 1) trigger = 1;
-    if (trigger > config_.capacity) trigger = config_.capacity;
-  }
-  drain_trigger_count_ = trigger;
-  drain_interval_ = time_watermark > 0.0 ? time_watermark : 0.0;
-  drain_ts_armed_ = false;
+  drain_trigger_count_ = std::max<std::size_t>(config_.capacity / 2, 1);
 }
 
 void TraceSink::clearDrainHook() {
@@ -258,8 +225,6 @@ void TraceSink::clearDrainHook() {
   drain_hook_ = nullptr;
   drain_ctx_ = nullptr;
   drain_trigger_count_ = 0;
-  drain_interval_ = 0.0;
-  drain_ts_armed_ = false;
 }
 
 std::vector<SpanStat> TraceSink::spanStats() const {

@@ -19,10 +19,10 @@
 //     literals; the ring is allocated once at construction. When the ring
 //     is full the *oldest* event is overwritten (the most recent window is
 //     retained) and a drop counter records the loss.
-//   * Deterministic exports. Event content is derived purely from
+//   * Deterministic recordings. Event content is derived purely from
 //     simulation state (virtual times, stable ids), so two identical runs
-//     produce byte-identical Chrome-trace exports as long as wall-clock
-//     capture stays off (its default).
+//     produce byte-identical binary traces (and the Chrome JSON derived
+//     from them) as long as wall-clock capture stays off (its default).
 //
 // Track convention (Chrome trace "pid"/"tid"): one process per simulated
 // subsystem, one thread per node/stream/channel within it -- see the
@@ -75,19 +75,11 @@ inline constexpr std::uint32_t kTmio = 7;      // tmio tracer B_req (tid=rank)
 /// One recorded event. POD; `category` and `name` must point at storage
 /// that outlives the sink (instrumentation sites use string literals).
 struct TraceEvent {
-  // Field order is deliberate: everything from `ts` through `flow` -- with
-  // the padding after `phase` made explicit and always zero -- is one
-  // deterministic 56-byte run laid out exactly like words 0..6 of a binlog
-  // event record, so BinaryTraceWriter serializes an event as a single
-  // bulk copy plus the interned-ids word. The string pointers sit last,
-  // outside the copyable run, because they are what the binlog replaces.
   sim::Time ts = 0.0;    // virtual seconds (rtio: wall seconds since epoch)
   sim::Time dur = 0.0;   // virtual duration; Complete events only
   std::uint32_t pid = 0;
   std::uint32_t tid = 0;
   Phase phase = Phase::Instant;
-  std::uint8_t pad8[3] = {0, 0, 0};  // explicit padding, always zero
-  std::uint32_t reserved = 0;        // explicit padding, always zero
   double value = 0.0;        // counter value / generic numeric argument
   std::uint64_t wall_ns = 0; // real duration (0 unless wall capture is on)
   std::uint64_t flow = 0;    // journey id; flow events only (0 = none)
@@ -175,7 +167,7 @@ class TraceSink {
   std::uint64_t recorded() const;
   /// Events overwritten after the ring wrapped.
   std::uint64_t dropped() const;
-  /// Events handed to drainInto() (streaming export; see TraceStreamer).
+  /// Events drained out of the ring (drainInto / drainSegments).
   std::uint64_t streamed() const;
 
   /// Copy of the retained events, oldest first.
@@ -184,7 +176,7 @@ class TraceSink {
   /// Drop all retained events (drop/record counters keep counting).
   void clear();
 
-  // --- Streaming drain (see obs/stream.hpp) -------------------------------
+  // --- Streaming drain (see obs/binlog.hpp) -------------------------------
 
   /// Append all retained events to `out` oldest first and mark them
   /// streamed (they leave the ring without counting as drops). Returns the
@@ -203,14 +195,12 @@ class TraceSink {
   std::size_t drainSegments(DrainSegmentFn fn, void* ctx);
 
   /// Install a drain trigger: after recording an event, `hook(ctx)` fires
-  /// (outside the sink lock) when ring occupancy reaches
-  /// ceil(occupancy_watermark * capacity) events, or -- if `time_watermark`
-  /// is > 0 -- when the recorded event's virtual timestamp has advanced at
-  /// least `time_watermark` seconds past the end of the previous drain.
-  /// The hook typically calls drainInto(); it must tolerate reentrant
-  /// recording only if its own sink does. One hook at a time.
-  void setDrainHook(void (*hook)(void*), void* ctx, double occupancy_watermark,
-                    sim::Time time_watermark);
+  /// (outside the sink lock) when ring occupancy reaches half the capacity
+  /// (at least one event), so an attached recorder drains long before the
+  /// ring could overwrite anything. The hook typically calls
+  /// drainSegments(); it must tolerate reentrant recording only if its own
+  /// sink does. One hook at a time.
+  void setDrainHook(void (*hook)(void*), void* ctx);
   void clearDrainHook();
 
   // --- Metrics export -----------------------------------------------------
@@ -265,9 +255,6 @@ class TraceSink {
   void (*drain_hook_)(void*) = nullptr;
   void* drain_ctx_ = nullptr;
   std::size_t drain_trigger_count_ = 0;
-  sim::Time drain_interval_ = 0.0;
-  sim::Time next_drain_ts_ = 0.0;
-  bool drain_ts_armed_ = false;
 };
 
 namespace detail {

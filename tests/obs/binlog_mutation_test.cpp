@@ -1,0 +1,387 @@
+// Seeded mutation sweep over binlog containers. Each mutant -- bit flips,
+// extreme u32/u64 overwrites, truncations, chunk-length inflation, chunk
+// duplication -- has its chunk checksums and trailer digest repaired (most
+// of the time) so it reaches the structural decoder instead of stopping at
+// a checksum. The contract, for every mutant:
+//
+//   * the strict, windowed and tail readers each either succeed or throw
+//     BinlogError -- never another exception, a crash, or a sanitizer
+//     report (obs_test runs under ASan+UBSan in the sanitize leg);
+//   * whenever the strict reader accepts a mutant, the full-range windowed
+//     read and the tail reader accept it too, with the same events.
+//
+// The mutants come from fixed seeds, so a failure names a reproducible
+// (seed, index) pair.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <exception>
+#include <iterator>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "obs/binlog.hpp"
+#include "obs/trace.hpp"
+
+namespace iobts::obs {
+namespace {
+
+constexpr int kMutantsPerContainer = 4000;
+
+/// splitmix64: a tiny deterministic generator, identical on every standard
+/// library (std distributions are not).
+struct Rng {
+  std::uint64_t state;
+  std::uint64_t next() {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+  std::size_t below(std::size_t n) { return n == 0 ? 0 : next() % n; }
+};
+
+/// A varied event stream: every phase, several tracks and names, wall
+/// times, values and journey ids.
+void recordVariety(TraceSink& sink, int events, double t0) {
+  static const char* const kNames[] = {"transfer.write", "transfer.read",
+                                       "adio.queue", "adio.pace", "resolve"};
+  for (int i = 0; i < events; ++i) {
+    const double ts = t0 + 0.01 * i;
+    const auto tid = static_cast<std::uint32_t>(i % 4);
+    sink.complete("pfs", kNames[i % 5], track::kStreams, tid, ts,
+                  0.005 * (i % 3), 1024.0 * i,
+                  i % 7 == 0 ? 1000 + static_cast<std::uint64_t>(i) : 0);
+    if (i % 10 == 0) {
+      const std::uint64_t journey = (static_cast<std::uint64_t>(i) + 1) << 40;
+      sink.flowStart("journey", "io", track::kAdio, tid, ts, journey);
+      sink.flowStep("journey", "io", track::kStreams, tid, ts + 0.001,
+                    journey);
+      sink.flowEnd("journey", "io", track::kStreams, tid, ts + 0.002,
+                   journey);
+    }
+    if (i % 13 == 0) sink.instant("adio", "adio.retry", track::kAdio, 0, ts);
+    if (i % 17 == 0) {
+      sink.counter("tmio", "tmio.app.breq.write", track::kTmio, 1, ts,
+                   1.0e9 + i);
+    }
+  }
+}
+
+/// One writer, a small ring and a small seal threshold: many chunks.
+std::string singleWriterContainer() {
+  TraceSinkConfig ring;
+  ring.capacity = 64;
+  TraceSink sink(ring);
+  sink.setProcessName(track::kStreams, "pfs streams");
+  sink.setThreadName(track::kStreams, 0, "stream 0");
+  BinaryTraceWriterConfig config;
+  config.flush_bytes = 256;
+  std::string bytes;
+  BinaryTraceWriter writer(sink, &bytes, config);
+  recordVariety(sink, 120, 0.0);
+  writer.close();
+  return bytes;
+}
+
+/// Two shards recording interleaved into one container.
+std::string shardedContainer() {
+  BinaryTraceWriterConfig config;
+  config.flush_bytes = 256;
+  std::string bytes;
+  TraceSinkConfig ring;
+  ring.capacity = 64;
+  TraceSink names, a(ring), b(ring);
+  names.setProcessName(track::kAdio, "adio");
+  ShardedBinaryWriter recorder(&bytes, config);
+  recorder.setNameSource(names);
+  recorder.attachShard(0, a);
+  recorder.attachShard(1, b);
+  recordVariety(a, 60, 0.0);
+  recordVariety(b, 60, 0.3);
+  recorder.close();
+  return bytes;
+}
+
+std::uint64_t loadU64(const std::string& s, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, s.data() + at, sizeof(v));  // little-endian hosts only
+  return v;
+}
+
+void storeU32(std::string& s, std::size_t at, std::uint32_t v) {
+  std::memcpy(s.data() + at, &v, sizeof(v));
+}
+
+void storeU64(std::string& s, std::size_t at, std::uint64_t v) {
+  std::memcpy(s.data() + at, &v, sizeof(v));
+}
+
+struct Chunk {
+  std::size_t offset = 0;  ///< of the kind word
+  std::uint64_t len = 0;
+};
+
+/// The chunk sequence as far as it is well-formed (mutants stop early).
+std::vector<Chunk> walkChunks(const std::string& s, std::size_t body) {
+  std::vector<Chunk> chunks;
+  std::size_t pos = sizeof(kBinlogMagic) + 4;
+  while (pos <= body && body - pos >= 12) {
+    const std::uint64_t len = loadU64(s, pos + 4);
+    if (len > body - pos - 12 || body - pos - 12 - len < 8) break;
+    chunks.push_back({pos, len});
+    pos += 12 + static_cast<std::size_t>(len) + 8;
+  }
+  return chunks;
+}
+
+/// Recompute every walkable chunk checksum and the trailer digest, so only
+/// the structural damage remains.
+void repair(std::string& s) {
+  if (s.size() < sizeof(kBinlogMagic) + 4 + 8) return;
+  const std::size_t body = s.size() - 8;
+  for (const Chunk& c : walkChunks(s, body)) {
+    const std::size_t payload = c.offset + 12;
+    storeU64(s, payload + c.len,
+             binlogChecksum(s.data() + payload, c.len));
+  }
+  try {
+    storeU64(s, body, binlogTrailerDigest(s.data(), body));
+  } catch (const BinlogError&) {
+    // The body is no longer a whole number of chunks; leave the trailer.
+  }
+}
+
+std::uint64_t extremeU64(Rng& rng, std::size_t file_size) {
+  const std::uint64_t values[] = {0,
+                                  1,
+                                  0x7fffffffffffffffULL,
+                                  0x8000000000000000ULL,
+                                  0xffffffffffffffffULL,
+                                  0xfffffffffffffff0ULL,
+                                  0xffffffffULL,
+                                  0x100000000ULL,
+                                  file_size,
+                                  file_size - 1,
+                                  file_size + 1};
+  return values[rng.below(std::size(values))];
+}
+
+std::uint32_t extremeU32(Rng& rng) {
+  const std::uint32_t values[] = {0,           1,          2,
+                                  0x7fffffffU, 0x80000000U, 0xfffffffeU,
+                                  0xffffffffU, 0x10000U,    20000000U};
+  return values[rng.below(std::size(values))];
+}
+
+/// A position worth overwriting: anywhere, or a chunk's structural fields
+/// (kind, length, payload prologue, first index/footer words).
+std::size_t targetOffset(Rng& rng, const std::string& s,
+                         const std::vector<Chunk>& chunks, std::size_t width) {
+  if (chunks.empty() || rng.below(2) == 0) {
+    return rng.below(s.size() - width + 1);
+  }
+  const Chunk& c = chunks[rng.below(chunks.size())];
+  const std::size_t spots[] = {c.offset,      c.offset + 4,  c.offset + 12,
+                               c.offset + 16, c.offset + 20, c.offset + 28,
+                               c.offset + 36, c.offset + 44, c.offset + 52};
+  const std::size_t at = spots[rng.below(std::size(spots))];
+  return at + width <= s.size() ? at : s.size() - width;
+}
+
+/// One mutant of `base`; `what` says how it was made.
+std::string mutate(const std::string& base, Rng& rng, std::string& what) {
+  std::string s = base;
+  const std::vector<Chunk> chunks = walkChunks(s, s.size() - 8);
+  switch (rng.below(6)) {
+    case 0: {  // 1-3 bit flips anywhere
+      const std::size_t flips = 1 + rng.below(3);
+      what = "bit flips";
+      for (std::size_t i = 0; i < flips; ++i) {
+        const std::size_t at = rng.below(s.size());
+        const unsigned bit = static_cast<unsigned>(rng.below(8));
+        s[at] = static_cast<char>(s[at] ^ (1 << bit));
+        what += ' ';
+        what += std::to_string(at) + ":" + std::to_string(bit);
+      }
+      break;
+    }
+    case 1: {
+      const std::size_t at = targetOffset(rng, s, chunks, 4);
+      const std::uint32_t v = extremeU32(rng);
+      storeU32(s, at, v);
+      what = "u32 " + std::to_string(v) + " at " + std::to_string(at);
+      break;
+    }
+    case 2: {
+      const std::size_t at = targetOffset(rng, s, chunks, 8);
+      const std::uint64_t v = extremeU64(rng, s.size());
+      storeU64(s, at, v);
+      what = "u64 " + std::to_string(v) + " at " + std::to_string(at);
+      break;
+    }
+    case 3: {
+      const std::size_t keep = rng.below(s.size());
+      s.resize(keep);
+      what = "truncate to " + std::to_string(keep);
+      break;
+    }
+    case 4: {  // inflate one chunk's declared length
+      const Chunk& c = chunks[rng.below(chunks.size())];
+      const std::uint64_t grown[] = {c.len + 1, c.len + 8, c.len * 2 + 1,
+                                     std::uint64_t{1} << 40,
+                                     0xffffffffffffffffULL - 11};
+      const std::uint64_t v = grown[rng.below(std::size(grown))];
+      storeU64(s, c.offset + 4, v);
+      what = "chunk at " + std::to_string(c.offset) + " length " +
+             std::to_string(v);
+      break;
+    }
+    default: {  // duplicate one chunk in place
+      const Chunk& c = chunks[rng.below(chunks.size())];
+      const std::size_t span = 12 + static_cast<std::size_t>(c.len) + 8;
+      s.insert(c.offset, base, c.offset, span);
+      what = "duplicate chunk at " + std::to_string(c.offset);
+      break;
+    }
+  }
+  // Most mutants get valid checksums so the structural decoder sees them;
+  // the rest keep exercising the checksum gates.
+  if (rng.below(8) != 0) {
+    repair(s);
+  } else {
+    what += " (unrepaired)";
+  }
+  return s;
+}
+
+/// What one reader made of a mutant: a decoded trace, or the error kind.
+struct Outcome {
+  std::optional<BinaryTrace> trace;
+  std::string kind;
+};
+
+template <typename Read>
+Outcome attempt(const Read& read, const std::string& reader,
+                const std::string& what) {
+  Outcome out;
+  try {
+    out.trace = read();
+  } catch (const BinlogError& e) {
+    out.kind = e.kindName();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << reader << " threw a non-BinlogError on mutant [" << what
+                  << "]: " << e.what();
+    out.kind = "foreign";
+  }
+  return out;
+}
+
+Outcome readTail(const std::string& bytes, const std::string& what) {
+  return attempt(
+      [&]() -> BinaryTrace {
+        BinlogTailReader tail("mutant");
+        // Awkward 97-byte slices: unit boundaries land mid-read.
+        for (std::size_t pos = 0; pos < bytes.size(); pos += 97) {
+          tail.feed(bytes.data() + pos,
+                    std::min<std::size_t>(97, bytes.size() - pos));
+        }
+        if (!tail.finished()) {
+          throw BinlogError(BinlogErrorKind::Truncated, "unfinished");
+        }
+        return tail.snapshot();
+      },
+      "tail reader", what);
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+bool sameEvents(const BinaryTrace& a, const BinaryTrace& b) {
+  if (a.strings != b.strings || a.events.size() != b.events.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    const BinEvent& x = a.events[i];
+    const BinEvent& y = b.events[i];
+    if (bits(x.ts) != bits(y.ts) || bits(x.dur) != bits(y.dur) ||
+        bits(x.value) != bits(y.value) || x.category != y.category ||
+        x.name != y.name || x.pid != y.pid || x.tid != y.tid ||
+        x.phase != y.phase || x.shard != y.shard || x.wall_ns != y.wall_ns ||
+        x.flow != y.flow) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Run the sweep over one container; returns how many mutants each error
+/// kind rejected under the strict reader ("ok" = accepted).
+std::map<std::string, int> sweep(const std::string& base, std::uint64_t seed) {
+  std::map<std::string, int> verdicts;
+  Rng rng{seed};
+  for (int i = 0; i < kMutantsPerContainer; ++i) {
+    std::string what;
+    const std::string mutant = mutate(base, rng, what);
+    what = "seed " + std::to_string(seed) + " #" + std::to_string(i) + ": " +
+           what;
+    const Outcome strict = attempt(
+        [&] { return decodeBinaryTrace(mutant, "mutant"); }, "strict reader",
+        what);
+    const Outcome window = attempt(
+        [&] { return decodeBinaryTraceWindow(mutant, "mutant", {}); },
+        "windowed reader", what);
+    const Outcome tail = readTail(mutant, what);
+    ++verdicts[strict.trace ? "ok" : strict.kind];
+    if (!strict.trace) continue;
+    if (!window.trace) {
+      ADD_FAILURE() << "windowed reader rejected (" << window.kind
+                    << ") what the strict reader accepted: " << what;
+    } else {
+      EXPECT_TRUE(sameEvents(*strict.trace, *window.trace))
+          << "windowed events differ: " << what;
+    }
+    if (!tail.trace) {
+      ADD_FAILURE() << "tail reader rejected (" << tail.kind
+                    << ") what the strict reader accepted: " << what;
+    } else {
+      EXPECT_TRUE(sameEvents(*strict.trace, *tail.trace))
+          << "tail events differ: " << what;
+    }
+  }
+  return verdicts;
+}
+
+void expectSweepBitesAndHolds(const std::string& base, std::uint64_t seed) {
+  // The unmutated container is accepted everywhere, identically.
+  const BinaryTrace clean = decodeBinaryTrace(base, "clean");
+  ASSERT_GT(clean.events.size(), 100u);
+  ASSERT_GT(clean.index.size(), 8u);  // many chunks to mutate
+  EXPECT_TRUE(sameEvents(clean, decodeBinaryTraceWindow(base, "clean", {})));
+
+  const std::map<std::string, int> verdicts = sweep(base, seed);
+  // A sweep that never reaches the structural checks proves nothing: the
+  // repaired mutants must trip several distinct defect kinds.
+  EXPECT_GE(verdicts.size(), 6u);
+  for (const char* kind : {"malformed", "bad_index", "truncated"}) {
+    EXPECT_GT(verdicts.count(kind), 0u) << "no mutant rejected as " << kind;
+  }
+}
+
+TEST(BinlogMutation, SingleWriterMutantsDecodeOrFailTyped) {
+  expectSweepBitesAndHolds(singleWriterContainer(), 0x5eed0001);
+}
+
+TEST(BinlogMutation, ShardedMutantsDecodeOrFailTyped) {
+  expectSweepBitesAndHolds(shardedContainer(), 0x5eed0002);
+}
+
+}  // namespace
+}  // namespace iobts::obs

@@ -1,10 +1,9 @@
 // Binary flight-recorder container tests: exact field round-trips through
-// the packed 64-byte record, content-keyed string interning, byte-identity
+// the delta-encoded record, content-keyed string interning, byte-identity
 // across identical runs and across file/memory modes, chunk sealing under
 // tiny flush thresholds, strict-reader rejection of every corruption kind
 // (in-memory mutations plus the checked-in traces/invalid/ corpus), and
-// the lossless Chrome conversion being byte-identical to what a live
-// TraceStreamer in file mode writes for the same run.
+// the lossless Chrome conversion pinned byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +18,6 @@
 
 #include "obs/binlog.hpp"
 #include "obs/profile.hpp"
-#include "obs/stream.hpp"
 #include "obs/trace.hpp"
 
 namespace iobts::obs {
@@ -172,37 +170,53 @@ TEST(Binlog, TinyRingAndFlushThresholdSealManyChunksThatStillRoundTrip) {
 }
 
 TEST(Binlog, ChromeConversionIsByteIdenticalToLiveStreamerFile) {
-  // The same run recorded twice through the same tiny ring: once with the
-  // live JSON streamer, once with the binary writer. Converting the binary
-  // trace offline must reproduce the streamer's file byte-for-byte --
-  // including drain-batch boundaries (",\n" joints), metadata-at-close
-  // order, and the otherData totals.
-  const std::string json_path = ::testing::TempDir() + "/binlog_live.json";
+  // The run recorded through a tiny ring (several watermark drains over 7
+  // events) and converted offline. The literal is the file the retired
+  // live file-mode JSON streamer wrote for this same run -- the conversion
+  // was proven byte-identical to it while both existed -- so these bytes
+  // pin the Chrome document: ",\n" joints, metadata after the events, and
+  // the otherData totals.
+  static constexpr char kExpected[] =
+      "{\"traceEvents\":[\n"
+      "{\"args\":{\"value\":4096,\"wall_ns\":1234},\"cat\":\"pfs\","
+      "\"dur\":250000,\"name\":\"transfer.write\",\"ph\":\"X\",\"pid\":3,"
+      "\"tid\":0,\"ts\":500000},\n"
+      "{\"args\":{\"value\":8192},\"cat\":\"pfs\",\"dur\":500000,"
+      "\"name\":\"transfer.read\",\"ph\":\"X\",\"pid\":3,\"tid\":1,"
+      "\"ts\":1000000},\n"
+      "{\"args\":{\"value\":3},\"cat\":\"adio\",\"name\":\"adio.retry\","
+      "\"ph\":\"i\",\"pid\":4,\"s\":\"t\",\"tid\":0,\"ts\":1250000},\n"
+      "{\"args\":{\"value\":1000000000},\"cat\":\"tmio\","
+      "\"name\":\"tmio.app.breq.write\",\"ph\":\"C\",\"pid\":7,\"tid\":1,"
+      "\"ts\":1500000},\n"
+      "{\"cat\":\"journey\",\"id\":\"0xdeadbeefcafe0042\",\"name\":\"io\","
+      "\"ph\":\"s\",\"pid\":4,\"tid\":0,\"ts\":500000},\n"
+      "{\"cat\":\"journey\",\"id\":\"0xdeadbeefcafe0042\",\"name\":\"io\","
+      "\"ph\":\"t\",\"pid\":3,\"tid\":0,\"ts\":600000},\n"
+      "{\"bp\":\"e\",\"cat\":\"journey\",\"id\":\"0xdeadbeefcafe0042\","
+      "\"name\":\"io\",\"ph\":\"f\",\"pid\":3,\"tid\":0,\"ts\":750000},\n"
+      "{\"args\":{\"name\":\"pfs streams\"},\"name\":\"process_name\","
+      "\"ph\":\"M\",\"pid\":3},\n"
+      "{\"args\":{\"name\":\"adio\"},\"name\":\"process_name\",\"ph\":\"M\","
+      "\"pid\":4},\n"
+      "{\"args\":{\"name\":\"stream 0\"},\"name\":\"thread_name\","
+      "\"ph\":\"M\",\"pid\":3,\"tid\":0}\n"
+      "],\n"
+      "\"displayTimeUnit\":\"ms\",\n"
+      "\"otherData\":{\"clock\":\"virtual (1 us trace time = 1 us "
+      "simulated)\",\"dropped\":0,\"recorded\":7,\"streamed\":7}}\n";
   TraceSinkConfig sink_cfg;
-  sink_cfg.capacity = 4;  // several watermark drains over 7 events
-  {
-    TraceSink sink(sink_cfg);
-    TraceStreamer streamer(sink, json_path);
-    recordMixedEvents(sink);
-    ASSERT_TRUE(streamer.close());
-  }
-  std::string live;
-  {
-    std::ifstream in(json_path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    live = ss.str();
-  }
-
+  sink_cfg.capacity = 4;
   TraceSink sink(sink_cfg);
   std::string bytes;
   {
     BinaryTraceWriter writer(sink, &bytes);
     recordMixedEvents(sink);
     ASSERT_TRUE(writer.close());
+    EXPECT_GT(writer.batches(), 1u);
   }
   const BinaryTrace trace = decodeBinaryTrace(bytes, "<memory>");
-  EXPECT_EQ(chromeJsonFromBinaryTrace(trace), live);
+  EXPECT_EQ(chromeJsonFromBinaryTrace(trace), kExpected);
 }
 
 // --- Corruption: in-memory mutations, one per reader defect kind ------------
@@ -295,13 +309,6 @@ TEST(BinlogCorruption, UnreadableFileIsIo) {
   }
 }
 
-TEST(Binlog, LooksLikeBinaryTraceDiscriminates) {
-  EXPECT_TRUE(looksLikeBinaryTrace(writtenTrace()));
-  EXPECT_FALSE(looksLikeBinaryTrace("{\"traceEvents\":[]}"));
-  EXPECT_FALSE(looksLikeBinaryTrace(""));
-  EXPECT_FALSE(looksLikeBinaryTrace("IOBTRC"));  // shorter than the magic
-}
-
 // --- Corruption: the checked-in corpus sweep --------------------------------
 
 std::vector<fs::path> listCorpus() {
@@ -319,16 +326,17 @@ std::vector<fs::path> listCorpus() {
 TEST(BinlogCorpus, EveryInvalidTraceIsRejectedWithItsNamedKind) {
   const std::vector<fs::path> files = listCorpus();
   // At least one file per reportable defect kind (Io cannot be a checked-in
-  // file), plus the -v1 back-compat variants and the bad_index flavors.
-  ASSERT_GE(files.size(), 16u);
+  // file), plus the bad_index and malformed flavors and the retired
+  // version-1 recording.
+  ASSERT_GE(files.size(), 14u);
 
   std::set<std::string> kinds_seen;
   std::map<std::string, std::string> diagnostics;
   for (const fs::path& file : files) {
     SCOPED_TRACE(file.string());
     // The stem up to the first '-' is the expected kind; the rest is a
-    // qualifier (`truncated-v1.bin` = v1 container, `bad_index-range.bin` =
-    // a specific bad_index defect).
+    // qualifier (`bad_version-v1.bin` = a version-1 container,
+    // `bad_index-range.bin` = a specific bad_index defect).
     std::string expected_kind = file.stem().string();
     expected_kind = expected_kind.substr(0, expected_kind.find('-'));
     try {
@@ -375,10 +383,10 @@ TEST(BinlogCorpus, DefectSpecificDetailInDiagnostics) {
             std::string::npos);
   EXPECT_NE(messageOf("bad_string_ref.bin").find("string id 7"),
             std::string::npos);
-  // The v2 record stream fails structurally (a varint field cut short); the
-  // v1 fixed-width stream fails on record arithmetic.
+  EXPECT_NE(messageOf("bad_version-v1.bin").find("version 1 is not"),
+            std::string::npos);
   EXPECT_NE(messageOf("malformed.bin").find("shard id"), std::string::npos);
-  EXPECT_NE(messageOf("malformed-v1.bin").find("not a whole number"),
+  EXPECT_NE(messageOf("malformed-count.bin").find("declares 4294967295"),
             std::string::npos);
   EXPECT_NE(messageOf("missing_footer.bin").find("without a footer"),
             std::string::npos);
@@ -386,37 +394,90 @@ TEST(BinlogCorpus, DefectSpecificDetailInDiagnostics) {
             std::string::npos);
   EXPECT_NE(messageOf("bad_index-range.bin").find("time range"),
             std::string::npos);
+  EXPECT_NE(messageOf("bad_index-footer.bin").find("index offset"),
+            std::string::npos);
   EXPECT_NE(messageOf("bad_shard.bin").find("shard id 65536"),
             std::string::npos);
 }
 
-TEST(BinlogCorpus, ValidPinsOfBothVersionsDecodeLosslessly) {
-  // traces/valid_v1.bin and valid_v2.bin are checked-in outputs of the
-  // trace_corpus tool: the same five events through each container version.
-  // Future readers must keep decoding both to the same trace.
-  const fs::path dir = IOBTS_TRACE_DIR;
-  const BinaryTrace v1 = readBinaryTrace((dir / "valid_v1.bin").string());
-  const BinaryTrace v2 = readBinaryTrace((dir / "valid_v2.bin").string());
-  ASSERT_EQ(v1.events.size(), 5u);
-  ASSERT_EQ(v2.events.size(), v1.events.size());
-  EXPECT_EQ(v1.strings, v2.strings);
-  for (std::size_t i = 0; i < v1.events.size(); ++i) {
-    SCOPED_TRACE(i);
-    const BinEvent& a = v1.events[i];
-    const BinEvent& b = v2.events[i];
-    EXPECT_EQ(a.ts, b.ts);
-    EXPECT_EQ(a.dur, b.dur);
-    EXPECT_EQ(a.value, b.value);
-    EXPECT_EQ(a.pid, b.pid);
-    EXPECT_EQ(a.tid, b.tid);
-    EXPECT_EQ(a.phase, b.phase);
-    EXPECT_EQ(a.category, b.category);
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.flow, b.flow);
-    EXPECT_EQ(a.wall_ns, b.wall_ns);
+TEST(BinlogCorpus, FooterIndexOffsetIsBadIndexForEveryReader) {
+  // bad_index-footer.bin: a footer index offset of 2^64-1. The strict and
+  // tail readers compare it with where the index chunk really is; the
+  // seeking readers bounds-check it without wrapping (it must not reach a
+  // read, let alone one before the buffer).
+  const std::string path =
+      (fs::path(IOBTS_TRACE_DIR) / "invalid" / "bad_index-footer.bin")
+          .string();
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    bytes = ss.str();
   }
-  EXPECT_EQ(v1.totals.recorded, v2.totals.recorded);
-  EXPECT_EQ(chromeJsonFromBinaryTrace(v1), chromeJsonFromBinaryTrace(v2));
+  ASSERT_FALSE(bytes.empty());
+  const auto kindOf = [](const auto& read) -> std::string {
+    try {
+      read();
+    } catch (const BinlogError& e) {
+      return e.kindName();
+    }
+    return "decoded cleanly";
+  };
+  const TraceWindow all;
+  EXPECT_EQ(kindOf([&] { decodeBinaryTraceWindow(bytes, "<mem>", all); }),
+            "bad_index");
+  EXPECT_EQ(kindOf([&] { readBinaryTraceWindow(path, all); }), "bad_index");
+  EXPECT_EQ(kindOf([&] { decodeBinaryTrace(bytes, "<mem>"); }), "bad_index");
+  EXPECT_EQ(kindOf([&] {
+              BinlogTailReader tail;
+              tail.feed(bytes);
+            }),
+            "bad_index");
+}
+
+TEST(BinlogCorpus, ValidPinDecodesLosslessly) {
+  // traces/valid_v2.bin is a checked-in output of the trace_corpus tool:
+  // five known events. Later readers must keep decoding it to exactly
+  // these fields.
+  const BinaryTrace t =
+      readBinaryTrace((fs::path(IOBTS_TRACE_DIR) / "valid_v2.bin").string());
+  ASSERT_EQ(t.events.size(), 5u);
+  EXPECT_EQ(t.totals.recorded, 5u);
+  EXPECT_EQ(t.totals.dropped, 0u);
+  EXPECT_EQ(t.process_names.at(track::kStreams), "pfs streams");
+  EXPECT_EQ(t.thread_names.at({track::kStreams, 0}), "stream 0");
+  struct Want {
+    double ts, dur, value;
+    std::uint32_t pid;
+    Phase phase;
+    const char* category;
+    const char* name;
+    std::uint64_t flow;
+  };
+  const Want want[] = {
+      {0.5, 0.25, 4096.0, track::kStreams, Phase::Complete, "pfs",
+       "transfer.write", 0},
+      {1.0, 0.5, 8192.0, track::kStreams, Phase::Complete, "pfs",
+       "transfer.read", 0},
+      {1.5, 0.0, 1.0e9, track::kTmio, Phase::Counter, "tmio",
+       "tmio.app.breq.write", 0},
+      {0.5, 0.0, 0.0, track::kAdio, Phase::FlowStart, "journey", "io", 42},
+      {0.75, 0.0, 0.0, track::kStreams, Phase::FlowEnd, "journey", "io", 42},
+  };
+  for (std::size_t i = 0; i < t.events.size(); ++i) {
+    SCOPED_TRACE(i);
+    const BinEvent& e = t.events[i];
+    EXPECT_EQ(e.ts, want[i].ts);
+    EXPECT_EQ(e.dur, want[i].dur);
+    EXPECT_EQ(e.value, want[i].value);
+    EXPECT_EQ(e.pid, want[i].pid);
+    EXPECT_EQ(e.phase, want[i].phase);
+    EXPECT_EQ(t.strings[e.category], want[i].category);
+    EXPECT_EQ(t.strings[e.name], want[i].name);
+    EXPECT_EQ(e.flow, want[i].flow);
+    EXPECT_EQ(e.wall_ns, 0u);
+  }
 }
 
 }  // namespace

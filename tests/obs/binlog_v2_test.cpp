@@ -1,10 +1,9 @@
-// Binlog v2 container tests: v1-config writers still produce readable v1
-// files (and v2 beats v1 on bytes/event), the footer index lets the
-// windowed reader skip chunks it proves irrelevant (counters assert the
-// skipping actually happened), shard-tagged recording through
-// ShardedBinaryWriter merges canonically including degenerate zero-event
-// shards, and the tail reader buffers a mid-chunk cut while still
-// snapshotting every complete chunk before it.
+// Binlog v2 container tests: the footer index lets the windowed reader
+// skip chunks it proves irrelevant (counters assert the skipping actually
+// happened), shard-tagged recording through ShardedBinaryWriter runs the
+// same encoder as the single-sink writer and merges canonically including
+// degenerate zero-event shards, and the tail reader buffers a mid-chunk
+// cut while still snapshotting every complete chunk before it.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -29,11 +28,10 @@ void recordSpread(TraceSink& sink, double t0 = 0.0, int events = 200) {
   }
 }
 
-std::string writtenWith(std::uint32_t version, std::size_t flush_bytes) {
+std::string writtenWith(std::size_t flush_bytes) {
   TraceSink sink;
   std::string bytes;
   BinaryTraceWriterConfig config;
-  config.version = version;
   config.flush_bytes = flush_bytes;
   BinaryTraceWriter writer(sink, &bytes, config);
   recordSpread(sink);
@@ -41,33 +39,9 @@ std::string writtenWith(std::uint32_t version, std::size_t flush_bytes) {
   return bytes;
 }
 
-TEST(BinlogV2, V1ConfigStillWritesAReadableV1Container) {
-  const std::string v1 = writtenWith(kBinlogVersionV1, 1 << 20);
-  const std::string v2 = writtenWith(kBinlogVersion, 1 << 20);
-
-  const BinaryTrace t1 = decodeBinaryTrace(v1, "<v1>");
-  const BinaryTrace t2 = decodeBinaryTrace(v2, "<v2>");
-  EXPECT_EQ(t1.version, kBinlogVersionV1);
-  EXPECT_EQ(t2.version, kBinlogVersion);
-  EXPECT_TRUE(t1.index.empty());
-  EXPECT_FALSE(t2.index.empty());
-  ASSERT_EQ(t1.events.size(), 200u);
-  ASSERT_EQ(t2.events.size(), t1.events.size());
-  for (std::size_t i = 0; i < t1.events.size(); ++i) {
-    EXPECT_EQ(t1.events[i].ts, t2.events[i].ts) << i;
-    EXPECT_EQ(t1.events[i].value, t2.events[i].value) << i;
-    EXPECT_EQ(t1.strings[t1.events[i].name], t2.strings[t2.events[i].name])
-        << i;
-  }
-
-  // The delta encoding is the point: strictly fewer bytes per event than
-  // the fixed 64-byte v1 record.
-  EXPECT_LT(v2.size(), v1.size());
-}
-
 TEST(BinlogV2, WindowedReadDecodesOnlyIndexSelectedChunks) {
   // Tiny flush threshold -> many small, time-local event chunks.
-  const std::string bytes = writtenWith(kBinlogVersion, 256);
+  const std::string bytes = writtenWith(256);
   const BinaryTrace full = decodeBinaryTrace(bytes, "<full>");
   ASSERT_GT(full.stats.events_chunks_decoded, 4u);
 
@@ -105,19 +79,35 @@ TEST(BinlogV2, WindowedReadDecodesOnlyIndexSelectedChunks) {
   }
 }
 
-TEST(BinlogV2, WindowOnV1TraceFallsBackToFullDecode) {
-  const std::string bytes = writtenWith(kBinlogVersionV1, 256);
-  TraceWindow window;
-  window.from = 5.0;
-  window.to = 8.0;
-  const BinaryTrace part = decodeBinaryTraceWindow(bytes, "<v1win>", window);
-  EXPECT_FALSE(part.stats.used_index);
-  EXPECT_EQ(part.stats.events_chunks_skipped, 0u);
-  EXPECT_EQ(part.stats.payload_bytes_skipped, 0u);
-  ASSERT_GT(part.events.size(), 0u);
-  for (const BinEvent& e : part.events) {
-    EXPECT_GE(e.ts + e.dur, window.from);
-    EXPECT_LE(e.ts, window.to);
+TEST(BinlogV2, OneShardShardedWriterMatchesTheSingleSinkWriter) {
+  // Both writers run the same encoder: the same events through one shard
+  // of a ShardedBinaryWriter (names from the same kind of sink) must give
+  // the single-sink writer's file byte for byte -- across many chunk seals
+  // and ring drains.
+  for (const std::size_t flush_bytes : {std::size_t{256}, std::size_t{1} << 20}) {
+    SCOPED_TRACE(flush_bytes);
+    TraceSinkConfig ring;
+    ring.capacity = 64;
+    BinaryTraceWriterConfig config;
+    config.flush_bytes = flush_bytes;
+    std::string single;
+    {
+      TraceSink sink(ring);
+      BinaryTraceWriter writer(sink, &single, config);
+      recordSpread(sink);
+      ASSERT_TRUE(writer.close());
+    }
+    std::string sharded;
+    {
+      TraceSink sink(ring);
+      ShardedBinaryWriter recorder(&sharded, config);
+      recorder.attachShard(0, sink);
+      recorder.setNameSource(sink);
+      recordSpread(sink);
+      ASSERT_TRUE(recorder.close());
+    }
+    ASSERT_GT(single.size(), 100u);
+    EXPECT_EQ(single, sharded);
   }
 }
 
@@ -167,7 +157,7 @@ TEST(BinlogV2, ZeroEventShardContributesNothingButDecodesCleanly) {
 }
 
 TEST(BinlogV2, TailReaderBuffersAMidChunkCutAndSnapshotsThePrefix) {
-  const std::string bytes = writtenWith(kBinlogVersion, 256);
+  const std::string bytes = writtenWith(256);
   const BinaryTrace full = decodeBinaryTrace(bytes, "<full>");
   ASSERT_GT(full.index.size(), 4u);
 

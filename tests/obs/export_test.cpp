@@ -1,7 +1,7 @@
-// Export-layer tests: Chrome-trace structure, byte-identical determinism
-// across two identical traced runs, and consistency between the trace and
-// the SharedLink's own resolve counters.
-#include <fstream>
+// Export-layer tests over recorded binlogs: Chrome-trace structure of the
+// document derived from a recording, byte-identical determinism across two
+// identical traced runs, and consistency between the recording and the
+// SharedLink's own resolve counters.
 #include <string>
 #include <string_view>
 
@@ -11,6 +11,7 @@
 #include "obs/binlog.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "pfs/file_store.hpp"
 #include "pfs/shared_link.hpp"
@@ -30,13 +31,21 @@ sim::Task<void> smallApp(mpisim::RankCtx& ctx) {
   co_await ctx.wait(pending);
 }
 
+/// Chrome JSON derived from a finished in-memory recording.
+std::string chromeJsonOf(const std::string& recording) {
+  return obs::chromeJsonFromBinaryTrace(
+      obs::decodeBinaryTrace(recording, "<memory>"));
+}
+
 struct TracedRun {
   obs::TraceSink sink;
+  std::string recording;
   std::string trace_json;
   std::string metrics_text;
   pfs::SharedLink::ResolveStats write_stats;
 
   TracedRun() {
+    obs::BinaryTraceWriter writer(sink, &recording);
     obs::ScopedTraceSink install(sink);
     sim::Simulation sim;
     pfs::LinkConfig link_cfg;
@@ -54,7 +63,8 @@ struct TracedRun {
     sim.exportMetrics(metrics);
     link.exportMetrics(metrics);
     world.exportMetrics(metrics);
-    trace_json = obs::chromeTraceString(sink);
+    EXPECT_TRUE(writer.close());
+    trace_json = chromeJsonOf(recording);
     metrics_text = metrics.dumpText();
     write_stats = link.resolveStats(pfs::Channel::Write);
   }
@@ -62,23 +72,27 @@ struct TracedRun {
 
 TEST(TraceExport, TwoIdenticalRunsProduceByteIdenticalExports) {
   // The core determinism guarantee: with wall capture off (the default),
-  // the exported trace and the metrics dump are pure functions of the
-  // simulated run -- byte for byte, even for two runs in one process.
+  // the recording, the Chrome document derived from it and the metrics
+  // dump are pure functions of the simulated run -- byte for byte, even
+  // for two runs in one process.
   TracedRun first;
   TracedRun second;
   EXPECT_GT(first.sink.recorded(), 0u);
+  EXPECT_EQ(first.recording, second.recording);
   EXPECT_EQ(first.trace_json, second.trace_json);
   EXPECT_EQ(first.metrics_text, second.metrics_text);
 }
 
 TEST(TraceExport, ResolveSpansMatchLinkCounters) {
   TracedRun run;
+  const obs::BinaryTrace trace =
+      obs::decodeBinaryTrace(run.recording, "<memory>");
   std::uint64_t resolve_spans = 0;
   std::uint64_t skip_instants = 0;
-  for (const obs::TraceEvent& ev : run.sink.snapshot()) {
+  for (const obs::BinEvent& ev : trace.events) {
     if (ev.pid != obs::track::kLink) continue;
     if (ev.tid != static_cast<std::uint32_t>(pfs::Channel::Write)) continue;
-    const std::string_view name = ev.name;
+    const std::string_view name = trace.strings[ev.name];
     if (name == "resolve") {
       EXPECT_EQ(ev.phase, obs::Phase::Complete);
       ++resolve_spans;
@@ -144,7 +158,7 @@ TEST(TraceExport, ChromeTraceDocumentIsWellFormed) {
   EXPECT_GT(counters, 0u);  // sim heap-depth counter
   EXPECT_GT(flows, 0u);     // request journeys
 
-  // The ring accounting is embedded for the summarizer.
+  // The ring accounting travels from the binlog footer into the document.
   const auto& other = root.at("otherData").asObject();
   EXPECT_DOUBLE_EQ(other.at("recorded").asNumber(),
                    static_cast<double>(run.sink.recorded()));
@@ -153,8 +167,12 @@ TEST(TraceExport, ChromeTraceDocumentIsWellFormed) {
 
 TEST(TraceExport, VirtualTimesScaleToMicroseconds) {
   obs::TraceSink sink;
-  sink.complete("cat", "span", 1, 0, /*ts=*/2.0, /*dur=*/0.25);
-  const Json doc = chromeTraceJson(sink);
+  std::string recording;
+  {
+    obs::BinaryTraceWriter writer(sink, &recording);
+    sink.complete("cat", "span", 1, 0, /*ts=*/2.0, /*dur=*/0.25);
+  }
+  const Json doc = Json::parse(chromeJsonOf(recording));
   const auto& events = doc.asObject().at("traceEvents").asArray();
   ASSERT_EQ(events.size(), 1u);
   const auto& o = events[0].asObject();
@@ -163,84 +181,25 @@ TEST(TraceExport, VirtualTimesScaleToMicroseconds) {
 }
 
 TEST(TraceExport, WriteHelpersRoundTrip) {
-  obs::TraceSink sink;
-  sink.instant("cat", "mark", 1, 0, 1.0);
   obs::MetricsRegistry metrics;
   metrics.addCounter("x", 1);
 
   const std::string dir = ::testing::TempDir();
-  ASSERT_TRUE(obs::writeChromeTrace(sink, dir + "/obs_trace.json"));
+  {
+    obs::TraceSink sink;
+    obs::BinaryTraceWriter writer(sink, dir + "/obs_trace.bin");
+    ASSERT_TRUE(writer.good());
+    sink.instant("cat", "mark", 1, 0, 1.0);
+    ASSERT_TRUE(writer.close());
+  }
+  EXPECT_EQ(obs::readBinaryTrace(dir + "/obs_trace.bin").events.size(), 1u);
   ASSERT_TRUE(obs::writeMetrics(metrics, dir + "/obs_metrics.json"));
   ASSERT_TRUE(obs::writeMetrics(metrics, dir + "/obs_metrics.txt"));
-  EXPECT_FALSE(obs::writeChromeTrace(sink, dir + "/no/such/dir/t.json"));
-}
-
-// loadChromeTraceFile hardening (the loader behind trace_summarize): every
-// non-trace input must be rejected with a diagnostic that names the file
-// and the specific defect, never a crash or a silent empty result.
-std::string loadFailure(const std::string& path) {
-  try {
-    obs::loadChromeTraceFile(path);
-  } catch (const std::exception& e) {
-    return e.what();
-  }
-  ADD_FAILURE() << path << ": loaded cleanly";
-  return {};
-}
-
-std::string writeTempFile(const char* name, const std::string& bytes) {
-  const std::string path = ::testing::TempDir() + "/" + name;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  EXPECT_TRUE(static_cast<bool>(out));
-  return path;
-}
-
-TEST(TraceLoad, MissingFileNamesThePath) {
-  const std::string path = ::testing::TempDir() + "/no_such_trace.json";
-  const std::string msg = loadFailure(path);
-  EXPECT_NE(msg.find(path), std::string::npos);
-  EXPECT_NE(msg.find("cannot open"), std::string::npos);
-}
-
-TEST(TraceLoad, EmptyFileIsDiagnosedAsEmptyNotAsParseError) {
-  const std::string msg = loadFailure(writeTempFile("empty.json", ""));
-  EXPECT_NE(msg.find("empty file"), std::string::npos);
-  EXPECT_NE(msg.find("traceEvents"), std::string::npos);
-}
-
-TEST(TraceLoad, TruncatedJsonIsDiagnosedAsInvalid) {
-  const std::string msg = loadFailure(
-      writeTempFile("truncated.json", "{\"traceEvents\":[{\"name\":"));
-  EXPECT_NE(msg.find("invalid or truncated trace JSON"), std::string::npos);
-}
-
-TEST(TraceLoad, NonTraceJsonIsDiagnosedAsMissingTraceEvents) {
-  for (const char* body : {"[1,2,3]", "42", "{\"events\":[]}"}) {
-    const std::string msg =
-        loadFailure(writeTempFile("non_trace.json", body));
-    EXPECT_NE(msg.find("no \"traceEvents\" array"), std::string::npos)
-        << body;
-  }
-}
-
-TEST(TraceLoad, BinaryFlightRecorderInputPointsAtTheRightTool) {
-  // A binary trace handed to the JSON loader must not be parsed as JSON;
-  // the diagnostic redirects to iobts_profile / --to-chrome.
-  std::string magic(obs::kBinlogMagic, sizeof(obs::kBinlogMagic));
-  magic += "junk";
-  const std::string msg = loadFailure(writeTempFile("flight.bin", magic));
-  EXPECT_NE(msg.find("binary flight-recorder trace"), std::string::npos);
-  EXPECT_NE(msg.find("iobts_profile"), std::string::npos);
-}
-
-TEST(TraceLoad, ValidTraceLoads) {
   obs::TraceSink sink;
-  sink.instant("cat", "mark", 1, 0, 1.0);
-  const std::string path = ::testing::TempDir() + "/valid_trace.json";
-  ASSERT_TRUE(obs::writeChromeTrace(sink, path));
-  const Json doc = obs::loadChromeTraceFile(path);
-  EXPECT_EQ(doc.asObject().at("traceEvents").asArray().size(), 1u);
+  obs::BinaryTraceWriter unwritable(sink, dir + "/no/such/dir/t.bin");
+  EXPECT_FALSE(unwritable.good());
+  EXPECT_FALSE(unwritable.close());
+  EXPECT_FALSE(obs::writeMetrics(metrics, dir + "/no/such/dir/m.txt"));
 }
 
 }  // namespace

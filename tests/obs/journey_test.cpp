@@ -3,8 +3,8 @@
 // whose events bind to the spans of the layers the request crossed --
 // ADIO queue/subrequest/pacing spans, PFS transfer settles, retry
 // backoffs. The chain is validated both on raw TraceEvents and by walking
-// the exported Chrome-trace JSON the way Perfetto binds flows (innermost
-// enclosing slice on the event's track, inclusive bounds).
+// the Chrome-trace JSON derived from a recording the way Perfetto binds
+// flows (innermost enclosing slice on the event's track, inclusive bounds).
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -16,13 +16,15 @@
 
 #include "fault/plan.hpp"
 #include "mpisim/world.hpp"
-#include "obs/export.hpp"
-#include "obs/trace.hpp"
+#include "obs/binlog.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
+#include "obs/trace.hpp"
 #include "pfs/file_store.hpp"
 #include "pfs/shared_link.hpp"
 #include "tmio/obs_bridge.hpp"
 #include "tmio/tracer.hpp"
+#include "util/json.hpp"
 #include "util/units.hpp"
 
 namespace iobts {
@@ -47,8 +49,10 @@ sim::Task<void> pacedApp(mpisim::RankCtx& ctx) {
 /// must connect (queue span, paced subrequests, PFS transfer settles).
 struct PacedRun {
   obs::TraceSink sink;
+  std::string recording;
 
   PacedRun() {
+    obs::BinaryTraceWriter writer(sink, &recording);
     obs::ScopedTraceSink install(sink);
     sim::Simulation sim;
     pfs::LinkConfig link_cfg;
@@ -66,6 +70,7 @@ struct PacedRun {
     tracer.attach(world);
     world.launch(pacedApp);
     sim.run();
+    EXPECT_TRUE(writer.close());
   }
 };
 
@@ -130,12 +135,13 @@ TEST(Journey, JourneyOfIsStableAndNonZero) {
 }
 
 TEST(Journey, ExportedChainSpansAdioPacerAndLinkSettle) {
-  // The acceptance-criteria walk: parse the exported JSON and check that at
-  // least one async write's flow chain starts in the ADIO queue span, steps
-  // through a paced window *and* a PFS transfer settle, and ends bound to
-  // the request span.
+  // The acceptance-criteria walk: parse the Chrome JSON derived from the
+  // recording and check that at least one async write's flow chain starts
+  // in the ADIO queue span, steps through a paced window *and* a PFS
+  // transfer settle, and ends bound to the request span.
   PacedRun run;
-  const Json doc = Json::parse(obs::chromeTraceString(run.sink));
+  const Json doc = Json::parse(obs::chromeJsonFromBinaryTrace(
+      obs::decodeBinaryTrace(run.recording, "<memory>")));
   const auto& events = doc.asObject().at("traceEvents").asArray();
 
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<Span>> tracks;
@@ -379,10 +385,11 @@ TEST(JourneySampling, StrideOneRecordsEveryJourney) {
 }
 
 std::map<std::uint64_t, std::pair<int, int>> flowChains(
-    const obs::TraceSink& sink) {
+    const std::string& recording) {
   // journey -> (starts, ends)
   std::map<std::uint64_t, std::pair<int, int>> chains;
-  for (const obs::TraceEvent& ev : sink.snapshot()) {
+  for (const obs::BinEvent& ev :
+       obs::decodeBinaryTrace(recording, "<memory>").events) {
     if (ev.phase == obs::Phase::FlowStart) ++chains[ev.flow].first;
     if (ev.phase == obs::Phase::FlowEnd) ++chains[ev.flow].second;
   }
@@ -396,7 +403,7 @@ TEST(JourneySampling, SampledRunKeepsOnlyCompleteNthChains) {
   // end -- because the whole chain shares the id and thus the verdict.
   const auto unsampled = [&] {
     PacedRun run;
-    return flowChains(run.sink);
+    return flowChains(run.recording);
   }();
   ASSERT_GE(unsampled.size(), 4u);
 
@@ -404,7 +411,7 @@ TEST(JourneySampling, SampledRunKeepsOnlyCompleteNthChains) {
   {
     ScopedStride stride(3);
     PacedRun run;
-    sampled = flowChains(run.sink);
+    sampled = flowChains(run.recording);
   }
 
   EXPECT_LT(sampled.size(), unsampled.size());

@@ -1,10 +1,9 @@
-// Streaming-export and span-stat tests: a TraceStreamer attached to a
-// small ring must deliver every event exactly once (no overwrite-oldest
-// loss), produce byte-identical files across identical runs, honor the
-// virtual-time watermark, and the sink's exportMetrics must surface drop
-// accounting and per-span duration histograms.
-#include <fstream>
-#include <sstream>
+// Streaming-drain and span-stat tests: the binary writer attached to a
+// small ring must receive every event exactly once (no overwrite-oldest
+// loss), attaching after a wrap must keep the drop accounting, journey
+// sampling must never record the id-0 sentinel, and the sink's
+// exportMetrics must surface drop accounting and per-span duration
+// histograms.
 #include <string>
 #include <vector>
 
@@ -12,9 +11,7 @@
 
 #include "mpisim/world.hpp"
 #include "obs/binlog.hpp"
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/stream.hpp"
 #include "obs/trace.hpp"
 #include "pfs/file_store.hpp"
 #include "pfs/shared_link.hpp"
@@ -32,111 +29,6 @@ sim::Task<void> smallApp(mpisim::RankCtx& ctx) {
     co_await ctx.compute(0.5);
   }
   co_await ctx.wait(pending);
-}
-
-/// Traced run with a file-mode streamer attached to a deliberately tiny
-/// ring: without streaming this run would overwrite most of its history.
-std::string streamedRun(const std::string& path, std::size_t capacity) {
-  obs::TraceSinkConfig cfg;
-  cfg.capacity = capacity;
-  obs::TraceSink sink(cfg);
-  obs::TraceStreamer streamer(sink, path);
-  obs::ScopedTraceSink install(sink);
-  sim::Simulation sim;
-  pfs::LinkConfig link_cfg;
-  link_cfg.read_capacity = 5e9;
-  link_cfg.write_capacity = 5e9;
-  pfs::SharedLink link(sim, link_cfg);
-  pfs::FileStore store;
-  mpisim::WorldConfig world_cfg;
-  world_cfg.ranks = 2;
-  mpisim::World world(sim, link, store, world_cfg);
-  world.launch(smallApp);
-  sim.run();
-  EXPECT_TRUE(streamer.close());
-  EXPECT_EQ(sink.dropped(), 0u);
-  EXPECT_EQ(sink.streamed(), sink.recorded());
-  EXPECT_GT(sink.recorded(), capacity);  // the ring alone could not hold it
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-TEST(TraceStreamer, SmallRingStreamsEveryEventWithoutDrops) {
-  obs::TraceSinkConfig cfg;
-  cfg.capacity = 16;
-  obs::TraceSink sink(cfg);
-  std::vector<obs::TraceEvent> received;
-  obs::TraceStreamer streamer(
-      sink, [&](const std::vector<obs::TraceEvent>& batch) {
-        received.insert(received.end(), batch.begin(), batch.end());
-      });
-  for (int i = 0; i < 1000; ++i) {
-    sink.complete("cat", "span", 1, 0, /*ts=*/i * 0.001, /*dur=*/0.0005);
-  }
-  streamer.close();
-  EXPECT_EQ(sink.dropped(), 0u);
-  EXPECT_EQ(sink.recorded(), 1000u);
-  EXPECT_EQ(sink.streamed(), 1000u);
-  EXPECT_EQ(streamer.events(), 1000u);
-  EXPECT_GT(streamer.batches(), 10u);  // drained many times, not once
-  ASSERT_EQ(received.size(), 1000u);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_DOUBLE_EQ(received[static_cast<std::size_t>(i)].ts, i * 0.001);
-  }
-}
-
-TEST(TraceStreamer, TwoIdenticalRunsStreamByteIdenticalFiles) {
-  const std::string dir = ::testing::TempDir();
-  const std::string first = streamedRun(dir + "/stream_a.json", 64);
-  const std::string second = streamedRun(dir + "/stream_b.json", 64);
-  ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first, second);
-}
-
-TEST(TraceStreamer, StreamedFileIsALoadableChromeTrace) {
-  const std::string dir = ::testing::TempDir();
-  const std::string text = streamedRun(dir + "/stream_doc.json", 64);
-  const Json doc = Json::parse(text);
-  ASSERT_TRUE(doc.isObject());
-  const auto& root = doc.asObject();
-  const auto& events = root.at("traceEvents").asArray();
-  ASSERT_FALSE(events.empty());
-  std::size_t metadata = 0;
-  for (const Json& ev : events) {
-    if (ev.asObject().at("ph").asString() == "M") ++metadata;
-  }
-  EXPECT_GT(metadata, 0u);  // track names survive into the streamed file
-  const auto& other = root.at("otherData").asObject();
-  EXPECT_DOUBLE_EQ(other.at("dropped").asNumber(), 0.0);
-  EXPECT_EQ(other.at("streamed").asNumber(), other.at("recorded").asNumber());
-}
-
-TEST(TraceStreamer, TimeWatermarkDrainsOnVirtualTimeAdvance) {
-  obs::TraceSink sink;  // large ring: occupancy never triggers
-  std::size_t batches = 0;
-  obs::TraceStreamerConfig cfg;
-  cfg.occupancy_watermark = 0.0;  // "only when full"
-  cfg.time_watermark = 1.0;
-  obs::TraceStreamer streamer(
-      sink, [&](const std::vector<obs::TraceEvent>& batch) {
-        ++batches;
-        EXPECT_FALSE(batch.empty());
-      },
-      cfg);
-  sink.instant("cat", "a", 1, 0, /*ts=*/0.0);   // arms the interval at 1.0
-  sink.instant("cat", "b", 1, 0, /*ts=*/0.5);   // below the deadline
-  EXPECT_EQ(batches, 0u);
-  sink.instant("cat", "c", 1, 0, /*ts=*/1.2);   // past it -> drain all three
-  EXPECT_EQ(batches, 1u);
-  EXPECT_EQ(sink.streamed(), 3u);
-  sink.instant("cat", "d", 1, 0, /*ts=*/2.0);   // next deadline is 2.2
-  EXPECT_EQ(batches, 1u);
-  sink.instant("cat", "e", 1, 0, /*ts=*/2.3);
-  EXPECT_EQ(batches, 2u);
-  streamer.close();
-  EXPECT_EQ(sink.streamed(), 5u);
 }
 
 TEST(TraceSinkMetrics, DroppedEventsAreExported) {
@@ -274,17 +166,8 @@ TEST(TraceSinkDrops, JourneySamplingSentinelNeverEmitsFlowIdZero) {
     obs::TraceSinkConfig cfg;
     cfg.capacity = 64;
     obs::TraceSink sink(cfg);
-    std::vector<obs::TraceEvent> flows;
-    obs::TraceStreamer streamer(
-        sink, [&](const std::vector<obs::TraceEvent>& batch) {
-          for (const obs::TraceEvent& ev : batch) {
-            if (ev.phase == obs::Phase::FlowStart ||
-                ev.phase == obs::Phase::FlowStep ||
-                ev.phase == obs::Phase::FlowEnd) {
-              flows.push_back(ev);
-            }
-          }
-        });
+    std::string bytes;
+    obs::BinaryTraceWriter writer(sink, &bytes);
     obs::ScopedTraceSink install(sink);
     sim::Simulation sim;
     pfs::LinkConfig link_cfg;
@@ -297,18 +180,28 @@ TEST(TraceSinkDrops, JourneySamplingSentinelNeverEmitsFlowIdZero) {
     mpisim::World world(sim, link, store, world_cfg);
     world.launch(smallApp);
     sim.run();
-    streamer.close();
+    EXPECT_TRUE(writer.close());
     obs::setJourneySampleStride(0);  // restore the environment default
+    EXPECT_EQ(sink.dropped(), 0u);
+    std::vector<obs::BinEvent> flows;
+    for (const obs::BinEvent& ev :
+         obs::decodeBinaryTrace(bytes, "<memory>").events) {
+      if (ev.phase == obs::Phase::FlowStart ||
+          ev.phase == obs::Phase::FlowStep ||
+          ev.phase == obs::Phase::FlowEnd) {
+        flows.push_back(ev);
+      }
+    }
     return flows;
   };
 
-  const std::vector<obs::TraceEvent> all = flowsOf(1);
+  const std::vector<obs::BinEvent> all = flowsOf(1);
   ASSERT_FALSE(all.empty());
-  for (const obs::TraceEvent& ev : all) {
+  for (const obs::BinEvent& ev : all) {
     EXPECT_NE(ev.flow, 0u) << "flow event recorded with the drop sentinel";
   }
   // A stride no journey id can satisfy: every flow edge is sampled out.
-  const std::vector<obs::TraceEvent> none = flowsOf(0xffffffffffffffffULL);
+  const std::vector<obs::BinEvent> none = flowsOf(0xffffffffffffffffULL);
   EXPECT_TRUE(none.empty());
 }
 

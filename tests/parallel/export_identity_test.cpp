@@ -1,6 +1,6 @@
 // Byte-identical-export gate for the parallel kernel: the same fleet
 // scenario run at threads=1 and threads=4 must produce the exact same
-// Chrome-trace JSON and metrics dump, including the new "sim.parallel.*" /
+// binary recording and metrics dump, including the "sim.parallel.*" /
 // "sim.shard.*" counters. Trace staging + canonical replay is what makes
 // this hold; this test is the proof.
 #include <gtest/gtest.h>
@@ -12,18 +12,17 @@
 
 #include "cluster/fleet.hpp"
 #include "obs/binlog.hpp"
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/summary.hpp"
 #include "obs/trace.hpp"
 #include "sim/sharded.hpp"
+#include "util/json.hpp"
 
 namespace iobts {
 namespace {
 
 struct FleetExports {
-  std::string trace_json;
   std::string metrics_text;
   std::string binary_trace;
   std::string summary_text;
@@ -33,11 +32,7 @@ FleetExports runTracedFleet(unsigned threads) {
   obs::TraceSink sink;
   obs::ScopedTraceSink scoped(sink);
   FleetExports out;
-  // Only drain at close: chromeTraceString below snapshots the ring, so a
-  // mid-run watermark drain would change what the JSON export sees.
-  obs::BinaryTraceWriterConfig bin_cfg;
-  bin_cfg.occupancy_watermark = 0.0;
-  obs::BinaryTraceWriter binwriter(sink, &out.binary_trace, bin_cfg);
+  obs::BinaryTraceWriter binwriter(sink, &out.binary_trace);
 
   std::vector<cluster::ClusterConfig> configs(3);
   for (std::size_t c = 0; c < configs.size(); ++c) {
@@ -71,7 +66,6 @@ FleetExports runTracedFleet(unsigned threads) {
   fleet.start();
   fleet.run(threads);
 
-  out.trace_json = obs::chromeTraceString(sink);
   binwriter.close();
   obs::SummaryOptions summary_options;
   summary_options.scenario_name = "fleet-identity";
@@ -93,13 +87,10 @@ FleetExports runTracedFleet(unsigned threads) {
 
 TEST(ExportIdentity, TraceAndMetricsBytesMatchAcrossThreadCounts) {
   const FleetExports reference = runTracedFleet(1);
-  ASSERT_GT(reference.trace_json.size(), 1000u);
-  ASSERT_GT(reference.binary_trace.size(), 100u);
+  ASSERT_GT(reference.binary_trace.size(), 1000u);
   ASSERT_GT(reference.summary_text.size(), 100u);
   for (const unsigned threads : {2u, 4u}) {
     const FleetExports parallel = runTracedFleet(threads);
-    EXPECT_EQ(reference.trace_json, parallel.trace_json)
-        << "threads=" << threads;
     EXPECT_EQ(reference.metrics_text, parallel.metrics_text)
         << "threads=" << threads;
     EXPECT_EQ(reference.binary_trace, parallel.binary_trace)
@@ -110,9 +101,9 @@ TEST(ExportIdentity, TraceAndMetricsBytesMatchAcrossThreadCounts) {
 }
 
 TEST(ExportIdentity, BinaryTraceDecodesToTheSameEventsTheJsonExportCarries) {
-  // The binary flight recorder and the JSON snapshot see the same run: the
-  // decoded binlog converts to a Chrome document with the same event count
-  // and totals the live export reports.
+  // The recording holds the whole run (nothing dropped, everything drained
+  // out of the ring), and the Chrome document derived from it carries the
+  // same events and totals.
   const FleetExports exports = runTracedFleet(2);
   const obs::BinaryTrace trace =
       obs::decodeBinaryTrace(exports.binary_trace, "<memory>");
@@ -120,6 +111,14 @@ TEST(ExportIdentity, BinaryTraceDecodesToTheSameEventsTheJsonExportCarries) {
   EXPECT_EQ(trace.totals.dropped, 0u);
   EXPECT_EQ(trace.totals.streamed, trace.events.size());
   ASSERT_GT(trace.events.size(), 0u);
+  const Json doc = Json::parse(obs::chromeJsonFromBinaryTrace(trace));
+  std::size_t events = 0;
+  for (const Json& ev : doc.asObject().at("traceEvents").asArray()) {
+    events += ev.asObject().at("ph").asString() != "M";
+  }
+  EXPECT_EQ(events, trace.events.size());
+  EXPECT_EQ(doc.asObject().at("otherData").asObject().at("recorded").asNumber(),
+            static_cast<double>(trace.totals.recorded));
 }
 
 struct DirectRecording {

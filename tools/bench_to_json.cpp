@@ -100,48 +100,6 @@ Json extractBenchmarks(const std::string& report_path) {
   return Json(std::move(out));
 }
 
-/// Derived v2-vs-v1 container comparison for a label's suites: when a suite
-/// carries both BM_BinaryWriterDrain (v2, the default) and
-/// BM_BinaryWriterDrainV1, pin the achieved bytes/event of each, their
-/// ratio (< 1.0 = the delta encoding beats the fixed 64-byte record), and
-/// the encode-throughput ratio.
-Json binlogFormatComparison(const JsonObject& section) {
-  JsonObject out;
-  for (const auto& [suite, suite_val] : section) {
-    if (!suite_val.isObject()) continue;
-    const JsonObject* v1 = nullptr;
-    const JsonObject* v2 = nullptr;
-    for (const auto& [bench, entry] : suite_val.asObject()) {
-      if (!entry.isObject()) continue;
-      if (bench.rfind("BM_BinaryWriterDrainV1", 0) == 0) {
-        v1 = &entry.asObject();
-      } else if (bench.rfind("BM_BinaryWriterDrain", 0) == 0) {
-        v2 = &entry.asObject();
-      }
-    }
-    if (v1 == nullptr || v2 == nullptr) continue;
-    auto num = [](const JsonObject& e, const char* key) {
-      const auto it = e.find(key);
-      return it != e.end() && it->second.isNumber() ? it->second.asNumber()
-                                                    : 0.0;
-    };
-    const double v1_bpe = num(*v1, "bytes_per_event");
-    const double v2_bpe = num(*v2, "bytes_per_event");
-    const double v1_ips = num(*v1, "items_per_second");
-    const double v2_ips = num(*v2, "items_per_second");
-    if (v1_bpe <= 0.0 || v2_bpe <= 0.0) continue;
-    JsonObject cmp;
-    cmp["v1_bytes_per_event"] = Json(v1_bpe);
-    cmp["v2_bytes_per_event"] = Json(v2_bpe);
-    cmp["v2_over_v1_bytes"] = Json(v2_bpe / v1_bpe);
-    if (v1_ips > 0.0 && v2_ips > 0.0) {
-      cmp["v2_over_v1_encode_throughput"] = Json(v2_ips / v1_ips);
-    }
-    out[suite] = Json(std::move(cmp));
-  }
-  return Json(std::move(out));
-}
-
 /// Build the top-level "parallel" section from a micro_parallel report:
 /// per-benchmark real times plus thread-count speedups derived from the
 /// benchmarks that carry a `threads` counter (real time at threads=1 over
@@ -348,10 +306,6 @@ int main(int argc, char** argv) {
     }
     for (const auto& [name, seconds] : wall_args) {
       section[name] = Json(seconds);
-    }
-    const Json format_cmp = binlogFormatComparison(section);
-    if (!format_cmp.asObject().empty()) {
-      root["binlog_v2_vs_v1"] = format_cmp;
     }
     root[label] = Json(std::move(section));
 

@@ -1,7 +1,7 @@
 // iobts_profile -- offline I/O profiler for binary flight-recorder traces.
 //
-// Reads a trace written by obs::BinaryTraceWriter (iobts_run
-// --trace-format=bin) and prints deterministic reports:
+// Reads a trace written by obs::BinaryTraceWriter (iobts_run --trace) and
+// prints deterministic reports:
 //
 //   iobts_profile TRACE.bin                   # header + top spans
 //   iobts_profile TRACE.bin --critical-path   # per-journey queue|pace|link|
@@ -12,13 +12,13 @@
 //   iobts_profile TRACE.bin --breq            # fig10/fig13-style B_req
 //                                             # table + per-channel minimum
 //   iobts_profile TRACE.bin --breq-csv        # the same series as CSV
-//   iobts_profile TRACE.bin --to-chrome OUT   # lossless conversion,
-//                                             # byte-identical to the live
-//                                             # streaming exporter's file
+//   iobts_profile TRACE.bin --to-chrome OUT   # lossless conversion to a
+//                                             # Perfetto-loadable Chrome
+//                                             # trace JSON
 //   iobts_profile TRACE.bin --from 2 --to 8   # only events overlapping the
-//                                             # window; a v2 trace seeks via
-//                                             # the footer index and decodes
-//                                             # only the selected chunks
+//                                             # window; seeks via the footer
+//                                             # index and decodes only the
+//                                             # selected chunks
 //   iobts_profile TRACE.bin --follow          # tail a growing trace:
 //                                             # periodic refreshes, then the
 //                                             # normal reports once the
@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
     appendTime(line, window.to);
     line += " s]";
     std::printf("%s -- decoded %llu/%llu event chunks (skipped %llu, "
-                "%llu payload byte(s) unread), %llu event(s) in window%s\n",
+                "%llu payload byte(s) unread), %llu event(s) in window\n",
                 line.c_str(),
                 static_cast<unsigned long long>(
                     trace.stats.events_chunks_decoded),
@@ -240,8 +240,7 @@ int main(int argc, char** argv) {
                     trace.stats.events_chunks_skipped),
                 static_cast<unsigned long long>(
                     trace.stats.payload_bytes_skipped),
-                static_cast<unsigned long long>(trace.stats.events_in_window),
-                trace.stats.used_index ? "" : " (v1 trace: full decode)");
+                static_cast<unsigned long long>(trace.stats.events_in_window));
   }
 
   const bool any_report = critical_path || link_csv || breq || breq_csv ||

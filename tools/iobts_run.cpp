@@ -11,7 +11,7 @@
 //
 // or compiles and runs a scenario DSL file (src/scenario) instead:
 //
-//   iobts_run --scenario FILE [--trace TRACE] [--trace-format json|bin]
+//   iobts_run --scenario FILE [--trace TRACE] [--trace-flush-bytes N]
 //             [--summary FILE] [--jsonl FILE] [--csv PREFIX] [--digest]
 //             [--checkpoint-dir DIR --checkpoint-every SECONDS]
 //
@@ -21,13 +21,13 @@
 //   iobts_run --resume CKPT [--digest] [--checkpoint-dir DIR
 //             --checkpoint-every SECONDS]
 //
-// --trace installs the observability sink for the whole run and writes a
-// Perfetto-loadable Chrome trace with per-request journey flows; inspect it
-// with tools/trace_summarize TRACE.json --journeys. With
-// --trace-format=bin the run streams a compact binary flight-recorder
-// trace instead (obs::BinaryTraceWriter off the sink's drain hook, so long
-// runs never overflow the ring); read it with tools/iobts_profile, or
-// convert it losslessly with iobts_profile --to-chrome.
+// --trace installs the observability sink for the whole run and records
+// every event into a compact binary flight-recorder trace
+// (obs::BinaryTraceWriter off the sink's drain hook, so long runs never
+// overflow the ring). Read it with tools/iobts_profile (top spans,
+// per-request journey critical paths, B_req tables), or convert it to a
+// Perfetto-loadable Chrome trace with iobts_profile TRACE --to-chrome
+// OUT.json.
 //
 // --summary writes the deterministic run-summary artifact (canonical
 // sections: scenario digest, per-phase B_req table, stall attribution,
@@ -49,7 +49,6 @@
 
 #include "mpisim/world.hpp"
 #include "obs/binlog.hpp"
-#include "obs/export.hpp"
 #include "obs/summary.hpp"
 #include "obs/trace.hpp"
 #include "scenario/instance.hpp"
@@ -84,7 +83,6 @@ struct CliOptions {
   bool ftio = false;
   std::optional<std::string> scenario;
   std::optional<std::string> trace;
-  std::string trace_format = "json";
   std::size_t trace_flush_bytes = 0;  // 0 = writer default
   std::optional<std::string> summary;
   std::optional<std::string> checkpoint_dir;
@@ -101,9 +99,8 @@ struct CliOptions {
       "          [--loops N] [--particles N] [--write-bw 106GB]\n"
       "          [--read-bw 120GB] [--noise SIGMA] [--burst-buffer]\n"
       "          [--jsonl FILE] [--csv PREFIX] [--chart] [--ftio]\n"
-      "       %s --scenario FILE [--trace TRACE] [--trace-format json|bin]\n"
-      "          [--trace-flush-bytes N] [--summary FILE] [--jsonl FILE]\n"
-      "          [--csv PREFIX] [--digest]\n"
+      "       %s --scenario FILE [--trace TRACE] [--trace-flush-bytes N]\n"
+      "          [--summary FILE] [--jsonl FILE] [--csv PREFIX] [--digest]\n"
       "          [--checkpoint-dir DIR --checkpoint-every SECONDS]\n"
       "       %s --resume CKPT [--digest]\n"
       "          [--checkpoint-dir DIR --checkpoint-every SECONDS]\n",
@@ -135,7 +132,6 @@ CliOptions parse(int argc, char** argv) {
     else if (arg == "--ftio") opt.ftio = true;
     else if (arg == "--scenario") opt.scenario = next(i);
     else if (arg == "--trace") opt.trace = next(i);
-    else if (arg == "--trace-format") opt.trace_format = next(i);
     else if (arg == "--trace-flush-bytes") {
       // Chunk seal threshold for the binary recorder. Small values seal
       // many small chunks -- what a live `iobts_profile --follow` wants to
@@ -154,11 +150,6 @@ CliOptions parse(int argc, char** argv) {
     }
   }
   if (opt.ranks <= 0) usage(argv[0]);
-  if (opt.trace_format != "json" && opt.trace_format != "bin") {
-    std::fprintf(stderr, "--trace-format must be json or bin, not '%s'\n",
-                 opt.trace_format.c_str());
-    usage(argv[0]);
-  }
   // --checkpoint-dir and --checkpoint-every only work as a pair: a dir
   // without a cadence has no capture schedule, a cadence without a dir has
   // nowhere to write. Reject here with usage instead of tripping an
@@ -172,10 +163,35 @@ CliOptions parse(int argc, char** argv) {
   return opt;
 }
 
+/// The --trace recording: a sink with the binary writer on its drain hook.
+/// Members destroy in reverse order: writer, installation, sink.
+struct TraceRecording {
+  std::unique_ptr<obs::TraceSink> sink;
+  std::unique_ptr<obs::ScopedTraceSink> install;
+  std::unique_ptr<obs::BinaryTraceWriter> writer;
+};
+
+/// Start recording when --trace is given. Call before any instrumented
+/// component exists so setup-time track names land in the trace metadata.
+/// Returns false (after saying why) when the trace file cannot be opened.
+bool startTrace(const CliOptions& opt, TraceRecording& rec) {
+  if (!opt.trace) return true;
+  rec.sink = std::make_unique<obs::TraceSink>();
+  rec.install = std::make_unique<obs::ScopedTraceSink>(*rec.sink);
+  obs::BinaryTraceWriterConfig config;
+  if (opt.trace_flush_bytes > 0) config.flush_bytes = opt.trace_flush_bytes;
+  rec.writer =
+      std::make_unique<obs::BinaryTraceWriter>(*rec.sink, *opt.trace, config);
+  if (!rec.writer->good()) {
+    std::fprintf(stderr, "cannot open trace file %s\n", opt.trace->c_str());
+    return false;
+  }
+  return true;
+}
+
 /// Print the per-world paper metrics, shared by straight and resumed runs.
 int reportScenario(const CliOptions& opt, scenario::Instance& instance,
-                   obs::TraceSink* sink, obs::BinaryTraceWriter* binwriter,
-                   const std::string& scenario_text) {
+                   TraceRecording& trace, const std::string& scenario_text) {
   const std::string& name = instance.spec().name;
   std::printf("scenario=%s worlds=%zu elapsed=%.3f s\n", name.c_str(),
               instance.worldCount(), instance.elapsed());
@@ -216,29 +232,18 @@ int reportScenario(const CliOptions& opt, scenario::Instance& instance,
     // finalized, so the offline profiler's --breq table works on any trace
     // this driver writes.
     for (std::size_t w = 0; w < instance.worldCount(); ++w) {
-      tmio::annotateAppRequired(instance.tracer(w), *sink);
+      tmio::annotateAppRequired(instance.tracer(w), *trace.sink);
     }
-    if (binwriter != nullptr) {
-      // Binary flight recorder: the writer drained the sink all along;
-      // close() appends the meta/footer chunks and the file checksum.
-      if (!binwriter->close()) {
-        std::fprintf(stderr, "cannot write trace to %s\n",
-                     opt.trace->c_str());
-        return 1;
-      }
-      std::printf(
-          "trace: %llu events -> %s (binary; inspect with iobts_profile)\n",
-          static_cast<unsigned long long>(binwriter->events()),
-          opt.trace->c_str());
-    } else {
-      if (!obs::writeChromeTrace(*sink, *opt.trace)) {
-        std::fprintf(stderr, "cannot write trace to %s\n",
-                     opt.trace->c_str());
-        return 1;
-      }
-      std::printf("trace: %zu events -> %s (trace_summarize --journeys)\n",
-                  sink->size(), opt.trace->c_str());
+    // The writer drained the sink all along; close() appends the
+    // meta/index/footer chunks and the file checksum.
+    if (!trace.writer->close()) {
+      std::fprintf(stderr, "cannot write trace to %s\n", opt.trace->c_str());
+      return 1;
     }
+    std::printf(
+        "trace: %llu events -> %s (binary; inspect with iobts_profile)\n",
+        static_cast<unsigned long long>(trace.writer->events()),
+        opt.trace->c_str());
   }
   if (opt.summary) {
     obs::SummaryOptions sopt;
@@ -272,28 +277,8 @@ void reportCheckpoints(const std::vector<ckpt::CheckpointRecord>& records) {
 
 /// Compile + run a scenario DSL file and print per-world paper metrics.
 int runScenario(const CliOptions& opt) {
-  // Install the trace sink before any instrumented component exists so
-  // setup-time track names land in the trace metadata.
-  std::unique_ptr<obs::TraceSink> sink;
-  std::unique_ptr<obs::ScopedTraceSink> install;
-  std::unique_ptr<obs::BinaryTraceWriter> binwriter;
-  if (opt.trace) {
-    sink = std::make_unique<obs::TraceSink>();
-    install = std::make_unique<obs::ScopedTraceSink>(*sink);
-    if (opt.trace_format == "bin") {
-      obs::BinaryTraceWriterConfig bin_cfg;
-      if (opt.trace_flush_bytes > 0) {
-        bin_cfg.flush_bytes = opt.trace_flush_bytes;
-      }
-      binwriter = std::make_unique<obs::BinaryTraceWriter>(*sink, *opt.trace,
-                                                           bin_cfg);
-      if (!binwriter->good()) {
-        std::fprintf(stderr, "cannot open trace file %s\n",
-                     opt.trace->c_str());
-        return 1;
-      }
-    }
-  }
+  TraceRecording trace;
+  if (!startTrace(opt, trace)) return 1;
 
   sim::Simulation sim;
   scenario::ScenarioSpec spec;
@@ -331,31 +316,13 @@ int runScenario(const CliOptions& opt) {
                  e.what());
     return 3;
   }
-  return reportScenario(opt, instance, sink.get(), binwriter.get(), text);
+  return reportScenario(opt, instance, trace, text);
 }
 
 /// Restore from a checkpoint, resume to completion, print the same report.
 int runResume(const CliOptions& opt) {
-  std::unique_ptr<obs::TraceSink> sink;
-  std::unique_ptr<obs::ScopedTraceSink> install;
-  std::unique_ptr<obs::BinaryTraceWriter> binwriter;
-  if (opt.trace) {
-    sink = std::make_unique<obs::TraceSink>();
-    install = std::make_unique<obs::ScopedTraceSink>(*sink);
-    if (opt.trace_format == "bin") {
-      obs::BinaryTraceWriterConfig bin_cfg;
-      if (opt.trace_flush_bytes > 0) {
-        bin_cfg.flush_bytes = opt.trace_flush_bytes;
-      }
-      binwriter = std::make_unique<obs::BinaryTraceWriter>(*sink, *opt.trace,
-                                                           bin_cfg);
-      if (!binwriter->good()) {
-        std::fprintf(stderr, "cannot open trace file %s\n",
-                     opt.trace->c_str());
-        return 1;
-      }
-    }
-  }
+  TraceRecording trace;
+  if (!startTrace(opt, trace)) return 1;
   try {
     const auto wall_start = std::chrono::steady_clock::now();
     ckpt::RestoredRun run = ckpt::restoreScenarioCheckpoint(*opt.resume);
@@ -384,8 +351,7 @@ int runResume(const CliOptions& opt) {
       run.sim().run();
     }
     run.instance().requireFinished();
-    return reportScenario(opt, run.instance(), sink.get(), binwriter.get(),
-                          text);
+    return reportScenario(opt, run.instance(), trace, text);
   } catch (const ckpt::CheckpointError& e) {
     std::fprintf(stderr, "checkpoint error (%s): %s\n", e.kindName(),
                  e.what());

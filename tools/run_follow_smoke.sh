@@ -31,8 +31,8 @@ trap 'rm -rf "$TMP"' EXIT
 
 TRACE="$TMP/follow.trace.bin"
 
-"$RUN" --scenario "$SCENARIO" --trace "$TRACE" --trace-format bin \
-  --trace-flush-bytes 4096 >"$TMP/run.out" 2>&1 &
+"$RUN" --scenario "$SCENARIO" --trace "$TRACE" --trace-flush-bytes 4096 \
+  >"$TMP/run.out" 2>&1 &
 RUN_PID=$!
 
 # Tail the growing file. 4 KiB per poll keeps the reader behind the writer

@@ -1,19 +1,16 @@
 #!/usr/bin/env bash
 # Record the observability-plane overhead into BENCH_obs_overhead.json.
 #
-# Runs the BM_DispatchTracing{Off,On,Streamed,Binary} family plus
+# Runs the BM_DispatchTracing{Off,On,Binary,Sampled} family plus
 # BM_BinaryWriterDrain from bench/micro_hotpath (the identical event-dispatch
-# churn with no sink, with an installed TraceSink, with a TraceStreamer
-# draining that sink, and with the binary flight recorder draining it
-# instead) and merges the report via tools/bench_to_json. The items/s ratio
-# Off/On is the per-event cost of tracing; On/Streamed adds the
-# copy-out-and-deliver cost of streaming export, and Binary alongside
-# Streamed records that the binary sink undercuts the JSON streamer (the
-# flight recorder's contract). Benchmarks run as interleaved repetitions and
-# the medians are what get recorded, so the comparison holds on noisy
-# machines. micro_hotpath's built-in allocation assertions (which include
-# the traced kernel probe) run first and fail the recording outright on a
-# regression.
+# churn with no sink, with an installed TraceSink, and with the binary
+# flight recorder draining that sink; the drain-and-encode pass alone) and
+# merges the report via tools/bench_to_json. The time ratio On/Off is the
+# per-event cost of tracing; Binary/On is the recording cost on top of it.
+# Benchmarks run as interleaved repetitions and the medians are what get
+# recorded, so the comparison holds on noisy machines. micro_hotpath's
+# built-in allocation assertions (which include the traced kernel probe)
+# run first and fail the recording outright on a regression.
 #
 # Usage: tools/run_obs_bench.sh <build-dir> [label]     (label default: obs)
 set -euo pipefail
@@ -28,7 +25,7 @@ trap 'rm -rf "$TMP"' EXIT
 
 echo "== micro_hotpath (BM_DispatchTracing*)"
 "$BUILD/bench/micro_hotpath" \
-  --benchmark_filter='BM_DispatchTracing|BM_BinaryWriterDrain' \
+  --benchmark_filter='^BM_DispatchTracing(Off|On|Binary|Sampled)/|^BM_BinaryWriterDrain/' \
   --benchmark_repetitions=9 --benchmark_enable_random_interleaving=true \
   --benchmark_min_time=0.25 \
   --benchmark_out="$TMP/obs.json" --benchmark_out_format=json

@@ -122,10 +122,10 @@ ulimit -s unlimited 2>/dev/null || true
 # captured state through the full restore-verify path: the encoder, the
 # strict reader's bounds handling, and snapshot teardown all run sanitized.
 ./build-sanitize/tests/ckpt_test
-# The obs suite sweeps the traces/invalid/ corrupt-container corpus through
-# the strict binlog reader and round-trips writer output through the
-# profiler aggregates: byte-level bounds handling under ASan/UBSan,
-# including the x86 wide-encode path the flight recorder dispatches to.
+# The obs suite sweeps the traces/invalid/ corrupt-container corpus and
+# thousands of seeded binlog mutants through the strict, windowed and tail
+# readers, and round-trips writer output through the profiler aggregates:
+# byte-level bounds handling under ASan/UBSan.
 ./build-sanitize/tests/obs_test
 
 echo "== sanitize: hot-path allocation assertions =="

@@ -2,20 +2,20 @@
 //
 //   trace_corpus OUTPUT_DIR
 //
-// Builds one valid binary flight-recorder trace per container version (a
-// small deterministic event set written through obs::BinaryTraceWriter),
-// then derives corrupted variants. Each file is named after the
-// binlogErrorKindName() the reader must report for it, optionally followed
-// by a '-' qualifier: `truncated.bin` and `truncated-v1.bin` both expect
-// "truncated" (the v1 variants keep the previous container version
-// readable as a back-compat gate), `bad_index-truncated.bin` and
-// `bad_index-range.bin` are two distinct "bad_index" defects.
-// tests/obs/binlog_test.cpp sweeps the directory and keys its expectations
-// on exactly those stems, so the corpus and the sweep can never drift
-// apart silently. Two *valid* pins land next to OUTPUT_DIR:
-// `valid_v1.bin` and `valid_v2.bin`, the bit-lossless read-back fixtures.
-// The corpus under traces/ is a checked-in artifact -- rerun this tool and
-// commit the result only when the container format evolves.
+// Builds one valid binary flight-recorder trace (a small deterministic
+// event set written through obs::BinaryTraceWriter), then derives corrupted
+// variants. Each file is named after the binlogErrorKindName() the reader
+// must report for it, optionally followed by a '-' qualifier:
+// `bad_index-truncated.bin` and `bad_index-range.bin` are two distinct
+// "bad_index" defects. tests/obs/binlog_test.cpp sweeps the directory and
+// keys its expectations on exactly those stems, so the corpus and the
+// sweep can never drift apart silently. The *valid* pin `valid_v2.bin`,
+// the bit-lossless read-back fixture, lands next to OUTPUT_DIR.
+// `bad_version-v1.bin` in the same directory is not generated here: it is a
+// recording in the retired version-1 format, kept so that old files stay
+// diagnosed as bad_version. The corpus under traces/ is a checked-in
+// artifact -- rerun this tool and commit the result only when the container
+// format evolves.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -131,15 +131,13 @@ void repair(std::string& bytes, const ChunkRef& chunk) {
 
 /// The valid base trace: a handful of deterministic events through the
 /// real writer, so the corpus tracks the writer's actual byte layout.
-std::string validTrace(std::uint32_t version) {
+std::string validTrace() {
   obs::TraceSink sink;
   sink.setProcessName(obs::track::kStreams, "pfs streams");
   sink.setThreadName(obs::track::kStreams, 0, "stream 0");
   std::string bytes;
   {
-    obs::BinaryTraceWriterConfig config;
-    config.version = version;
-    obs::BinaryTraceWriter writer(sink, &bytes, config);
+    obs::BinaryTraceWriter writer(sink, &bytes);
     sink.complete("pfs", "transfer.write", obs::track::kStreams, 0, 0.5, 0.25,
                   4096.0);
     sink.complete("pfs", "transfer.read", obs::track::kStreams, 0, 1.0, 0.5,
@@ -153,10 +151,10 @@ std::string validTrace(std::uint32_t version) {
   return bytes;
 }
 
-std::string headerOnly(std::uint32_t version) {
+std::string headerOnly() {
   std::string bytes;
   bytes.append(obs::kBinlogMagic, sizeof(obs::kBinlogMagic));
-  putU32(bytes, version);
+  putU32(bytes, obs::kBinlogVersion);
   return bytes;
 }
 
@@ -172,19 +170,15 @@ int main(int argc, char** argv) {
   std::filesystem::path parent = std::filesystem::path(dir).parent_path();
   if (parent.empty()) parent = ".";
 
-  const std::string valid_v2 = validTrace(obs::kBinlogVersion);
-  const std::string valid_v1 = validTrace(obs::kBinlogVersionV1);
+  const std::string valid_v2 = validTrace();
   const std::vector<ChunkRef> v2_chunks = scanChunks(valid_v2);
 
-  // The valid pins: readers of any future version must still decode these
-  // byte-for-byte (tests compare every decoded field).
+  // The valid pin: later readers must still decode it byte-for-byte (tests
+  // compare every decoded field).
   writeBytes((parent / "valid_v2.bin").string(), valid_v2);
-  writeBytes((parent / "valid_v1.bin").string(), valid_v1);
 
   // truncated: cut mid-chunk.
   writeBytes(dir + "/truncated.bin", valid_v2.substr(0, valid_v2.size() / 2));
-  writeBytes(dir + "/truncated-v1.bin",
-             valid_v1.substr(0, valid_v1.size() / 2));
 
   // bad_magic: first byte wrong.
   {
@@ -207,9 +201,6 @@ int main(int argc, char** argv) {
     std::string bytes = valid_v2;
     bytes[v2_chunks.front().payload] ^= 0x01;
     writeBytes(dir + "/chunk_checksum.bin", bytes);
-    bytes = valid_v1;
-    bytes[12 + 12] ^= 0x01;
-    writeBytes(dir + "/chunk_checksum-v1.bin", bytes);
   }
 
   // file_checksum: trailer bit flipped.
@@ -220,28 +211,33 @@ int main(int argc, char** argv) {
   }
 
   // malformed: an events chunk whose payload cannot hold its own header
-  // (v2: 3 bytes where the u32 shard id should be; v1: not a whole number
-  // of 64-byte records). Checksums all valid, structure wrong.
+  // (3 bytes where the u32 shard id should be). Checksums all valid,
+  // structure wrong.
   {
-    std::string bytes = headerOnly(obs::kBinlogVersion);
+    std::string bytes = headerOnly();
     putChunk(bytes, obs::binchunk::kEvents, "xyz");
     putU64(bytes, obs::binlogTrailerDigest(bytes));
     writeBytes(dir + "/malformed.bin", bytes);
-    bytes = headerOnly(obs::kBinlogVersionV1);
-    putChunk(bytes, obs::binchunk::kEvents, "xyz");
-    putU64(bytes, obs::binlogTrailerDigest(bytes));
-    writeBytes(dir + "/malformed-v1.bin", bytes);
+  }
+
+  // malformed-count: the events chunk declares 2^32-1 events, far more
+  // than its payload can hold (checksums repaired). The reader must refuse
+  // the count before it sizes any allocation by it.
+  {
+    std::string bytes = valid_v2;
+    const ChunkRef& events = chunkOfKind(v2_chunks, obs::binchunk::kEvents);
+    patchU32(bytes, events.payload + 4, 0xffffffffU);
+    repair(bytes, events);
+    writeBytes(dir + "/malformed-count.bin", bytes);
   }
 
   // missing_footer: clean EOF after the header, before any footer chunk
   // (what a crash between flushes leaves behind).
-  writeBytes(dir + "/missing_footer.bin", headerOnly(obs::kBinlogVersion));
-  writeBytes(dir + "/missing_footer-v1.bin",
-             headerOnly(obs::kBinlogVersionV1));
+  writeBytes(dir + "/missing_footer.bin", headerOnly());
 
   // bad_string_ref: the first event's interned name id retargeted past the
   // string table, checksums repaired so only the dangling reference is
-  // wrong. The v2 record layout pins the id's offset: chunk header (u32
+  // wrong. The record layout pins the id's offset: chunk header (u32
   // shard, u32 count), then flags byte, then 1-byte varints for pid, tid,
   // category id (0), name id (1).
   {
@@ -249,47 +245,12 @@ int main(int argc, char** argv) {
     const ChunkRef& events = chunkOfKind(v2_chunks, obs::binchunk::kEvents);
     const std::size_t name_at = events.payload + 8 + 1 + 1 + 1 + 1;
     if (bytes[events.payload + 8 + 1 + 1 + 1] != 0 || bytes[name_at] != 1) {
-      std::fprintf(stderr, "v2 event record layout drifted\n");
+      std::fprintf(stderr, "event record layout drifted\n");
       return 1;
     }
     bytes[name_at] = 7;
     repair(bytes, events);
     writeBytes(dir + "/bad_string_ref.bin", bytes);
-  }
-  {
-    // v1 variant: hand-built fixed-width record with a dangling name id.
-    std::string bytes = headerOnly(obs::kBinlogVersionV1);
-    std::string strings;
-    putU32(strings, 1);
-    putU32(strings, 3);
-    strings += "pfs";
-    putChunk(bytes, obs::binchunk::kStrings, strings);
-    std::string events;
-    putU64(events, 0);  // ts bits
-    putU64(events, 0);  // dur bits
-    putU32(events, 1);  // pid
-    putU32(events, 0);  // tid
-    putU32(events, 0);  // phase = Complete
-    putU32(events, 0);  // reserved
-    putU64(events, 0);  // value bits
-    putU64(events, 0);  // wall_ns
-    putU64(events, 0);  // flow
-    putU32(events, 0);  // category id (valid)
-    putU32(events, 7);  // name id (never defined)
-    if (events.size() != obs::kBinlogEventBytes) {
-      std::fprintf(stderr, "v1 event record layout drifted\n");
-      return 1;
-    }
-    putChunk(bytes, obs::binchunk::kEvents, events);
-    std::string footer;
-    putU64(footer, 1);  // events
-    putU64(footer, 1);  // strings
-    putU64(footer, 1);  // recorded
-    putU64(footer, 0);  // dropped
-    putU64(footer, 1);  // streamed
-    putChunk(bytes, obs::binchunk::kFooter, footer);
-    putU64(bytes, obs::binlogTrailerDigest(bytes));
-    writeBytes(dir + "/bad_string_ref-v1.bin", bytes);
   }
 
   // bad_index-truncated: the index chunk claims one more entry than its
@@ -324,6 +285,18 @@ int main(int argc, char** argv) {
     }
     repair(bytes, index);
     writeBytes(dir + "/bad_index-range.bin", bytes);
+  }
+
+  // bad_index-footer: the footer's index offset points nowhere near the
+  // index chunk (2^64-1; footer checksum and trailer repaired). Every reader
+  // must compare it against where the index really is -- and the seeking
+  // reader must not wrap its bounds check on it.
+  {
+    std::string bytes = valid_v2;
+    const ChunkRef& footer = chunkOfKind(v2_chunks, obs::binchunk::kFooter);
+    patchU64(bytes, footer.payload + 40, ~std::uint64_t{0});
+    repair(bytes, footer);
+    writeBytes(dir + "/bad_index-footer.bin", bytes);
   }
 
   // bad_shard: an events chunk tagged with a shard id past the format
