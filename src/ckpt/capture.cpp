@@ -5,6 +5,7 @@
 #include <cstring>
 #include <string>
 
+#include "ckpt/snapshot.hpp"
 #include "mpisim/world.hpp"
 #include "obs/metrics.hpp"
 #include "pfs/shared_link.hpp"
@@ -79,6 +80,9 @@ class WordDigest {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
+/// Section name for one captured subsystem ("state.<leaf>").
+std::string stateName(const std::string& leaf) { return kStatePrefix + leaf; }
+
 constexpr pfs::Channel kChannelList[] = {pfs::Channel::Read,
                                          pfs::Channel::Write};
 constexpr const char* kChannelName[] = {"read", "write"};
@@ -94,7 +98,7 @@ Section captureSim(scenario::Instance& instance, const CaptureOptions& opt) {
   b.kv("pending_events", sim.pendingEvents());
   b.kv("next_seq", sim.nextSequence());
   b.kv("live_processes", sim.liveProcesses());
-  return {opt.prefix + "sim", b.take()};
+  return {stateName("sim"), b.take()};
 }
 
 Section captureLink(scenario::Instance& instance, const CaptureOptions& opt) {
@@ -128,11 +132,10 @@ Section captureLink(scenario::Instance& instance, const CaptureOptions& opt) {
     bytes_digest.mix(static_cast<std::uint64_t>(link.streamBytes(s)));
   }
   b.hex("stream_bytes", bytes_digest.value());
-  return {opt.prefix + "link", b.take()};
+  return {stateName("link"), b.take()};
 }
 
-Section captureStats(scenario::Instance& instance,
-                     const CaptureOptions& opt) {
+Section captureStats(scenario::Instance& instance) {
   const scenario::RunStats& s = instance.stats();
   SectionBuilder b;
   b.kv("ops", s.ops);
@@ -148,11 +151,10 @@ Section captureStats(scenario::Instance& instance,
   b.kv("verify_failures", s.verify_failures);
   b.kv("failed_requests", s.failed_requests);
   b.kv("time_monotone", s.time_monotone);
-  return {opt.prefix + "stats", b.take()};
+  return {stateName("stats"), b.take()};
 }
 
-Section captureWorld(scenario::Instance& instance, std::size_t index,
-                     const CaptureOptions& opt) {
+Section captureWorld(scenario::Instance& instance, std::size_t index) {
   mpisim::World& world = instance.world(index);
   SectionBuilder b;
   b.raw("name=" + instance.spec().worlds[index].name + "\n");
@@ -176,11 +178,10 @@ Section captureWorld(scenario::Instance& instance, std::size_t index,
     times.mix(t.overhead_post);
   }
   b.hex("rank_times", times.value());
-  return {opt.prefix + "world." + std::to_string(index), b.take()};
+  return {stateName("world." + std::to_string(index)), b.take()};
 }
 
-Section captureTracer(scenario::Instance& instance, std::size_t index,
-                      const CaptureOptions& opt) {
+Section captureTracer(scenario::Instance& instance, std::size_t index) {
   const tmio::Tracer& tracer = instance.tracer(index);
   SectionBuilder b;
   b.kv("phase_records", tracer.phaseRecords().size());
@@ -193,11 +194,10 @@ Section captureTracer(scenario::Instance& instance, std::size_t index,
     limits.mix(change.limit.value_or(-1.0));
   }
   b.hex("limit_digest", limits.value());
-  return {opt.prefix + "tracer." + std::to_string(index), b.take()};
+  return {stateName("tracer." + std::to_string(index)), b.take()};
 }
 
-Section captureMetrics(scenario::Instance& instance,
-                       const CaptureOptions& opt) {
+Section captureMetrics(scenario::Instance& instance) {
   obs::MetricsRegistry registry;
   instance.sim().exportMetrics(registry);
   instance.link().exportMetrics(registry);
@@ -206,7 +206,7 @@ Section captureMetrics(scenario::Instance& instance,
   }
   SectionBuilder b;
   b.raw(registry.dumpText());
-  return {opt.prefix + "metrics", b.take()};
+  return {stateName("metrics"), b.take()};
 }
 
 }  // namespace
@@ -217,12 +217,12 @@ std::vector<Section> captureInstanceState(scenario::Instance& instance,
   sections.reserve(4 + 2 * instance.worldCount());
   sections.push_back(captureSim(instance, options));
   sections.push_back(captureLink(instance, options));
-  sections.push_back(captureStats(instance, options));
+  sections.push_back(captureStats(instance));
   for (std::size_t w = 0; w < instance.worldCount(); ++w) {
-    sections.push_back(captureWorld(instance, w, options));
-    sections.push_back(captureTracer(instance, w, options));
+    sections.push_back(captureWorld(instance, w));
+    sections.push_back(captureTracer(instance, w));
   }
-  sections.push_back(captureMetrics(instance, options));
+  sections.push_back(captureMetrics(instance));
   return sections;
 }
 

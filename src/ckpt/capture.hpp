@@ -24,9 +24,6 @@ class Instance;
 namespace iobts::ckpt {
 
 struct CaptureOptions {
-  /// Prepended to every section name ("state." for plain runs; sharded
-  /// fleets use "state.shard<k>." to keep per-shard sections apart).
-  std::string prefix = "state.";
   /// Include the raw kernel clock and pending-schedule digest. On for
   /// checkpoints (replay parks the clock identically); off for end-of-run
   /// digests, where a checkpointing driver's final runUntil() may have

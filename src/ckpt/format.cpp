@@ -84,6 +84,23 @@ std::uint64_t fnv1a(const std::string& bytes) noexcept {
   return h;
 }
 
+namespace {
+
+/// True when the last 8 bytes are the FNV-1a checksum of all before them.
+bool trailerHolds(const std::string& bytes) {
+  if (bytes.size() < 8) return false;
+  const std::size_t body = bytes.size() - 8;
+  std::uint64_t stored = 0;
+  for (int i = 0; i < 8; ++i) {
+    stored |= static_cast<std::uint64_t>(
+                  static_cast<unsigned char>(bytes[body + i]))
+              << (8 * i);
+  }
+  return stored == fnv1a(bytes.substr(0, body));
+}
+
+}  // namespace
+
 const char* errorKindName(ErrorKind kind) noexcept {
   switch (kind) {
     case ErrorKind::Io: return "io";
@@ -150,6 +167,22 @@ CheckpointFile decodeCheckpoint(const std::string& bytes,
             std::to_string(kFormatVersion) + ")");
   }
   const std::uint32_t count = reader.u32("section count");
+  // The count is untrusted: bound it by the smallest section (u32 name
+  // length, 1-byte name, u64 payload length, u64 checksum) before it sizes
+  // an allocation. In an intact file -- trailer checksum holds -- the count
+  // itself is wrong; otherwise the file was cut short.
+  constexpr std::size_t kMinSectionBytes = 4 + 1 + 8 + 8;
+  if (count > reader.remaining() / kMinSectionBytes) {
+    const std::string detail =
+        std::to_string(count) + " section(s) declared at offset " +
+        std::to_string(reader.offset() - 4) + " cannot fit in the remaining " +
+        std::to_string(reader.remaining()) + " byte(s)";
+    if (trailerHolds(bytes)) {
+      throw CheckpointError(ErrorKind::Malformed, origin + ": " + detail);
+    }
+    throw CheckpointError(ErrorKind::Truncated,
+                          origin + ": truncated checkpoint: " + detail);
+  }
   CheckpointFile file;
   file.sections.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

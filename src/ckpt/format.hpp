@@ -4,7 +4,7 @@
 // container:
 //
 //   magic[8]  = "IOBCKPT\n"
-//   u32       format version (little-endian; currently 1)
+//   u32       format version (little-endian; currently 2)
 //   u32       section count
 //   per section, in order:
 //     u32     name length, then name bytes (UTF-8, no NUL)
@@ -40,7 +40,7 @@ namespace iobts::ckpt {
 /// sections (a version-1 reader must never half-understand version-2
 /// state); readers reject other versions with BadVersion rather than
 /// guessing.
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// The 8-byte file magic.
 inline constexpr char kMagic[8] = {'I', 'O', 'B', 'C', 'K', 'P', 'T', '\n'};

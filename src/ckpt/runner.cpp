@@ -49,8 +49,6 @@ Snapshot captureSnapshot(scenario::Instance& instance,
   snapshot.scenario_text = scenario_text;
   snapshot.scenario_digest = hashName(scenario_text);
   snapshot.watermark = watermark;
-  snapshot.windows = 0;
-  snapshot.shards = 1;
   snapshot.finished = finished;
   snapshot.state = captureInstanceState(instance);
   return snapshot;
@@ -147,13 +145,6 @@ RestoredRun::RestoredRun(Snapshot snapshot, const std::string& origin) {
                           origin + ": embedded scenario is named '" +
                               spec.name + "' but the checkpoint declares '" +
                               snapshot.scenario_name + "'");
-  }
-  if (snapshot.shards != 1) {
-    throw CheckpointError(
-        ErrorKind::Malformed,
-        origin + ": this is a " + std::to_string(snapshot.shards) +
-            "-shard fleet checkpoint; restore it with the fleet driver, not "
-            "the scenario runner");
   }
   watermark_ = snapshot.watermark;
   finished_ = snapshot.finished;

@@ -94,8 +94,6 @@ CheckpointFile encodeSnapshot(const Snapshot& snapshot) {
   meta += "scenario_name=" + snapshot.scenario_name + "\n";
   meta += "scenario_digest=" + formatHex64(snapshot.scenario_digest) + "\n";
   meta += "watermark=" + formatTime(snapshot.watermark) + "\n";
-  meta += "windows=" + std::to_string(snapshot.windows) + "\n";
-  meta += "shards=" + std::to_string(snapshot.shards) + "\n";
   meta += std::string("finished=") + (snapshot.finished ? "1" : "0") + "\n";
 
   CheckpointFile file;
@@ -123,8 +121,7 @@ Snapshot decodeSnapshot(const CheckpointFile& file,
   for (const auto& [key, value] : meta) {
     (void)value;
     if (key != "scenario_name" && key != "scenario_digest" &&
-        key != "watermark" && key != "windows" && key != "shards" &&
-        key != "finished") {
+        key != "watermark" && key != "finished") {
       malformedMeta(origin, "unknown key '" + key + "'");
     }
   }
@@ -136,16 +133,11 @@ Snapshot decodeSnapshot(const CheckpointFile& file,
                origin);
   snapshot.watermark =
       parseTime(requireKey(meta, "watermark", origin), "watermark", origin);
-  snapshot.windows =
-      parseU64(requireKey(meta, "windows", origin), "windows", origin);
-  snapshot.shards = static_cast<std::uint32_t>(
-      parseU64(requireKey(meta, "shards", origin), "shards", origin));
   const std::string& finished = requireKey(meta, "finished", origin);
   if (finished != "0" && finished != "1") {
     malformedMeta(origin, "finished must be 0 or 1, got '" + finished + "'");
   }
   snapshot.finished = finished == "1";
-  if (snapshot.shards == 0) malformedMeta(origin, "shards must be >= 1");
   if (!(snapshot.watermark >= 0.0)) {
     malformedMeta(origin, "watermark must be non-negative");
   }

@@ -5,8 +5,7 @@
 //
 //   identity   -- the full scenario source text (embedded, so a checkpoint
 //                 is self-contained) and its FNV digest;
-//   watermark  -- the quiescent virtual time the run was parked at (for
-//                 sharded runs, additionally the window count);
+//   watermark  -- the quiescent virtual time the run was parked at;
 //   state      -- canonical per-subsystem `key=value` sections capturing
 //                 everything observable at the watermark (clock, event
 //                 schedule digest, link counters, per-rank time splits,
@@ -45,11 +44,6 @@ struct Snapshot {
   std::uint64_t scenario_digest = 0;
   /// Quiescent virtual time the run is parked at: the runUntil() limit.
   sim::Time watermark = 0.0;
-  /// Sharded runs: lookahead windows executed up to the watermark (replay
-  /// must reproduce exactly this many). 0 for plain runs.
-  std::uint64_t windows = 0;
-  /// Shards in the fleet (1 = plain single-Simulation run).
-  std::uint32_t shards = 1;
   /// True when captured after the run drained (a terminal checkpoint).
   bool finished = false;
   /// Captured state sections, names starting with kStatePrefix, in

@@ -194,7 +194,6 @@ sim::Task<void> Cluster::jobWatcher(JobId id) {
                      << failed_ranks << " ranks, "
                      << job.result.resubmits << " resubmits used)";
   }
-  if (completion_hook_) completion_hook_(id, job.result);
   tryStartJobs();
   if (++finished_jobs_ == static_cast<int>(jobs_.size())) all_done_.fire();
 }

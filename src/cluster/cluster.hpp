@@ -18,7 +18,6 @@
 // to JobSpec::max_resubmits times.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -137,15 +136,6 @@ class Cluster {
   pfs::StreamId jobStream(JobId job) const;
   bool allFinished() const noexcept { return all_done_.fired(); }
 
-  /// Invoked when a job reaches its final outcome (success, or failure with
-  /// the resubmit budget exhausted) -- not on intermediate requeues. Used by
-  /// the Fleet to forward completions across shards; runs on this cluster's
-  /// shard at the job's end time.
-  using JobCompletionHook = std::function<void(JobId, const JobResult&)>;
-  void setJobCompletionHook(JobCompletionHook hook) {
-    completion_hook_ = std::move(hook);
-  }
-
   pfs::SharedLink& link() noexcept { return *link_; }
   sim::Simulation& sim() noexcept { return sim_; }
   const ClusterConfig& config() const noexcept { return config_; }
@@ -176,7 +166,6 @@ class Cluster {
   bool started_ = false;
   int finished_jobs_ = 0;
   sim::Trigger all_done_;
-  JobCompletionHook completion_hook_;
 };
 
 }  // namespace iobts::cluster

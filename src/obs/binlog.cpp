@@ -1707,7 +1707,7 @@ struct ShardedBinaryWriter::Impl {
       if (s.sink == nullptr) continue;
       s.sink->clearDrainHook();
       s.sink->drainSegments(&detail::BinlogEncoder::segmentThunk, &s.encoder);
-      // Staging sinks are fresh per window generation, so their lifetime
+      // Staging sinks are fresh per run() call, so their lifetime
       // counters sum without double counting.
       totals.recorded += s.sink->recorded();
       totals.dropped += s.sink->dropped();

@@ -299,9 +299,8 @@ struct BinaryTraceWriterConfig {
 ///
 /// Determinism: the byte stream is a pure function of the recorded events
 /// and the sink's registered track names, so with wall capture off two
-/// identical runs produce byte-identical binlogs at any thread count (the
-/// sharded coordinator replays staged events in canonical shard order
-/// before they ever reach the sink).
+/// identical runs produce byte-identical binlogs at any thread count (a
+/// ShardedSimulation feeds a global sink from one thread, in shard order).
 class BinaryTraceWriter {
  public:
   /// File mode: stream the container to `path`. Check good() after
@@ -360,11 +359,11 @@ class BinaryTraceWriter {
 /// sharded recording are byte-identical across worker thread counts even
 /// though the files themselves need not be.
 ///
-/// Lifecycle: attachShard() per staging sink at window setup (re-attach
+/// Lifecycle: attachShard() per staging sink when a run starts (re-attach
 /// with fresh sinks every run invocation -- the per-shard encoder and its
-/// string table persist across generations); detachAll() before the
-/// staging sinks die (final drain + totals snapshot); close() seals every
-/// shard's open chunk in shard order and writes meta/index/footer.
+/// string table persist across runs); detachAll() before the staging sinks
+/// die (final drain + totals snapshot); close() seals every shard's open
+/// chunk in shard order and writes meta/index/footer.
 class ShardedBinaryWriter {
  public:
   explicit ShardedBinaryWriter(const std::string& path,

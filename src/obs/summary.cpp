@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "ckpt/capture.hpp"
-#include "cluster/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "pfs/shared_link.hpp"
 #include "scenario/instance.hpp"
@@ -192,8 +191,11 @@ ckpt::Section summaryStalls(scenario::Instance& instance, std::size_t index) {
   return {"stalls." + std::to_string(index), b.take()};
 }
 
-void emitLinkChannels(SectionBuilder& b, pfs::SharedLink& link, double t0,
-                      double t1, std::size_t points) {
+ckpt::Section summaryLink(scenario::Instance& instance,
+                          const SummaryOptions& opt) {
+  SectionBuilder b;
+  pfs::SharedLink& link = instance.link();
+  const double t1 = instance.elapsed();
   for (int c = 0; c < 2; ++c) {
     const pfs::Channel channel = kChannelList[c];
     const std::string p = kChannelName[c];
@@ -210,19 +212,12 @@ void emitLinkChannels(SectionBuilder& b, pfs::SharedLink& link, double t0,
     b.kv(p + ".full_solves", rs.full_solves);
     b.kv(p + ".faulted_transfers", rs.faulted_transfers);
     b.kv(p + ".capacity_edges", rs.capacity_edges);
-    emitTimeline(b, p + ".utilization", link.totalRateSeries(channel), t0, t1,
-                 points);
-    emitTimeline(b, p + ".backlog", link.activeTransferSeries(channel), t0,
-                 t1, points);
+    emitTimeline(b, p + ".utilization", link.totalRateSeries(channel), 0.0,
+                 t1, opt.timeline_points);
+    emitTimeline(b, p + ".backlog", link.activeTransferSeries(channel), 0.0,
+                 t1, opt.timeline_points);
   }
-}
-
-ckpt::Section summaryLink(scenario::Instance& instance,
-                          const SummaryOptions& opt) {
-  SectionBuilder b;
-  emitLinkChannels(b, instance.link(), 0.0, instance.elapsed(),
-                   opt.timeline_points);
-  b.kv("streams", static_cast<std::uint64_t>(instance.link().streamCount()));
+  b.kv("streams", static_cast<std::uint64_t>(link.streamCount()));
   return {"link", b.take()};
 }
 
@@ -259,80 +254,6 @@ RunSummary summarizeInstance(scenario::Instance& instance,
   }
   summary.sections.push_back(summaryLink(instance, options));
   summary.sections.push_back(summaryMetrics(instance));
-  return summary;
-}
-
-RunSummary summarizeFleet(cluster::Fleet& fleet,
-                          const SummaryOptions& options) {
-  RunSummary summary;
-  {
-    SectionBuilder b;
-    b.raw("scenario=" + options.scenario_name + "\n");
-    b.hex("scenario_digest", options.scenario_text.empty()
-                                 ? 0
-                                 : ckpt::fnv1a(options.scenario_text));
-    b.kv("clusters", static_cast<std::uint64_t>(fleet.clusterCount()));
-    const auto log = fleet.canonicalLog();
-    b.kv("completions", static_cast<std::uint64_t>(log.size()));
-    WordDigest rows;
-    std::size_t rendered = 0;
-    double last_reported = 0.0;
-    for (const cluster::Fleet::CompletionRecord& r : log) {
-      rows.mix(static_cast<std::uint64_t>(r.cluster));
-      rows.mix(static_cast<std::uint64_t>(r.job));
-      rows.mix(r.reported_at);
-      rows.mix(r.end);
-      rows.mix(static_cast<std::uint64_t>(r.failed));
-      rows.mix(r.seq);
-      last_reported = r.reported_at;
-      if (rendered >= options.max_phase_rows) continue;
-      ++rendered;
-      b.raw("row=cluster:" + std::to_string(r.cluster) +
-            " job:" + std::to_string(r.job) +
-            " reported:" + hexfloat(r.reported_at) +
-            " end:" + hexfloat(r.end) + " failed:" + (r.failed ? "1" : "0") +
-            " seq:" + std::to_string(r.seq) + "\n");
-    }
-    if (rendered < log.size()) {
-      b.kv("rows_elided",
-           static_cast<std::uint64_t>(log.size() - rendered));
-    }
-    b.hex("rows_digest", rows.value());
-    b.kv("last_reported", last_reported);
-    summary.sections.push_back({"fleet.meta", b.take()});
-  }
-  for (std::uint32_t k = 0; k < fleet.clusterCount(); ++k) {
-    cluster::Cluster& c = fleet.cluster(k);
-    const std::string prefix = "shard" + std::to_string(k) + ".";
-    {
-      SectionBuilder b;
-      b.kv("jobs", static_cast<std::uint64_t>(c.jobCount()));
-      WordDigest rows;
-      for (cluster::JobId j = 0; j < c.jobCount(); ++j) {
-        const cluster::JobResult& r = c.result(j);
-        rows.mix(r.submit);
-        rows.mix(r.start);
-        rows.mix(r.end);
-        rows.mix(static_cast<std::uint64_t>(r.failed));
-        rows.mix(static_cast<std::uint64_t>(r.resubmits));
-        rows.mix(r.io_retries);
-        b.raw("row=job:" + std::to_string(j) + " start:" + hexfloat(r.start) +
-              " end:" + hexfloat(r.end) + " failed:" + (r.failed ? "1" : "0") +
-              " resubmits:" + std::to_string(r.resubmits) +
-              " io_retries:" + std::to_string(r.io_retries) + "\n");
-      }
-      b.hex("rows_digest", rows.value());
-      summary.sections.push_back({prefix + "jobs", b.take()});
-    }
-    {
-      SectionBuilder b;
-      // The fleet's summary keeps timelines coarse (maxima only): campaign
-      // summaries aggregate hundreds of shards, and the per-shard job rows
-      // already pin the schedule byte-exactly.
-      emitLinkChannels(b, c.link(), 0.0, 0.0, 0);
-      summary.sections.push_back({prefix + "link", b.take()});
-    }
-  }
   return summary;
 }
 

@@ -11,9 +11,7 @@
 // Summaries reuse the checkpoint plane's section discipline
 // (ckpt::Section + canonical key=value text, doubles as hexfloats), so two
 // runs of the same scenario render byte-identical summaries on any host and
-// the digest is a one-word equality gate. summarizeFleet aggregates per
-// shard with "shard<k>." prefixes in canonical shard order, so a sharded
-// campaign's summary is byte-identical across worker thread counts.
+// the digest is a one-word equality gate.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +23,6 @@
 namespace iobts::scenario {
 class Instance;
 }  // namespace iobts::scenario
-
-namespace iobts::cluster {
-class Fleet;
-}  // namespace iobts::cluster
 
 namespace iobts::obs {
 
@@ -67,14 +61,6 @@ struct RunSummary {
 ///                      identical whether or not tracing was enabled
 RunSummary summarizeInstance(scenario::Instance& instance,
                              const SummaryOptions& options = {});
-
-/// Summarize a finished Fleet campaign: a fleet.meta section (completion
-/// log in canonical order, digested) plus, per cluster in shard order,
-/// "shard<k>.jobs" and "shard<k>.link" sections. Byte-identical across
-/// worker thread counts by construction (the canonical log and per-shard
-/// state are thread-count invariant).
-RunSummary summarizeFleet(cluster::Fleet& fleet,
-                          const SummaryOptions& options = {});
 
 /// Write render() to `path` atomically (tmp + rename). Returns false on any
 /// filesystem failure.

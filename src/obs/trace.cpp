@@ -81,8 +81,6 @@ void TraceSink::push(const TraceEvent& event) {
   if (hook != nullptr) hook(ctx);
 }
 
-void TraceSink::record(const TraceEvent& event) { push(event); }
-
 void TraceSink::complete(const char* category, const char* name,
                          std::uint32_t pid, std::uint32_t tid, sim::Time ts,
                          sim::Time dur, double value, std::uint64_t wall_ns) {
@@ -177,22 +175,6 @@ std::uint64_t TraceSink::dropped() const {
 std::uint64_t TraceSink::streamed() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return streamed_;
-}
-
-std::size_t TraceSink::drainInto(std::vector<TraceEvent>& out) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t n = count_;
-  if (n == 0) return 0;
-  const std::size_t start =
-      count_ == config_.capacity ? head_ : (head_ + config_.capacity - count_) %
-                                               config_.capacity;
-  out.reserve(out.size() + n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(ring_[(start + i) % config_.capacity]);
-  }
-  count_ = 0;  // head_ keeps advancing; the ring is simply empty again
-  streamed_ += n;
-  return n;
 }
 
 std::size_t TraceSink::drainSegments(DrainSegmentFn fn, void* ctx) {

@@ -146,12 +146,6 @@ class TraceSink {
   void flowEnd(const char* category, const char* name, std::uint32_t pid,
                std::uint32_t tid, sim::Time ts, std::uint64_t journey);
 
-  /// Record an already-built event verbatim (same path as the typed
-  /// recorders: ring push, span stats, drain hook). The sharded coordinator
-  /// uses this to replay per-shard staged events into the installed sink in
-  /// canonical order.
-  void record(const TraceEvent& event);
-
   bool captureWallTime() const noexcept { return config_.capture_wall_time; }
 
   /// Monotonic wall clock in nanoseconds since sink construction; returns 0
@@ -167,7 +161,7 @@ class TraceSink {
   std::uint64_t recorded() const;
   /// Events overwritten after the ring wrapped.
   std::uint64_t dropped() const;
-  /// Events drained out of the ring (drainInto / drainSegments).
+  /// Events drained out of the ring (drainSegments).
   std::uint64_t streamed() const;
 
   /// Copy of the retained events, oldest first.
@@ -177,11 +171,6 @@ class TraceSink {
   void clear();
 
   // --- Streaming drain (see obs/binlog.hpp) -------------------------------
-
-  /// Append all retained events to `out` oldest first and mark them
-  /// streamed (they leave the ring without counting as drops). Returns the
-  /// number of events moved.
-  std::size_t drainInto(std::vector<TraceEvent>& out);
 
   /// Zero-copy drain: hand the retained events to `fn` as at most two
   /// contiguous ring segments (oldest first), then mark them streamed.
@@ -263,10 +252,10 @@ namespace detail {
 /// a branch.
 extern std::atomic<TraceSink*> g_trace_sink;
 /// Per-thread override consulted before the global sink. A sharded
-/// simulation worker points this at the staging sink of the shard it is
-/// currently draining, so instrumentation emitted from parallel windows
-/// lands in per-shard buffers that merge canonically at the window barrier
-/// (see sim/sharded.hpp). Null everywhere else; the cost when unused is one
+/// simulation worker recording through a ShardedBinaryWriter points this at
+/// the staging sink of the shard it is running, so instrumentation emitted
+/// on that worker lands in the shard's own recorder stream (see
+/// sim/sharded.hpp). Null everywhere else; the cost when unused is one
 /// thread-local load and a predictable branch.
 extern thread_local TraceSink* t_trace_sink_override;
 }  // namespace detail
@@ -284,13 +273,13 @@ void installTraceSink(TraceSink* sink) noexcept;
 
 /// Install (or clear, with nullptr) this thread's override sink; returns
 /// the previous override. Used by sharded-simulation workers around each
-/// per-shard window; normal code never needs it.
+/// recorded shard run; normal code never needs it.
 TraceSink* installThreadTraceSink(TraceSink* sink) noexcept;
 
 // --- Journey sampling -------------------------------------------------------
 //
 // Flow-event chains ("request journeys") are the densest trace traffic a
-// fleet run emits: every MPI-IO request adds a flowStart, one flowStep per
+// large run emits: every MPI-IO request adds a flowStart, one flowStep per
 // paced sub-request and backoff, and a flowEnd. IOBTS_TRACE_JOURNEY_SAMPLE=N
 // keeps every Nth journey and drops the rest *at journey-id level*: the
 // decision is a pure function of the stable journey id (journey % N == 0),

@@ -1209,6 +1209,7 @@ void checkLinkSpec(const LinkSpec& link) {
 }
 
 void checkFaultSpec(const FaultSpec& faults) {
+  std::vector<const FaultDecl*> blackouts;
   for (const FaultDecl& decl : faults.decls) {
     if (!(decl.begin >= 0.0) || !(decl.end > decl.begin)) {
       fail(decl.line, "faults",
@@ -1237,6 +1238,16 @@ void checkFaultSpec(const FaultSpec& faults) {
         }
         break;
       case FaultDecl::Kind::Blackout:
+        // fault::FaultPlan rejects overlapping blackouts; same rule as
+        // fault::TimeWindow::overlaps.
+        for (const FaultDecl* other : blackouts) {
+          if (decl.begin < other->end && other->begin < decl.end) {
+            fail(decl.line, "faults",
+                 "blackout window overlaps the blackout declared on line " +
+                     std::to_string(other->line));
+          }
+        }
+        blackouts.push_back(&decl);
         break;
     }
   }

@@ -1,7 +1,6 @@
 #include "sim/sharded.hpp"
 
 #include <algorithm>
-#include <barrier>
 #include <string>
 #include <thread>
 
@@ -12,245 +11,94 @@
 namespace iobts::sim {
 
 ShardedSimulation::ShardedSimulation(ShardedConfig config)
-    : lookahead_(config.lookahead), config_threads_(config.threads) {
+    : config_threads_(config.threads) {
   IOBTS_CHECK(config.shards >= 1, "a sharded simulation needs >= 1 shard");
-  IOBTS_CHECK(config.lookahead >= 0.0, "lookahead cannot be negative");
+  IOBTS_CHECK(config.lookahead == kInfiniteTime,
+              "shards are independent: lookahead must be kInfiniteTime");
   shards_.reserve(config.shards);
   for (std::uint32_t s = 0; s < config.shards; ++s) {
     auto shard = std::make_unique<Shardlet>();
     shard->sim.shard_id_ = s;
-    shard->sim.shard_owner_ = this;
+    shard->sim.sharded_ = true;
     shards_.push_back(std::move(shard));
   }
 }
 
 ShardedSimulation::~ShardedSimulation() = default;
 
-void ShardedSimulation::stage(Shardlet& src, ShardId dst, Time t,
-                              SmallCallback cb) {
-  StagedPost post;
-  post.t = t;
-  post.src = src.sim.shardId();
-  post.dst = dst;
-  post.seq = src.next_cross_seq++;
-  post.cb = std::move(cb);
-  src.outbox.push_back(std::move(post));
-}
-
-Time ShardedSimulation::minNextEventTime() const noexcept {
-  Time min_t = kInfiniteTime;
-  for (const auto& shard : shards_) {
-    min_t = std::min(min_t, shard->sim.nextEventTime());
-  }
-  return min_t;
-}
-
-void ShardedSimulation::drainShardWindow(Shardlet& shard, Time horizon,
-                                         bool inclusive) {
+void ShardedSimulation::runShard(Shardlet& shard, std::exception_ptr& error) {
   obs::TraceSink* previous = nullptr;
   if (shard.staging != nullptr) {
     previous = obs::installThreadTraceSink(shard.staging.get());
   }
-  shard.window_executed = shard.sim.runWindow(horizon, inclusive);
+  try {
+    shard.sim.run();
+  } catch (...) {
+    error = std::current_exception();
+  }
   if (shard.staging != nullptr) obs::installThreadTraceSink(previous);
 }
 
-void ShardedSimulation::mergeOutboxes() {
-  merge_scratch_.clear();
-  for (auto& shard : shards_) {
-    for (auto& post : shard->outbox) {
-      merge_scratch_.push_back(std::move(post));
-    }
-    shard->outbox.clear();
+Time ShardedSimulation::run(unsigned threads) {
+  for (const auto& shard : shards_) {
+    if (shard->sim.pendingEvents() == 0) ++stats_.window_stalls;
   }
-  if (merge_scratch_.empty()) return;
-  // Canonical order: timestamp, then stable source shard id, then the
-  // per-source sequence number. Total and interleaving-independent, so the
-  // destination shards' dispatch sequence numbers come out identical no
-  // matter how many workers produced the posts.
-  std::sort(merge_scratch_.begin(), merge_scratch_.end(),
-            [](const StagedPost& a, const StagedPost& b) {
-              if (a.t != b.t) return a.t < b.t;
-              if (a.src != b.src) return a.src < b.src;
-              return a.seq < b.seq;
-            });
-  stats_.cross_posts_merged += merge_scratch_.size();
-  for (auto& post : merge_scratch_) {
-    shards_[post.dst]->sim.postAt(post.t, std::move(post.cb));
-  }
-  merge_scratch_.clear();
-}
-
-void ShardedSimulation::mergeTraces() {
-  // Direct recording: the recorder's drain hook already pulled events from
-  // each staging sink on the worker that produced them; nothing to replay.
-  if (recorder_ != nullptr) return;
-  if (global_sink_ == nullptr) return;
-  for (auto& shard : shards_) {
-    trace_scratch_.clear();
-    shard->staging->drainInto(trace_scratch_);
-    for (const obs::TraceEvent& event : trace_scratch_) {
-      global_sink_->record(event);
-    }
-    stats_.trace_events_merged += trace_scratch_.size();
-  }
-  trace_scratch_.clear();
-}
-
-bool ShardedSimulation::collectFatal() {
-  for (auto& shard : shards_) {
-    if (shard->sim.fatalError()) {
-      if (!fatal_) fatal_ = shard->sim.takeFatalError();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ShardedSimulation::setupTraceStaging() {
-  global_sink_ = obs::traceSink();
-  if (global_sink_ == nullptr && recorder_ == nullptr) return;
-  obs::TraceSinkConfig config;
-  if (global_sink_ != nullptr) {
-    config.capacity = global_sink_->capacity();
-    config.capture_wall_time = global_sink_->captureWallTime();
-  }
-  for (auto& shard : shards_) {
-    shard->staging = std::make_unique<obs::TraceSink>(config);
-  }
+  obs::TraceSink* const global_sink = obs::traceSink();
   if (recorder_ != nullptr) {
-    if (global_sink_ != nullptr) recorder_->setNameSource(*global_sink_);
+    obs::TraceSinkConfig config;
+    if (global_sink != nullptr) {
+      config.capacity = global_sink->capacity();
+      config.capture_wall_time = global_sink->captureWallTime();
+      recorder_->setNameSource(*global_sink);
+    }
     for (auto& shard : shards_) {
+      shard->staging = std::make_unique<obs::TraceSink>(config);
       recorder_->attachShard(shard->sim.shardId(), *shard->staging);
     }
+  } else if (global_sink != nullptr) {
+    // One sink is one ordered stream: drain the shards into it on this
+    // thread, in shard order.
+    threads = 1;
   }
-}
 
-void ShardedSimulation::teardownTraceStaging() {
-  // The recorder's hooks point into the staging sinks: final-drain and
-  // uninstall them before the sinks die.
+  std::vector<std::exception_ptr> errors(shards_.size());
+  std::exception_ptr start_error;
+  const std::size_t workers =
+      std::min<std::size_t>(std::max(threads, 1u), shards_.size());
+  if (workers == 1) {
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      runShard(*shards_[s], errors[s]);
+    }
+  } else {
+    std::vector<std::thread> pool;
+    try {
+      pool.reserve(workers);
+      for (std::size_t w = 0; w < workers; ++w) {
+        // Static map: a shard runs on exactly one worker, start to finish.
+        pool.emplace_back([this, w, workers, &errors] {
+          for (std::size_t s = w; s < shards_.size(); s += workers) {
+            runShard(*shards_[s], errors[s]);
+          }
+        });
+      }
+    } catch (...) {
+      // A thread failed to start: join the ones that did before unwinding.
+      start_error = std::current_exception();
+    }
+    for (auto& worker : pool) worker.join();
+  }
+
   if (recorder_ != nullptr) {
+    // The recorder's hooks point into the staging sinks: final-drain and
+    // uninstall them before the sinks die.
     recorder_->detachAll();
     stats_.trace_events_recorded = recorder_->events();
+    for (auto& shard : shards_) shard->staging.reset();
   }
-  for (auto& shard : shards_) shard->staging.reset();
-  global_sink_ = nullptr;
-}
-
-Time ShardedSimulation::run(unsigned threads) {
-  const Time end =
-      (threads <= 1 || shards_.size() == 1) ? runSerial()
-                                            : runParallel(threads);
-  return end;
-}
-
-Time ShardedSimulation::runUntil(Time t_limit) {
-  setupTraceStaging();
-  const bool inclusive = lookahead_ == 0.0;
-  mergeOutboxes();  // setup-time cross-shard posts
-  while (true) {
-    const Time min_t = minNextEventTime();
-    if (min_t == kInfiniteTime || min_t > t_limit) break;
-    const Time horizon = min_t + lookahead_;
-    ++stats_.windows;
-    for (auto& shard : shards_) {
-      drainShardWindow(*shard, horizon, inclusive);
-      if (shard->window_executed == 0) ++stats_.window_stalls;
-    }
-    mergeTraces();
-    if (collectFatal()) break;
-    mergeOutboxes();
+  if (start_error) std::rethrow_exception(start_error);
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
-  teardownTraceStaging();
-  if (fatal_) std::rethrow_exception(std::exchange(fatal_, nullptr));
-  return now();
-}
-
-Time ShardedSimulation::runSerial() {
-  setupTraceStaging();
-  const bool inclusive = lookahead_ == 0.0;
-  mergeOutboxes();  // setup-time cross-shard posts
-  while (true) {
-    const Time min_t = minNextEventTime();
-    if (min_t == kInfiniteTime) break;
-    const Time horizon = min_t + lookahead_;
-    ++stats_.windows;
-    for (auto& shard : shards_) {
-      drainShardWindow(*shard, horizon, inclusive);
-      if (shard->window_executed == 0) ++stats_.window_stalls;
-    }
-    mergeTraces();
-    if (collectFatal()) break;
-    mergeOutboxes();
-  }
-  teardownTraceStaging();
-  if (fatal_) std::rethrow_exception(std::exchange(fatal_, nullptr));
-  return now();
-}
-
-Time ShardedSimulation::runParallel(unsigned threads) {
-  setupTraceStaging();
-  const bool inclusive = lookahead_ == 0.0;
-  const unsigned worker_count = static_cast<unsigned>(
-      std::min<std::size_t>(threads, shards_.size()));
-  mergeOutboxes();
-
-  // Shared window state. Plain (non-atomic) on purpose: every write by the
-  // coordinator is sequenced before a barrier phase the workers complete
-  // before reading, and vice versa -- std::barrier's phase completion is
-  // the synchronization edge. TSan agrees (see the Tsan CI leg).
-  bool stop = false;
-  Time horizon = 0.0;
-
-  std::barrier<> window_start(worker_count + 1);
-  std::barrier<> window_end(worker_count + 1);
-
-  std::vector<std::thread> workers;
-  workers.reserve(worker_count);
-  for (unsigned w = 0; w < worker_count; ++w) {
-    workers.emplace_back([this, w, worker_count, inclusive, &stop, &horizon,
-                          &window_start, &window_end] {
-      while (true) {
-        window_start.arrive_and_wait();
-        if (stop) return;
-        // Static shard->worker assignment: a shard is drained by the same
-        // worker every window, so shard-local state (including suspended
-        // coroutine frames) never migrates threads mid-run without a
-        // barrier in between.
-        for (std::size_t s = w; s < shards_.size(); s += worker_count) {
-          drainShardWindow(*shards_[s], horizon, inclusive);
-        }
-        window_end.arrive_and_wait();
-      }
-    });
-  }
-
-  while (true) {
-    if (!stop) {
-      const Time min_t = minNextEventTime();
-      if (min_t == kInfiniteTime) {
-        stop = true;
-      } else {
-        horizon = min_t + lookahead_;
-      }
-    }
-    window_start.arrive_and_wait();
-    if (stop) break;
-    ++stats_.windows;
-    window_end.arrive_and_wait();
-    for (auto& shard : shards_) {
-      if (shard->window_executed == 0) ++stats_.window_stalls;
-    }
-    mergeTraces();
-    if (collectFatal()) {
-      stop = true;
-    } else {
-      mergeOutboxes();
-    }
-  }
-  for (auto& worker : workers) worker.join();
-  teardownTraceStaging();
-  if (fatal_) std::rethrow_exception(std::exchange(fatal_, nullptr));
   return now();
 }
 
@@ -271,15 +119,6 @@ std::uint64_t ShardedSimulation::eventsProcessed() const noexcept {
 void ShardedSimulation::exportMetrics(obs::MetricsRegistry& registry) const {
   registry.setGauge("sim.parallel.shards",
                     static_cast<double>(shards_.size()));
-  if (lookahead_ != kInfiniteTime) {
-    registry.setGauge("sim.parallel.lookahead", lookahead_);
-  }
-  registry.addCounter("sim.parallel.windows", stats_.windows);
-  registry.addCounter("sim.parallel.window_stalls", stats_.window_stalls);
-  registry.addCounter("sim.parallel.cross_posts_merged",
-                      stats_.cross_posts_merged);
-  registry.addCounter("sim.parallel.trace_events_merged",
-                      stats_.trace_events_merged);
   if (stats_.trace_events_recorded > 0) {
     registry.addCounter("sim.parallel.trace_events_recorded",
                         stats_.trace_events_recorded);

@@ -1,57 +1,36 @@
-// Sharded parallel event kernel with deterministic cross-shard merge.
+// Independent-shard executor.
 //
-// A ShardedSimulation partitions one logical simulation into S shards, each
-// a full sim::Simulation (its own event heap, callback-slot pool, clock and
-// coroutine processes). State is partitioned by construction: every
-// component (SharedLink, World, AdioEngine, Cluster, ...) binds to exactly
-// one shard's Simulation and only ever touches state of that shard. What
-// crosses shards is *posts* -- and only posts -- via crossPost() below.
+// A ShardedSimulation holds S independent simulations, one per shard, each a
+// full sim::Simulation (its own event heap, callback-slot pool, clock and
+// coroutine processes), and runs them on a pool of worker threads. Shards
+// never talk: every component (SharedLink, World, Cluster, scenario
+// Instance, ...) binds to exactly one shard's Simulation and only ever
+// touches that shard's state. This is the shape of the paper's evaluation
+// -- one application run per strategy x rank count, one cluster per
+// contention scenario -- and it makes each shard's results a pure function
+// of its own setup, whatever the worker count.
 //
-// Execution advances in conservative lookahead windows:
+// run(threads) starts min(threads, shards) workers with a static shard ->
+// worker map (worker w runs shards w, w + workers, ...). Each worker runs
+// its shards' Simulations to completion, one after another; then the
+// workers join. A shard's fatal process error is captured on its worker
+// and the other shards still finish; after the join the lowest failing
+// shard's error is rethrown, so the error that surfaces never depends on
+// timing. threads == 1 runs every shard on the calling thread.
 //
-//   1. The coordinator computes the global safe horizon
-//          horizon = min over shards of nextEventTime() + lookahead
-//      where `lookahead` is the minimum virtual latency of any cross-shard
-//      post (enforced on every crossPost when lookahead > 0).
-//   2. Every shard drains its local queue up to the horizon -- in parallel,
-//      one worker thread per group of shards; a shard is always drained by
-//      the same worker. Events executed in this phase can only be affected
-//      by posts that were merged at an earlier barrier, never by posts
-//      staged concurrently, so intra-window parallelism is safe.
-//   3. Cross-shard posts created during the window are staged into the
-//      source shard's outbox (no locks: the outbox is owned by the worker
-//      draining that shard). At the window barrier the coordinator merges
-//      all outboxes in the canonical order (timestamp, then source shard
-//      id, then per-source sequence number) and delivers them into the
-//      destination shards' queues. Delivery order fixes the destination
-//      sequence numbers, so dispatch order -- and therefore every simulation
-//      result -- is a pure function of simulation state, independent of
-//      worker interleaving or thread count.
-//
-// With lookahead == 0 the window degenerates to "all events at exactly the
-// minimum timestamp" and same-instant cross-shard posts take effect in the
-// next window at the same virtual time (exactly like a zero-delay post in a
-// plain Simulation, which also runs strictly after its poster). With
-// lookahead == kInfiniteTime the shards are fully independent and the whole
-// run is a single window.
-//
-// Tracing: when a global obs::TraceSink is installed, each shard records
-// into a private staging sink for the duration of its window (installed as
-// a thread-local override, so no instrumentation point changes), and the
-// coordinator replays the staged events into the global sink at the
-// barrier, shards in ascending id order. Trace and metrics exports are
-// therefore byte-identical across thread counts.
-//
-// threads == 1 runs the identical windowed algorithm on the calling thread
-// -- same windows, same merge, same results -- with no worker threads, no
-// barriers and no atomics. A plain Simulation (no ShardedSimulation at all)
-// is untouched by any of this: the single-threaded hot path stays
-// allocation- and atomic-free.
+// Tracing has one lossless path per mode:
+//   * setTraceRecorder(writer): each shard records into a private staging
+//     sink (installed as a thread-local override, so no instrumentation
+//     point changes) whose drain hook encodes into the ShardedBinaryWriter
+//     from the worker that produced the events;
+//   * a global obs::TraceSink and no recorder: run() drains the shards on
+//     the calling thread, in shard order, straight into that sink.
+// Either way the decoded reports are identical at every thread count.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -62,40 +41,30 @@ namespace iobts::obs {
 class MetricsRegistry;
 class ShardedBinaryWriter;
 class TraceSink;
-struct TraceEvent;
 }  // namespace iobts::obs
 
 namespace iobts::sim {
 
 struct ShardedConfig {
-  /// Number of shards (>= 1). Pick the natural partition of the scenario:
-  /// one per SharedLink / cluster / independent rank group.
+  /// Number of shards (>= 1): one per independent run, cluster or sweep
+  /// point.
   std::uint32_t shards = 1;
-  /// Minimum virtual latency of any cross-shard post; the conservative
-  /// lookahead of the window protocol. 0 runs lockstep rounds per
-  /// timestamp; kInfiniteTime declares the shards fully independent.
-  Time lookahead = 0.0;
-  /// Default worker count for run(); 1 = serial canonical execution.
+  /// Shards are always independent, so the only accepted value is
+  /// kInfiniteTime. The field stays because the benchmark definition sets
+  /// it; drop it at the next benchmark-definition change.
+  Time lookahead = kInfiniteTime;
+  /// Default worker count for run(); 1 runs on the calling thread.
   unsigned threads = 1;
 };
 
 class ShardedSimulation {
  public:
-  /// Deterministic execution counters: identical for identical scenarios
-  /// regardless of thread count (exported under "sim.parallel.*" /
-  /// "sim.shard.*", so they are covered by the byte-identical-export gate).
+  /// Execution counters; identical for identical setups at any thread
+  /// count.
   struct Stats {
-    std::uint64_t windows = 0;
-    /// Shard-windows that executed zero events: the shard stalled at the
-    /// barrier while others worked. High values mean a lopsided partition
-    /// or a lookahead much smaller than the event spacing.
+    /// Shards that had no event to run when run() started.
     std::uint64_t window_stalls = 0;
-    /// Cross-shard posts merged at window barriers (inbox merge volume).
-    std::uint64_t cross_posts_merged = 0;
-    /// Trace events replayed from shard staging sinks into the global sink.
-    std::uint64_t trace_events_merged = 0;
-    /// Trace events encoded by the direct recorder (setTraceRecorder), which
-    /// bypasses the global-sink replay entirely.
+    /// Trace events encoded by the direct recorder (setTraceRecorder).
     std::uint64_t trace_events_recorded = 0;
   };
 
@@ -107,7 +76,6 @@ class ShardedSimulation {
   std::uint32_t shardCount() const noexcept {
     return static_cast<std::uint32_t>(shards_.size());
   }
-  Time lookahead() const noexcept { return lookahead_; }
 
   Simulation& shard(ShardId id) {
     IOBTS_CHECK(id < shards_.size(), "shard id out of range");
@@ -118,145 +86,48 @@ class ShardedSimulation {
     return shards_[id]->sim;
   }
 
-  /// Post `fn` to shard `to`, `dt` after shard `from`'s current time. Must
-  /// be called from code executing on shard `from` (or at setup, before
-  /// run()). Cross-shard posts require dt >= lookahead when lookahead > 0;
-  /// same-shard posts take the ordinary local path with no constraint.
-  /// Prefer the crossPost() helper below, which picks `from` from the
-  /// component's own Simulation.
-  template <class F,
-            class = std::enable_if_t<
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  void postCross(ShardId from, ShardId to, Time dt, F&& fn) {
-    IOBTS_CHECK(from < shards_.size(), "source shard id out of range");
-    IOBTS_CHECK(to < shards_.size(), "destination shard id out of range");
-    IOBTS_CHECK(dt >= 0.0, "cannot schedule into the past");
-    Shardlet& src = *shards_[from];
-    const Time t = src.sim.now() + dt;
-    if (to == from) {
-      src.sim.postAt(t, std::forward<F>(fn));
-      return;
-    }
-    IOBTS_CHECK(lookahead_ == 0.0 || dt >= lookahead_,
-                "cross-shard post below the declared lookahead latency");
-    stage(src, to, t, SmallCallback(std::forward<F>(fn)));
-  }
-
-  /// Drain every shard to exhaustion with the configured (or given) number
-  /// of worker threads; rethrows the first fatal process error (lowest
-  /// shard id wins ties deterministically). Returns the final virtual time
-  /// (max over shards).
+  /// Run every shard to exhaustion with the configured (or given) number of
+  /// workers; rethrows the lowest failing shard's fatal process error.
+  /// Returns the final virtual time (max over shards).
   Time run() { return run(config_threads_); }
   Time run(unsigned threads);
 
-  /// Run *complete* lookahead windows until the next window's trigger time
-  /// (the minimum next-event time across shards) would exceed `t_limit`,
-  /// then stop at the window barrier. Because window horizons are a pure
-  /// function of simulation state -- never of t_limit -- the windows
-  /// executed are exactly the prefix a plain run() would execute, and the
-  /// stop point is a quiescent point: all outboxes merged, no worker
-  /// mid-window, every shard parked at the same barrier any run of the same
-  /// scenario parks at. This is the sharded checkpoint capture point (see
-  /// src/ckpt); resuming with run() continues the identical window sequence.
-  /// Runs serially (capture is not a hot path); the subsequent run() may use
-  /// any thread count. Returns the latest shard clock.
-  Time runUntil(Time t_limit);
-
-  /// True when every shard's queue is empty (run()/runUntil() finished the
-  /// whole simulation).
-  bool quiescentlyDone() const noexcept {
-    return minNextEventTime() == kInfiniteTime;
-  }
-
-  /// Latest shard clock (shards advance independently between barriers).
+  /// Latest shard clock.
   Time now() const noexcept;
 
   std::uint64_t eventsProcessed() const noexcept;
   const Stats& stats() const noexcept { return stats_; }
 
-  /// Publish window/merge counters under "sim.parallel.*" and per-shard
-  /// dispatch totals under "sim.shard.<id>.*". Intentionally excludes the
-  /// worker-thread count: exports must not depend on it.
+  /// Publish "sim.parallel.*" totals and per-shard dispatch counts under
+  /// "sim.shard.<id>.*". Excludes the worker count: exports must not depend
+  /// on it.
   void exportMetrics(obs::MetricsRegistry& registry) const;
 
-  /// Record shard trace events *directly* into a sharded binary writer
-  /// instead of replaying them through the global sink at barriers: each
+  /// Record shard trace events directly into a sharded binary writer: each
   /// shard's staging sink gets the writer's drain hook, so events are
-  /// delta-encoded into shard-tagged chunks from the worker that produced
-  /// them, with no serial replay. The per-shard chunk sequence is a pure
-  /// function of the shard's event stream (watermark drains and seal
-  /// thresholds see only that shard's bytes), so decoded reports are
-  /// byte-identical across thread counts even though chunk interleaving in
-  /// the file is not. The recorder must outlive every run()/runUntil();
-  /// pass nullptr to detach. When a recorder is set, a global sink (if any)
-  /// still provides track names but receives no replayed events.
+  /// encoded into shard-tagged chunks from the worker that produced them.
+  /// The per-shard chunk sequence is a pure function of the shard's event
+  /// stream, so decoded reports are identical across thread counts even
+  /// though chunk interleaving in the file is not. The recorder must
+  /// outlive every run(); pass nullptr to detach. A global sink, if
+  /// installed, still provides track names but receives no events.
   void setTraceRecorder(obs::ShardedBinaryWriter* recorder) {
     recorder_ = recorder;
   }
 
  private:
-  /// One staged cross-shard post. The canonical merge order is
-  /// (t, src, seq): timestamp, then stable source shard id, then the
-  /// per-source sequence number -- independent of worker interleaving.
-  struct StagedPost {
-    Time t = 0.0;
-    ShardId src = 0;
-    ShardId dst = 0;
-    std::uint64_t seq = 0;
-    SmallCallback cb;
-  };
-
   struct Shardlet {
     Simulation sim;
-    /// Staged cross-shard posts; written only by the worker draining this
-    /// shard (or the setup thread), drained by the coordinator at the
-    /// barrier -- never concurrently.
-    std::vector<StagedPost> outbox;
-    std::uint64_t next_cross_seq = 0;
-    /// Events executed in the current window (coordinator reads after the
-    /// barrier, for the stall counter).
-    std::size_t window_executed = 0;
-    /// Per-shard trace staging (only while a global sink is installed).
+    /// Recorder staging ring (only during a recorded run()).
     std::unique_ptr<obs::TraceSink> staging;
   };
 
-  void stage(Shardlet& src, ShardId dst, Time t, SmallCallback cb);
-  Time minNextEventTime() const noexcept;
-  void drainShardWindow(Shardlet& shard, Time horizon, bool inclusive);
-  void mergeOutboxes();
-  void mergeTraces();
-  bool collectFatal();
-  void setupTraceStaging();
-  void teardownTraceStaging();
-  Time runSerial();
-  Time runParallel(unsigned threads);
+  void runShard(Shardlet& shard, std::exception_ptr& error);
 
-  Time lookahead_ = 0.0;
   unsigned config_threads_ = 1;
   std::vector<std::unique_ptr<Shardlet>> shards_;
-  std::vector<StagedPost> merge_scratch_;
-  std::vector<obs::TraceEvent> trace_scratch_;
-  obs::TraceSink* global_sink_ = nullptr;
   obs::ShardedBinaryWriter* recorder_ = nullptr;
-  std::exception_ptr fatal_{};
   Stats stats_{};
 };
-
-/// Post across shards from component code that only holds its own
-/// Simulation: routes through the owning ShardedSimulation when there is
-/// one; a plain Simulation accepts only shard 0 (the degenerate case) and
-/// posts locally.
-template <class F,
-          class = std::enable_if_t<
-              std::is_invocable_r_v<void, std::decay_t<F>&>>>
-void crossPost(Simulation& from, ShardId to, Time dt, F&& fn) {
-  ShardedSimulation* const owner = from.shardOwner();
-  if (owner == nullptr) {
-    IOBTS_CHECK(to == 0, "cross-shard post from an unsharded simulation");
-    from.post(dt, std::forward<F>(fn));
-    return;
-  }
-  owner->postCross(from.shardId(), to, dt, std::forward<F>(fn));
-}
 
 }  // namespace iobts::sim

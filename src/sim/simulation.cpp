@@ -177,17 +177,6 @@ Time Simulation::run() {
   return now_;
 }
 
-std::size_t Simulation::runWindow(Time horizon, bool inclusive) {
-  std::size_t executed = 0;
-  while (!fatal_error_ && !heap_.empty()) {
-    const Time t = heap_.top().t;
-    if (t > horizon || (t == horizon && !inclusive)) break;
-    step();
-    ++executed;
-  }
-  return executed;
-}
-
 Time Simulation::runUntil(Time t_limit) {
   while (!fatal_error_ && !heap_.empty() && heap_.top().t <= t_limit) {
     step();

@@ -265,16 +265,6 @@ class Simulation {
     IOBTS_CHECK(false, "cannot post a null callback");
   }
 
-  /// Schedule a callback at absolute time t (t >= now). Used by the sharded
-  /// coordinator to deliver merged cross-shard posts; also handy for tests.
-  template <class F,
-            class = std::enable_if_t<
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  void postAt(Time t, F&& fn) {
-    IOBTS_CHECK(t >= now_, "cannot schedule into the past");
-    pushCallback(t, SmallCallback(std::forward<F>(fn)));
-  }
-
   /// Awaitable pause of `dt` virtual seconds (dt >= 0; 0 yields through the
   /// queue, preserving FIFO fairness).
   auto delay(Time dt) noexcept {
@@ -306,35 +296,16 @@ class Simulation {
   bool step();
 
   /// Timestamp of the earliest pending event, or +infinity when the queue
-  /// is empty. The sharded coordinator uses this to compute the global safe
-  /// horizon of each lookahead window.
+  /// is empty. The checkpoint runner uses this to find its next park point.
   Time nextEventTime() const noexcept {
     return heap_.empty() ? kInfiniteTime : heap_.top().t;
   }
 
-  /// Drain events with t < horizon (t <= horizon when `inclusive`), without
-  /// rethrowing fatal errors (see fatalError()) and without advancing the
-  /// clock past the last executed event. Returns the number of events
-  /// executed. This is the per-shard body of one conservative lookahead
-  /// window; plain callers should prefer run()/runUntil().
-  std::size_t runWindow(Time horizon, bool inclusive);
-
-  /// Fatal process error captured by step()/runWindow() and not yet
-  /// rethrown (run()/runUntil() consume it; the sharded coordinator
-  /// collects it at the window barrier instead).
-  std::exception_ptr fatalError() const noexcept { return fatal_error_; }
-  std::exception_ptr takeFatalError() noexcept {
-    return std::exchange(fatal_error_, nullptr);
-  }
-
-  /// Shard identity: plain Simulations are shard 0 of no owner; a
-  /// ShardedSimulation stamps each member with its id and itself. The hot
-  /// path never reads these -- they exist so components can route
-  /// cross-shard posts (see sim/sharded.hpp crossPost) and label per-shard
-  /// metrics.
+  /// Shard identity: a plain Simulation is shard 0 and not sharded; a
+  /// ShardedSimulation stamps each member with its id. The hot path never
+  /// reads these -- they only label per-shard metrics.
   ShardId shardId() const noexcept { return shard_id_; }
-  ShardedSimulation* shardOwner() const noexcept { return shard_owner_; }
-  bool isSharded() const noexcept { return shard_owner_ != nullptr; }
+  bool isSharded() const noexcept { return sharded_; }
 
   std::size_t pendingEvents() const noexcept { return heap_.size(); }
   std::size_t liveProcesses() const noexcept { return processes_.size(); }
@@ -358,7 +329,7 @@ class Simulation {
 
  private:
   friend class Trigger;
-  friend class ShardedSimulation;  // stamps shard_id_ / shard_owner_
+  friend class ShardedSimulation;  // stamps shard_id_ / sharded_
 
   struct Process {
     Task<void> task;
@@ -457,7 +428,7 @@ class Simulation {
   std::exception_ptr fatal_error_{};
   /// Cold shard identity (see shardId()); never read on the hot path.
   ShardId shard_id_ = 0;
-  ShardedSimulation* shard_owner_ = nullptr;
+  bool sharded_ = false;
 };
 
 /// Await completion of all given tasks, sequentially awaiting each. Because

@@ -15,8 +15,7 @@ using Time = double;  // seconds of virtual time
 inline constexpr Time kNoTime = -1.0;
 
 /// "Never": later than every schedulable instant. nextEventTime() returns
-/// this for an empty queue; a sharded run with this lookahead never forces a
-/// window barrier (shards are fully independent).
+/// this for an empty queue.
 inline constexpr Time kInfiniteTime = std::numeric_limits<Time>::infinity();
 
 inline constexpr Time usec(double v) { return v * 1e-6; }

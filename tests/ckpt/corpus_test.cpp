@@ -2,9 +2,10 @@
 // scenarios/invalid/: every file under checkpoints/invalid/ must be
 // rejected by the full restore pipeline (read -> decode -> snapshot ->
 // replay-verify) with exactly the CheckpointError kind its filename stem
-// names, and every diagnostic must carry the file path plus a
-// defect-specific message. tools/ckpt_corpus.cpp regenerates the corpus;
-// the stem <-> kind contract keeps the two in lockstep.
+// names (up to the first '-'; the rest qualifies the defect), and every
+// diagnostic must carry the file path plus a defect-specific message.
+// tools/ckpt_corpus.cpp regenerates the corpus; the stem <-> kind contract
+// keeps the two in lockstep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,14 +38,17 @@ std::vector<fs::path> listCorpus() {
 
 TEST(CkptCorpus, EveryInvalidCheckpointIsRejectedWithItsNamedKind) {
   const std::vector<fs::path> files = listCorpus();
-  // One file per reportable defect kind (Io cannot be a checked-in file).
-  ASSERT_GE(files.size(), 9u);
+  // One file per reportable defect kind (Io cannot be a checked-in file),
+  // plus the oversized section count.
+  ASSERT_GE(files.size(), 10u);
 
   std::set<std::string> kinds_seen;
   std::map<std::string, std::string> diagnostics;
   for (const fs::path& file : files) {
     SCOPED_TRACE(file.string());
-    const std::string expected_kind = file.stem().string();
+    // `malformed-count.ckpt` = a malformed file whose defect is its count.
+    std::string expected_kind = file.stem().string();
+    expected_kind = expected_kind.substr(0, expected_kind.find('-'));
     try {
       // The full pipeline a real --resume would run.
       restoreScenarioCheckpoint(file.string());
@@ -95,6 +99,8 @@ TEST(CkptCorpus, DefectSpecificDetailInDiagnostics) {
   EXPECT_NE(messageOf("state_divergence.ckpt").find("section"),
             std::string::npos);
   EXPECT_NE(messageOf("scenario_mismatch.ckpt").find("different scenario"),
+            std::string::npos);
+  EXPECT_NE(messageOf("malformed-count.ckpt").find("4294967295 section(s)"),
             std::string::npos);
 }
 

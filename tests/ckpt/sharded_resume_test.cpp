@@ -1,15 +1,14 @@
-// Checkpoint/restore at sharded window barriers: a fleet of generated
-// scenario instances is parked by ShardedSimulation::runUntil() (a
-// quiescent point -- all outboxes merged, no worker mid-window), captured
-// per shard, rebuilt in a fresh fleet, replayed to the same barrier,
-// verified section-by-section, and resumed with 1, 2, and 4 worker
-// threads. Every resumed digest must equal the straight threads=1 run --
-// the same bar the plain sharded determinism suite sets, now with a
+// Checkpoint/restore of independent shards: a set of generated scenario
+// instances, one per shard, is parked shard by shard with
+// Simulation::runUntil() (a quiescent point: between events), captured per
+// shard, rebuilt in a fresh ShardedSimulation, replayed to the same
+// watermark, verified section by section, and resumed with 1, 2 and 4
+// worker threads. Every resumed digest must equal the straight threads=1
+// run -- the same bar the plain sharded determinism suite sets, now with a
 // checkpoint/restore in the middle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,15 +24,12 @@ namespace iobts::ckpt {
 namespace {
 
 constexpr std::uint32_t kShards = 4;
-constexpr sim::Time kLatency = 0.5;
 constexpr unsigned kThreadCounts[] = {1, 2, 4};
 
-/// A fleet of generated scenario instances, one per shard, with the
-/// completion cross-post that keeps the window/merge machinery honest.
-struct Fleet {
-  explicit Fleet(std::uint64_t seed, unsigned threads)
-      : sharded({.shards = kShards, .lookahead = kLatency,
-                 .threads = threads}) {
+/// Generated scenario instances, one per shard.
+struct ShardedInstances {
+  ShardedInstances(std::uint64_t seed, unsigned threads)
+      : sharded({.shards = kShards, .threads = threads}) {
     for (sim::ShardId s = 0; s < kShards; ++s) {
       scenario::ScenarioSpec spec = scenario::parseScenario(
           scenario::generateScenario(scenario::GeneratorConfig{},
@@ -41,110 +37,75 @@ struct Fleet {
       instances.push_back(std::make_unique<scenario::Instance>(
           sharded.shard(s), std::move(spec)));
       instances.back()->launch();
-      sharded.shard(s).spawn(report(*instances.back(), sharded.shard(s), s));
     }
   }
 
-  sim::Task<void> report(scenario::Instance& instance, sim::Simulation& home,
-                         sim::ShardId shard) {
-    for (std::size_t w = 0; w < instance.worldCount(); ++w) {
-      co_await instance.world(w).join();
-    }
-    const double elapsed = instance.elapsed();
-    auto* log = &head_log;
-    sim::crossPost(home, 0, kLatency, [shard, elapsed, log] {
-      log->push_back((static_cast<std::uint64_t>(shard) << 56) ^
-                     static_cast<std::uint64_t>(elapsed * 1e6));
-    });
-  }
-
-  std::vector<Section> capture() {
-    std::vector<Section> sections;
+  /// Park every shard at `watermark`.
+  void park(sim::Time watermark) {
     for (sim::ShardId s = 0; s < kShards; ++s) {
-      CaptureOptions opt;
-      opt.prefix = "state.shard" + std::to_string(s) + ".";
-      std::vector<Section> shard_sections =
-          captureInstanceState(*instances[s], opt);
-      sections.insert(sections.end(),
-                      std::make_move_iterator(shard_sections.begin()),
-                      std::make_move_iterator(shard_sections.end()));
+      sharded.shard(s).runUntil(watermark);
+    }
+  }
+
+  /// Each shard's state sections.
+  std::vector<std::vector<Section>> capture() {
+    std::vector<std::vector<Section>> sections;
+    for (const auto& instance : instances) {
+      sections.push_back(captureInstanceState(*instance));
     }
     return sections;
   }
 
   std::uint64_t finalDigest() {
     std::string canon;
-    for (sim::ShardId s = 0; s < kShards; ++s) {
-      instances[s]->requireFinished();
+    for (const auto& instance : instances) {
+      instance->requireFinished();
       CaptureOptions opt;
-      opt.prefix = "state.shard" + std::to_string(s) + ".";
       opt.include_clock = false;
-      canon += joinSections(captureInstanceState(*instances[s], opt));
+      canon += joinSections(captureInstanceState(*instance, opt));
     }
     return hashName(canon);
   }
 
   sim::ShardedSimulation sharded;
   std::vector<std::unique_ptr<scenario::Instance>> instances;
-  std::vector<std::uint64_t> head_log;
 };
 
 TEST(CkptShardedResume, WindowBarrierCheckpointAcrossThreadCounts) {
   for (const std::uint64_t seed : {std::uint64_t{2}, std::uint64_t{5}}) {
     // Reference: straight single-threaded run to completion.
-    Fleet straight(seed, 1);
+    ShardedInstances straight(seed, 1);
     const double t_end = straight.sharded.run(1);
     const std::uint64_t reference = straight.finalDigest();
     ASSERT_GT(t_end, 0.0);
 
     for (const double frac : {0.3, 0.6}) {
       const double watermark = t_end * frac;
-      // "Writer" process: park at the barrier at/below watermark, capture.
-      Fleet writer(seed, 1);
-      writer.sharded.runUntil(watermark);
-      const std::vector<Section> snapshot = writer.capture();
-      const std::uint64_t windows = writer.sharded.stats().windows;
+      // "Writer" process: park every shard at the watermark, capture.
+      ShardedInstances writer(seed, 1);
+      writer.park(watermark);
+      const std::vector<std::vector<Section>> snapshot = writer.capture();
 
       for (const unsigned threads : kThreadCounts) {
-        // "Resumer" process: rebuild, replay serially to the same barrier,
-        // verify bit-for-bit, then finish with `threads` workers.
-        Fleet resumer(seed, threads);
-        resumer.sharded.runUntil(watermark);
-        EXPECT_EQ(resumer.sharded.stats().windows, windows)
-            << "seed=" << seed << " frac=" << frac;
-        ASSERT_NO_THROW(
-            requireSectionsEqual(snapshot, resumer.capture(), "<sharded>"))
-            << "seed=" << seed << " frac=" << frac
-            << " threads=" << threads;
+        // "Resumer" process: rebuild, replay to the same watermark, verify
+        // bit-for-bit, then finish with `threads` workers.
+        ShardedInstances resumer(seed, threads);
+        resumer.park(watermark);
+        const std::vector<std::vector<Section>> replayed = resumer.capture();
+        for (sim::ShardId s = 0; s < kShards; ++s) {
+          ASSERT_NO_THROW(requireSectionsEqual(snapshot[s], replayed[s],
+                                               "<shard " + std::to_string(s) +
+                                                   ">"))
+              << "seed=" << seed << " frac=" << frac
+              << " threads=" << threads;
+        }
         resumer.sharded.run(threads);
-        EXPECT_TRUE(resumer.sharded.quiescentlyDone());
         EXPECT_EQ(resumer.finalDigest(), reference)
-            << "seed=" << seed << " frac=" << frac
-            << " threads=" << threads;
-        EXPECT_EQ(resumer.head_log, straight.head_log)
             << "seed=" << seed << " frac=" << frac
             << " threads=" << threads;
       }
     }
   }
-}
-
-TEST(CkptShardedResume, MidRunBarrierIsQuiescent) {
-  // The contract behind sharded capture: at the runUntil() stop point no
-  // cross-shard post is still staged -- everything observable is inside
-  // the per-shard state sections.
-  Fleet fleet(3, 2);
-  const double probe = 1.0;
-  fleet.sharded.runUntil(probe);
-  const std::uint64_t merged_at_barrier = fleet.sharded.stats().cross_posts_merged;
-  // Re-parking at the same limit must execute nothing new.
-  fleet.sharded.runUntil(probe);
-  EXPECT_EQ(fleet.sharded.stats().cross_posts_merged, merged_at_barrier);
-  const std::vector<Section> a = fleet.capture();
-  fleet.sharded.runUntil(probe);
-  EXPECT_NO_THROW(requireSectionsEqual(a, fleet.capture(), "<idempotent>"));
-  fleet.sharded.run(2);
-  EXPECT_TRUE(fleet.sharded.quiescentlyDone());
 }
 
 }  // namespace

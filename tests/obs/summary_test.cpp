@@ -1,8 +1,7 @@
 // Run-summary artifact tests: canonical sections in deterministic order,
 // byte-identical renders across repeated runs, independence from whether
 // tracing was enabled, row-capped tables that still digest the full data,
-// atomic file writes, and fleet summaries that are byte-identical across
-// worker thread counts.
+// and atomic file writes.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -10,13 +9,11 @@
 #include <string>
 #include <vector>
 
-#include "cluster/fleet.hpp"
 #include "obs/summary.hpp"
 #include "obs/trace.hpp"
 #include "scenario/instance.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulation.hpp"
-#include "util/units.hpp"
 
 namespace iobts::obs {
 namespace {
@@ -134,77 +131,6 @@ TEST(RunSummary, WriteIsAtomicAndFaithful) {
 
   EXPECT_FALSE(writeRunSummary(
       summary, ::testing::TempDir() + "/no_such_dir/run_summary.txt"));
-}
-
-// --- Fleet aggregation ------------------------------------------------------
-
-RunSummary summarizedFleet(unsigned threads) {
-  std::vector<cluster::ClusterConfig> configs(3);
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    configs[c].nodes = 16;
-    configs[c].pfs.read_capacity = 10e9;
-    configs[c].pfs.write_capacity = 10e9;
-    configs[c].seed = 11 + c;
-  }
-  cluster::Fleet fleet({.report_latency = 0.5, .threads = threads},
-                       std::move(configs));
-  for (sim::ShardId c = 0; c < fleet.clusterCount(); ++c) {
-    cluster::JobSpec job;
-    job.name = "async";
-    job.nodes = 8;
-    job.io = cluster::JobIo::Async;
-    job.loops = 2;
-    job.compute_seconds = 1.0 + 0.25 * c;
-    job.write_bytes_per_node = kGB / 4;
-    fleet.submit(c, job);
-  }
-  fleet.start();
-  fleet.run(threads);
-  SummaryOptions options;
-  options.scenario_name = "fleet-test";
-  return summarizeFleet(fleet, options);
-}
-
-TEST(FleetSummary, ByteIdenticalAcrossWorkerThreadCounts) {
-  const RunSummary reference = summarizedFleet(1);
-  ASSERT_EQ(reference.sections.size(), 1u + 2u * 3u);
-  EXPECT_EQ(reference.sections[0].name, "fleet.meta");
-  EXPECT_EQ(reference.sections[1].name, "shard0.jobs");
-  EXPECT_EQ(reference.sections[2].name, "shard0.link");
-  EXPECT_EQ(reference.sections[5].name, "shard2.jobs");
-
-  const std::string meta = reference.sections[0].payload;
-  EXPECT_NE(meta.find("clusters=3\n"), std::string::npos);
-  EXPECT_NE(meta.find("completions=3\n"), std::string::npos);
-  EXPECT_NE(meta.find("row=cluster:"), std::string::npos);
-
-  for (const unsigned threads : {2u, 4u}) {
-    const RunSummary parallel = summarizedFleet(threads);
-    EXPECT_EQ(reference.render(), parallel.render())
-        << "threads=" << threads;
-    EXPECT_EQ(reference.digest(), parallel.digest());
-  }
-}
-
-TEST(FleetSummary, FleetWithNoJobsStillSummarizesDeterministically) {
-  // Degenerate input: clusters exist, nothing was ever submitted or run.
-  // The summary must still carry every section with zeroed rows (and stay
-  // byte-identical across calls), not crash or elide shards.
-  std::vector<cluster::ClusterConfig> configs(2);
-  for (auto& cfg : configs) cfg.nodes = 4;
-  cluster::Fleet fleet({.report_latency = 0.5}, std::move(configs));
-  fleet.start();
-  fleet.run(1);
-  SummaryOptions options;
-  options.scenario_name = "fleet-empty";
-  const RunSummary summary = summarizeFleet(fleet, options);
-  ASSERT_EQ(summary.sections.size(), 1u + 2u * 2u);
-  EXPECT_EQ(summary.sections[0].name, "fleet.meta");
-  EXPECT_NE(summary.sections[0].payload.find("completions=0\n"),
-            std::string::npos);
-  const RunSummary again = summarizeFleet(fleet, options);
-  EXPECT_EQ(summary.render(), again.render());
-  EXPECT_EQ(summary.digest(), again.digest());
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Byte-identical-export gate for the parallel kernel: the same fleet
-// scenario run at threads=1 and threads=4 must produce the exact same
-// binary recording and metrics dump, including the "sim.parallel.*" /
-// "sim.shard.*" counters. Trace staging + canonical replay is what makes
-// this hold; this test is the proof.
+// Byte-identical-export gate for the independent-shard executor: the same
+// three-cluster scenario (one cluster per shard) run at threads 1, 2 and 4
+// must produce the exact same binary recording and metrics dump through
+// the global sink, and the same decoded reports through the shard-direct
+// recorder. Both recording paths keep every event.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,30 +10,25 @@
 #include <string>
 #include <vector>
 
-#include "cluster/fleet.hpp"
 #include "obs/binlog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "obs/summary.hpp"
 #include "obs/trace.hpp"
 #include "sim/sharded.hpp"
 #include "util/json.hpp"
 
+#include "../support/cluster_shards.hpp"
+
 namespace iobts {
 namespace {
 
-struct FleetExports {
-  std::string metrics_text;
-  std::string binary_trace;
-  std::string summary_text;
-};
+using testsupport::ClusterShards;
 
-FleetExports runTracedFleet(unsigned threads) {
-  obs::TraceSink sink;
-  obs::ScopedTraceSink scoped(sink);
-  FleetExports out;
-  obs::BinaryTraceWriter binwriter(sink, &out.binary_trace);
+constexpr unsigned kThreadCounts[] = {1, 2, 4};
 
+/// Three clusters, one per shard, each running a sync and a
+/// contention-limited async job.
+std::unique_ptr<ClusterShards> makeClusters(unsigned threads) {
   std::vector<cluster::ClusterConfig> configs(3);
   for (std::size_t c = 0; c < configs.size(); ++c) {
     configs[c].nodes = 32;
@@ -41,17 +36,17 @@ FleetExports runTracedFleet(unsigned threads) {
     configs[c].pfs.write_capacity = 10e9;
     configs[c].seed = 41 + c;
   }
-  cluster::Fleet fleet({.report_latency = 0.5, .threads = threads},
-                       std::move(configs));
-  for (sim::ShardId c = 0; c < fleet.clusterCount(); ++c) {
+  auto shards = std::make_unique<ClusterShards>(std::move(configs), threads);
+  for (std::size_t c = 0; c < shards->clusters.size(); ++c) {
+    cluster::Cluster& member = *shards->clusters[c];
     cluster::JobSpec sync;
     sync.name = "sync";
     sync.nodes = 10;
     sync.io = cluster::JobIo::Sync;
     sync.loops = 2;
-    sync.compute_seconds = 1.0 + 0.25 * c;
+    sync.compute_seconds = 1.0 + 0.25 * static_cast<double>(c);
     sync.write_bytes_per_node = 1 * kGB;
-    fleet.submit(c, sync);
+    member.submit(sync);
 
     cluster::JobSpec async;
     async.name = "async";
@@ -60,25 +55,36 @@ FleetExports runTracedFleet(unsigned threads) {
     async.loops = 2;
     async.compute_seconds = 4.0;
     async.write_bytes_per_node = kGB / 2;
-    const auto id = fleet.submit(c, async);
-    fleet.cluster(c).enableContentionLimiting(id, 1.2, 0.25);
+    const auto id = member.submit(async);
+    member.enableContentionLimiting(id, 1.2, 0.25);
   }
-  fleet.start();
-  fleet.run(threads);
+  return shards;
+}
 
+struct GlobalSinkExports {
+  std::string metrics_text;
+  std::string binary_trace;
+};
+
+GlobalSinkExports runTracedClusters(unsigned threads,
+                                    std::size_t ring_capacity = 1 << 16) {
+  obs::TraceSink sink({.capacity = ring_capacity});
+  obs::ScopedTraceSink scoped(sink);
+  GlobalSinkExports out;
+  obs::BinaryTraceWriter binwriter(sink, &out.binary_trace);
+
+  const std::unique_ptr<ClusterShards> shards = makeClusters(threads);
+  for (auto& member : shards->clusters) member->start();
+  shards->sharded.run(threads);
   binwriter.close();
-  obs::SummaryOptions summary_options;
-  summary_options.scenario_name = "fleet-identity";
-  out.summary_text = obs::summarizeFleet(fleet, summary_options).render();
 
   obs::MetricsRegistry registry;
-  fleet.exportMetrics(registry);
-  for (sim::ShardId c = 0; c < fleet.clusterCount(); ++c) {
-    // Clusters share dotted names; in a registry-per-cluster deployment
-    // each would get its own. For the identity check a merged registry is
-    // fine -- merged counters must match too.
-    fleet.cluster(c).exportMetrics(registry);
-    fleet.cluster(c).link().exportMetrics(registry);
+  shards->sharded.exportMetrics(registry);
+  for (const auto& member : shards->clusters) {
+    // Clusters share dotted names; for the identity check a merged
+    // registry is fine -- merged counters must match too.
+    member->exportMetrics(registry);
+    member->link().exportMetrics(registry);
   }
   sink.exportMetrics(registry);
   out.metrics_text = registry.dumpText();
@@ -86,16 +92,13 @@ FleetExports runTracedFleet(unsigned threads) {
 }
 
 TEST(ExportIdentity, TraceAndMetricsBytesMatchAcrossThreadCounts) {
-  const FleetExports reference = runTracedFleet(1);
+  const GlobalSinkExports reference = runTracedClusters(1);
   ASSERT_GT(reference.binary_trace.size(), 1000u);
-  ASSERT_GT(reference.summary_text.size(), 100u);
-  for (const unsigned threads : {2u, 4u}) {
-    const FleetExports parallel = runTracedFleet(threads);
+  for (const unsigned threads : kThreadCounts) {
+    const GlobalSinkExports parallel = runTracedClusters(threads);
     EXPECT_EQ(reference.metrics_text, parallel.metrics_text)
         << "threads=" << threads;
     EXPECT_EQ(reference.binary_trace, parallel.binary_trace)
-        << "threads=" << threads;
-    EXPECT_EQ(reference.summary_text, parallel.summary_text)
         << "threads=" << threads;
   }
 }
@@ -104,7 +107,7 @@ TEST(ExportIdentity, BinaryTraceDecodesToTheSameEventsTheJsonExportCarries) {
   // The recording holds the whole run (nothing dropped, everything drained
   // out of the ring), and the Chrome document derived from it carries the
   // same events and totals.
-  const FleetExports exports = runTracedFleet(2);
+  const GlobalSinkExports exports = runTracedClusters(2);
   const obs::BinaryTrace trace =
       obs::decodeBinaryTrace(exports.binary_trace, "<memory>");
   EXPECT_EQ(trace.totals.recorded, trace.events.size());
@@ -121,52 +124,42 @@ TEST(ExportIdentity, BinaryTraceDecodesToTheSameEventsTheJsonExportCarries) {
             static_cast<double>(trace.totals.recorded));
 }
 
+TEST(ExportIdentity, GlobalSinkRecordingThroughASmallRingKeepsEveryEvent) {
+  // Each shard emits about twice as many events as a 512-event ring holds.
+  // The shards drain straight into the global sink, whose writer empties
+  // the ring at half occupancy, so the recording is identical to one taken
+  // through a ring large enough for the whole run.
+  const obs::BinaryTrace roomy = obs::decodeBinaryTrace(
+      runTracedClusters(1).binary_trace, "<roomy>");
+  ASSERT_EQ(roomy.events.size(), 3360u);
+  for (const unsigned threads : kThreadCounts) {
+    const obs::BinaryTrace small = obs::decodeBinaryTrace(
+        runTracedClusters(threads, 512).binary_trace, "<small>");
+    EXPECT_EQ(small.events.size(), roomy.events.size())
+        << "threads=" << threads;
+    EXPECT_EQ(small.totals.recorded, roomy.events.size());
+    EXPECT_EQ(small.totals.dropped, 0u);
+    EXPECT_EQ(obs::profileSummaryText(small), obs::profileSummaryText(roomy))
+        << "threads=" << threads;
+  }
+}
+
 struct DirectRecording {
   std::string bytes;
   std::uint64_t events = 0;
 };
 
-DirectRecording runDirectlyRecordedFleet(unsigned threads) {
-  // Same fleet scenario as runTracedFleet, but recorded through the
-  // per-shard direct path: no global sink, no barrier replay -- each
-  // shard's staging buffer feeds its own delta encoder from the worker
-  // that produced the events.
+DirectRecording runDirectlyRecordedClusters(unsigned threads) {
+  // Same scenario as runTracedClusters, recorded through the per-shard
+  // direct path: no global sink -- each shard's staging ring feeds its own
+  // encoder from the worker that produced the events.
   DirectRecording out;
   obs::ShardedBinaryWriter recorder(&out.bytes);
-
-  std::vector<cluster::ClusterConfig> configs(3);
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    configs[c].nodes = 32;
-    configs[c].pfs.read_capacity = 10e9;
-    configs[c].pfs.write_capacity = 10e9;
-    configs[c].seed = 41 + c;
-  }
-  cluster::Fleet fleet({.report_latency = 0.5, .threads = threads},
-                       std::move(configs));
-  fleet.sharded().setTraceRecorder(&recorder);
-  for (sim::ShardId c = 0; c < fleet.clusterCount(); ++c) {
-    cluster::JobSpec sync;
-    sync.name = "sync";
-    sync.nodes = 10;
-    sync.io = cluster::JobIo::Sync;
-    sync.loops = 2;
-    sync.compute_seconds = 1.0 + 0.25 * c;
-    sync.write_bytes_per_node = 1 * kGB;
-    fleet.submit(c, sync);
-
-    cluster::JobSpec async;
-    async.name = "async";
-    async.nodes = 16;
-    async.io = cluster::JobIo::Async;
-    async.loops = 2;
-    async.compute_seconds = 4.0;
-    async.write_bytes_per_node = kGB / 2;
-    const auto id = fleet.submit(c, async);
-    fleet.cluster(c).enableContentionLimiting(id, 1.2, 0.25);
-  }
-  fleet.start();
-  fleet.run(threads);
-  fleet.sharded().setTraceRecorder(nullptr);
+  const std::unique_ptr<ClusterShards> shards = makeClusters(threads);
+  shards->sharded.setTraceRecorder(&recorder);
+  for (auto& member : shards->clusters) member->start();
+  shards->sharded.run(threads);
+  shards->sharded.setTraceRecorder(nullptr);
   recorder.close();
   out.events = recorder.events();
   return out;
@@ -175,18 +168,19 @@ DirectRecording runDirectlyRecordedFleet(unsigned threads) {
 TEST(ExportIdentity, DirectShardRecordingReportsMatchAcrossThreadCounts) {
   // The *files* may interleave shard chunks differently per thread count;
   // the canonical reader merge must make every decoded report identical.
-  const DirectRecording reference = runDirectlyRecordedFleet(1);
+  const DirectRecording reference = runDirectlyRecordedClusters(1);
   ASSERT_GT(reference.events, 0u);
   const obs::BinaryTrace ref_trace =
       obs::decodeBinaryTrace(reference.bytes, "<t1>");
   EXPECT_EQ(ref_trace.shard_count, 3u);
   EXPECT_EQ(ref_trace.events.size(), reference.events);
+  EXPECT_EQ(ref_trace.totals.dropped, 0u);
   const std::string ref_profile = obs::profileSummaryText(ref_trace);
   const std::string ref_critical = obs::criticalPathText(ref_trace);
   const std::string ref_breq = obs::breqTableText(ref_trace);
   const std::string ref_chrome = obs::chromeJsonFromBinaryTrace(ref_trace);
-  for (const unsigned threads : {2u, 4u}) {
-    const DirectRecording parallel = runDirectlyRecordedFleet(threads);
+  for (const unsigned threads : kThreadCounts) {
+    const DirectRecording parallel = runDirectlyRecordedClusters(threads);
     EXPECT_EQ(parallel.events, reference.events) << "threads=" << threads;
     const obs::BinaryTrace trace =
         obs::decodeBinaryTrace(parallel.bytes, "<tN>");
@@ -203,32 +197,29 @@ TEST(ExportIdentity, DirectShardRecordingReportsMatchAcrossThreadCounts) {
 TEST(ExportIdentity, ParallelCountersUseStableDottedNames) {
   obs::MetricsRegistry registry;
   {
-    sim::ShardedSimulation sharded({.shards = 2, .lookahead = 0.5});
-    sharded.shard(0).post(1.0, [&] {
-      sim::crossPost(sharded.shard(0), 1, 0.5, [] {});
-    });
+    sim::ShardedSimulation sharded({.shards = 2});
+    sharded.shard(0).post(1.0, [] {});
+    sharded.shard(1).post(0.5, [] {});
     sharded.run();
     sharded.exportMetrics(registry);
   }
   EXPECT_EQ(registry.gauge("sim.parallel.shards"), 2.0);
-  EXPECT_EQ(registry.gauge("sim.parallel.lookahead"), 0.5);
-  EXPECT_GT(registry.counter("sim.parallel.windows"), 0u);
-  EXPECT_EQ(registry.counter("sim.parallel.cross_posts_merged"), 1u);
   EXPECT_EQ(registry.counter("sim.parallel.events_dispatched"), 2u);
-  EXPECT_GE(registry.counter("sim.parallel.window_stalls"), 1u);
-  EXPECT_EQ(registry.counter("sim.parallel.trace_events_merged"), 0u);
   EXPECT_EQ(registry.counter("sim.shard.0.events_dispatched"), 1u);
   EXPECT_EQ(registry.counter("sim.shard.1.events_dispatched"), 1u);
   EXPECT_EQ(registry.gauge("sim.shard.0.pending_events"), 0.0);
+  // No recorder attached: no recorded-events counter.
+  EXPECT_EQ(registry.counters().count("sim.parallel.trace_events_recorded"),
+            0u);
 }
 
 TEST(ExportIdentity, ShardedComponentsPublishTheirShardId) {
   std::vector<cluster::ClusterConfig> configs(2);
   for (auto& cfg : configs) cfg.nodes = 8;
-  cluster::Fleet fleet({.report_latency = 0.5}, std::move(configs));
+  ClusterShards shards(std::move(configs), 1);
   obs::MetricsRegistry registry;
-  fleet.cluster(1).exportMetrics(registry);
-  fleet.cluster(1).link().exportMetrics(registry);
+  shards.clusters[1]->exportMetrics(registry);
+  shards.clusters[1]->link().exportMetrics(registry);
   EXPECT_EQ(registry.gauge("cluster.shard"), 1.0);
   EXPECT_EQ(registry.gauge("pfs.link.shard"), 1.0);
 

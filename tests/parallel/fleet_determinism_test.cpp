@@ -1,18 +1,19 @@
-// Determinism gate for the sharded parallel kernel on the real paper
+// Determinism gate for the independent-shard executor on the real paper
 // pipelines: fig10-quick WaComM worlds, the cluster-contention scenario,
-// and a fault-plan scenario each run at threads in {1, 2, 4} across >= 8
-// seeds; every run's observable outputs are serialized to the same
-// canonical hexfloat text the golden-digest suite uses and FNV-hashed. The
-// threads=1 digest is the reference; any thread count producing a
-// different byte is a determinism bug in the window/merge protocol.
+// and a fault-plan scenario -- one world or cluster per shard -- each run
+// at threads in {1, 2, 4} across >= 8 seeds; every run's observable outputs
+// are serialized to the same canonical hexfloat text the golden-digest
+// suite uses and FNV-hashed. The threads=1 digest is the reference; any
+// thread count producing a different byte means shard state leaked across
+// workers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "cluster/fleet.hpp"
 #include "fault/plan.hpp"
 #include "mpisim/world.hpp"
 #include "pfs/file_store.hpp"
@@ -22,8 +23,12 @@
 #include "util/rng.hpp"
 #include "workloads/wacomm.hpp"
 
+#include "../support/cluster_shards.hpp"
+
 namespace iobts {
 namespace {
+
+using testsupport::ClusterShards;
 
 constexpr std::uint64_t kSeeds[] = {1, 2, 3, 5, 8, 13, 21, 34};
 constexpr unsigned kThreadCounts[] = {1, 2, 4};
@@ -34,7 +39,7 @@ void appendNumber(std::string& out, const std::string& key, double value) {
   out += buf;
 }
 
-// --- fig10-quick: one WaComM world per shard, completions fed to shard 0 --
+// --- fig10-quick: one WaComM world per shard ---------------------------------
 
 struct WorldShard {
   WorldShard(sim::Simulation& sim, pfs::LinkConfig link_cfg,
@@ -50,25 +55,9 @@ struct WorldShard {
   mpisim::World world;
 };
 
-sim::Task<void> reportCompletion(mpisim::World& world, sim::Simulation& home,
-                                 sim::ShardId shard, sim::Time latency,
-                                 std::vector<std::uint64_t>& head_log) {
-  co_await world.join();
-  const double elapsed = world.elapsed();
-  sim::crossPost(home, 0, latency, [shard, elapsed, &head_log] {
-    head_log.push_back((static_cast<std::uint64_t>(shard) << 56) ^
-                       static_cast<std::uint64_t>(elapsed * 1e6));
-  });
-}
-
 std::uint64_t runFig10QuickFleet(unsigned threads, std::uint64_t seed) {
-  constexpr sim::Time kLatency = 0.5;
   constexpr std::uint32_t kShards = 4;
-  sim::ShardedSimulation sharded(
-      {.shards = kShards, .lookahead = kLatency, .threads = threads});
-
-  // Shard-0 state: the campaign head's completion log.
-  std::vector<std::uint64_t> head_log;
+  sim::ShardedSimulation sharded({.shards = kShards, .threads = threads});
 
   std::vector<std::unique_ptr<WorldShard>> members;
   for (sim::ShardId s = 0; s < kShards; ++s) {
@@ -94,9 +83,6 @@ std::uint64_t runFig10QuickFleet(unsigned threads, std::uint64_t seed) {
     cfg.iteration_fixed_seconds = 1.1;
     cfg.iterations = 3;
     members.back()->world.launch(workloads::wacommProgram(cfg));
-    sharded.shard(s).spawn(reportCompletion(members.back()->world,
-                                            sharded.shard(s), s, kLatency,
-                                            head_log));
   }
 
   const double t_end = sharded.run(threads);
@@ -112,15 +98,6 @@ std::uint64_t runFig10QuickFleet(unsigned threads, std::uint64_t seed) {
     appendNumber(canon, p + ".events",
                  static_cast<double>(sharded.shard(s).eventsProcessed()));
   }
-  canon += "head_log=";
-  for (const std::uint64_t entry : head_log) {
-    canon += std::to_string(entry) + ",";
-  }
-  canon += "\n";
-  appendNumber(canon, "windows",
-               static_cast<double>(sharded.stats().windows));
-  appendNumber(canon, "cross_posts",
-               static_cast<double>(sharded.stats().cross_posts_merged));
   return hashName(canon);
 }
 
@@ -135,14 +112,14 @@ TEST(FleetDeterminism, Fig10QuickWorldsAcrossThreadsAndSeeds) {
   }
 }
 
-// --- cluster contention fleet ---------------------------------------------
+// --- cluster contention: one cluster per shard -----------------------------
 
-std::string clusterCanon(cluster::Fleet& fleet, double t_end,
+std::string clusterCanon(ClusterShards& shards, double t_end,
                          const char* label) {
   std::string canon = std::string(label) + "\n";
   appendNumber(canon, "t_end", t_end);
-  for (sim::ShardId c = 0; c < fleet.clusterCount(); ++c) {
-    cluster::Cluster& cl = fleet.cluster(c);
+  for (sim::ShardId c = 0; c < shards.clusters.size(); ++c) {
+    cluster::Cluster& cl = *shards.clusters[c];
     const std::string p = "c" + std::to_string(c);
     for (cluster::JobId j = 0; j < cl.jobCount(); ++j) {
       const cluster::JobResult& r = cl.result(j);
@@ -158,15 +135,9 @@ std::string clusterCanon(cluster::Fleet& fleet, double t_end,
     appendNumber(canon, p + ".bytes_write",
                  static_cast<double>(
                      cl.link().bytesMoved(pfs::Channel::Write)));
-  }
-  // The head's merged completion feed: cross-shard order is the thing the
-  // canonical (t, src, seq) merge has to pin down.
-  for (const auto& rec : fleet.completionLog()) {
-    const std::string rp = "log." + std::to_string(&rec - fleet.completionLog().data());
-    appendNumber(canon, rp + ".cluster", static_cast<double>(rec.cluster));
-    appendNumber(canon, rp + ".job", static_cast<double>(rec.job));
-    appendNumber(canon, rp + ".reported_at", rec.reported_at);
-    appendNumber(canon, rp + ".failed", rec.failed ? 1.0 : 0.0);
+    appendNumber(
+        canon, p + ".events",
+        static_cast<double>(shards.sharded.shard(c).eventsProcessed()));
   }
   return canon;
 }
@@ -179,10 +150,10 @@ std::uint64_t runContentionFleet(unsigned threads, std::uint64_t seed) {
     configs[c].pfs.write_capacity = 12e9;
     configs[c].seed = seed ^ (c * 0x517CC1B727220A95ULL);
   }
-  cluster::Fleet fleet({.report_latency = 0.5, .threads = threads},
-                       std::move(configs));
+  ClusterShards shards(std::move(configs), threads);
 
-  for (sim::ShardId c = 0; c < fleet.clusterCount(); ++c) {
+  for (std::size_t c = 0; c < shards.clusters.size(); ++c) {
+    cluster::Cluster& member = *shards.clusters[c];
     for (int i = 0; i < 2; ++i) {
       cluster::JobSpec spec;
       spec.name = "sync" + std::to_string(i);
@@ -191,7 +162,7 @@ std::uint64_t runContentionFleet(unsigned threads, std::uint64_t seed) {
       spec.loops = 2;
       spec.compute_seconds = 1.5 + 0.7 * i + 0.1 * c;
       spec.write_bytes_per_node = 2 * kGB;
-      fleet.submit(c, spec);
+      member.submit(spec);
     }
     cluster::JobSpec async_spec;
     async_spec.name = "async";
@@ -200,14 +171,16 @@ std::uint64_t runContentionFleet(unsigned threads, std::uint64_t seed) {
     async_spec.loops = 2;
     async_spec.compute_seconds = 8.0;
     async_spec.write_bytes_per_node = 1 * kGB;
-    const auto id = fleet.submit(c, async_spec);
-    fleet.cluster(c).enableContentionLimiting(id, 1.2, 0.25);
+    const auto id = member.submit(async_spec);
+    member.enableContentionLimiting(id, 1.2, 0.25);
+    member.start();
   }
 
-  fleet.start();
-  const double t_end = fleet.run(threads);
-  EXPECT_EQ(fleet.completionLog().size(), 3u * fleet.clusterCount());
-  return hashName(clusterCanon(fleet, t_end, "contention-fleet"));
+  const double t_end = shards.sharded.run(threads);
+  for (const auto& member : shards.clusters) {
+    EXPECT_TRUE(member->allFinished());
+  }
+  return hashName(clusterCanon(shards, t_end, "contention-fleet"));
 }
 
 TEST(FleetDeterminism, ClusterContentionFleetAcrossThreadsAndSeeds) {
@@ -224,7 +197,7 @@ TEST(FleetDeterminism, ClusterContentionFleetAcrossThreadsAndSeeds) {
 // --- fault-plan fleet ------------------------------------------------------
 
 std::uint64_t runFaultPlanFleet(unsigned threads, std::uint64_t seed) {
-  // Plans must outlive the clusters: declared before the Fleet.
+  // Plans must outlive the clusters: declared before the shards.
   std::vector<fault::FaultPlan> plans;
   plans.emplace_back(seed ^ 0xF001);
   plans.back()
@@ -245,10 +218,9 @@ std::uint64_t runFaultPlanFleet(unsigned threads, std::uint64_t seed) {
     configs[c].retry.base_backoff = 0.1;
     configs[c].fault_plan = &plans[c];
   }
-  cluster::Fleet fleet({.report_latency = 0.25, .threads = threads},
-                       std::move(configs));
+  ClusterShards shards(std::move(configs), threads);
 
-  for (sim::ShardId c = 0; c < fleet.clusterCount(); ++c) {
+  for (auto& member : shards.clusters) {
     for (int i = 0; i < 2; ++i) {
       cluster::JobSpec spec;
       spec.name = "j" + std::to_string(i);
@@ -258,13 +230,13 @@ std::uint64_t runFaultPlanFleet(unsigned threads, std::uint64_t seed) {
       spec.compute_seconds = 1.0 + 0.5 * i;
       spec.write_bytes_per_node = 1 * kGB;
       spec.max_resubmits = 1;
-      fleet.submit(c, spec);
+      member->submit(spec);
     }
+    member->start();
   }
 
-  fleet.start();
-  const double t_end = fleet.run(threads);
-  return hashName(clusterCanon(fleet, t_end, "fault-fleet"));
+  const double t_end = shards.sharded.run(threads);
+  return hashName(clusterCanon(shards, t_end, "fault-fleet"));
 }
 
 TEST(FleetDeterminism, FaultPlanFleetAcrossThreadsAndSeeds) {

@@ -1,9 +1,8 @@
-// Sharded-kernel equivalence for compiled scenarios: a fleet of generated
+// Sharded-executor equivalence for compiled scenarios: a set of generated
 // scenario instances (one per shard, including streaming two-world and
 // fault-plan documents) must produce byte-identical canonical output at
 // threads in {1, 2, 4}. The threads=1 run is the reference digest; any
-// divergence is a determinism bug in either the scenario compiler's runtime
-// or the window/merge protocol underneath it.
+// divergence means the scenario runtime shares state across shards.
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -24,7 +23,6 @@ namespace {
 constexpr std::uint64_t kSeeds[] = {1, 2, 3, 5, 8, 13, 21, 34};
 constexpr unsigned kThreadCounts[] = {1, 2, 4};
 constexpr std::uint32_t kShards = 4;
-constexpr sim::Time kLatency = 0.5;
 
 void appendNumber(std::string& out, const std::string& key, double value) {
   char buf[96];
@@ -32,41 +30,22 @@ void appendNumber(std::string& out, const std::string& key, double value) {
   out += buf;
 }
 
-/// Wait for every world of a scenario instance, then report its completion
-/// to the shard-0 campaign log through the deterministic cross-post merge.
-sim::Task<void> reportCompletion(Instance& instance, sim::Simulation& home,
-                                 sim::ShardId shard,
-                                 std::vector<std::uint64_t>& head_log) {
-  for (std::size_t w = 0; w < instance.worldCount(); ++w) {
-    co_await instance.world(w).join();
-  }
-  const double elapsed = instance.elapsed();
-  sim::crossPost(home, 0, kLatency, [shard, elapsed, &head_log] {
-    head_log.push_back((static_cast<std::uint64_t>(shard) << 56) ^
-                       static_cast<std::uint64_t>(elapsed * 1e6));
-  });
-}
-
 std::uint64_t runScenarioFleet(unsigned threads, std::uint64_t seed) {
-  sim::ShardedSimulation sharded(
-      {.shards = kShards, .lookahead = kLatency, .threads = threads});
+  sim::ShardedSimulation sharded({.shards = kShards, .threads = threads});
 
-  std::vector<std::uint64_t> head_log;
   std::vector<std::unique_ptr<Instance>> instances;
   for (sim::ShardId s = 0; s < kShards; ++s) {
     // Per-shard seed drawn from the fleet seed; every document class the
     // generator knows (phased, streaming, faulted) ends up in some shard
     // across the seed set. A multi-world streaming instance shares its link
     // and file store between its worlds, so the whole instance lives on one
-    // shard -- cross-shard traffic is only the completion report.
+    // shard.
     const GeneratorConfig config;
     const std::uint64_t doc_seed = seed * 16 + s;
     ScenarioSpec spec = parseScenario(generateScenario(config, doc_seed));
     instances.push_back(
         std::make_unique<Instance>(sharded.shard(s), std::move(spec)));
     instances.back()->launch();
-    sharded.shard(s).spawn(reportCompletion(*instances.back(),
-                                            sharded.shard(s), s, head_log));
   }
 
   const double t_end = sharded.run(threads);
@@ -97,14 +76,6 @@ std::uint64_t runScenarioFleet(unsigned threads, std::uint64_t seed) {
         << "shard " << s << " seed " << seed;
     EXPECT_EQ(inst.stats().verify_failures, 0u);
   }
-  canon += "head_log=";
-  for (const std::uint64_t entry : head_log) {
-    canon += std::to_string(entry) + ",";
-  }
-  canon += "\n";
-  appendNumber(canon, "windows", static_cast<double>(sharded.stats().windows));
-  appendNumber(canon, "cross_posts",
-               static_cast<double>(sharded.stats().cross_posts_merged));
   return hashName(canon);
 }
 
@@ -117,27 +88,6 @@ TEST(ScenarioSharded, GeneratedFleetAcrossThreadsAndSeeds) {
           << "seed=" << seed << " threads=" << threads;
     }
   }
-}
-
-TEST(ScenarioSharded, CompletionsCrossShards) {
-  // The merge path is only exercised if completions actually cross: each
-  // shard posts exactly one record into the shard-0 log.
-  sim::ShardedSimulation sharded(
-      {.shards = kShards, .lookahead = kLatency, .threads = 2});
-  std::vector<std::uint64_t> head_log;
-  std::vector<std::unique_ptr<Instance>> instances;
-  for (sim::ShardId s = 0; s < kShards; ++s) {
-    ScenarioSpec spec =
-        parseScenario(generateScenario(GeneratorConfig{}, 100 + s));
-    instances.push_back(
-        std::make_unique<Instance>(sharded.shard(s), std::move(spec)));
-    instances.back()->launch();
-    sharded.shard(s).spawn(reportCompletion(*instances.back(),
-                                            sharded.shard(s), s, head_log));
-  }
-  sharded.run(2);
-  EXPECT_EQ(head_log.size(), static_cast<std::size_t>(kShards));
-  EXPECT_GT(sharded.stats().cross_posts_merged, 0u);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 //                 [--mode quick|full]
 //                 [--bench <name>=<google-benchmark-json-report>]...
 //                 [--wall <name>=<seconds>]...
-//                 [--parallel <micro_parallel-json-report>]
 //
 // Each --bench argument points at a report produced with
 // `--benchmark_format=json`; the relevant per-benchmark numbers (real time,
@@ -100,86 +99,6 @@ Json extractBenchmarks(const std::string& report_path) {
   return Json(std::move(out));
 }
 
-/// Build the top-level "parallel" section from a micro_parallel report:
-/// per-benchmark real times plus thread-count speedups derived from the
-/// benchmarks that carry a `threads` counter (real time at threads=1 over
-/// real time at threads=N for the same benchmark family). The section is
-/// label-independent -- it describes thread scaling of the current tree on
-/// the current machine, so `cores` is recorded alongside to make the
-/// numbers interpretable (on fewer cores than threads the "speedup" is
-/// legitimately <= 1).
-Json extractParallel(const std::string& report_path) {
-  const Json report = Json::parse(readFile(report_path));
-  IOBTS_CHECK(report.isObject(), report_path + ": report is not an object");
-  const auto& obj = report.asObject();
-  const auto it = obj.find("benchmarks");
-  IOBTS_CHECK(it != obj.end() && it->second.isArray(),
-              report_path + ": no benchmarks array");
-  JsonObject benches;
-  double cores = 0.0;
-  for (const Json& bench : it->second.asArray()) {
-    if (!bench.isObject()) continue;
-    const auto& b = bench.asObject();
-    const auto name_it = b.find("name");
-    if (name_it == b.end() || !name_it->second.isString()) continue;
-    if (b.count("aggregate_name") != 0) continue;
-    JsonObject entry;
-    if (const auto t = b.find("real_time");
-        t != b.end() && t->second.isNumber()) {
-      double ns = t->second.asNumber();
-      if (const auto u = b.find("time_unit");
-          u != b.end() && u->second.isString()) {
-        const std::string& unit = u->second.asString();
-        if (unit == "us") ns *= 1e3;
-        else if (unit == "ms") ns *= 1e6;
-        else if (unit == "s") ns *= 1e9;
-      }
-      entry["real_time_ns"] = Json(ns);
-    }
-    if (const auto th = b.find("threads");
-        th != b.end() && th->second.isNumber()) {
-      entry["threads"] = th->second;
-    }
-    if (const auto c = b.find("cores"); c != b.end() && c->second.isNumber()) {
-      cores = c->second.asNumber();
-    }
-    benches[name_it->second.asString()] = Json(std::move(entry));
-  }
-
-  // Threads=1 baseline per benchmark family ("BM_Foo/4/..." -> "BM_Foo").
-  auto family = [](const std::string& name) {
-    const auto slash = name.find('/');
-    return slash == std::string::npos ? name : name.substr(0, slash);
-  };
-  auto metric = [](const JsonObject& entry, const char* key) {
-    const auto m = entry.find(key);
-    return m != entry.end() && m->second.isNumber() ? m->second.asNumber()
-                                                    : 0.0;
-  };
-  JsonObject speedup;
-  for (const auto& [name, entry_val] : benches) {
-    if (!entry_val.isObject()) continue;
-    const auto& entry = entry_val.asObject();
-    const double threads = metric(entry, "threads");
-    const double rt = metric(entry, "real_time_ns");
-    if (threads <= 1.0 || rt <= 0.0) continue;
-    for (const auto& [base_name, base_val] : benches) {
-      if (!base_val.isObject() || family(base_name) != family(name)) continue;
-      const auto& base = base_val.asObject();
-      if (metric(base, "threads") != 1.0) continue;
-      const double base_rt = metric(base, "real_time_ns");
-      if (base_rt > 0.0) speedup[name] = Json(base_rt / rt);
-      break;
-    }
-  }
-
-  JsonObject out;
-  out["benchmarks"] = Json(std::move(benches));
-  if (cores > 0.0) out["cores"] = Json(cores);
-  out["speedup_vs_1_thread"] = Json(std::move(speedup));
-  return Json(std::move(out));
-}
-
 double benchMetric(const Json& section, const std::string& suite,
                    const std::string& bench, const char* metric) {
   if (!section.isObject()) return 0.0;
@@ -232,7 +151,6 @@ int main(int argc, char** argv) {
   std::string label;
   std::string schema = "iobts-bench-hotpath-v1";
   std::string mode = "quick";
-  std::string parallel_report;
   std::vector<std::pair<std::string, std::string>> bench_args;
   std::vector<std::pair<std::string, double>> wall_args;
 
@@ -250,8 +168,6 @@ int main(int argc, char** argv) {
       schema = next();
     } else if (arg == "--mode") {
       mode = next();
-    } else if (arg == "--parallel") {
-      parallel_report = next();
     } else if (arg == "--bench" || arg == "--wall") {
       const std::string value = next();
       const auto eq = value.find('=');
@@ -280,7 +196,7 @@ int main(int argc, char** argv) {
                  "usage: bench_to_json --out FILE --label LABEL "
                  "[--schema NAME] [--mode quick|full] "
                  "[--bench name=report.json]... "
-                 "[--wall name=seconds]... [--parallel report.json]\n");
+                 "[--wall name=seconds]...\n");
     return 2;
   }
 
@@ -308,10 +224,6 @@ int main(int argc, char** argv) {
       section[name] = Json(seconds);
     }
     root[label] = Json(std::move(section));
-
-    if (!parallel_report.empty()) {
-      root["parallel"] = extractParallel(parallel_report);
-    }
 
     if (root.count("before") != 0 && root.count("after") != 0) {
       root["speedup_after_vs_before"] =

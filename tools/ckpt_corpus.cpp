@@ -5,11 +5,14 @@
 // Builds one valid checkpoint of a small deterministic scenario, then
 // derives one corrupted variant per CheckpointError kind. Each file is
 // named after the errorKindName() the reader must report for it
-// (truncated.ckpt, bad_magic.ckpt, ...); tests/ckpt/corpus_test.cpp sweeps
-// the directory and keys its expectations on exactly those stems, so the
-// corpus and the sweep can never drift apart silently. The corpus under
-// checkpoints/invalid/ is a checked-in artifact -- rerun this tool and
-// commit the result only when the container format version is bumped.
+// (truncated.ckpt, bad_magic.ckpt, ...), optionally followed by '-' and a
+// qualifier naming a specific defect (malformed-count.ckpt);
+// tests/ckpt/corpus_test.cpp sweeps the directory and keys its expectations
+// on the stem up to the first '-', so the corpus and the sweep can never
+// drift apart silently. The corpus under checkpoints/invalid/ is a
+// checked-in artifact -- rerun this tool and commit the result only when the
+// container format version is bumped.
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -109,6 +112,20 @@ int main(int argc, char** argv) {
 
   // malformed: trailing garbage after the file checksum.
   writeBytes(dir + "/malformed.ckpt", valid + "garbage");
+
+  // malformed-count: the section count claims 0xFFFFFFFF sections and the
+  // trailer checksum is repaired, so only the count is wrong. A reader that
+  // reserved the count before bounding it would ask for about 274 GB.
+  {
+    std::string bytes = valid;
+    for (int i = 0; i < 4; ++i) bytes[12 + i] = '\xff';  // u32 at offset 12
+    const std::size_t body = bytes.size() - 8;
+    const std::uint64_t sum = ckpt::fnv1a(bytes.substr(0, body));
+    for (int i = 0; i < 8; ++i) {
+      bytes[body + i] = static_cast<char>((sum >> (8 * i)) & 0xffU);
+    }
+    writeBytes(dir + "/malformed-count.ckpt", bytes);
+  }
 
   // missing_section: a structurally valid container without the mandatory
   // meta section.

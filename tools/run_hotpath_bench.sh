@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
 # Record the hot-path performance trajectory into BENCH_hotpath.json.
 #
-# Runs the micro suites (micro_sim, micro_pfs, micro_hotpath, micro_parallel)
-# as JSON reports plus the two largest figure harnesses (fig10, fig13) under
-# `time`, then merges everything under the given label via tools/bench_to_json.
-# Run once with label `before` on the old revision and once with `after` on
-# the new one; the merger recomputes the speedup section when both labels
-# exist. micro_parallel additionally feeds the label-independent `parallel`
-# section (thread-count scaling of the sharded kernel on this machine).
+# Runs the micro suites (micro_sim, micro_pfs, micro_hotpath) as JSON reports
+# plus the two largest figure harnesses (fig10, fig13) under `time`, then
+# merges everything under the given label via tools/bench_to_json. Run once
+# with label `before` on the old revision and once with `after` on the new
+# one; the merger recomputes the speedup section when both labels exist.
 #
 # micro_hotpath also embeds the zero-allocation steady-state assertions
 # (counting operator new): its main() runs them before any benchmark and
@@ -39,7 +37,7 @@ if [[ "${IOBTS_BENCH_FULL:-0}" != 0 ]]; then
   FIG13_KEY=fig13_full_wall_seconds
 fi
 
-for micro in micro_sim micro_pfs micro_hotpath micro_parallel; do
+for micro in micro_sim micro_pfs micro_hotpath; do
   echo "== $micro"
   "$BUILD/bench/$micro" \
     --benchmark_out="$TMP/$micro.json" --benchmark_out_format=json
@@ -66,7 +64,6 @@ echo "   ${FIG13}s"
   --bench micro_pfs="$TMP/micro_pfs.json" \
   --bench micro_hotpath="$TMP/micro_hotpath.json" \
   --wall "$FIG10_KEY"="$FIG10" \
-  --wall "$FIG13_KEY"="$FIG13" \
-  --parallel "$TMP/micro_parallel.json"
+  --wall "$FIG13_KEY"="$FIG13"
 
 echo "recorded label '$LABEL' (mode $MODE) into BENCH_hotpath.json"
