@@ -1,98 +1,29 @@
-// Hot-path micro-benchmarks: the event-kernel callback path and the
-// SharedLink fair-share re-solve under contention.
+// Hot-path micro-benchmarks: the event-kernel callback path, the
+// observability plane's recording cost, and the SharedLink fair-share
+// re-solve under contention.
 //
-// Every figure harness drives these two paths millions of times (9216-rank
-// runs re-solve the allocation on each join/completion/cap change), so this
-// suite tracks them explicitly. Results are recorded into BENCH_hotpath.json
-// via tools/run_hotpath_bench.sh; see DESIGN.md "Hot-path architecture".
+// A plain google-benchmark binary, run by hand to look at one path in
+// isolation. tools/run_obs_bench.sh records the BM_DispatchTracing* and
+// BM_BinaryWriterDrain medians into BENCH_obs_overhead.json; end-to-end and
+// per-layer performance is recorded by perfbench (see perfbench/README.md).
+// The zero-allocation steady-state claims these paths make are asserted by
+// tests/alloc/alloc_test.cpp, not here.
 //
 // The benchmarks deliberately use only the stable public API so the same
 // source measures any revision of the kernel/PFS internals.
-//
-// The binary also *asserts* the zero-allocation steady-state claim: global
-// operator new/delete are replaced with counting versions, and main() runs
-// steady-state probes of the event-kernel and resolve paths (including the
-// lazy poke skip) that fail hard if a single allocation lands inside the
-// probe window, plus scenario-interpreter and MPI-IO request probes whose
-// whole-run allocation counts must not grow with the number of statements
-// or requests executed. Throughput can mask an added allocation; the
-// counter cannot.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
-#include "mpisim/world.hpp"
 #include "obs/binlog.hpp"
 #include "obs/trace.hpp"
 #include "pfs/fair_share.hpp"
-#include "pfs/file_store.hpp"
 #include "pfs/shared_link.hpp"
-#include "scenario/instance.hpp"
-#include "scenario/scenario.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
-
-// --- Counting allocator ----------------------------------------------------
-
-// The helpers are kept out of line so the compiler never sees an inlined
-// malloc in operator new meet an inlined free in operator delete (GCC's
-// -Wmismatched-new-delete would flag every such pair).
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-
-[[gnu::noinline]] void* countedAlloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size != 0 ? size : 1);
-}
-
-[[gnu::noinline]] void countedFree(void* p) noexcept { std::free(p); }
-}  // namespace
-
-void* operator new(std::size_t size) {
-  void* p = countedAlloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return countedAlloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return countedAlloc(size);
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  const std::size_t alignment =
-      std::max(sizeof(void*), static_cast<std::size_t>(align));
-  if (posix_memalign(&p, alignment, size != 0 ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { countedFree(p); }
-void operator delete[](void* p) noexcept { countedFree(p); }
-void operator delete(void* p, std::size_t) noexcept { countedFree(p); }
-void operator delete[](void* p, std::size_t) noexcept { countedFree(p); }
-void operator delete(void* p, std::align_val_t) noexcept { countedFree(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { countedFree(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  countedFree(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  countedFree(p);
-}
 
 namespace iobts {
 namespace {
@@ -315,8 +246,7 @@ sim::Task<void> oneTransfer(pfs::SharedLink& link, pfs::StreamId stream,
 
 // Staggered completions: n streams with distinct transfer sizes, so every
 // completion lands at a distinct instant and triggers its own re-solve over
-// the remaining actives -- O(n) resolves of O(n) streams each. This is the
-// "contended-resolve throughput" number tracked in BENCH_hotpath.json.
+// the remaining actives -- O(n) resolves of O(n) streams each.
 void BM_ContendedResolveStaggered(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -449,247 +379,7 @@ void BM_FairShareLarge(benchmark::State& state) {
 }
 BENCHMARK(BM_FairShareLarge)->Arg(9216);
 
-// --- Zero-allocation steady-state assertions -------------------------------
-
-std::uint64_t allocationsNow() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
-
-bool expectZeroDelta(const char* what, std::uint64_t before) {
-  const std::uint64_t delta = allocationsNow() - before;
-  if (delta != 0) {
-    std::fprintf(stderr,
-                 "ALLOCATION CHECK FAILED: %s performed %llu allocations in "
-                 "its steady-state window (expected 0)\n",
-                 what, static_cast<unsigned long long>(delta));
-    return false;
-  }
-  std::printf("allocation check: %-24s 0 allocations in steady state\n", what);
-  return true;
-}
-
-// Event kernel: a rolling window of re-posting callbacks past the SBO size,
-// so event slots and callback storage are continually recycled.
-bool checkKernelSteadyState(const char* what = "event-kernel churn") {
-  sim::Simulation sim;
-  std::uint64_t fired = 0;
-  struct Reposter {
-    sim::Simulation* sim;
-    std::uint64_t* fired;
-    int remaining;
-    double pad[3] = {0, 0, 0};  // push capture past any 16-byte SSO
-    void operator()() {
-      ++*fired;
-      if (remaining > 0) {
-        Reposter next = *this;
-        --next.remaining;
-        sim->post(1.0, next);
-      }
-    }
-  };
-  constexpr int kWindow = 64;
-  constexpr int kTotal = 20000;
-  for (int w = 0; w < kWindow; ++w) {
-    sim.post(1.0, Reposter{&sim, &fired, kTotal / kWindow});
-  }
-  sim.runUntil(10.0);  // warm the pools
-  const std::uint64_t before = allocationsNow();
-  sim.runUntil(200.0);
-  const bool ok = expectZeroDelta(what, before);
-  sim.run();
-  return ok;
-}
-
-// The same kernel probe with a TraceSink installed: recording is POD stores
-// into the preallocated ring, so the steady state must stay allocation-free
-// with tracing *on*, not just off.
-bool checkKernelSteadyStateTraced() {
-  obs::TraceSink sink;  // ring allocated here, before the probe window
-  obs::ScopedTraceSink install(sink);
-  bool ok = checkKernelSteadyState("event-kernel churn traced");
-  if (sink.recorded() == 0) {
-    std::fprintf(stderr,
-                 "ALLOCATION CHECK FAILED: traced kernel probe recorded no "
-                 "events (instrumentation missing?)\n");
-    ok = false;
-  }
-  return ok;
-}
-
-// Resolve path: long-lived contended transfers under deterministic cap churn
-// (saturating and non-saturating caps, so both fair-share pre-pass branches
-// run) interleaved with quiescent pokes (the lazy-skip path). The steady
-// state is phase-to-phase: one full phase (transfers + churn + drain) warms
-// every pool to its peak -- each input change orphans the previous far-future
-// completion sweep, so the pending-event population legitimately grows within
-// a phase, bounded by the churn count -- and an identical second phase must
-// then allocate nothing at all.
-bool checkResolveSteadyState() {
-  sim::Simulation sim;
-  pfs::LinkConfig cfg;
-  cfg.write_capacity = 100e9;
-  cfg.read_capacity = 100e9;
-  cfg.record_total = false;
-  pfs::SharedLink link(sim, cfg);
-  constexpr int kStreams = 128;
-  std::vector<pfs::StreamId> streams;
-  streams.reserve(kStreams);
-  for (int i = 0; i < kStreams; ++i) {
-    streams.push_back(link.createStream("s" + std::to_string(i)));
-  }
-  auto spawnTransfers = [&] {
-    for (const auto s : streams) {
-      // Large enough that nothing drains while the churn runs.
-      sim.spawn(oneTransfer(link, s, 1000000 * kGiB));
-    }
-  };
-  auto churn = [&]() -> sim::Task<void> {
-    // 0.5e9 sits below the uniform fill level 100e9 / 128, so saturating
-    // instances (the stable_sort fallback) occur throughout.
-    constexpr double kCaps[4] = {0.5e9, 0.9e9, 1.3e9, 1.7e9};
-    for (int c = 0; c < 2000; ++c) {
-      co_await sim.delay(1e-3);
-      if (c % 2 == 0) {
-        link.setStreamCap(streams[c % kStreams], kCaps[(c / 2) % 4]);
-      } else {
-        link.poke(pfs::Channel::Write);
-      }
-    }
-  };
-
-  // Phase 1 (warm-up): full churn, then drain to completion.
-  spawnTransfers();
-  sim.spawn(churn());
-  sim.run();
-
-  // Phase 2 (probe): identical workload; snapshot after the joins so the
-  // per-transfer setup (frames, Transfer objects) stays outside the window.
-  const sim::Time t0 = sim.now();
-  const std::uint64_t skipped_before =
-      link.resolveStats(pfs::Channel::Write).lazy_skipped;
-  spawnTransfers();
-  sim.spawn(churn());
-  sim.runUntil(t0 + 0.1);
-  const std::uint64_t before = allocationsNow();
-  sim.runUntil(t0 + 1.9);
-  bool ok = expectZeroDelta("resolve+poke churn", before);
-  if (link.resolveStats(pfs::Channel::Write).lazy_skipped == skipped_before) {
-    std::fprintf(stderr,
-                 "ALLOCATION CHECK FAILED: no lazy-skipped resolve inside "
-                 "the probe window (poke pattern broken?)\n");
-    ok = false;
-  }
-  sim.run();
-  return ok;
-}
-
-// Scenario interpreter: allocations of one whole one-rank run, parse through
-// sim.run(). The loop body binds, branches and binds again without creating
-// events, so only per-statement interpreter allocations can grow with N.
-std::uint64_t scenarioRunAllocations(int iterations) {
-  const std::string text =
-      "scenario \"alloc\"\nworld main { ranks = 1 }\nprogram main {\n"
-      "  loop i : " + std::to_string(iterations) +
-      " { let x = i * 3  if x % 2 == 0 { let y = x } }\n}\n";
-  const std::uint64_t before = allocationsNow();
-  {
-    sim::Simulation sim;
-    scenario::Instance instance(sim, scenario::parseScenario(text));
-    instance.launch();
-    sim.run();
-  }
-  return allocationsNow() - before;
-}
-
-bool checkScenarioInterpreter() {
-  scenarioRunAllocations(1);  // warm-up: the parser's static keyword tables
-  const std::uint64_t small = scenarioRunAllocations(1'000);
-  const std::uint64_t large = scenarioRunAllocations(100'000);
-  if (small != large) {
-    std::fprintf(stderr,
-                 "ALLOCATION CHECK FAILED: scenario interpreter performed "
-                 "%llu allocations at N=1000 but %llu at N=100000 (expected "
-                 "equal)\n",
-                 static_cast<unsigned long long>(small),
-                 static_cast<unsigned long long>(large));
-    return false;
-  }
-  std::printf("allocation check: %-24s %llu allocations at N=1000 and "
-              "N=100000\n",
-              "scenario interpreter", static_cast<unsigned long long>(small));
-  return true;
-}
-
-// MPI-IO request path: allocations of one whole one-rank run, construction
-// through teardown, with no hooks. Each iteration submits a 9 MiB
-// iwrite_at and waits for it; odd iterations compute first, so waits on
-// already-completed and on in-flight requests both occur. A `paced` run
-// caps the rank at 1 GB/s, which splits every request into three
-// sub-requests. Only per-request allocations can grow with N.
-std::uint64_t mpiIoRunAllocations(int iterations, bool paced) {
-  const std::uint64_t before = allocationsNow();
-  {
-    sim::Simulation sim;
-    pfs::LinkConfig link_config;
-    link_config.record_total = false;
-    pfs::SharedLink link(sim, link_config);
-    pfs::FileStore store;
-    mpisim::World world(sim, link, store, mpisim::WorldConfig{});
-    if (paced) world.setRankLimit(0, 1e9);
-    world.launch([iterations](mpisim::RankCtx& ctx) -> sim::Task<void> {
-      mpisim::File file = ctx.open("/pfs/probe");
-      for (int i = 0; i < iterations; ++i) {
-        const auto tag = static_cast<pfs::ContentTag>(i);
-        mpisim::Request request = co_await file.iwriteAt(0, 9 * kMiB, tag);
-        if (i % 2 == 1) co_await ctx.compute(0.01);
-        co_await ctx.wait(request);
-      }
-    });
-    sim.run();
-  }
-  return allocationsNow() - before;
-}
-
-bool checkMpiIoSteadyState(bool paced) {
-  const char* what = paced ? "mpi-io request paced" : "mpi-io request";
-  mpiIoRunAllocations(1, paced);  // warm-up: first-use statics
-  const std::uint64_t small = mpiIoRunAllocations(1'000, paced);
-  const std::uint64_t large = mpiIoRunAllocations(101'000, paced);
-  if (small != large) {
-    std::fprintf(stderr,
-                 "ALLOCATION CHECK FAILED: %s performed %llu allocations at "
-                 "N=1000 but %llu at N=101000 (expected equal)\n",
-                 what, static_cast<unsigned long long>(small),
-                 static_cast<unsigned long long>(large));
-    return false;
-  }
-  std::printf("allocation check: %-24s %llu allocations at N=1000 and "
-              "N=101000\n",
-              what, static_cast<unsigned long long>(small));
-  return true;
-}
-
-bool runAllocationChecks() {
-  const bool kernel_ok = checkKernelSteadyState();
-  const bool traced_ok = checkKernelSteadyStateTraced();
-  const bool resolve_ok = checkResolveSteadyState();
-  const bool scenario_ok = checkScenarioInterpreter();
-  const bool mpiio_ok = checkMpiIoSteadyState(/*paced=*/false);
-  const bool mpiio_paced_ok = checkMpiIoSteadyState(/*paced=*/true);
-  return kernel_ok && traced_ok && resolve_ok && scenario_ok && mpiio_ok &&
-         mpiio_paced_ok;
-}
-
 }  // namespace
 }  // namespace iobts
 
-int main(int argc, char** argv) {
-  // The assertions run before the benchmarks so an allocation regression
-  // fails the bench run outright instead of hiding in a throughput shift.
-  if (!iobts::runAllocationChecks()) return 1;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "util/check.hpp"
-
 namespace iobts::obs {
 
 void Histogram::observe(double value) {
@@ -35,25 +33,6 @@ void MetricsRegistry::observe(const std::string& name, double value,
     it = histograms_.emplace(name, std::move(h)).first;
   }
   it->second.observe(value);
-}
-
-void MetricsRegistry::mergeHistogram(const std::string& name,
-                                     const std::vector<double>& bounds,
-                                     const std::uint64_t* counts,
-                                     std::uint64_t total, double sum) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    Histogram h;
-    h.bounds = bounds;
-    h.counts.assign(bounds.size() + 1, 0);
-    it = histograms_.emplace(name, std::move(h)).first;
-  }
-  Histogram& h = it->second;
-  IOBTS_CHECK(h.bounds == bounds,
-              "mergeHistogram bucket layout mismatch for " + name);
-  for (std::size_t i = 0; i < h.counts.size(); ++i) h.counts[i] += counts[i];
-  h.total += total;
-  h.sum += sum;
 }
 
 std::uint64_t MetricsRegistry::counter(const std::string& name) const {

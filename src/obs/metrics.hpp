@@ -47,14 +47,6 @@ class MetricsRegistry {
   /// `bounds` (the layout is fixed).
   void observe(const std::string& name, double value,
                const std::vector<double>& bounds);
-  /// Merge pre-aggregated bucket counts into the named histogram; on first
-  /// use the histogram is created with `bounds`. `counts` must point at
-  /// bounds.size() + 1 entries (last = overflow). Existing histograms must
-  /// have the same bucket layout (enforced by IOBTS_CHECK).
-  void mergeHistogram(const std::string& name,
-                      const std::vector<double>& bounds,
-                      const std::uint64_t* counts, std::uint64_t total,
-                      double sum);
 
   std::uint64_t counter(const std::string& name) const;
   double gauge(const std::string& name) const;

@@ -33,31 +33,6 @@ std::uint64_t TraceSink::wallNowNs() const noexcept {
   return steadyNowNs() - wall_epoch_ns_;
 }
 
-void TraceSink::recordSpanStatLocked(const TraceEvent& event) {
-  const auto key = reinterpret_cast<std::uintptr_t>(event.name);
-  std::size_t i = static_cast<std::size_t>(
-                      (static_cast<std::uint64_t>(key) *
-                       0x9e3779b97f4a7c15ULL) >> 32) &
-                  (kSpanSlots - 1);
-  for (std::size_t probe = 0; probe < kSpanSlots; ++probe) {
-    SpanStat& slot = span_stats_[i];
-    if (slot.name == nullptr) {
-      slot.name = event.name;
-      slot.category = event.category;
-    }
-    if (slot.name == event.name) {
-      ++slot.count;
-      slot.sum += event.dur;
-      std::size_t b = 0;
-      while (b < 8 && event.dur > kSpanStatBounds[b]) ++b;
-      ++slot.buckets[b];
-      return;
-    }
-    i = (i + 1) & (kSpanSlots - 1);
-  }
-  ++span_stat_overflow_;
-}
-
 void TraceSink::push(const TraceEvent& event) {
   void (*hook)(void*) = nullptr;
   void* ctx = nullptr;
@@ -71,7 +46,6 @@ void TraceSink::push(const TraceEvent& event) {
     } else {
       ++dropped_;
     }
-    if (event.phase == Phase::Complete) recordSpanStatLocked(event);
     if (drain_hook_ != nullptr && count_ >= drain_trigger_count_) {
       hook = drain_hook_;
       ctx = drain_ctx_;
@@ -209,36 +183,15 @@ void TraceSink::clearDrainHook() {
   drain_trigger_count_ = 0;
 }
 
-std::vector<SpanStat> TraceSink::spanStats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return std::vector<SpanStat>(span_stats_, span_stats_ + kSpanSlots);
-}
-
-std::uint64_t TraceSink::spanStatOverflow() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return span_stat_overflow_;
-}
-
 void TraceSink::exportMetrics(MetricsRegistry& registry) const {
   std::lock_guard<std::mutex> lock(mutex_);
   registry.addCounter("obs.trace.recorded_events", recorded_);
   registry.addCounter("obs.trace.dropped_events", dropped_);
   registry.addCounter("obs.trace.streamed_events", streamed_);
-  registry.addCounter("obs.trace.span_stat_overflow", span_stat_overflow_);
   registry.setGauge("obs.trace.retained_events",
                     static_cast<double>(count_));
   registry.setGauge("obs.trace.capacity",
                     static_cast<double>(config_.capacity));
-  const std::vector<double> bounds(kSpanStatBounds,
-                                   kSpanStatBounds + 8);
-  for (const SpanStat& s : span_stats_) {
-    if (s.name == nullptr) continue;
-    std::string name = "obs.span.";
-    name += s.category;
-    name += '.';
-    name += s.name;
-    registry.mergeHistogram(name, bounds, s.buckets, s.count, s.sum);
-  }
 }
 
 std::vector<TraceEvent> TraceSink::snapshot() const {

@@ -98,24 +98,6 @@ struct TraceSinkConfig {
 
 class MetricsRegistry;
 
-/// Per-(category, name) duration statistics for closed spans, accumulated
-/// allocation-free on the recording path. Bucket edges are fixed
-/// (kSpanStatBounds); the slots merge into MetricsRegistry histograms at
-/// export time, where matching string *contents* (not just pointers)
-/// collapse into one histogram.
-struct SpanStat {
-  const char* category = nullptr;
-  const char* name = nullptr;
-  std::uint64_t count = 0;
-  double sum = 0.0;  // virtual seconds
-  std::uint64_t buckets[9] = {};
-};
-
-/// Upper bucket edges (seconds) for span-duration histograms; one overflow
-/// bucket above the last edge brings the count to 9.
-inline constexpr double kSpanStatBounds[8] = {1e-6, 1e-5, 1e-4, 1e-3,
-                                              1e-2, 1e-1, 1.0,  10.0};
-
 /// Fixed-capacity, thread-safe ring buffer of trace events.
 class TraceSink {
  public:
@@ -195,17 +177,10 @@ class TraceSink {
   // --- Metrics export -----------------------------------------------------
 
   /// Publish recording counters (obs.trace.recorded_events /
-  /// dropped_events / streamed_events, retained/capacity gauges) and the
-  /// per-span duration histograms ("obs.span.<category>.<name>") into
-  /// `registry`. Span stats cover every Complete event ever recorded,
-  /// including dropped and streamed ones.
+  /// dropped_events / streamed_events) and the retained/capacity gauges
+  /// into `registry`. Span durations are not aggregated here: iobts_profile
+  /// derives them from the recording.
   void exportMetrics(MetricsRegistry& registry) const;
-
-  /// Read-only view of the accumulated span-duration stats (unused slots
-  /// have null names). `spanStatOverflow` counts Complete events whose
-  /// (category, name) could not claim a slot in the fixed table.
-  std::vector<SpanStat> spanStats() const;
-  std::uint64_t spanStatOverflow() const;
 
   // --- Track names (setup-time; allocation allowed) -----------------------
 
@@ -216,13 +191,10 @@ class TraceSink {
       const;
 
  private:
-  static constexpr std::size_t kSpanSlots = 64;
-
   void push(const TraceEvent& event);
   void flow(Phase phase, const char* category, const char* name,
             std::uint32_t pid, std::uint32_t tid, sim::Time ts,
             std::uint64_t journey);
-  void recordSpanStatLocked(const TraceEvent& event);
 
   TraceSinkConfig config_;
   mutable std::mutex mutex_;
@@ -235,11 +207,6 @@ class TraceSink {
   std::map<std::uint32_t, std::string> process_names_;
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::string> thread_names_;
   std::uint64_t wall_epoch_ns_ = 0;
-  // Span-stat table: open addressing keyed on the name pointer (string
-  // literals make pointer identity a near-perfect key; export merges by
-  // content anyway).
-  SpanStat span_stats_[kSpanSlots] = {};
-  std::uint64_t span_stat_overflow_ = 0;
   // Drain trigger (null hook = streaming off).
   void (*drain_hook_)(void*) = nullptr;
   void* drain_ctx_ = nullptr;

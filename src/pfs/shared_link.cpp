@@ -342,10 +342,21 @@ void SharedLink::resolve(Channel channel) {
   // previous erase-from-the-middle made batch drains quadratic). Completed
   // transfers are collected and fired in their original active order so the
   // (time, seq) resume order of waiting coroutines is unchanged.
+  //
+  // A transfer also counts as drained when its drain time is at most one
+  // ULP of `now`: at large virtual times and high rates remaining / rate can
+  // exceed the byte epsilon yet round to zero when added to `now`, and a
+  // sweep posted there would land back on `now`, settle nothing, and repost
+  // forever. A survivor has remaining > rate * ulp, so its sweep lands
+  // strictly after `now`. rate * ulp exceeds the epsilon only once `now`
+  // is large (at 1.2e11 B/s, from 2^15 s on).
+  const double ulp =
+      std::nextafter(now, std::numeric_limits<double>::infinity()) - now;
   auto& active = cs.active;
   std::size_t write_pos = 0;
   for (std::size_t read_pos = 0; read_pos < active.size(); ++read_pos) {
-    if (active[read_pos]->remaining <= kDrainEpsilonBytes) {
+    const Transfer& t = *active[read_pos];
+    if (t.remaining <= kDrainEpsilonBytes || t.remaining <= t.rate * ulp) {
       cs.completed_scratch.push_back(std::move(active[read_pos]));
     } else {
       if (write_pos != read_pos) active[write_pos] = std::move(active[read_pos]);

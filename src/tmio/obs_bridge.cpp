@@ -16,10 +16,10 @@ const std::vector<double>& bandwidthBounds() {
 }
 
 /// Phase windows range from sub-millisecond verify phases to hundreds of
-/// seconds of compute; reuse the span-stat decades.
+/// seconds of compute: decade buckets from 1 us to 10 s.
 const std::vector<double>& secondsBounds() {
-  static const std::vector<double> bounds(obs::kSpanStatBounds,
-                                          obs::kSpanStatBounds + 8);
+  static const std::vector<double> bounds{1e-6, 1e-5, 1e-4, 1e-3,
+                                          1e-2, 1e-1, 1.0,  10.0};
   return bounds;
 }
 

@@ -3,7 +3,7 @@
 // TMIO emits its trace records as JSON Lines (one object per record), the
 // format the paper's plotting scripts consume. The parser exists for our own
 // tooling (tools/bench_to_json merges google-benchmark JSON reports into the
-// tracked BENCH_hotpath.json trajectory); it handles standard JSON and is not
+// tracked BENCH_obs_overhead.json); it handles standard JSON and is not
 // hardened against adversarial input.
 #pragma once
 

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/mutation.hpp"
 #include "obs/binlog.hpp"
 #include "obs/trace.hpp"
 
@@ -32,18 +33,12 @@ namespace {
 
 constexpr int kMutantsPerContainer = 4000;
 
-/// splitmix64: a tiny deterministic generator, identical on every standard
-/// library (std distributions are not).
-struct Rng {
-  std::uint64_t state;
-  std::uint64_t next() {
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-  std::size_t below(std::size_t n) { return n == 0 ? 0 : next() % n; }
-};
+using Rng = testsupport::SplitMix64;
+using testsupport::extremeU32;
+using testsupport::extremeU64;
+using testsupport::loadU64;
+using testsupport::storeU32;
+using testsupport::storeU64;
 
 /// A varied event stream: every phase, several tracks and names, wall
 /// times, values and journey ids.
@@ -107,20 +102,6 @@ std::string shardedContainer() {
   return bytes;
 }
 
-std::uint64_t loadU64(const std::string& s, std::size_t at) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, s.data() + at, sizeof(v));  // little-endian hosts only
-  return v;
-}
-
-void storeU32(std::string& s, std::size_t at, std::uint32_t v) {
-  std::memcpy(s.data() + at, &v, sizeof(v));
-}
-
-void storeU64(std::string& s, std::size_t at, std::uint64_t v) {
-  std::memcpy(s.data() + at, &v, sizeof(v));
-}
-
 struct Chunk {
   std::size_t offset = 0;  ///< of the kind word
   std::uint64_t len = 0;
@@ -154,28 +135,6 @@ void repair(std::string& s) {
   } catch (const BinlogError&) {
     // The body is no longer a whole number of chunks; leave the trailer.
   }
-}
-
-std::uint64_t extremeU64(Rng& rng, std::size_t file_size) {
-  const std::uint64_t values[] = {0,
-                                  1,
-                                  0x7fffffffffffffffULL,
-                                  0x8000000000000000ULL,
-                                  0xffffffffffffffffULL,
-                                  0xfffffffffffffff0ULL,
-                                  0xffffffffULL,
-                                  0x100000000ULL,
-                                  file_size,
-                                  file_size - 1,
-                                  file_size + 1};
-  return values[rng.below(std::size(values))];
-}
-
-std::uint32_t extremeU32(Rng& rng) {
-  const std::uint32_t values[] = {0,           1,          2,
-                                  0x7fffffffU, 0x80000000U, 0xfffffffeU,
-                                  0xffffffffU, 0x10000U,    20000000U};
-  return values[rng.below(std::size(values))];
 }
 
 /// A position worth overwriting: anywhere, or a chunk's structural fields

@@ -122,8 +122,6 @@ TEST(Journey, FlowApiRecordsIdsAndPhases) {
     EXPECT_EQ(ev.flow, 77u);
     EXPECT_EQ(std::string_view(ev.category), "journey");
   }
-  // Flow events are not spans; they must not feed the span-stat table.
-  for (const obs::SpanStat& s : sink.spanStats()) EXPECT_EQ(s.name, nullptr);
 }
 
 TEST(Journey, JourneyOfIsStableAndNonZero) {

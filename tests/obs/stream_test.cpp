@@ -48,38 +48,6 @@ TEST(TraceSinkMetrics, DroppedEventsAreExported) {
   EXPECT_DOUBLE_EQ(registry.gauge("obs.trace.capacity"), 8.0);
 }
 
-TEST(TraceSinkMetrics, SpanDurationHistogramsAreExported) {
-  obs::TraceSink sink;
-  // Three spans under one name across two decades, one under another.
-  sink.complete("adio", "adio.pace", 1, 0, 0.0, 5e-4);
-  sink.complete("adio", "adio.pace", 1, 0, 1.0, 7e-4);
-  sink.complete("adio", "adio.pace", 1, 0, 2.0, 2e-2);
-  sink.complete("pfs", "transfer.write", 2, 0, 0.0, 50.0);  // overflow bucket
-  sink.instant("adio", "adio.retry", 1, 0, 3.0);  // not a span: not counted
-
-  obs::MetricsRegistry registry;
-  sink.exportMetrics(registry);
-  const obs::Histogram* pace = registry.histogram("obs.span.adio.adio.pace");
-  ASSERT_NE(pace, nullptr);
-  EXPECT_EQ(pace->total, 3u);
-  EXPECT_DOUBLE_EQ(pace->sum, 5e-4 + 7e-4 + 2e-2);
-  ASSERT_EQ(pace->counts.size(), 9u);
-  EXPECT_EQ(pace->counts[3], 2u);  // (1e-4, 1e-3]
-  EXPECT_EQ(pace->counts[5], 1u);  // (1e-2, 1e-1]
-  const obs::Histogram* write =
-      registry.histogram("obs.span.pfs.transfer.write");
-  ASSERT_NE(write, nullptr);
-  EXPECT_EQ(write->counts.back(), 1u);  // above the last bound
-  EXPECT_EQ(sink.spanStatOverflow(), 0u);
-
-  // Exporting a second sink with the same span name accumulates (the
-  // mergeHistogram path: aggregation across sinks/processes).
-  obs::TraceSink other;
-  other.complete("adio", "adio.pace", 1, 0, 0.0, 5e-4);
-  other.exportMetrics(registry);
-  EXPECT_EQ(registry.histogram("obs.span.adio.adio.pace")->total, 4u);
-}
-
 TEST(TraceSinkDrops, OverwriteOldestAccountingWhenNoExporterIsAttached) {
   // Satellite contract for drop accounting: an unattached ring that wraps
   // keeps the *newest* capacity events, counts every overwritten one, and
@@ -213,7 +181,6 @@ TEST(TraceSinkMetrics, ClearKeepsSpanStatsAndCounters) {
   sink.exportMetrics(registry);
   EXPECT_EQ(registry.counter("obs.trace.recorded_events"), 1u);
   EXPECT_DOUBLE_EQ(registry.gauge("obs.trace.retained_events"), 0.0);
-  EXPECT_EQ(registry.histogram("obs.span.cat.span")->total, 1u);
 }
 
 }  // namespace

@@ -397,6 +397,39 @@ TEST(SharedLink, TenThousandSameInstantCompletionsDrainLinearly) {
   EXPECT_NEAR(sim.now(), kN * 1000.0 / 1e9, 1e-9);
 }
 
+TEST(SharedLink, TransferAfterFiftyHoursOnAFastLinkCompletes) {
+  // Regression for a livelock at large virtual times: after 1.8e5 s (the
+  // paper's 50 WaComM++ hours) one ULP of the clock is ~2.9e-11 s, which an
+  // uncapped 1.06e11 B/s transfer covers in ~3 bytes. A transfer left with
+  // more than the byte epsilon but less than that had a completion sweep
+  // that rounded back onto `now` and reposted itself forever. The step
+  // bound makes a regression fail instead of hang.
+  for (const bool force_full : {false, true}) {
+    SCOPED_TRACE(force_full ? "force_full_resolve" : "lazy resolve");
+    sim::Simulation sim;
+    LinkConfig cfg;
+    cfg.write_capacity = 1.06e11;
+    cfg.read_capacity = 1.2e11;
+    cfg.force_full_resolve = force_full;
+    SharedLink link(sim, cfg);
+    const auto s = link.createStream("rank0");
+    bool done = false;
+    auto proc = [&]() -> sim::Task<void> {
+      co_await sim.delay(1.8e5);
+      co_await link.transfer(Channel::Write, s, 1 << 20);
+      done = true;
+    };
+    sim.spawn(proc());
+    int steps = 0;
+    while (!done && steps < 1000 && sim.step()) ++steps;
+    ASSERT_TRUE(done) << "transfer still active after " << steps
+                      << " steps at t=" << sim.now();
+    sim.run();
+    EXPECT_EQ(link.bytesMoved(Channel::Write), 1u << 20);
+    EXPECT_EQ(link.activeTransfers(Channel::Write), 0u);
+  }
+}
+
 TEST(SharedLink, UnknownStreamThrows) {
   sim::Simulation sim;
   SharedLink link(sim, smallLink());

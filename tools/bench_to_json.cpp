@@ -1,25 +1,20 @@
-// Merge benchmark results into the tracked BENCH_hotpath.json trajectory.
+// Merge google-benchmark JSON reports into a tracked benchmark JSON file.
 //
 // Usage:
-//   bench_to_json --out BENCH_hotpath.json --label before|after
-//                 [--mode quick|full]
-//                 [--bench <name>=<google-benchmark-json-report>]...
-//                 [--wall <name>=<seconds>]...
+//   bench_to_json --out FILE --label LABEL --schema NAME
+//                 --bench <name>=<google-benchmark-json-report>...
 //
 // Each --bench argument points at a report produced with
-// `--benchmark_format=json`; the relevant per-benchmark numbers (real time,
-// items/s) are extracted. Each --wall argument records an end-to-end
-// wall-clock number (the fig10/fig13 harness runs). The output file keeps one
-// object per label, so running with --label before and later --label after
-// yields the before/after pair; when both are present a derived "speedup"
-// section is recomputed. tools/run_hotpath_bench.sh drives this binary.
+// `--benchmark_out_format=json`; the relevant per-benchmark numbers (real
+// time, items/s, bytes/event) are extracted and stored under
+// <LABEL>.<name>. Other labels and keys already in FILE are kept.
+// tools/run_obs_bench.sh drives this binary to record
+// BENCH_obs_overhead.json.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -99,60 +94,13 @@ Json extractBenchmarks(const std::string& report_path) {
   return Json(std::move(out));
 }
 
-double benchMetric(const Json& section, const std::string& suite,
-                   const std::string& bench, const char* metric) {
-  if (!section.isObject()) return 0.0;
-  const auto& s = section.asObject();
-  const auto suite_it = s.find(suite);
-  if (suite_it == s.end() || !suite_it->second.isObject()) return 0.0;
-  const auto& benches = suite_it->second.asObject();
-  const auto bench_it = benches.find(bench);
-  if (bench_it == benches.end() || !bench_it->second.isObject()) return 0.0;
-  const auto& entry = bench_it->second.asObject();
-  const auto m = entry.find(metric);
-  return m != entry.end() && m->second.isNumber() ? m->second.asNumber() : 0.0;
-}
-
-/// Derived speedups once both labels exist: items/s ratios per benchmark and
-/// wall-clock ratios per harness ( > 1.0 means "after" is faster).
-Json computeSpeedups(const Json& before, const Json& after) {
-  JsonObject out;
-  if (!before.isObject() || !after.isObject()) return Json(std::move(out));
-  for (const auto& [suite, suite_val] : after.asObject()) {
-    if (suite_val.isNumber()) {
-      // wall-clock entry: seconds, lower is better.
-      const auto& b = before.asObject();
-      const auto it = b.find(suite);
-      if (it != b.end() && it->second.isNumber() &&
-          suite_val.asNumber() > 0.0) {
-        out[suite] = Json(it->second.asNumber() / suite_val.asNumber());
-      }
-      continue;
-    }
-    if (!suite_val.isObject()) continue;
-    for (const auto& [bench, entry] : suite_val.asObject()) {
-      (void)entry;
-      const double before_ips =
-          benchMetric(before, suite, bench, "items_per_second");
-      const double after_ips =
-          benchMetric(after, suite, bench, "items_per_second");
-      if (before_ips > 0.0 && after_ips > 0.0) {
-        out[suite + "/" + bench] = Json(after_ips / before_ips);
-      }
-    }
-  }
-  return Json(std::move(out));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string out_path;
   std::string label;
-  std::string schema = "iobts-bench-hotpath-v1";
-  std::string mode = "quick";
+  std::string schema;
   std::vector<std::pair<std::string, std::string>> bench_args;
-  std::vector<std::pair<std::string, double>> wall_args;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -166,37 +114,21 @@ int main(int argc, char** argv) {
       label = next();
     } else if (arg == "--schema") {
       schema = next();
-    } else if (arg == "--mode") {
-      mode = next();
-    } else if (arg == "--bench" || arg == "--wall") {
+    } else if (arg == "--bench") {
       const std::string value = next();
       const auto eq = value.find('=');
       IOBTS_CHECK(eq != std::string::npos, arg + " expects name=value");
-      const std::string name = value.substr(0, eq);
-      const std::string rest = value.substr(eq + 1);
-      if (arg == "--bench") {
-        bench_args.emplace_back(name, rest);
-      } else {
-        char* end = nullptr;
-        const double seconds = std::strtod(rest.c_str(), &end);
-        if (end == rest.c_str() || *end != '\0') {
-          std::fprintf(stderr, "--wall %s: '%s' is not a number\n",
-                       name.c_str(), rest.c_str());
-          return 2;
-        }
-        wall_args.emplace_back(name, seconds);
-      }
+      bench_args.emplace_back(value.substr(0, eq), value.substr(eq + 1));
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return 2;
     }
   }
-  if (out_path.empty() || label.empty()) {
+  if (out_path.empty() || label.empty() || schema.empty() ||
+      bench_args.empty()) {
     std::fprintf(stderr,
                  "usage: bench_to_json --out FILE --label LABEL "
-                 "[--schema NAME] [--mode quick|full] "
-                 "[--bench name=report.json]... "
-                 "[--wall name=seconds]...\n");
+                 "--schema NAME --bench name=report.json...\n");
     return 2;
   }
 
@@ -208,10 +140,9 @@ int main(int argc, char** argv) {
       if (existing.isObject()) root = existing.asObject();
     }
     root["schema"] = Json(schema);
-    root["mode"] = Json(mode);
 
-    // Merge into any existing section for this label so partial captures
-    // (e.g. adding full-scale wall timings after a quick run) accumulate.
+    // Merge into any existing section for this label so reports recorded
+    // by separate runs accumulate.
     JsonObject section;
     if (const auto it = root.find(label);
         it != root.end() && it->second.isObject()) {
@@ -220,15 +151,7 @@ int main(int argc, char** argv) {
     for (const auto& [name, path] : bench_args) {
       section[name] = extractBenchmarks(path);
     }
-    for (const auto& [name, seconds] : wall_args) {
-      section[name] = Json(seconds);
-    }
     root[label] = Json(std::move(section));
-
-    if (root.count("before") != 0 && root.count("after") != 0) {
-      root["speedup_after_vs_before"] =
-          computeSpeedups(root["before"], root["after"]);
-    }
 
     std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
     IOBTS_CHECK(out.good(), "cannot write " + out_path);

@@ -12,14 +12,10 @@
 #   3. resumes from <dir>/latest with --resume and demands the same digest,
 #   4. rejects every file in checkpoints/invalid/ (corrupt corpus) non-zero.
 #
-# Capture/restore latency and checkpoint file size are merged into
-# BENCH_checkpoint.json via tools/bench_to_json (label `ckpt`).
-#
-# Usage: tools/run_crash_resume.sh <build-dir> [label]
+# Usage: tools/run_crash_resume.sh <build-dir>
 set -euo pipefail
 
-BUILD=${1:?usage: run_crash_resume.sh <build-dir> [label]}
-LABEL=${2:-ckpt}
+BUILD=${1:?usage: run_crash_resume.sh <build-dir>}
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 cd "$ROOT"
 
@@ -31,13 +27,6 @@ digest_of() { # digest_of <output-file> -> prints run.digest value
   sed -n 's/^run\.digest=//p' "$1" | tail -n 1
 }
 
-stat_of() { # stat_of <output-file> <key> -> prints the key=... value
-  grep -o "$2=[0-9.]*" "$1" | tail -n 1 | cut -d= -f2
-}
-
-CAPTURE_MS=0
-RESTORE_MS=0
-FILE_BYTES=0
 CRASHED=0
 SCENARIOS=0
 
@@ -80,15 +69,6 @@ for scn in fig10_quick fig13_quick faulted_degrade checkpoint_restart; do
     exit 1
   fi
   echo "   resumed from $(basename "$latest"): digest $got matches"
-
-  # Latency/size sample from an uninterrupted checkpointed run (the killed
-  # run's tail stats may be cut off mid-line).
-  rm -rf "$dir"
-  "$RUN" --scenario "$path" --checkpoint-dir "$dir" --checkpoint-every 0.5 \
-    > "$TMP/full.out"
-  CAPTURE_MS=$(stat_of "$TMP/full.out" ckpt.capture_ms)
-  FILE_BYTES=$(stat_of "$TMP/full.out" ckpt.file_bytes)
-  RESTORE_MS=$(stat_of "$TMP/resume.out" ckpt.restore_ms)
 done
 
 echo "== invalid corpus"
@@ -104,13 +84,5 @@ for f in checkpoints/invalid/*.ckpt; do
 done
 echo "   rejected $BAD corrupt checkpoints with diagnostics"
 
-"$BUILD/tools/bench_to_json" \
-  --out BENCH_checkpoint.json --label "$LABEL" \
-  --schema iobts-bench-checkpoint-v1 \
-  --wall capture_ms="$CAPTURE_MS" \
-  --wall restore_ms="$RESTORE_MS" \
-  --wall checkpoint_file_bytes="$FILE_BYTES"
-
 echo "crash-resume: $SCENARIOS scenarios resumed exactly" \
-  "($CRASHED killed mid-run), $BAD corrupt checkpoints rejected;" \
-  "recorded label '$LABEL' into BENCH_checkpoint.json"
+  "($CRASHED killed mid-run), $BAD corrupt checkpoints rejected"

@@ -8,9 +8,9 @@
 # merges the report via tools/bench_to_json. The time ratio On/Off is the
 # per-event cost of tracing; Binary/On is the recording cost on top of it.
 # Benchmarks run as interleaved repetitions and the medians are what get
-# recorded, so the comparison holds on noisy machines. micro_hotpath's
-# built-in allocation assertions (which include the traced kernel probe)
-# run first and fail the recording outright on a regression.
+# recorded, so the comparison holds on noisy machines. That the traced
+# dispatch path stays allocation-free is asserted by alloc_test (ctest),
+# not by this recording.
 #
 # Usage: tools/run_obs_bench.sh <build-dir> [label]     (label default: obs)
 set -euo pipefail

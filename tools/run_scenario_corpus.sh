@@ -2,7 +2,9 @@
 # Scenario-corpus sweep through the iobts_run CLI: every checked-in
 # scenarios/*.scn must compile and run to completion (exit 0), and every
 # scenarios/invalid/*.scn must be rejected with a "scenario error"
-# diagnostic on stderr (exit != 0, and never a crash/signal).
+# diagnostic on stderr (exit != 0, and never a crash/signal). Every run is
+# bounded by RUN_TIMEOUT_S of wall time, so a hung document fails the sweep
+# by name instead of stalling it.
 #
 # Usage: tools/run_scenario_corpus.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -15,12 +17,27 @@ if [[ ! -x "$RUNNER" ]]; then
   exit 1
 fi
 
+# Wall-time bound per run, in seconds: far above the slowest valid
+# document's time in the Sanitize build, so only a hang reaches it.
+RUN_TIMEOUT_S=20
+
+run_bounded() { # run_bounded <scn> -> iobts_run's exit status (124: timed out)
+  set +e
+  timeout "$RUN_TIMEOUT_S" "$RUNNER" --scenario "$1" >/dev/null 2>/tmp/scn_err.$$
+  status=$?
+  set -e
+}
+
 FAILED=0
 
 echo "== scenario corpus: valid documents =="
 for scn in scenarios/*.scn; do
-  if "$RUNNER" --scenario "$scn" >/dev/null 2>/tmp/scn_err.$$; then
+  run_bounded "$scn"
+  if [[ $status -eq 0 ]]; then
     echo "ok   $scn"
+  elif [[ $status -eq 124 ]]; then
+    echo "FAIL $scn (timed out after ${RUN_TIMEOUT_S} s)" >&2
+    FAILED=1
   else
     echo "FAIL $scn (expected clean run)" >&2
     cat /tmp/scn_err.$$ >&2
@@ -30,11 +47,11 @@ done
 
 echo "== scenario corpus: invalid documents =="
 for scn in scenarios/invalid/*.scn; do
-  set +e
-  "$RUNNER" --scenario "$scn" >/dev/null 2>/tmp/scn_err.$$
-  status=$?
-  set -e
-  if [[ $status -ge 128 ]]; then
+  run_bounded "$scn"
+  if [[ $status -eq 124 ]]; then
+    echo "FAIL $scn (timed out after ${RUN_TIMEOUT_S} s)" >&2
+    FAILED=1
+  elif [[ $status -ge 128 ]]; then
     echo "FAIL $scn (crashed with signal $((status - 128)))" >&2
     FAILED=1
   elif [[ $status -eq 0 ]]; then

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: the standard build + test line from ROADMAP.md, plus an
+# Tier-1 gate: the standard build + test line from ROADMAP.md (the ctest
+# pass includes alloc_test, the zero-allocation steady-state gate), plus an
 # ASan+UBSan pass over the event-kernel and PFS hot paths (the code most
 # exposed to lifetime bugs: SBO callback relocation, pooled event slots,
 # in-place completion compaction, recycled coroutine frames).
@@ -96,12 +97,12 @@ if [[ "$SKIP_SANITIZE" == 1 ]]; then
   exit 0
 fi
 
-echo "== sanitize: configure + build (ASan+UBSan, sim+pfs+mpisim+throttle+fault+scenario+ckpt+obs tests + hotpath asserts) =="
+echo "== sanitize: configure + build (ASan+UBSan, sim+pfs+mpisim+throttle+fault+scenario+ckpt+obs+alloc tests) =="
 cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Sanitize \
-  -DIOBTS_BUILD_BENCH=ON -DIOBTS_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build build-sanitize -j --target sim_test pfs_test mpisim_test throttle_test fault_test scenario_test ckpt_test obs_test micro_hotpath
+  -DIOBTS_BUILD_BENCH=OFF -DIOBTS_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build build-sanitize -j --target sim_test pfs_test mpisim_test throttle_test fault_test scenario_test ckpt_test obs_test alloc_test
 
-echo "== sanitize: run sim_test + pfs_test + mpisim_test + throttle_test + fault_test + scenario_test + ckpt_test + obs_test =="
+echo "== sanitize: run sim_test + pfs_test + mpisim_test + throttle_test + fault_test + scenario_test + ckpt_test + obs_test + alloc_test =="
 # ASan instrumentation defeats the coroutine symmetric-transfer tail call,
 # so the 100k-deep Task chain test consumes real stack per hop; lift the
 # stack limit for the sanitized run only.
@@ -120,21 +121,20 @@ ulimit -s unlimited 2>/dev/null || true
 # here: malformed documents and generated programs must never trip
 # ASan/UBSan anywhere in the lexer -> parser -> compiler -> runtime chain.
 ./build-sanitize/tests/scenario_test
-# The ckpt suite decodes deliberately corrupt binary containers and replays
-# captured state through the full restore-verify path: the encoder, the
-# strict reader's bounds handling, and snapshot teardown all run sanitized.
+# The ckpt suite decodes deliberately corrupt binary containers -- the
+# invalid corpus and thousands of seeded mutants of a valid checkpoint --
+# and replays captured state through the full restore-verify path: the
+# encoder, the strict reader's bounds handling, and snapshot teardown all
+# run sanitized.
 ./build-sanitize/tests/ckpt_test
 # The obs suite sweeps the traces/invalid/ corrupt-container corpus and
 # thousands of seeded binlog mutants through the strict, windowed and tail
 # readers, and round-trips writer output through the profiler aggregates:
 # byte-level bounds handling under ASan/UBSan.
 ./build-sanitize/tests/obs_test
-
-echo "== sanitize: hot-path allocation assertions =="
-# micro_hotpath's main() runs the zero-allocation steady-state probes before
-# any benchmark; an empty filter runs just those probes (exit 1 on failure),
-# here with ASan+UBSan watching the exercised kernel/resolve paths.
-./build-sanitize/bench/micro_hotpath --benchmark_filter='^$'
+# The zero-allocation gate again, with ASan+UBSan watching the kernel,
+# resolve, scenario-interpreter and MPI-IO paths it exercises.
+./build-sanitize/tests/alloc_test
 
 if [[ "$SKIP_TSAN" == 1 ]]; then
   echo "== tsan pass skipped (--skip-tsan) =="
