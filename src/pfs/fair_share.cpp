@@ -20,14 +20,19 @@ FairShareStats fairShareInto(std::span<const FairShareItem> items,
   // Validate and precompute each item's cap/weight ratio once (the
   // comparator below would otherwise recompute two divisions per comparison,
   // and a NaN ratio would break strict weak ordering). The same pass
-  // classifies the instance for the bucket pre-pass: how many items are
-  // capped, and whether all capped items share a single cap/weight ratio
-  // class (in which case their input order already is their sorted order).
+  // classifies the instance for the two pre-passes: how many items are
+  // capped, whether all capped items share a single cap/weight ratio class
+  // (in which case their input order already is their sorted order), and
+  // the cap sum, smallest weight and cap coverage of the positive-weight
+  // items.
   scratch.ratio.resize(items.size());
   double active_weight = 0.0;
   std::size_t n_capped = 0;
   double first_ratio = 0.0;
   bool single_ratio_class = true;
+  double cap_sum = 0.0;
+  double min_weight = std::numeric_limits<double>::infinity();
+  bool all_capped = true;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const auto& item = items[i];
     IOBTS_CHECK(!std::isnan(item.weight), "weights must not be NaN");
@@ -53,6 +58,44 @@ FairShareStats fairShareInto(std::span<const FairShareItem> items,
       }
       ++n_capped;
     }
+    if (item.weight > 0.0) {
+      min_weight = std::min(min_weight, item.weight);
+      if (item.cap) {
+        cap_sum += *item.cap;
+      } else {
+        all_capped = false;
+      }
+    }
+  }
+
+  // All-saturating pre-pass, the mirror of the bucket pre-pass below. When
+  // every positive-weight item is capped and the caps sum to S <= C(1 - d),
+  // the sorted walk pins every item at its cap, ends with lambda = 0 and
+  // never breaks, so the caps are the answer and the sort is pure overhead.
+  // The margin d must absorb the walk's rounding. Exactly, step k offers
+  // lambda_k * w_k >= cap_k + (C - S) * w_k / active_k (the items still
+  // active have ratios >= cap_k / w_k). In floating point `remaining`
+  // carries at most about (N + k) eps C of absolute error and
+  // `active_weight` at most about 2N eps W, and the last items' active
+  // weight can be as small as w_min, so keeping the computed
+  // lambda_k * w_k >= cap_k at every step needs
+  // d >= 2 (N + 1)(1 + W / w_min) eps to first order; d is 4x that.
+  // d < 1/2 keeps `active_weight` positive to the end. A fill level or
+  // product in the subnormal range carries absolute rather than relative
+  // error, so the smallest fill level the walk can reach, d C / W, times
+  // min(1, w_min) must also stay normal. Seeded near-boundary fuzzing found
+  // no mismatch against the sorted walk even at 1/32 of this d (DESIGN.md
+  // section 6).
+  bool all_saturating = false;
+  if (all_capped && std::isfinite(min_weight) && std::isfinite(capacity) &&
+      std::isfinite(cap_sum)) {
+    constexpr double kEps = std::numeric_limits<double>::epsilon();
+    const double margin = 8.0 * static_cast<double>(items.size() + 1) *
+                          (1.0 + active_weight / min_weight) * kEps;
+    all_saturating =
+        margin < 0.5 && cap_sum <= capacity * (1.0 - margin) &&
+        margin * capacity / active_weight * std::min(1.0, min_weight) >=
+            2.0 * std::numeric_limits<double>::min();
   }
 
   // Bucket pre-pass. Progressive filling saturates items in ascending
@@ -62,10 +105,11 @@ FairShareStats fairShareInto(std::span<const FairShareItem> items,
   // positive-weight item and the sort is pure overhead. That covers the
   // common all-uncapped and under-demand (contention-free) solves. The
   // fast path reuses the identical division, so allocations stay
-  // bit-identical to the sorted walk's.
+  // bit-identical to the sorted walk's. The two pre-passes exclude each
+  // other: the all-saturating margin makes the walk's first item saturate.
   const double lambda0 = active_weight > 0.0 ? capacity / active_weight : 0.0;
-  bool any_saturating = false;
-  if (n_capped > 0) {
+  bool any_saturating = all_saturating;
+  if (!all_saturating && n_capped > 0) {
     for (const auto& item : items) {
       if (item.weight > 0.0 && item.cap &&
           *item.cap <= lambda0 * item.weight) {
@@ -76,7 +120,11 @@ FairShareStats fairShareInto(std::span<const FairShareItem> items,
   }
 
   double lambda = 0.0;
-  if (!any_saturating) {
+  if (all_saturating) {
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (items[i].weight > 0.0) allocation[i] = *items[i].cap;
+    }
+  } else if (!any_saturating) {
     lambda = lambda0;
     for (std::size_t i = 0; i < items.size(); ++i) {
       const auto& item = items[i];

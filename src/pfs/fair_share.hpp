@@ -10,21 +10,32 @@
 // the rest receive lambda*weight. Work-conserving: the full capacity is
 // distributed unless every item is cap-saturated.
 //
-// Two entry points share one implementation:
-//   * fairShare()      -- convenience API returning freshly allocated vectors;
-//   * fairShareInto()  -- hot-path API writing into caller-owned buffers.
+// Two pre-passes skip the sort when its outcome is known in advance, and
+// both return the sorted walk's exact bits:
+//   * no-saturation: no item saturates at the initial fill level, so every
+//     item gets min(lambda0 * weight, cap);
+//   * all-saturating: every positive-weight item is capped and the caps sum
+//     below capacity by a rounding-proof margin, so every item gets its cap.
+//
+// Entry points:
+//   * fairShare()       -- convenience API returning freshly allocated vectors;
+//   * fairShareInto()   -- hot-path API writing into caller-owned buffers;
+//   * fairShareSingle() -- one weight-1 item, no buffers at all.
 // The hot path (SharedLink::resolve) re-solves on every transfer join /
 // completion / cap change, so fairShareInto keeps per-call allocations at
 // zero: the caller passes a FairShareScratch whose buffers (sort order,
-// precomputed cap/weight ratios) are reused across solves. Both produce
+// precomputed cap/weight ratios) are reused across solves. All three produce
 // bit-identical allocations.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "util/check.hpp"
 #include "util/units.hpp"
 
 namespace iobts::pfs {
@@ -61,6 +72,21 @@ struct FairShareStats {
 FairShareStats fairShareInto(std::span<const FairShareItem> items,
                              BytesPerSec capacity, FairShareScratch& scratch,
                              std::vector<BytesPerSec>& allocation);
+
+/// The allocation fairShareInto gives a single item of weight 1 and cap
+/// `cap`, bit for bit, with the same checks on capacity and cap. Its lambda0
+/// is capacity / 1, so the walk either pins cap <= capacity or hands out
+/// capacity * 1. fairShareInto's total equals this value too, except that
+/// a cap of -0.0 allocates -0.0 and totals +0.0.
+inline BytesPerSec fairShareSingle(std::optional<BytesPerSec> cap,
+                                   BytesPerSec capacity) {
+  IOBTS_CHECK(capacity >= 0.0, "capacity must be non-negative");
+  if (capacity == 0.0) return 0.0;
+  if (!cap) return capacity;
+  IOBTS_CHECK(!std::isnan(*cap), "caps must not be NaN");
+  IOBTS_CHECK(*cap >= 0.0, "caps must be non-negative");
+  return std::min(*cap, capacity);
+}
 
 /// Convenience wrapper over fairShareInto returning owned vectors.
 FairShareResult fairShare(const std::vector<FairShareItem>& items,

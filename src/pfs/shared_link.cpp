@@ -550,21 +550,30 @@ void SharedLink::solveRates(ChannelState& cs, Channel channel,
     for (std::size_t k = 0; k < n_groups; ++k) {
       const std::uint32_t begin = cs.group_offset[k];
       const std::uint32_t count = cs.group_offset[k + 1] - begin;
-      cs.level2.resize(count);
-      for (std::uint32_t j = 0; j < count; ++j) {
-        cs.level2[j].weight = 1.0;
-        cs.level2[j].cap = cs.grouped[begin + j]->noise_cap;
+      BytesPerSec stream_rate = 0.0;
+      if (count == 1) {
+        // A lone transfer takes its stream's whole allocation up to its
+        // noise cap: the level-2 solve's exact bits without running it.
+        Transfer& t = *cs.grouped[begin];
+        t.rate = fairShareSingle(t.noise_cap, cs.level1_alloc[k]);
+        stream_rate = t.rate;
+      } else {
+        cs.level2.resize(count);
+        for (std::uint32_t j = 0; j < count; ++j) {
+          cs.level2[j].weight = 1.0;
+          cs.level2[j].cap = cs.grouped[begin + j]->noise_cap;
+        }
+        stream_rate = fairShareInto(cs.level2, cs.level1_alloc[k],
+                                    cs.fair_share_scratch, cs.level2_alloc)
+                          .total;
+        for (std::uint32_t j = 0; j < count; ++j) {
+          cs.grouped[begin + j]->rate = cs.level2_alloc[j];
+        }
       }
-      const FairShareStats rates =
-          fairShareInto(cs.level2, cs.level1_alloc[k], cs.fair_share_scratch,
-                        cs.level2_alloc);
-      for (std::uint32_t j = 0; j < count; ++j) {
-        cs.grouped[begin + j]->rate = cs.level2_alloc[j];
-      }
-      total_rate += rates.total;
+      total_rate += stream_rate;
       Stream& s = *streams_[cs.group_streams[k]];
       if (s.record) {
-        s.rate_series[static_cast<int>(channel)].add(now, rates.total);
+        s.rate_series[static_cast<int>(channel)].add(now, stream_rate);
       }
     }
   }

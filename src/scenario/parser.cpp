@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <set>
@@ -1198,6 +1199,17 @@ void checkPhaseGraph(const WorldSpec& world) {
 }
 
 void checkLinkSpec(const LinkSpec& link) {
+  // A number literal that overflows lexes as inf. The link rejects an
+  // infinite capacity at construction, and an infinite quantum posts every
+  // deferred re-solve at an infinite time, so the run never ends.
+  for (const double value :
+       {link.write_capacity, link.read_capacity, link.client_rate_cap,
+        link.congestion_gamma, link.noise_sigma, link.noise_reference_rate,
+        link.recompute_quantum}) {
+    if (!std::isfinite(value)) {
+      fail(0, "link", "link parameters must be finite");
+    }
+  }
   if (!(link.write_capacity > 0.0) || !(link.read_capacity > 0.0)) {
     fail(0, "link", "link capacities must be positive");
   }

@@ -16,7 +16,14 @@
 // classes (all-uncapped, mixed, single ratio class, under-demand, heavy
 // contention, degenerate) so both pre-pass branches and the sort fallback
 // are exercised; >= 1000 seeds per suite run.
+//
+// The all-saturating pre-pass returns the caps unsorted only when they sum
+// below capacity by a rounding margin; a separate generator draws instances
+// within a few margins of that boundary on both sides, and the single-item
+// helper fairShareSingle() is checked against fairShareInto() over random
+// and extreme values.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -337,6 +344,210 @@ TEST(FairShareProperty, RejectsNegativeAndNonFiniteWeights) {
   // +inf caps stay legal: they mean "uncapped" and must not throw.
   const FairShareResult r = fairShare({{1.0, kInf}, {1.0, {}}}, 100.0);
   EXPECT_DOUBLE_EQ(r.total, 100.0);
+}
+
+std::uint64_t bitsOf(double value) {
+  return std::bit_cast<std::uint64_t>(value);
+}
+
+// The all-saturating pre-pass margin, restated: 8 (N + 1)(1 + W / w_min) eps
+// over the positive weights (infinite when there are none).
+double saturationMargin(const std::vector<FairShareItem>& items) {
+  double weight_sum = 0.0;
+  double min_weight = kInf;
+  for (const auto& item : items) {
+    weight_sum += item.weight;
+    if (item.weight > 0.0) min_weight = std::min(min_weight, item.weight);
+  }
+  if (min_weight == kInf) return kInf;
+  return 8.0 * static_cast<double>(items.size() + 1) *
+         (1.0 + weight_sum / min_weight) *
+         std::numeric_limits<double>::epsilon();
+}
+
+// Draw an instance whose cap sum S straddles the all-saturating pre-pass
+// boundary S <= C (1 - d): every positive-weight item capped (one left
+// uncapped now and then), C at S, one ULP above S, at the threshold itself,
+// within 1e-6 relative of S, or a log-uniform eps..4d relative gap away on
+// either side. Weights are equal, skewed over 1e-3..1e3, zero-sprinkled,
+// integer, or near 1 with one light item; some caps are zero, and a few
+// instances sit in the subnormal range or carry huge weights.
+Instance drawBoundaryInstance(std::uint64_t seed) {
+  Rng rng(seed, "fair-share-boundary");
+  Instance inst;
+  const auto n = static_cast<std::size_t>(std::exp2(rng.uniform(0.0, 10.0)));
+  inst.items.resize(n);
+  double cap_scale =
+      rng.uniform(1.0, 1000.0) * std::pow(10.0, rng.uniformInt(9));
+  double weight_scale = 1.0;
+  const std::uint64_t range = rng.uniformInt(20);
+  if (range == 0) cap_scale = 1e-312;  // subnormal capacity and caps
+  if (range == 1) weight_scale = 1e300;
+  const std::uint64_t weights = seed % 5;
+  inst.shape = weights == 0   ? "equal"
+               : weights == 1 ? "skewed"
+               : weights == 2 ? "zero-sprinkled"
+               : weights == 3 ? "integer"
+                              : "light-tail";
+  for (auto& item : inst.items) {
+    switch (weights) {
+      case 0: item.weight = 1.0; break;
+      case 1: item.weight = std::pow(10.0, rng.uniform(-3.0, 3.0)); break;
+      case 2:
+        item.weight = rng.uniform() < 0.2 ? 0.0 : rng.uniform(0.1, 8.0);
+        break;
+      case 3:
+        item.weight = static_cast<double>(1 + rng.uniformInt(8));
+        break;
+      default: item.weight = rng.uniform(0.5, 2.0); break;
+    }
+    item.weight *= weight_scale;
+    item.cap = rng.uniform() < 0.05 ? 0.0 : cap_scale * rng.uniform(0.01, 1.0);
+  }
+  if (weights == 4) {
+    // One light item with the largest cap comes last in the walk, at the
+    // highest fill level: the worst case for the active-weight rounding.
+    auto& light = inst.items[rng.uniformInt(n)];
+    light.weight = weight_scale * std::pow(10.0, rng.uniform(-6.0, -2.0));
+    light.cap = cap_scale;
+  }
+  if (rng.uniform() < 0.1) inst.items[rng.uniformInt(n)].cap.reset();
+
+  double cap_sum = 0.0;
+  for (const auto& item : inst.items) {
+    if (item.weight > 0.0 && item.cap) cap_sum += *item.cap;
+  }
+  const double margin = std::min(0.25, saturationMargin(inst.items));
+  switch (rng.uniformInt(8)) {
+    case 0: inst.capacity = cap_sum; break;
+    case 1: inst.capacity = std::nextafter(cap_sum, kInf); break;
+    case 2: inst.capacity = cap_sum / (1.0 - margin); break;
+    case 3:
+      inst.capacity = cap_sum * (1.0 + rng.uniform(-1e-6, 1e-6));
+      break;
+    default: {
+      const double lo = std::log10(std::numeric_limits<double>::epsilon());
+      const double gap =
+          std::pow(10.0, rng.uniform(lo, std::log10(4.0 * margin)));
+      inst.capacity =
+          cap_sum * (rng.uniform() < 0.5 ? 1.0 - gap : 1.0 + gap);
+      break;
+    }
+  }
+  if (!(inst.capacity > 0.0)) inst.capacity = cap_scale;
+  return inst;
+}
+
+TEST(FairShareProperty, AllSaturatingBoundaryMatchesReferenceBitForBit) {
+  constexpr std::uint64_t kBoundarySeeds = 2500;
+  FairShareScratch scratch;
+  std::vector<double> allocation;
+  std::size_t mismatches = 0;
+  std::size_t all_pinned = 0;
+  std::string first_mismatch;
+  for (std::uint64_t seed = 0; seed < kBoundarySeeds; ++seed) {
+    const Instance inst = drawBoundaryInstance(seed);
+    const FairShareStats stats =
+        fairShareInto(inst.items, inst.capacity, scratch, allocation);
+    const ReferenceResult ref = referenceFairShare(inst.items, inst.capacity);
+    bool match = bitsOf(stats.total) == bitsOf(ref.total) &&
+                 bitsOf(stats.fill_level) == bitsOf(ref.fill_level);
+    bool pinned = ref.fill_level == 0.0;
+    for (std::size_t i = 0; i < allocation.size(); ++i) {
+      match = match && bitsOf(allocation[i]) == bitsOf(ref.allocation[i]);
+      const auto& item = inst.items[i];
+      if (item.weight > 0.0) {
+        pinned = pinned && item.cap && ref.allocation[i] == *item.cap;
+      }
+    }
+    if (pinned) ++all_pinned;
+    if (!match && mismatches++ == 0) {
+      first_mismatch = "seed " + std::to_string(seed) + " shape " +
+                       inst.shape + " n " + std::to_string(inst.items.size());
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first mismatch: " << first_mismatch;
+  // The generator must straddle the boundary: plenty of instances on each
+  // side of it.
+  EXPECT_GT(all_pinned, kBoundarySeeds / 4);
+  EXPECT_LT(all_pinned, kBoundarySeeds * 3 / 4);
+}
+
+TEST(FairShareProperty, SingleItemHelperMatchesFairShareInto) {
+  FairShareScratch scratch;
+  std::vector<double> allocation;
+  std::vector<FairShareItem> one(1);
+  // Both throw CheckError, or the helper's value has the solver's
+  // allocation bits and equals its total (a -0.0 cap allocates -0.0 and
+  // totals +0.0).
+  const auto same = [&](std::optional<double> cap, double capacity) {
+    one[0] = {1.0, cap};
+    std::optional<double> single;
+    std::optional<FairShareStats> stats;
+    try {
+      single = fairShareSingle(cap, capacity);
+    } catch (const CheckError&) {
+    }
+    try {
+      stats = fairShareInto(one, capacity, scratch, allocation);
+    } catch (const CheckError&) {
+    }
+    if (single.has_value() != stats.has_value()) return false;
+    return !stats || (bitsOf(*single) == bitsOf(allocation[0]) &&
+                      *single == stats->total);
+  };
+
+  const double extremes[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             1e-310,
+                             std::numeric_limits<double>::min(),
+                             1e-3,
+                             1.0,
+                             5.76e6,
+                             1.06e11,
+                             1e300,
+                             std::numeric_limits<double>::max(),
+                             kInf,
+                             -1.0,
+                             std::nan("")};
+  for (const double capacity : extremes) {
+    EXPECT_TRUE(same(std::nullopt, capacity)) << "capacity " << capacity;
+    for (const double cap :
+         {std::nextafter(capacity, -kInf), capacity,
+          std::nextafter(capacity, kInf)}) {
+      EXPECT_TRUE(same(cap, capacity))
+          << "capacity " << capacity << " cap " << cap;
+    }
+    for (const double cap : extremes) {
+      EXPECT_TRUE(same(cap, capacity))
+          << "capacity " << capacity << " cap " << cap;
+    }
+  }
+
+  Rng rng(7, "fair-share-single");
+  for (int draw = 0; draw < 20000; ++draw) {
+    const double capacity = std::pow(10.0, rng.uniform(-320.0, 308.0));
+    std::optional<double> cap;
+    switch (rng.uniformInt(4)) {
+      case 0: break;  // uncapped
+      case 1: cap = capacity * std::pow(10.0, rng.uniform(-3.0, 3.0)); break;
+      case 2: {
+        double near = capacity;
+        const std::uint64_t ulps = rng.uniformInt(3);
+        const double toward = rng.uniform() < 0.5 ? -kInf : kInf;
+        for (std::uint64_t u = 0; u < ulps; ++u) {
+          near = std::nextafter(near, toward);
+        }
+        cap = near;
+        break;
+      }
+      default: cap = rng.uniform(0.0, 1.0) * capacity; break;
+    }
+    ASSERT_TRUE(same(cap, capacity))
+        << "draw " << draw << " capacity " << capacity << " cap "
+        << cap.value_or(kInf);
+  }
 }
 
 }  // namespace

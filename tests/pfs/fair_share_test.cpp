@@ -176,8 +176,9 @@ std::vector<FairShareCase> makeCases() {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, FairShareProperty,
                          ::testing::ValuesIn(makeCases()),
-                         [](const auto& info) {
-                           return "seed" + std::to_string(info.param.seed);
+                         [](const auto& param_info) {
+                           return "seed" +
+                                  std::to_string(param_info.param.seed);
                          });
 
 }  // namespace

@@ -160,6 +160,18 @@ TEST(ScenarioParseError, RanksOutOfRange) {
                    2, "world main", "ranks must lie in [1, 4096]");
 }
 
+TEST(ScenarioParseError, NonFiniteLinkNumbers) {
+  // 1e999 overflows a double and lexes as inf.
+  for (const char* key : {"write", "read", "client_cap", "congestion", "noise",
+                          "noise_ref", "quantum"}) {
+    SCOPED_TRACE(key);
+    expectParseError("scenario \"t\"\nlink { " + std::string(key) +
+                         " = 1e999 }\nworld main { ranks = 2 }\n"
+                         "program main { barrier }",
+                     -1, "link", "link parameters must be finite");
+  }
+}
+
 TEST(ScenarioParseError, ZeroByteCount) {
   expectParseError(std::string(kWorld) +
                        "program main { write file \"/f\" at 0 bytes 0 }",
