@@ -1198,6 +1198,15 @@ void checkPhaseGraph(const WorldSpec& world) {
   }
 }
 
+// Compute jitter scales every compute phase by exp(sigma * z), with z from
+// Rng::normal: Box-Muller over 53-bit uniforms, so |z| <= sqrt(106 ln 2)
+// ~= 8.57. Above ln(DBL_MAX) / 8.57 ~= 82.8 the factor can overflow to inf,
+// and a compute phase of infinite length keeps the run from ever ending.
+double maxComputeJitter() {
+  return std::log(std::numeric_limits<double>::max()) /
+         std::sqrt(106.0 * std::log(2.0));
+}
+
 void checkLinkSpec(const LinkSpec& link) {
   // A number literal that overflows lexes as inf. The link rejects an
   // infinite capacity at construction, and an infinite quantum posts every
@@ -1289,6 +1298,12 @@ void validate(const ScenarioSpec& spec) {
     }
     if (world.jitter < 0.0) {
       fail(world.line, what, "jitter must be non-negative");
+    }
+    if (!(world.jitter <= maxComputeJitter())) {  // inf and NaN included
+      std::ostringstream message;
+      message << "jitter must be finite and at most " << maxComputeJitter()
+              << " (a larger sigma can overflow a compute phase to infinity)";
+      fail(world.line, what, message.str());
     }
     if (!(world.tolerance > 0.0)) {
       fail(world.line, what, "tolerance must be positive");

@@ -39,7 +39,7 @@ void Simulation::scheduleResume(Time dt, std::coroutine_handle<> h) {
 void Simulation::scheduleResumeAt(Time t, std::coroutine_handle<> h) {
   IOBTS_CHECK(t >= now_, "cannot schedule into the past");
   IOBTS_CHECK(static_cast<bool>(h), "cannot schedule a null handle");
-  heap_.push(HeapEntry{t, next_seq_++, h, 0});
+  queue_.push(t, next_seq_++, h, 0);
 }
 
 void Simulation::pushCallback(Time t, SmallCallback cb) {
@@ -53,7 +53,7 @@ void Simulation::pushCallback(Time t, SmallCallback cb) {
     free_slots_.pop_back();
     callback_slots_[slot] = std::move(cb);
   }
-  heap_.push(HeapEntry{t, next_seq_++, {}, slot});
+  queue_.push(t, next_seq_++, {}, slot);
 }
 
 ProcessHandle Simulation::spawn(Task<void> task, SpawnOptions options) {
@@ -97,8 +97,8 @@ void Simulation::reapFinished() {
 }
 
 bool Simulation::step() {
-  if (heap_.empty()) return false;
-  const HeapEntry ev = heap_.pop();
+  if (queue_.empty()) return false;
+  const Event ev = queue_.pop();
   IOBTS_DCHECK(ev.t >= now_, "event queue went backwards");
   now_ = ev.t;
   ++events_processed_;
@@ -118,27 +118,27 @@ bool Simulation::step() {
   if (sink != nullptr) {
     // Dispatch spans have zero *virtual* duration (the clock does not
     // advance inside synchronous code); real cost, when wall capture is on,
-    // rides along in wall_ns, and the post-dispatch heap depth in value.
+    // rides along in wall_ns, and the post-dispatch pending-event count in
+    // value (the counter keeps its historical "heap_depth" name).
+    const auto pending = static_cast<double>(queue_.size());
     sink->complete("sim", is_resume ? "dispatch.resume" : "dispatch.callback",
-                   obs::track::kKernel, 0, ev.t, 0.0,
-                   static_cast<double>(heap_.size()),
+                   obs::track::kKernel, 0, ev.t, 0.0, pending,
                    sink->wallNowNs() - wall_start);
-    sink->counter("sim", "heap_depth", obs::track::kKernel, 0, ev.t,
-                  static_cast<double>(heap_.size()));
+    sink->counter("sim", "heap_depth", obs::track::kKernel, 0, ev.t, pending);
   }
   reapFinished();
   return true;
 }
 
 std::uint64_t Simulation::pendingEventsDigest() const {
-  // Copy out (t, seq) pairs and order them canonically: the heap's array
-  // layout depends on insertion history, but the *schedule* it represents is
-  // the sorted sequence.
+  // Copy out (t, seq) pairs and order them canonically: the queue's layout
+  // depends on insertion history, but the *schedule* it represents is the
+  // sorted sequence.
   std::vector<std::pair<Time, std::uint64_t>> schedule;
-  schedule.reserve(heap_.size());
-  for (const HeapEntry& entry : heap_.entries()) {
-    schedule.emplace_back(entry.t, entry.seq);
-  }
+  schedule.reserve(queue_.size());
+  queue_.forEach([&schedule](const Event& event) {
+    schedule.emplace_back(event.t, event.seq);
+  });
   std::sort(schedule.begin(), schedule.end());
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto mix = [&h](std::uint64_t bits) {
@@ -178,15 +178,14 @@ Time Simulation::run() {
 }
 
 Time Simulation::runUntil(Time t_limit) {
-  while (!fatal_error_ && !heap_.empty() && heap_.top().t <= t_limit) {
+  while (!fatal_error_ && !queue_.empty() && queue_.front().t <= t_limit) {
     step();
   }
   if (fatal_error_) {
     const auto error = std::exchange(fatal_error_, nullptr);
     std::rethrow_exception(error);
   }
-  if (now_ < t_limit && !heap_.empty()) now_ = t_limit;
-  if (heap_.empty() && now_ < t_limit) now_ = t_limit;
+  if (now_ < t_limit) now_ = t_limit;
   return now_;
 }
 

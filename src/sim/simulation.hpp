@@ -17,12 +17,14 @@
 // scheduling path is allocation-free. Posted callbacks are stored in a
 // SmallCallback (inline storage for captures up to kInlineCapacity bytes;
 // heap only for larger ones), callback slots are pooled and reused, and the
-// queue itself is a 4-ary min-heap of 32-byte POD entries ordered by
-// (time, seq) -- identical ordering semantics to the previous
-// std::priority_queue<Event> implementation.
+// queue is bucketed by timestamp: each pending time owns a FIFO of its
+// events, and a 4-ary min-heap orders only the buckets. Dispatch order is
+// the total order on (time, seq), exactly as with one heap of all events.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -298,7 +300,7 @@ class Simulation {
   /// Timestamp of the earliest pending event, or +infinity when the queue
   /// is empty. The checkpoint runner uses this to find its next park point.
   Time nextEventTime() const noexcept {
-    return heap_.empty() ? kInfiniteTime : heap_.top().t;
+    return queue_.empty() ? kInfiniteTime : queue_.front().t;
   }
 
   /// Shard identity: a plain Simulation is shard 0 and not sharded; a
@@ -307,7 +309,11 @@ class Simulation {
   ShardId shardId() const noexcept { return shard_id_; }
   bool isSharded() const noexcept { return sharded_; }
 
-  std::size_t pendingEvents() const noexcept { return heap_.size(); }
+  std::size_t pendingEvents() const noexcept { return queue_.size(); }
+  /// Entries in the event queue's direct-mapped bucket table. A bucket whose
+  /// slot is taken by another time is closed to new events, so dispatch order
+  /// does not depend on this size; only how often buckets split does.
+  static constexpr std::size_t kQueueSlots = 1024;
   std::size_t liveProcesses() const noexcept { return processes_.size(); }
   std::uint64_t eventsProcessed() const noexcept { return events_processed_; }
   /// Sequence number the next scheduled event will receive. Part of the
@@ -339,77 +345,185 @@ class Simulation {
   };
   using ProcessList = std::list<std::unique_ptr<Process>>;
 
-  /// Heap entry: 32-byte POD. Exactly one of handle / slot is meaningful:
-  /// a non-null handle marks a coroutine resumption; otherwise `slot` indexes
-  /// the pooled SmallCallback in callback_slots_.
-  struct HeapEntry {
+  /// Pending event: 32-byte POD in the queue's pooled entry array. Exactly
+  /// one of handle / slot is meaningful: a non-null handle marks a coroutine
+  /// resumption; otherwise `slot` indexes the pooled SmallCallback in
+  /// callback_slots_. `t` is the time as scheduled, -0.0 included.
+  struct Event {
     Time t;
     std::uint64_t seq;
     std::coroutine_handle<> handle;
     std::uint32_t slot;
+    std::uint32_t next;  // next event of the bucket, or next free entry
   };
 
-  /// 4-ary min-heap on (t, seq): shallower than a binary heap (fewer cache
-  /// misses per reschedule) and entries are PODs, so sifting is memcpy-cheap.
-  class EventHeap {
+  /// Event queue bucketed by timestamp. Each bucket is a FIFO of the events
+  /// of one time, linked through one pooled entry array; a 4-ary min-heap
+  /// orders the buckets by (time, seq of the bucket's first event). A push
+  /// finds its bucket through a direct-mapped table keyed by the bits of
+  /// t + 0.0 (so -0.0 and +0.0 share a key, as they compare equal); a miss
+  /// or a collision opens a new bucket and takes the table slot. A bucket
+  /// that loses its slot never receives another event, so every bucket of
+  /// one time holds a contiguous run of that time's events in seq order, and
+  /// draining the minimum bucket front to back dispatches in (time, seq)
+  /// order. Entries, buckets and heap nodes are pooled: once warm, pushes and
+  /// pops never allocate.
+  class EventQueue {
    public:
-    bool empty() const noexcept { return entries_.empty(); }
-    std::size_t size() const noexcept { return entries_.size(); }
-    const HeapEntry& top() const noexcept { return entries_.front(); }
-    const std::vector<HeapEntry>& entries() const noexcept { return entries_; }
+    EventQueue() noexcept { slots_.fill(kNil); }
 
-    void push(const HeapEntry& entry) {
-      entries_.push_back(entry);
-      siftUp(entries_.size() - 1);
+    bool empty() const noexcept { return heap_.empty(); }
+    std::size_t size() const noexcept { return size_; }
+    /// The earliest pending event; the queue must not be empty.
+    const Event& front() const noexcept {
+      return entries_[buckets_[heap_.front().bucket].head];
     }
 
-    HeapEntry pop() {
-      const HeapEntry result = entries_.front();
-      const HeapEntry last = entries_.back();
-      entries_.pop_back();
-      if (!entries_.empty()) {
-        entries_.front() = last;
-        siftDown(0);
+    void push(Time t, std::uint64_t seq, std::coroutine_handle<> handle,
+              std::uint32_t slot) {
+      const std::uint32_t e = takeEntry();
+      entries_[e] = Event{t, seq, handle, slot, kNil};
+      ++size_;
+      const Time key_time = t + 0.0;
+      std::uint64_t key;
+      std::memcpy(&key, &key_time, sizeof(key));
+      std::uint32_t& table_slot = slots_[slotOf(key)];
+      if (table_slot != kNil && buckets_[table_slot].key == key) {
+        Bucket& bucket = buckets_[table_slot];
+        entries_[bucket.tail].next = e;
+        bucket.tail = e;
+        return;
       }
-      return result;
+      table_slot = openBucket(key, e);
+      heapPush(Node{key_time, seq, table_slot});
+    }
+
+    /// Remove and return the earliest pending event; the queue must not be
+    /// empty. The queue is consistent again before the caller dispatches.
+    Event pop() {
+      const std::uint32_t b = heap_.front().bucket;
+      Bucket& bucket = buckets_[b];
+      const std::uint32_t e = bucket.head;
+      const Event event = entries_[e];
+      entries_[e].next = free_entries_;
+      free_entries_ = e;
+      --size_;
+      if (event.next != kNil) {
+        bucket.head = event.next;
+        return event;
+      }
+      // Drained: release the bucket and, if it still owns it, its slot.
+      std::uint32_t& table_slot = slots_[slotOf(bucket.key)];
+      if (table_slot == b) table_slot = kNil;
+      bucket.head = free_buckets_;
+      free_buckets_ = b;
+      heapPop();
+      return event;
+    }
+
+    /// Visit every pending event, in no particular order.
+    template <class F>
+    void forEach(F&& visit) const {
+      for (const Node& node : heap_) {
+        for (std::uint32_t e = buckets_[node.bucket].head; e != kNil;
+             e = entries_[e].next) {
+          visit(entries_[e]);
+        }
+      }
     }
 
    private:
-    static bool less(const HeapEntry& a, const HeapEntry& b) noexcept {
-      if (a.t != b.t) return a.t < b.t;
-      return a.seq < b.seq;  // FIFO among equal times
+    static constexpr std::uint32_t kNil = 0xffffffffu;
+
+    struct Bucket {
+      std::uint64_t key;   // bits of t + 0.0
+      std::uint32_t head;  // first event, or next free bucket
+      std::uint32_t tail;  // last event
+    };
+
+    /// Heap node: the bucket's time and the seq of its first event.
+    struct Node {
+      Time t;
+      std::uint64_t seq;
+      std::uint32_t bucket;
+    };
+
+    static std::size_t slotOf(std::uint64_t key) noexcept {
+      // Fibonacci hashing: the top bits of the product mix every key bit.
+      static_assert(std::has_single_bit(kQueueSlots) && kQueueSlots >= 2);
+      constexpr int kShift = 64 - std::countr_zero(kQueueSlots);
+      return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> kShift);
     }
 
-    void siftUp(std::size_t i) noexcept {
-      const HeapEntry moving = entries_[i];
+    static bool less(const Node& a, const Node& b) noexcept {
+      if (a.t != b.t) return a.t < b.t;
+      return a.seq < b.seq;  // older bucket of the same time first
+    }
+
+    std::uint32_t takeEntry() {
+      if (free_entries_ == kNil) {
+        entries_.push_back(Event{});
+        return static_cast<std::uint32_t>(entries_.size() - 1);
+      }
+      const std::uint32_t e = free_entries_;
+      free_entries_ = entries_[e].next;
+      return e;
+    }
+
+    std::uint32_t openBucket(std::uint64_t key, std::uint32_t e) {
+      std::uint32_t b = free_buckets_;
+      if (b == kNil) {
+        b = static_cast<std::uint32_t>(buckets_.size());
+        buckets_.push_back(Bucket{});
+      } else {
+        free_buckets_ = buckets_[b].head;
+      }
+      buckets_[b] = Bucket{key, e, e};
+      return b;
+    }
+
+    // 4-ary: shallower than a binary heap, and nodes are PODs, so sifting
+    // is memcpy-cheap.
+    void heapPush(const Node& node) {
+      heap_.push_back(node);
+      std::size_t i = heap_.size() - 1;
       while (i > 0) {
         const std::size_t parent = (i - 1) / 4;
-        if (!less(moving, entries_[parent])) break;
-        entries_[i] = entries_[parent];
+        if (!less(node, heap_[parent])) break;
+        heap_[i] = heap_[parent];
         i = parent;
       }
-      entries_[i] = moving;
+      heap_[i] = node;
     }
 
-    void siftDown(std::size_t i) noexcept {
-      const std::size_t n = entries_.size();
-      const HeapEntry moving = entries_[i];
+    void heapPop() noexcept {
+      const Node moving = heap_.back();
+      heap_.pop_back();
+      const std::size_t n = heap_.size();
+      if (n == 0) return;
+      std::size_t i = 0;
       while (true) {
         const std::size_t first_child = 4 * i + 1;
         if (first_child >= n) break;
         std::size_t best = first_child;
         const std::size_t last_child = std::min(first_child + 4, n);
         for (std::size_t c = first_child + 1; c < last_child; ++c) {
-          if (less(entries_[c], entries_[best])) best = c;
+          if (less(heap_[c], heap_[best])) best = c;
         }
-        if (!less(entries_[best], moving)) break;
-        entries_[i] = entries_[best];
+        if (!less(heap_[best], moving)) break;
+        heap_[i] = heap_[best];
         i = best;
       }
-      entries_[i] = moving;
+      heap_[i] = moving;
     }
 
-    std::vector<HeapEntry> entries_;
+    std::vector<Event> entries_;
+    std::vector<Bucket> buckets_;
+    std::vector<Node> heap_;
+    std::array<std::uint32_t, kQueueSlots> slots_;
+    std::uint32_t free_entries_ = kNil;
+    std::uint32_t free_buckets_ = kNil;
+    std::size_t size_ = 0;
   };
 
   void pushCallback(Time t, SmallCallback cb);
@@ -418,7 +532,7 @@ class Simulation {
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
-  EventHeap heap_;
+  EventQueue queue_;
   /// Pooled callback storage; free_slots_ recycles indices so steady-state
   /// post() never allocates.
   std::vector<SmallCallback> callback_slots_;

@@ -93,10 +93,28 @@ struct Tracer::RankState {
   std::unique_ptr<LimitStrategy> strategy[pfs::kChannels];
   std::optional<BytesPerSec> current_limit[pfs::kChannels]{};
 
-  // Bandwidth-monitoring queue.
+  // Bandwidth-monitoring queue. Retired phases wait in spare_phases with
+  // their request vectors' capacity, so steady-state phases never allocate.
   std::unique_ptr<OpenPhase> open_phase;
-  std::deque<std::unique_ptr<OpenPhase>> draining_phases;  // closed, waits pending
+  std::vector<std::unique_ptr<OpenPhase>> draining_phases;  // closed, waits pending
+  std::vector<std::unique_ptr<OpenPhase>> spare_phases;
   int next_phase_index = 0;
+
+  std::unique_ptr<OpenPhase> takeSparePhase() {
+    if (spare_phases.empty()) return std::make_unique<OpenPhase>();
+    std::unique_ptr<OpenPhase> phase = std::move(spare_phases.back());
+    spare_phases.pop_back();
+    return phase;
+  }
+
+  /// Recycle a phase whose waits have all been reached.
+  void retirePhase(std::unique_ptr<OpenPhase> phase) {
+    phase->bytes = 0;
+    phase->requests.clear();  // keeps its capacity for the next phase
+    phase->waits_pending = 0;
+    phase->closed = false;
+    spare_phases.push_back(std::move(phase));
+  }
 
   // Throughput-monitoring queue (Eq. 2 window).
   int tput_outstanding = 0;
@@ -104,13 +122,28 @@ struct Tracer::RankState {
   Bytes tput_bytes = 0;
   pfs::Channel tput_channel = pfs::Channel::Write;
 
-  // Per-request bookkeeping for exploit/lost classification.
+  // Per-request bookkeeping for exploit/lost classification, in id order
+  // (onFinalize sums in that order). The runtime numbers a rank's requests
+  // upwards, so a submit appends; an id already live is ignored.
   struct LiveRequest {
+    std::uint64_t id = 0;
     sim::Time io_start = sim::kNoTime;
     sim::Time io_end = sim::kNoTime;
+    pfs::Channel channel = pfs::Channel::Write;
     bool completed = false;
   };
-  std::map<std::uint64_t, LiveRequest> live;
+  std::vector<LiveRequest> live;
+
+  /// First live request whose id is not below `id`.
+  std::vector<LiveRequest>::iterator liveFrom(std::uint64_t id) {
+    return std::lower_bound(
+        live.begin(), live.end(), id,
+        [](const LiveRequest& r, std::uint64_t key) { return r.id < key; });
+  }
+  std::vector<LiveRequest>::iterator findLive(std::uint64_t id) {
+    const auto it = liveFrom(id);
+    return it != live.end() && it->id == id ? it : live.end();
+  }
 
   AsyncTimeSplit split;
   std::size_t intercepted_calls = 0;
@@ -153,13 +186,13 @@ void Tracer::onSubmit(const mpisim::RequestInfo& info) {
   if (!mpisim::isAsync(info.op)) return;
 
   // Bandwidth queue: open a phase if none is accepting requests.
+  const pfs::Channel channel = mpisim::channelOf(info.op);
   if (!rs.open_phase) {
-    rs.open_phase = std::make_unique<OpenPhase>();
+    rs.open_phase = rs.takeSparePhase();
     rs.open_phase->index = rs.next_phase_index++;
-    rs.open_phase->channel = mpisim::channelOf(info.op);
+    rs.open_phase->channel = channel;
     rs.open_phase->ts = info.submit_time;
-    rs.open_phase->applied_limit =
-        rs.current_limit[static_cast<int>(mpisim::channelOf(info.op))];
+    rs.open_phase->applied_limit = rs.current_limit[static_cast<int>(channel)];
   }
   OpenPhase& phase = *rs.open_phase;
   phase.bytes += info.bytes;
@@ -170,23 +203,29 @@ void Tracer::onSubmit(const mpisim::RequestInfo& info) {
   if (rs.tput_outstanding == 0) {
     rs.tput_start = info.submit_time;
     rs.tput_bytes = 0;
-    rs.tput_channel = mpisim::channelOf(info.op);
+    rs.tput_channel = channel;
   }
   ++rs.tput_outstanding;
   rs.tput_bytes += info.bytes;
 
-  rs.live.emplace(info.id, RankState::LiveRequest{});
+  const auto at = rs.liveFrom(info.id);  // end() unless ids arrive out of order
+  if (at == rs.live.end() || at->id != info.id) {
+    RankState::LiveRequest request;
+    request.id = info.id;
+    request.channel = channel;
+    rs.live.insert(at, request);
+  }
 }
 
 void Tracer::onComplete(const mpisim::RequestInfo& info) {
   if (!mpisim::isAsync(info.op)) return;
   RankState& rs = state(info.rank);
 
-  const auto it = rs.live.find(info.id);
+  const auto it = rs.findLive(info.id);
   if (it != rs.live.end()) {
-    it->second.io_start = info.io_start;
-    it->second.io_end = info.io_end;
-    it->second.completed = true;
+    it->io_start = info.io_start;
+    it->io_end = info.io_end;
+    it->completed = true;
   }
 
   // Throughput queue drains on completion.
@@ -292,7 +331,7 @@ void Tracer::onWaitEnter(const mpisim::RequestInfo& info) {
     if (rs.open_phase->closed) {
       // Phase is measured; keep it around only while waits are pending.
       if (rs.open_phase->waits_pending == 0) {
-        rs.open_phase.reset();
+        rs.retirePhase(std::move(rs.open_phase));
       } else {
         rs.draining_phases.push_back(std::move(rs.open_phase));
       }
@@ -302,7 +341,10 @@ void Tracer::onWaitEnter(const mpisim::RequestInfo& info) {
   for (auto it = rs.draining_phases.begin(); it != rs.draining_phases.end();
        ++it) {
     if (handle_phase(**it)) {
-      if ((*it)->waits_pending == 0) rs.draining_phases.erase(it);
+      if ((*it)->waits_pending == 0) {
+        rs.retirePhase(std::move(*it));
+        rs.draining_phases.erase(it);
+      }
       return;
     }
   }
@@ -320,9 +362,9 @@ void Tracer::onWaitExit(const mpisim::RequestInfo& info, Seconds blocked) {
     rs.split.read_lost += blocked;
   }
 
-  const auto it = rs.live.find(info.id);
+  const auto it = rs.findLive(info.id);
   if (it != rs.live.end()) {
-    const RankState::LiveRequest& live = it->second;
+    const RankState::LiveRequest& live = *it;
     if (live.completed) {
       const sim::Time wait_reached = now() - blocked;
       const Seconds io_time = live.io_end - live.io_start;
@@ -356,11 +398,14 @@ void Tracer::onSyncEnd(const mpisim::RequestInfo& info) {
 Seconds Tracer::onFinalize(int rank) {
   RankState& rs = state(rank);
   // Requests drained without a wait: their I/O ran entirely in the
-  // background; count it as exploited time.
-  for (const auto& [id, live] : rs.live) {
-    (void)id;
-    if (live.completed) {
-      rs.split.write_exploit += live.io_end - live.io_start;
+  // background; count it as exploited time on the request's channel.
+  for (const RankState::LiveRequest& live : rs.live) {
+    if (!live.completed) continue;
+    const Seconds io_time = live.io_end - live.io_start;
+    if (live.channel == pfs::Channel::Write) {
+      rs.split.write_exploit += io_time;
+    } else {
+      rs.split.read_exploit += io_time;
     }
   }
   rs.live.clear();

@@ -17,8 +17,6 @@
 // appThroughputSeries / appLimitSeries.
 #pragma once
 
-#include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>

@@ -4,14 +4,15 @@
 // (tests/support/counting_allocator.cpp), so every allocation anywhere in
 // the process is counted. Two kinds of probe:
 //
-//   * steady-state windows -- the event-kernel churn (tracing off and on)
-//     and the SharedLink resolve path under cap churn with quiescent pokes
-//     (the lazy skip) must perform zero allocations once their pools are
-//     warm;
+//   * steady-state windows -- the event-kernel churn (tracing off and on,
+//     and with every event at its own time) and the SharedLink resolve path
+//     under cap churn with quiescent pokes (the lazy skip) must perform zero
+//     allocations once their pools are warm;
 //   * growth probes -- a whole one-rank scenario-interpreter run and a
 //     whole one-rank MPI-IO run (unpaced and paced) must allocate exactly
 //     as often at a small N as at a large N, so no per-statement or
-//     per-request allocation can hide in either path.
+//     per-request allocation can hide in either path. With the TMIO tracer
+//     attached, only its record vectors may grow with N.
 //
 // Each probe reads the counter only around its window; test-framework
 // bookkeeping happens outside. The Release ctest and the sanitize phase of
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,6 +32,7 @@
 #include "scenario/instance.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulation.hpp"
+#include "tmio/tracer.hpp"
 #include "util/units.hpp"
 
 namespace iobts {
@@ -38,9 +41,13 @@ namespace {
 using testsupport::allocationCount;
 
 // Event kernel: a rolling window of re-posting callbacks past the SBO size,
-// so event slots and callback storage are continually recycled. Returns the
+// so event slots and callback storage are continually recycled. With
+// `distinct_times`, chain w runs at 1 + w/4096 + k instead of 1 + k, so no
+// two pending events share a time: every push opens a bucket, and a window
+// larger than the bucket table makes buckets collide. Returns the
 // allocations inside the steady-state window.
-std::uint64_t kernelSteadyStateAllocations() {
+std::uint64_t kernelSteadyStateAllocations(int window = 64,
+                                           bool distinct_times = false) {
   sim::Simulation sim;
   std::uint64_t fired = 0;
   struct Reposter {
@@ -57,10 +64,10 @@ std::uint64_t kernelSteadyStateAllocations() {
       }
     }
   };
-  constexpr int kWindow = 64;
-  constexpr int kTotal = 20000;
-  for (int w = 0; w < kWindow; ++w) {
-    sim.post(1.0, Reposter{&sim, &fired, kTotal / kWindow});
+  constexpr int kReposts = 20000 / 64;
+  for (int w = 0; w < window; ++w) {
+    const double offset = distinct_times ? w * 0x1p-12 : 0.0;
+    sim.post(1.0 + offset, Reposter{&sim, &fired, kReposts});
   }
   sim.runUntil(10.0);  // warm the pools
   const std::uint64_t before = allocationCount();
@@ -72,6 +79,11 @@ std::uint64_t kernelSteadyStateAllocations() {
 
 TEST(AllocationGate, KernelChurnIsAllocationFree) {
   EXPECT_EQ(kernelSteadyStateAllocations(), 0u);
+}
+
+TEST(AllocationGate, DistinctTimeKernelChurnIsAllocationFree) {
+  const int window = 2 * static_cast<int>(sim::Simulation::kQueueSlots);
+  EXPECT_EQ(kernelSteadyStateAllocations(window, /*distinct_times=*/true), 0u);
 }
 
 // The same kernel probe with a TraceSink installed: recording is POD stores
@@ -181,12 +193,14 @@ TEST(AllocationGate, ScenarioInterpreterAllocationsDoNotGrowWithStatements) {
 }
 
 // MPI-IO request path: allocations of one whole one-rank run, construction
-// through teardown, with no hooks. Each iteration submits a 9 MiB
-// iwrite_at and waits for it; odd iterations compute first, so waits on
-// already-completed and on in-flight requests both occur. A `paced` run
+// through teardown, with no hooks unless `traced`. Each iteration submits a
+// 9 MiB iwrite_at and waits for it; odd iterations compute first, so waits
+// on already-completed and on in-flight requests both occur. A `paced` run
 // caps the rank at 1 GB/s, which splits every request into three
-// sub-requests. Only per-request allocations can grow with N.
-std::uint64_t mpiIoRunAllocations(int iterations, bool paced) {
+// sub-requests. A `traced` run attaches a TMIO tracer (Direct strategy) as
+// the world's hooks. Only per-request allocations can grow with N.
+std::uint64_t mpiIoRunAllocations(int iterations, bool paced,
+                                  bool traced = false) {
   const std::uint64_t before = allocationCount();
   {
     sim::Simulation sim;
@@ -194,7 +208,15 @@ std::uint64_t mpiIoRunAllocations(int iterations, bool paced) {
     link_config.record_total = false;
     pfs::SharedLink link(sim, link_config);
     pfs::FileStore store;
-    mpisim::World world(sim, link, store, mpisim::WorldConfig{});
+    std::optional<tmio::Tracer> tracer;
+    if (traced) {
+      tmio::TracerConfig tracer_config;
+      tracer_config.strategy = tmio::StrategyKind::Direct;
+      tracer.emplace(tracer_config);
+    }
+    mpisim::World world(sim, link, store, mpisim::WorldConfig{},
+                        tracer ? &*tracer : nullptr);
+    if (tracer) tracer->attach(world);
     if (paced) world.setRankLimit(0, 1e9);
     world.launch([iterations](mpisim::RankCtx& ctx) -> sim::Task<void> {
       mpisim::File file = ctx.open("/pfs/probe");
@@ -223,6 +245,24 @@ TEST(AllocationGate, MpiIoAllocationsDoNotGrowWithRequests) {
 
 TEST(AllocationGate, PacedMpiIoAllocationsDoNotGrowWithRequests) {
   expectMpiIoAllocationsFlat(/*paced=*/true);
+}
+
+// The same probe with the tracer attached. Its per-request bookkeeping (live
+// requests, phases and their request lists) is recycled, so only the three
+// record vectors -- phases, throughputs and limit changes, one record each
+// per request here -- grow with N. A vector whose capacity at least doubles
+// per reallocation crosses at most ceil(log2(101000 / 1000)) = 7 further
+// capacity steps between the two runs; allow 8 per vector, 3 x 8 in all.
+// Any per-request allocation would add 100,000.
+TEST(AllocationGate, TracedMpiIoAllocationsGrowOnlyWithRecords) {
+  mpiIoRunAllocations(1, /*paced=*/false, /*traced=*/true);  // warm-up
+  const std::uint64_t small =
+      mpiIoRunAllocations(1'000, /*paced=*/false, /*traced=*/true);
+  const std::uint64_t large =
+      mpiIoRunAllocations(101'000, /*paced=*/false, /*traced=*/true);
+  EXPECT_GE(large, small);
+  EXPECT_LE(large - small, 3u * 8u)
+      << "allocations at N=1000: " << small << ", at N=101000: " << large;
 }
 
 }  // namespace

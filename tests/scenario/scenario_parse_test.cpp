@@ -172,6 +172,20 @@ TEST(ScenarioParseError, NonFiniteLinkNumbers) {
   }
 }
 
+TEST(ScenarioParseError, NonFiniteOrOverflowingJitter) {
+  // exp(sigma * z) must stay finite for the largest Box-Muller |z|,
+  // sqrt(106 ln 2): sigma <= ln(DBL_MAX) / 8.5717 = 82.8056...
+  for (const char* jitter : {"1e10", "1e999", "82.806"}) {
+    SCOPED_TRACE(jitter);
+    expectParseError("scenario \"t\"\nworld main { ranks = 2  jitter = " +
+                         std::string(jitter) + " }\nprogram main { barrier }",
+                     2, "world main", "jitter must be finite and at most");
+  }
+  EXPECT_NO_THROW(parseScenario(
+      "scenario \"t\"\nworld main { ranks = 2  jitter = 82.805 }\n"
+      "program main { barrier }"));
+}
+
 TEST(ScenarioParseError, ZeroByteCount) {
   expectParseError(std::string(kWorld) +
                        "program main { write file \"/f\" at 0 bytes 0 }",

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -347,6 +351,161 @@ TEST(Simulation, RandomizedPostsRunInTimeThenFifoOrder) {
         << executed[i - 1].post_index << ") before (" << executed[i].t << ", "
         << executed[i].post_index << ")";
   }
+}
+
+// Reference model of the event queue: every pending (t, seq) in a sorted set.
+// Each probe event checks, when the kernel dispatches it, that it is the
+// model's minimum, then re-posts a random mix of events at the current
+// instant, at future times that are already pending, and at fresh times.
+std::uint64_t bitsOf(Time t) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &t, sizeof(bits));
+  return bits;
+}
+
+struct QueueOracle {
+  static constexpr Time kGrid = 0.25;  // dyadic times: every sum is exact
+
+  Simulation sim;
+  std::set<std::pair<Time, std::uint64_t>> pending;
+  std::vector<std::uint64_t> dispatched;  // seqs in kernel order
+  std::vector<std::uint64_t> expected;    // seqs in model order
+  std::uint64_t rng = 0x5eed;
+  int reposts_left = 40000;
+  Time next_fresh = 5000.0;
+
+  struct Probe {
+    QueueOracle* oracle;
+    Time t;
+    std::uint64_t seq;
+    void operator()() const { oracle->onDispatch(t, seq); }
+  };
+
+  void post(Time dt) {
+    const Time t = sim.now() + dt;
+    const std::uint64_t seq = sim.nextSequence();
+    pending.emplace(t, seq);
+    sim.post(dt, Probe{this, t, seq});
+  }
+
+  /// A grid time after now; most of them are already pending.
+  Time gridTimeFromNow(int span) {
+    const auto first = static_cast<std::uint64_t>(sim.now() / kGrid) + 1;
+    return static_cast<Time>(first + splitmix64(rng) % span) * kGrid;
+  }
+
+  void onDispatch(Time t, std::uint64_t seq) {
+    dispatched.push_back(seq);
+    expected.push_back(pending.empty() ? ~0ULL : pending.begin()->second);
+    EXPECT_EQ(bitsOf(sim.now()), bitsOf(t)) << "seq " << seq;
+    pending.erase({t, seq});
+    while (reposts_left > 0 && splitmix64(rng) % 4 != 0) {
+      --reposts_left;
+      switch (splitmix64(rng) % 3) {
+        case 0: post(0.0); break;
+        case 1: post(gridTimeFromNow(64) - sim.now()); break;
+        default: {
+          const Time fresh = std::max(next_fresh, sim.now() + kGrid);
+          post(fresh - sim.now());
+          next_fresh = fresh + kGrid / 2;
+        }
+      }
+    }
+  }
+
+  /// Pending-schedule digest computed from the model, as the kernel defines
+  /// it: FNV-1a over (time bits, seq) in (time, seq) order.
+  std::uint64_t digest() const {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t bits) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (bits >> (8 * i)) & 0xffULL;
+        h *= 0x100000001b3ULL;
+      }
+    };
+    for (const auto& [t, seq] : pending) {
+      mix(bitsOf(t));
+      mix(seq);
+    }
+    return h;
+  }
+
+  void expectAgrees(const char* when) {
+    SCOPED_TRACE(when);
+    for (std::size_t i = 0; i < dispatched.size(); ++i) {
+      if (dispatched[i] != expected[i]) {
+        ADD_FAILURE() << "dispatch #" << i << " ran seq " << dispatched[i]
+                      << " but the model's minimum was seq " << expected[i];
+        break;
+      }
+    }
+    EXPECT_EQ(sim.pendingEvents(), pending.size());
+    EXPECT_EQ(bitsOf(sim.nextEventTime()),
+              bitsOf(pending.empty() ? kInfiniteTime : pending.begin()->first));
+    EXPECT_EQ(sim.pendingEventsDigest(), digest());
+  }
+};
+
+struct ResumeAt {
+  Simulation* sim;
+  Time t;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) { sim->scheduleResumeAt(t, h); }
+  void await_resume() const noexcept {}
+};
+
+// Resumes itself at -0.0 and +0.0 beside the +0.0 probes: both zeros share a
+// bucket key, yet each event keeps the sign it was scheduled with.
+Task<void> signedZeroProcess(QueueOracle& oracle, std::uint64_t spawn_seq) {
+  oracle.onDispatch(0.0, spawn_seq);
+  for (const Time t : {-0.0, 0.0, -0.0}) {
+    const std::uint64_t seq = oracle.sim.nextSequence();
+    oracle.pending.emplace(t, seq);
+    co_await ResumeAt{&oracle.sim, t};
+    oracle.onDispatch(t, seq);
+  }
+}
+
+TEST(Simulation, BucketedQueueMatchesSortedReferenceModel) {
+  QueueOracle oracle;
+  constexpr int kDistinct = 3 * static_cast<int>(Simulation::kQueueSlots);
+
+  // Batch 1 at t = 0: signed-zero resumes, then more distinct pending times
+  // than the bucket table has slots (buckets collide and lose their slots),
+  // then posts onto times that are already pending.
+  for (int i = 0; i < 16; ++i) {
+    const std::uint64_t seq = oracle.sim.nextSequence();  // the spawn event
+    oracle.pending.emplace(0.0, seq);
+    oracle.sim.spawn(signedZeroProcess(oracle, seq));
+    oracle.post(0.0);
+  }
+  for (int k = kDistinct; k >= 1; --k) oracle.post(k * QueueOracle::kGrid);
+  for (int i = 0; i < 4000; ++i) {
+    oracle.post(oracle.gridTimeFromNow(kDistinct) - oracle.sim.now());
+  }
+  std::set<Time> distinct;
+  for (const auto& [t, seq] : oracle.pending) distinct.insert(t);
+  ASSERT_GT(distinct.size(), Simulation::kQueueSlots);
+  oracle.expectAgrees("after posting batch 1");
+
+  // Park between grid points after each batch, then add more from outside.
+  Time limit = 0.0;
+  for (int batch = 1; batch <= 8; ++batch) {
+    limit += 96.0 + QueueOracle::kGrid / 2;
+    oracle.sim.runUntil(limit);
+    EXPECT_EQ(oracle.sim.now(), limit);
+    if (!oracle.pending.empty()) {
+      EXPECT_GT(oracle.pending.begin()->first, limit);
+    }
+    oracle.expectAgrees(("after batch " + std::to_string(batch)).c_str());
+    for (int i = 0; i < 500; ++i) {
+      oracle.post(oracle.gridTimeFromNow(512) - oracle.sim.now());
+    }
+  }
+  oracle.sim.run();
+  oracle.expectAgrees("after the final run");
+  EXPECT_TRUE(oracle.pending.empty());
+  EXPECT_EQ(oracle.reposts_left, 0) << "the repost budget was not spent";
 }
 
 }  // namespace

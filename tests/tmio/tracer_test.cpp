@@ -381,5 +381,42 @@ TEST(Tracer, UnwaitedRequestsCountAsExploitAtFinalize) {
   EXPECT_NEAR(t.tracer.rankSplit(0).write_exploit, 1.0, 1e-9);
 }
 
+TEST(Tracer, UnwaitedReadCountsAsReadExploitAtFinalize) {
+  TracedRun t(noLimits());
+  t.run([](RankCtx& ctx) -> sim::Task<void> {
+    auto f = ctx.open("/in");
+    (void)co_await f.ireadAt(0, 100);  // drained at finalize, 1 s I/O
+    co_return;
+  });
+  EXPECT_NEAR(t.tracer.rankSplit(0).read_exploit, 1.0, 1e-9);
+  EXPECT_EQ(t.tracer.rankSplit(0).write_exploit, 0.0);
+}
+
+// The runtime numbers a rank's requests upwards, but the hooks accept any
+// order: an out-of-order id must still be found, and a duplicate id is
+// ignored (one live entry per id).
+TEST(Tracer, LiveRequestsAreFoundByIdInAnySubmitOrder) {
+  TracedRun t(noLimits());
+  const auto request = [](std::uint64_t id, sim::Time io_end) {
+    mpisim::RequestInfo info;
+    info.id = id;
+    info.rank = 0;
+    info.op = mpisim::IoOp::IWriteAt;
+    info.bytes = 100;
+    info.submit_time = 0.0;
+    info.io_start = 0.0;
+    info.io_end = io_end;
+    return info;
+  };
+  t.tracer.onSubmit(request(5, 2.0));
+  t.tracer.onSubmit(request(3, 1.0));  // below the newest live id
+  t.tracer.onSubmit(request(3, 1.0));  // duplicate: ignored
+  t.tracer.onComplete(request(3, 1.0));
+  t.tracer.onComplete(request(5, 2.0));
+  t.tracer.onFinalize(0);
+  // Both unwaited requests count once each: 1 s + 2 s.
+  EXPECT_DOUBLE_EQ(t.tracer.rankSplit(0).write_exploit, 3.0);
+}
+
 }  // namespace
 }  // namespace iobts::tmio

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the standard build + test line from ROADMAP.md (the ctest
 # pass includes alloc_test, the zero-allocation steady-state gate), plus an
-# ASan+UBSan pass over the event-kernel and PFS hot paths (the code most
-# exposed to lifetime bugs: SBO callback relocation, pooled event slots,
-# in-place completion compaction, recycled coroutine frames).
+# ASan+UBSan pass over the event-kernel, PFS and tracer hot paths (the code
+# most exposed to lifetime bugs: SBO callback relocation, pooled event
+# entries and buckets, in-place completion compaction, recycled coroutine
+# frames and tracer phases).
 #
 # A ThreadSanitizer pass over the independent-shard executor follows: the
 # sim/pfs/mpisim/parallel/scenario suites rebuilt for -fsanitize=thread, so
@@ -97,12 +98,12 @@ if [[ "$SKIP_SANITIZE" == 1 ]]; then
   exit 0
 fi
 
-echo "== sanitize: configure + build (ASan+UBSan, sim+pfs+mpisim+throttle+fault+scenario+ckpt+obs+alloc tests) =="
+echo "== sanitize: configure + build (ASan+UBSan, sim+pfs+mpisim+throttle+fault+scenario+ckpt+obs+tmio+alloc tests) =="
 cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Sanitize \
   -DIOBTS_BUILD_BENCH=OFF -DIOBTS_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build build-sanitize -j --target sim_test pfs_test mpisim_test throttle_test fault_test scenario_test ckpt_test obs_test alloc_test
+cmake --build build-sanitize -j --target sim_test pfs_test mpisim_test throttle_test fault_test scenario_test ckpt_test obs_test tmio_test alloc_test
 
-echo "== sanitize: run sim_test + pfs_test + mpisim_test + throttle_test + fault_test + scenario_test + ckpt_test + obs_test + alloc_test =="
+echo "== sanitize: run sim_test + pfs_test + mpisim_test + throttle_test + fault_test + scenario_test + ckpt_test + obs_test + tmio_test + alloc_test =="
 # ASan instrumentation defeats the coroutine symmetric-transfer tail call,
 # so the 100k-deep Task chain test consumes real stack per hop; lift the
 # stack limit for the sanitized run only.
@@ -132,6 +133,9 @@ ulimit -s unlimited 2>/dev/null || true
 # readers, and round-trips writer output through the profiler aggregates:
 # byte-level bounds handling under ASan/UBSan.
 ./build-sanitize/tests/obs_test
+# The tracer recycles phase objects per rank and erases live requests by
+# index from a flat vector: lifetime and bounds bugs there show up here.
+./build-sanitize/tests/tmio_test
 # The zero-allocation gate again, with ASan+UBSan watching the kernel,
 # resolve, scenario-interpreter and MPI-IO paths it exercises.
 ./build-sanitize/tests/alloc_test
