@@ -257,7 +257,8 @@ void BM_ContendedResolveStaggered(benchmark::State& state) {
     cfg.record_total = false;
     pfs::SharedLink link(sim, cfg);
     for (int i = 0; i < n; ++i) {
-      const auto s = link.createStream("s" + std::to_string(i));
+      const auto s = link.createStream(
+          std::string("s").append(std::to_string(i)));
       sim.spawn(oneTransfer(link, s, static_cast<Bytes>(i + 1) * 4 * kMiB));
     }
     sim.run();
@@ -281,7 +282,8 @@ void BM_SameInstantDrain(benchmark::State& state) {
     cfg.record_total = false;
     pfs::SharedLink link(sim, cfg);
     for (int i = 0; i < n; ++i) {
-      const auto s = link.createStream("s" + std::to_string(i));
+      const auto s = link.createStream(
+          std::string("s").append(std::to_string(i)));
       sim.spawn(oneTransfer(link, s, 16 * kMiB));
     }
     sim.run();
@@ -306,7 +308,8 @@ void BM_CapChurnResolve(benchmark::State& state) {
     std::vector<pfs::StreamId> streams;
     streams.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-      const auto s = link.createStream("s" + std::to_string(i));
+      const auto s = link.createStream(
+          std::string("s").append(std::to_string(i)));
       streams.push_back(s);
       sim.spawn(oneTransfer(link, s, static_cast<Bytes>(1) * kGiB));
     }
@@ -340,7 +343,8 @@ void BM_QuiescentPokeResolve(benchmark::State& state) {
     cfg.record_total = false;
     pfs::SharedLink link(sim, cfg);
     for (int i = 0; i < n; ++i) {
-      const auto s = link.createStream("s" + std::to_string(i));
+      const auto s = link.createStream(
+          std::string("s").append(std::to_string(i)));
       sim.spawn(oneTransfer(link, s, 1 * kGiB));
     }
     // All-equal transfers drain together; every poke lands mid-drain.

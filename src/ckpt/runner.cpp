@@ -42,14 +42,13 @@ void publishLatest(const std::string& dir, const std::string& name) {
 }  // namespace
 
 Snapshot captureSnapshot(scenario::Instance& instance,
-                         const std::string& scenario_text, sim::Time watermark,
-                         bool finished) {
+                         const std::string& scenario_text,
+                         sim::Time watermark) {
   Snapshot snapshot;
   snapshot.scenario_name = instance.spec().name;
   snapshot.scenario_text = scenario_text;
   snapshot.scenario_digest = hashName(scenario_text);
   snapshot.watermark = watermark;
-  snapshot.finished = finished;
   snapshot.state = captureInstanceState(instance);
   return snapshot;
 }
@@ -84,7 +83,7 @@ std::vector<CheckpointRecord> runWithCheckpoints(
     if (sim.nextEventTime() == sim::kInfiniteTime) break;  // finished inside
     const auto wall_start = std::chrono::steady_clock::now();
     const Snapshot snapshot =
-        captureSnapshot(instance, scenario_text, target, /*finished=*/false);
+        captureSnapshot(instance, scenario_text, target);
     CheckpointRecord record;
     record.watermark = target;
     const std::string name = checkpointFileName(records.size() + 1);
@@ -147,7 +146,6 @@ RestoredRun::RestoredRun(Snapshot snapshot, const std::string& origin) {
                               snapshot.scenario_name + "'");
   }
   watermark_ = snapshot.watermark;
-  finished_ = snapshot.finished;
   sim_ = std::make_unique<sim::Simulation>();
   instance_ = std::make_unique<scenario::Instance>(*sim_, std::move(spec));
   instance_->launch();

@@ -53,8 +53,8 @@ struct CheckpointRecord {
 /// the exact source the instance was parsed from (embedded for restore);
 /// `watermark` is the runUntil() limit the kernel is parked at.
 Snapshot captureSnapshot(scenario::Instance& instance,
-                         const std::string& scenario_text, sim::Time watermark,
-                         bool finished);
+                         const std::string& scenario_text,
+                         sim::Time watermark);
 
 /// Run a launched instance to completion, checkpointing per `policy`.
 /// Returns the published checkpoints in capture order. No checkpoint is
@@ -74,13 +74,11 @@ class RestoredRun {
   sim::Simulation& sim() noexcept { return *sim_; }
   scenario::Instance& instance() noexcept { return *instance_; }
   sim::Time watermark() const noexcept { return watermark_; }
-  bool finished() const noexcept { return finished_; }
 
  private:
   std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<scenario::Instance> instance_;
   sim::Time watermark_ = 0.0;
-  bool finished_ = false;
 };
 
 /// readCheckpointFile + decodeSnapshot + RestoredRun.

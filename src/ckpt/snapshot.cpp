@@ -94,7 +94,9 @@ CheckpointFile encodeSnapshot(const Snapshot& snapshot) {
   meta += "scenario_name=" + snapshot.scenario_name + "\n";
   meta += "scenario_digest=" + formatHex64(snapshot.scenario_digest) + "\n";
   meta += "watermark=" + formatTime(snapshot.watermark) + "\n";
-  meta += std::string("finished=") + (snapshot.finished ? "1" : "0") + "\n";
+  // Every checkpoint is taken mid-run; the key stays so the bytes do not
+  // change.
+  meta += "finished=0\n";
 
   CheckpointFile file;
   file.sections.push_back({"meta", std::move(meta)});
@@ -133,11 +135,12 @@ Snapshot decodeSnapshot(const CheckpointFile& file,
                origin);
   snapshot.watermark =
       parseTime(requireKey(meta, "watermark", origin), "watermark", origin);
+  // Restore replays to the watermark and resumes from there; nothing
+  // could verify a claim that the run had already finished.
   const std::string& finished = requireKey(meta, "finished", origin);
-  if (finished != "0" && finished != "1") {
-    malformedMeta(origin, "finished must be 0 or 1, got '" + finished + "'");
+  if (finished != "0") {
+    malformedMeta(origin, "finished must be 0, got '" + finished + "'");
   }
-  snapshot.finished = finished == "1";
   if (!(snapshot.watermark >= 0.0)) {
     malformedMeta(origin, "watermark must be non-negative");
   }

@@ -44,8 +44,6 @@ struct Snapshot {
   std::uint64_t scenario_digest = 0;
   /// Quiescent virtual time the run is parked at: the runUntil() limit.
   sim::Time watermark = 0.0;
-  /// True when captured after the run drained (a terminal checkpoint).
-  bool finished = false;
   /// Captured state sections, names starting with kStatePrefix, in
   /// capture order (deterministic).
   std::vector<Section> state;

@@ -14,7 +14,6 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
-#include <numeric>
 
 namespace iobts::obs {
 namespace {
@@ -339,23 +338,17 @@ bool eventInWindow(const BinEvent& e, const TraceWindow& w) noexcept {
   return e.ts <= w.to && hi >= w.from;
 }
 
-/// Meta-chunk payload from a sink's registered track names (empty tables
-/// for a null sink).
-std::string buildMetaPayload(const TraceSink* sink) {
+/// Meta-chunk payload from a sink's registered track names.
+std::string buildMetaPayload(const TraceSink& sink) {
   std::string meta;
-  if (sink == nullptr) {
-    appendU32(meta, 0);
-    appendU32(meta, 0);
-    return meta;
-  }
-  const auto processes = sink->processNames();
+  const auto processes = sink.processNames();
   appendU32(meta, static_cast<std::uint32_t>(processes.size()));
   for (const auto& [pid, name] : processes) {
     appendU32(meta, pid);
     appendU32(meta, static_cast<std::uint32_t>(name.size()));
     meta += name;
   }
-  const auto threads = sink->threadNames();
+  const auto threads = sink.threadNames();
   appendU32(meta, static_cast<std::uint32_t>(threads.size()));
   for (const auto& [key, name] : threads) {
     appendU32(meta, key.first);
@@ -513,7 +506,7 @@ void requireVersion(std::uint32_t version, const std::string& origin) {
 /// The chunk-sequence decoder shared by the strict whole-file reader, the
 /// index-seeking windowed reader, and the --follow tail reader. Callers
 /// verify each chunk's checksum, then hand the payload to consumeChunk();
-/// finalize() produces the canonically merged BinaryTrace.
+/// finalize() produces the BinaryTrace.
 ///
 /// strict mode (whole-file + tail reader): chunk order is enforced
 /// (nothing after the index chunk but the footer), the index chunk is
@@ -540,9 +533,9 @@ class ContainerDecoder {
   }
 
   /// Decode one checksum-verified chunk. Returns what the index *should*
-  /// say about it (kind, shard, offset, payload length, event count, time
-  /// cover) -- the windowed reader compares this against the index entry
-  /// it seeked by.
+  /// say about it (kind, offset, payload length, event count, time cover)
+  /// -- the windowed reader compares this against the index entry it
+  /// seeked by.
   BinlogIndexEntry consumeChunk(std::uint32_t kind, const char* payload,
                                 std::uint64_t len, std::uint64_t offset) {
     BinlogIndexEntry entry;
@@ -554,15 +547,12 @@ class ContainerDecoder {
       case binchunk::kStrings: {
         requirePreIndex("strings");
         PayloadReader p(payload, len, origin_, "strings");
-        const std::uint32_t shard = p.u32("shard id");
-        checkShard(shard, "strings chunk");
-        entry.shard = shard;
-        auto& table = shards_[shard].strings;
+        checkShard(p.u32("shard id"), "strings chunk");
         const std::uint32_t count = p.u32("string count");
         for (std::uint32_t i = 0; i < count; ++i) {
           const std::uint32_t slen = p.u32("string length");
           const char* data = p.take(slen, "string bytes");
-          table.emplace_back(data, slen);
+          strings_.emplace_back(data, slen);
         }
         p.requireDrained();
         break;
@@ -616,73 +606,15 @@ class ContainerDecoder {
     return entry;
   }
 
-  /// The canonically merged trace from everything consumed so far.
+  /// The trace decoded from everything consumed so far.
   BinaryTrace finalize() const {
     BinaryTrace t;
-    std::uint32_t max_shard_plus1 = 0;
-    for (const auto& [shard, state] : shards_) {
-      max_shard_plus1 = std::max(max_shard_plus1, shard + 1);
-    }
-    t.shard_count = std::max({declared_shard_count_, max_shard_plus1, 1U});
+    t.strings = strings_;
+    t.events = events_;
     t.process_names = process_names_;
     t.thread_names = thread_names_;
     t.totals = totals_;
     t.index = declared_index_;
-    if (shards_.size() <= 1) {
-      // Single recording stream: file order *is* canonical order and the
-      // shard's local string ids are already global.
-      if (!shards_.empty()) t.strings = shards_.begin()->second.strings;
-      t.events = events_;
-    } else {
-      std::vector<std::size_t> perm(events_.size());
-      std::iota(perm.begin(), perm.end(), std::size_t{0});
-      std::sort(perm.begin(), perm.end(),
-                [this](std::size_t a, std::size_t b) {
-                  const BinEvent& ea = events_[a];
-                  const BinEvent& eb = events_[b];
-                  // NaN timestamps compare false both ways and fall through
-                  // to the (shard, seq) tiebreak -- still a total order.
-                  if (ea.ts < eb.ts) return true;
-                  if (eb.ts < ea.ts) return false;
-                  if (ea.shard != eb.shard) return ea.shard < eb.shard;
-                  return seqs_[a] < seqs_[b];
-                });
-      // Global string ids: content-deduplicated, in merged first-use order
-      // -- a pure function of the merged event stream, not of how shard
-      // chunks interleaved in the file.
-      std::map<std::string, std::uint32_t> by_content;
-      std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> remap;
-      auto globalId = [&](std::uint32_t shard, std::uint32_t local) {
-        const auto key = std::make_pair(shard, local);
-        auto it = remap.find(key);
-        if (it != remap.end()) return it->second;
-        const std::string& content = shards_.at(shard).strings.at(local);
-        auto [cit, inserted] =
-            by_content.try_emplace(content, 0U);
-        if (inserted) {
-          cit->second = static_cast<std::uint32_t>(t.strings.size());
-          t.strings.push_back(content);
-        }
-        remap.emplace(key, cit->second);
-        return cit->second;
-      };
-      t.events.reserve(events_.size());
-      for (const std::size_t i : perm) {
-        BinEvent e = events_[i];
-        e.category = globalId(e.shard, e.category);
-        e.name = globalId(e.shard, e.name);
-        t.events.push_back(e);
-      }
-      // Interned strings no event references still belong in the table
-      // (the footer's string count was checked against the shard tables):
-      // deterministic (shard, local id) order after all referenced ones.
-      for (const auto& [shard, state] : shards_) {
-        const auto n = static_cast<std::uint32_t>(state.strings.size());
-        for (std::uint32_t local = 0; local < n; ++local) {
-          globalId(shard, local);
-        }
-      }
-    }
     t.stats.chunks_total = chunks_;
     t.stats.events_chunks_decoded = events_chunks_;
     t.stats.events_decoded = events_.size();
@@ -691,17 +623,13 @@ class ContainerDecoder {
   }
 
  private:
-  struct ShardState {
-    std::vector<std::string> strings;
-    std::uint64_t seq = 0;  ///< per-shard recording sequence (merge tiebreak)
-  };
-
+  /// One recording stream per file: every shard word is 0.
   void checkShard(std::uint32_t shard, const char* what) const {
-    if (shard >= kBinlogMaxShards) {
+    if (shard != 0) {
       throw BinlogError(BinlogErrorKind::BadShard,
                         origin_ + ": " + what + " carries shard id " +
-                            std::to_string(shard) + " (limit " +
-                            std::to_string(kBinlogMaxShards) + ")");
+                            std::to_string(shard) +
+                            " (a binary trace holds one stream, shard 0)");
     }
   }
 
@@ -716,9 +644,7 @@ class ContainerDecoder {
   void decodeEvents(const char* payload, std::uint64_t len,
                     BinlogIndexEntry& entry) {
     PayloadReader p(payload, len, origin_, "events");
-    const std::uint32_t shard = p.u32("shard id");
-    checkShard(shard, "events chunk");
-    entry.shard = shard;
+    checkShard(p.u32("shard id"), "events chunk");
     const std::uint32_t count = p.u32("event count");
     // The count sizes a reservation: bound it by what the payload can hold
     // before trusting it.
@@ -731,7 +657,6 @@ class ContainerDecoder {
                             std::to_string(p.remaining() /
                                            kMinRecordBytes));
     }
-    auto& state = shards_[shard];
     DeltaState d;
     events_.reserve(events_.size() + count);
     auto varintU32 = [this, &p](const char* what) {
@@ -762,7 +687,6 @@ class ContainerDecoder {
       }
       BinEvent e;
       e.phase = static_cast<Phase>(phase);
-      e.shard = shard;
       e.pid = varintU32("pid");
       e.tid = varintU32("tid");
       e.category = varintU32("category id");
@@ -782,7 +706,7 @@ class ContainerDecoder {
       e.dur = f64FromBits(d.dur_bits);
       e.value = f64FromBits(d.value_bits);
       e.wall_ns = d.wall;
-      const auto table = static_cast<std::uint32_t>(state.strings.size());
+      const auto table = static_cast<std::uint32_t>(strings_.size());
       if (e.category >= table || e.name >= table) {
         const std::uint32_t bad = e.category >= table ? e.category : e.name;
         throw BinlogError(
@@ -790,12 +714,10 @@ class ContainerDecoder {
             origin_ + ": event " + std::to_string(events_.size()) +
                 " references string id " + std::to_string(bad) +
                 " but only " + std::to_string(table) +
-                " string(s) are defined for shard " + std::to_string(shard) +
-                " at this point");
+                " string(s) are defined at this point");
       }
       coverEvent(d, e.ts, e.dur);
       events_.push_back(e);
-      seqs_.push_back(state.seq++);
     }
     p.requireDrained();
     entry.event_count = count;
@@ -816,7 +738,13 @@ class ContainerDecoder {
                             " byte(s) is shorter than its 8-byte header");
     }
     const std::uint32_t entry_count = readU32(payload);
-    declared_shard_count_ = readU32(payload + 4);
+    const std::uint32_t shard_count = readU32(payload + 4);
+    if (shard_count != 1) {
+      throw BinlogError(BinlogErrorKind::BadShard,
+                        origin_ + ": index chunk declares " +
+                            std::to_string(shard_count) +
+                            " shard(s) (a binary trace holds one stream)");
+    }
     if (len != 8 + std::uint64_t{kBinlogIndexEntryBytes} * entry_count) {
       throw BinlogError(
           BinlogErrorKind::BadIndex,
@@ -829,8 +757,7 @@ class ContainerDecoder {
       const char* r = payload + 8 + kBinlogIndexEntryBytes * i;
       BinlogIndexEntry e;
       e.kind = readU32(r);
-      e.shard = readU32(r + 4);
-      checkShard(e.shard, "index entry");
+      checkShard(readU32(r + 4), "index entry");
       e.offset = readU64(r + 8);
       e.payload_len = readU64(r + 16);
       e.event_count = readU64(r + 24);
@@ -861,10 +788,6 @@ class ContainerDecoder {
       if (a.kind != b.kind) {
         bad("declares chunk kind " + std::to_string(a.kind) +
             " but the chunk has kind " + std::to_string(b.kind));
-      }
-      if (a.shard != b.shard) {
-        bad("declares shard " + std::to_string(a.shard) +
-            " but the chunk is tagged shard " + std::to_string(b.shard));
       }
       if (a.offset != b.offset) {
         bad("declares file offset " + std::to_string(a.offset) +
@@ -922,30 +845,24 @@ class ContainerDecoder {
                             std::to_string(events_.size()) +
                             " were decoded");
     }
-    std::uint64_t total_strings = 0;
-    for (const auto& [shard, state] : shards_) {
-      total_strings += state.strings.size();
-    }
-    if (string_count != total_strings) {
+    if (string_count != strings_.size()) {
       throw BinlogError(BinlogErrorKind::Malformed,
                         origin_ + ": footer declares " +
                             std::to_string(string_count) + " string(s) but " +
-                            std::to_string(total_strings) +
+                            std::to_string(strings_.size()) +
                             " were decoded");
     }
   }
 
   std::string origin_;
   bool strict_;
-  std::map<std::uint32_t, ShardState> shards_;
-  std::vector<BinEvent> events_;  // category/name are shard-local ids here
-  std::vector<std::uint64_t> seqs_;
+  std::vector<std::string> strings_;
+  std::vector<BinEvent> events_;
   std::map<std::uint32_t, std::string> process_names_;
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::string> thread_names_;
   BinlogTotals totals_;
   std::vector<BinlogIndexEntry> declared_index_;
   std::vector<BinlogIndexEntry> observed_;
-  std::uint32_t declared_shard_count_ = 0;
   std::uint64_t index_offset_ = 0;        // as the footer declares it
   std::uint64_t index_chunk_offset_ = 0;  // where the index chunk really is
   std::uint64_t chunks_ = 0;
@@ -1219,11 +1136,6 @@ BinaryTrace windowedDecode(ByteSource& src, const std::string& origin,
                           origin + ": index entry " + std::to_string(i) +
                               " " + what);
       };
-      if (observed.shard != entry.shard) {
-        bad("declares shard " + std::to_string(entry.shard) +
-            " but the chunk is tagged shard " +
-            std::to_string(observed.shard));
-      }
       if (observed.event_count != entry.event_count) {
         bad("declares " + std::to_string(entry.event_count) +
             " event(s) but the chunk holds " +
@@ -1272,9 +1184,8 @@ BinaryTrace readBinaryTraceWindow(const std::string& path,
 
 namespace detail {
 
-/// The shared chunk-emitting backend: file/memory staging, trailer digest,
-/// and the index ledger. BinaryTraceWriter owns one; ShardedBinaryWriter
-/// funnels every shard's chunks through one.
+/// The chunk-emitting backend: file/memory staging, trailer digest, and
+/// the index ledger. BinaryTraceWriter owns one.
 struct BinlogContainer {
   std::size_t flush_bytes;
   std::ofstream file;
@@ -1341,14 +1252,14 @@ struct BinlogContainer {
     return offset;
   }
 
-  /// Emit a strings/events/meta chunk and record the ledger entry (shard
-  /// tag, event count, time cover) that finish() pins into the index.
+  /// Emit a strings/events/meta chunk and record the ledger entry (event
+  /// count, time cover) that finish() pins into the index.
   void emitIndexed(std::uint32_t kind, const char* data, std::size_t size,
-                   std::uint32_t shard, std::uint64_t event_count = 0,
-                   double t_min = 0.0, double t_max = 0.0) {
+                   std::uint64_t event_count = 0, double t_min = 0.0,
+                   double t_max = 0.0) {
     const std::uint64_t offset = emitChunk(kind, data, size);
-    index.push_back(BinlogIndexEntry{kind, shard, offset, size, event_count,
-                                     t_min, t_max});
+    index.push_back(
+        BinlogIndexEntry{kind, offset, size, event_count, t_min, t_max});
   }
 
   void flushFile(bool force) {
@@ -1371,21 +1282,20 @@ struct BinlogContainer {
   }
 
   /// Meta + index + footer + trailer digest; closes the file. Idempotent.
-  bool finish(const TraceSink* names, std::uint64_t event_count,
-              std::uint64_t string_count, const BinlogTotals& totals,
-              std::uint32_t shard_count) {
+  bool finish(const TraceSink& names, std::uint64_t event_count,
+              std::uint64_t string_count, const BinlogTotals& totals) {
     if (finished) return good();
     // Meta chunk last among the indexed ones: every track name registered
     // during the run is known by now.
     const std::string meta = buildMetaPayload(names);
-    emitIndexed(binchunk::kMeta, meta.data(), meta.size(), 0);
+    emitIndexed(binchunk::kMeta, meta.data(), meta.size());
     std::string ip;
     appendU32(ip, static_cast<std::uint32_t>(index.size()));
-    appendU32(ip, shard_count);
+    appendU32(ip, 1);  // shard count: one stream
     for (const BinlogIndexEntry& e : index) {
       char buf[kBinlogIndexEntryBytes];
       putU32(buf, e.kind);
-      putU32(buf + 4, e.shard);
+      putU32(buf + 4, 0);  // shard
       putU64(buf + 8, e.offset);
       putU64(buf + 16, e.payload_len);
       putU64(buf + 24, e.event_count);
@@ -1420,16 +1330,13 @@ struct BinlogContainer {
 
 // --- Encoder ----------------------------------------------------------------
 
-/// The event encoder for one recording stream: string interning, delta
+/// The event encoder for the recording stream: string interning, delta
 /// records and chunk sealing, emitting finished chunks into a container.
-/// BinaryTraceWriter runs one; ShardedBinaryWriter runs one per shard
-/// against a shared container. The owner serializes every call.
+/// BinaryTraceWriter runs one and serializes every call.
 class BinlogEncoder {
  public:
-  BinlogEncoder(BinlogContainer& container, std::uint32_t shard)
-      : container_(container),
-        shard_(shard),
-        flush_bytes_(container.flush_bytes) {
+  explicit BinlogEncoder(BinlogContainer& container)
+      : container_(container), flush_bytes_(container.flush_bytes) {
     growPending(flush_bytes_ + kMaxRecordBytes + 8);
     resetPending();
     pending_strings_.assign(8, '\0');
@@ -1451,9 +1358,8 @@ class BinlogEncoder {
     // size, decides drain cadence), and bounded chunks are what give the
     // footer index time-local entries worth seeking by. The seal point is
     // a pure function of the encoded byte stream, so chunk boundaries stay
-    // deterministic (and thread-count-invariant per shard). The
-    // constructor sized the buffer past flush_bytes + one max record, so
-    // the grow check almost never fires.
+    // deterministic. The constructor sized the buffer past flush_bytes +
+    // one max record, so the grow check almost never fires.
     for (std::size_t i = 0; i < count; ++i) {
       const TraceEvent& e = events[i];
       std::uint32_t category_id;
@@ -1480,19 +1386,16 @@ class BinlogEncoder {
   /// Emit the pending string-table entries and the open events chunk.
   void seal() {
     if (pending_string_count_ > 0) {
-      putU32(pending_strings_.data(), shard_);
       putU32(pending_strings_.data() + 4, pending_string_count_);
       container_.emitIndexed(binchunk::kStrings, pending_strings_.data(),
-                             pending_strings_.size(), shard_);
+                             pending_strings_.size());
       pending_strings_.assign(8, '\0');
       pending_string_count_ = 0;
     }
     if (delta_.count > 0) {
-      putU32(pending_.get(), shard_);
       putU32(pending_.get() + 4, static_cast<std::uint32_t>(delta_.count));
       container_.emitIndexed(binchunk::kEvents, pending_.get(), pending_size_,
-                             shard_, delta_.count, delta_.t_min,
-                             delta_.t_max);
+                             delta_.count, delta_.t_min, delta_.t_max);
       resetPending();
     }
     container_.flushFile(false);
@@ -1555,7 +1458,8 @@ class BinlogEncoder {
   }
 
   void resetPending() {
-    // Reserve the u32 shard + u32 count chunk prologue; patched at seal.
+    // Reserve the u32 shard (always 0) + u32 count chunk prologue; the
+    // count is patched at seal.
     std::memset(pending_.get(), 0, 8);
     pending_size_ = 8;
     delta_ = DeltaState{};
@@ -1571,7 +1475,6 @@ class BinlogEncoder {
   }
 
   BinlogContainer& container_;
-  const std::uint32_t shard_;
   const std::size_t flush_bytes_;  // events-chunk seal threshold
   // Records of the open events chunk. A raw buffer, not a std::string: the
   // hot loop encodes records in place with no per-record size/capacity
@@ -1614,7 +1517,7 @@ BinaryTraceWriter::BinaryTraceWriter(
     TraceSink& sink, std::unique_ptr<detail::BinlogContainer> container)
     : sink_(sink),
       container_(std::move(container)),
-      encoder_(std::make_unique<detail::BinlogEncoder>(*container_, 0)) {
+      encoder_(std::make_unique<detail::BinlogEncoder>(*container_)) {
   sink_.setDrainHook(&BinaryTraceWriter::drainThunk, this);
 }
 
@@ -1644,8 +1547,8 @@ bool BinaryTraceWriter::close() {
   encoder_->seal();
   closed_ = true;
   return container_->finish(
-      &sink_, encoder_->events(), encoder_->strings(),
-      BinlogTotals{sink_.recorded(), sink_.dropped(), sink_.streamed()}, 1);
+      sink_, encoder_->events(), encoder_->strings(),
+      BinlogTotals{sink_.recorded(), sink_.dropped(), sink_.streamed()});
 }
 
 bool BinaryTraceWriter::good() const {
@@ -1666,131 +1569,6 @@ std::uint64_t BinaryTraceWriter::batches() const {
 std::uint64_t BinaryTraceWriter::bytesWritten() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return container_->bytes_written;
-}
-
-// --- Sharded direct recording -----------------------------------------------
-
-struct ShardedBinaryWriter::Impl {
-  /// One shard's encoder and its currently attached staging sink. Chunks
-  /// from different shards interleave freely in the file; the shard tag on
-  /// every chunk lets the reader regroup them.
-  struct ShardStream {
-    ShardStream(Impl* o, std::uint32_t shard)
-        : owner(o), encoder(o->container, shard) {}
-    Impl* owner;
-    TraceSink* sink = nullptr;
-    detail::BinlogEncoder encoder;
-  };
-
-  mutable std::mutex mutex;
-  detail::BinlogContainer container;
-  std::map<std::uint32_t, std::unique_ptr<ShardStream>> streams;
-  const TraceSink* name_source = nullptr;
-  BinlogTotals totals;
-  bool closed = false;
-
-  Impl(const std::string& path, BinaryTraceWriterConfig cfg)
-      : container(path, cfg.flush_bytes) {}
-  Impl(std::string* out, BinaryTraceWriterConfig cfg)
-      : container(out, cfg.flush_bytes) {}
-
-  static void hookThunk(void* ctx) {
-    ShardStream& s = *static_cast<ShardStream*>(ctx);
-    std::lock_guard<std::mutex> lock(s.owner->mutex);
-    if (s.owner->closed || s.sink == nullptr) return;
-    s.sink->drainSegments(&detail::BinlogEncoder::segmentThunk, &s.encoder);
-  }
-
-  void detachAllLocked() {
-    for (auto& [shard, stream] : streams) {
-      ShardStream& s = *stream;
-      if (s.sink == nullptr) continue;
-      s.sink->clearDrainHook();
-      s.sink->drainSegments(&detail::BinlogEncoder::segmentThunk, &s.encoder);
-      // Staging sinks are fresh per run() call, so their lifetime
-      // counters sum without double counting.
-      totals.recorded += s.sink->recorded();
-      totals.dropped += s.sink->dropped();
-      totals.streamed += s.sink->streamed();
-      s.sink = nullptr;
-    }
-  }
-
-  std::uint64_t eventsLocked() const {
-    std::uint64_t n = 0;
-    for (const auto& [shard, stream] : streams) n += stream->encoder.events();
-    return n;
-  }
-
-  bool close() {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (closed) return container.good();
-    detachAllLocked();
-    std::uint64_t string_count = 0;
-    for (auto& [shard, stream] : streams) {
-      stream->encoder.seal();
-      string_count += stream->encoder.strings();
-    }
-    const std::uint32_t shard_count =
-        streams.empty() ? 1u : streams.rbegin()->first + 1u;
-    closed = true;
-    return container.finish(name_source, eventsLocked(), string_count,
-                            totals, shard_count);
-  }
-};
-
-ShardedBinaryWriter::ShardedBinaryWriter(const std::string& path,
-                                         BinaryTraceWriterConfig config)
-    : impl_(std::make_unique<Impl>(path, config)) {}
-
-ShardedBinaryWriter::ShardedBinaryWriter(std::string* out,
-                                         BinaryTraceWriterConfig config)
-    : impl_(std::make_unique<Impl>(out, config)) {}
-
-ShardedBinaryWriter::~ShardedBinaryWriter() { close(); }
-
-void ShardedBinaryWriter::attachShard(std::uint32_t shard, TraceSink& sink) {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  if (shard >= kBinlogMaxShards) {
-    throw BinlogError(
-        BinlogErrorKind::BadShard,
-        "shard id " + std::to_string(shard) + " exceeds the format limit " +
-            std::to_string(kBinlogMaxShards));
-  }
-  auto& slot = impl_->streams[shard];
-  if (!slot) slot = std::make_unique<Impl::ShardStream>(impl_.get(), shard);
-  if (slot->sink != nullptr) {
-    slot->sink->clearDrainHook();
-  }
-  slot->sink = &sink;
-  sink.setDrainHook(&Impl::hookThunk, slot.get());
-}
-
-void ShardedBinaryWriter::detachAll() {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  if (!impl_->closed) impl_->detachAllLocked();
-}
-
-void ShardedBinaryWriter::setNameSource(const TraceSink& sink) {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->name_source = &sink;
-}
-
-bool ShardedBinaryWriter::close() { return impl_->close(); }
-
-bool ShardedBinaryWriter::good() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->container.good();
-}
-
-std::uint64_t ShardedBinaryWriter::events() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->eventsLocked();
-}
-
-std::uint64_t ShardedBinaryWriter::bytesWritten() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->container.bytes_written;
 }
 
 // --- Live tailing -----------------------------------------------------------

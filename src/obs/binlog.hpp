@@ -32,29 +32,29 @@
 // patterns, so the encoding is identical on every host and round-trips
 // exactly; see DESIGN.md for the full diagram):
 //
-//   strings:  u32 shard, u32 count, then per string u32 length + bytes.
-//             Ids are per shard and assigned implicitly in file order; an
-//             event may only reference ids from *earlier* chunks.
-//   events:   u32 shard, u32 count, then delta-encoded records: a flags
-//             byte (bits 0-2 phase, bit 3 dur differs from the previous
-//             record's, bit 4 value differs, bit 5 flow != 0, bit 6 wall_ns
-//             differs) followed by varints: pid, tid, category id, name
-//             id, zigzag(ts bit-pattern delta), then the optional fields
-//             the flags declare (zigzag bit-pattern deltas for wall/dur/
-//             value, plain varint for flow). Delta state resets per chunk,
-//             so every chunk decodes independently -- what makes the index
-//             seekable.
+//   strings:  u32 shard (always 0), u32 count, then per string u32
+//             length + bytes. Ids are assigned implicitly in file order;
+//             an event may only reference ids from *earlier* chunks.
+//   events:   u32 shard (always 0), u32 count, then delta-encoded
+//             records: a flags byte (bits 0-2 phase, bit 3 dur differs
+//             from the previous record's, bit 4 value differs, bit 5
+//             flow != 0, bit 6 wall_ns differs) followed by varints: pid,
+//             tid, category id, name id, zigzag(ts bit-pattern delta),
+//             then the optional fields the flags declare (zigzag
+//             bit-pattern deltas for wall/dur/value, plain varint for
+//             flow). Delta state resets per chunk, so every chunk decodes
+//             independently -- what makes the index seekable.
 //   meta:     u32 process-name count, per entry u32 pid + u32 len + bytes;
 //             u32 thread-name count, per entry u32 pid + u32 tid +
 //             u32 len + bytes.
 //   index:    (kind 5, emitted after meta, right before the footer) u32
-//             entry count, u32 shard count, then one 48-byte entry per
-//             preceding chunk -- u32 kind, u32 shard, u64 file offset (of
-//             the chunk's kind word), u64 payload length, u64 event count,
-//             f64 t_min, f64 t_max (virtual-time cover of the chunk's
-//             events, ts..ts+dur). A windowed reader seeks the footer, then
-//             the index, then only the chunks whose [t_min, t_max]
-//             intersect the window.
+//             entry count, u32 shard count (always 1), then one 48-byte
+//             entry per preceding chunk -- u32 kind, u32 shard (always 0),
+//             u64 file offset (of the chunk's kind word), u64 payload
+//             length, u64 event count, f64 t_min, f64 t_max (virtual-time
+//             cover of the chunk's events, ts..ts+dur). A windowed reader
+//             seeks the footer, then the index, then only the chunks whose
+//             [t_min, t_max] intersect the window.
 //   footer:   u64 event count, u64 string count, u64 recorded,
 //             u64 dropped, u64 streamed (the sink's counters at close),
 //             u64 index chunk offset. The footer chunk is therefore always
@@ -68,19 +68,21 @@
 // installed sink with no recorder is BM_DispatchTracingBinary vs
 // BM_DispatchTracingOn in BENCH_obs_overhead.json.
 //
+// A binlog holds one recording stream: the events of one TraceSink in
+// recording order (a sharded run drains its shards into that sink one after
+// another). The shard words are kept so the version-2 layout is unchanged;
+// every reader rejects a shard tag other than 0, or an index shard count
+// other than 1, as BadShard.
+//
 // Reading is strict, ckpt-style: every length is bounds-checked before
 // use, per-chunk checksums are verified before payloads are surfaced,
-// string references are validated against the owning shard's table,
+// string references are validated against the table defined so far,
 // the index chunk is cross-checked entry-by-entry against the chunks
 // actually decoded (and the footer's index offset against where the index
 // chunk really is), trailing bytes after the file checksum are an error,
 // and every failure carries a BinlogError::Kind naming the *first*
 // defect. The corrupt-trace corpus under traces/invalid/ pins one
-// diagnostic per kind. Multi-shard traces are merged canonically on read
-// -- events sorted by (ts, shard, per-shard sequence), string ids
-// remapped to a content-deduplicated global table in merged order -- so
-// reports derived from a sharded recording are byte-identical no matter
-// how the shards' chunks interleaved in the file.
+// diagnostic per kind.
 #pragma once
 
 #include <cstdint>
@@ -105,10 +107,6 @@ inline constexpr std::uint32_t kBinlogVersion = 2;
 /// The 8-byte file magic.
 inline constexpr char kBinlogMagic[8] = {'I', 'O', 'B', 'T', 'R', 'C', 'E',
                                          '\n'};
-
-/// Shard ids in chunks must be below this (a 16-bit budget catches
-/// corrupted tags long before a resize tries to honor them).
-inline constexpr std::uint32_t kBinlogMaxShards = 1u << 16;
 
 /// Fixed sizes: one index entry, the footer payload, and the complete
 /// fixed file tail (footer chunk + trailer digest).
@@ -140,7 +138,8 @@ enum class BinlogErrorKind : int {
   MissingFooter,  ///< file ends cleanly but no footer chunk was seen
   BadStringRef,   ///< an event references a string id not yet defined
   BadIndex,       ///< index chunk absent/corrupt or contradicting the chunks
-  BadShard,       ///< a chunk carries a shard id outside the sane range
+  BadShard,       ///< a chunk or index entry tagged with a shard other
+                  ///< than 0, or an index shard count other than 1
 };
 
 /// Stable lowercase name for a BinlogErrorKind ("truncated", "bad_magic",
@@ -187,11 +186,10 @@ struct BinlogTotals {
 };
 
 /// One decoded index entry (also what the writer pins into the index
-/// chunk): which chunk, whose shard, where in the file, and what virtual
-/// time range its events cover.
+/// chunk): which chunk, where in the file, and what virtual time range its
+/// events cover.
 struct BinlogIndexEntry {
   std::uint32_t kind = 0;
-  std::uint32_t shard = 0;
   std::uint64_t offset = 0;  ///< file offset of the chunk's kind word
   std::uint64_t payload_len = 0;
   std::uint64_t event_count = 0;
@@ -219,7 +217,7 @@ struct BinlogReadStats {
 };
 
 /// One decoded event: a TraceEvent with the string pointers replaced by
-/// indices into BinaryTrace::strings, plus the recording shard.
+/// indices into BinaryTrace::strings.
 struct BinEvent {
   sim::Time ts = 0.0;
   sim::Time dur = 0.0;
@@ -228,20 +226,14 @@ struct BinEvent {
   std::uint32_t pid = 0;
   std::uint32_t tid = 0;
   Phase phase = Phase::Instant;
-  std::uint32_t shard = 0;
   double value = 0.0;
   std::uint64_t wall_ns = 0;
   std::uint64_t flow = 0;
 };
 
-/// A decoded binary trace: events in canonical order plus the interned
-/// string table, track names, and footer totals. Single-shard traces
-/// (every file from one BinaryTraceWriter) keep exact file = recording
-/// order; multi-shard traces are merged canonically by
-/// (ts, shard, per-shard sequence) with string ids remapped to a global
-/// content-deduplicated table in merged order.
+/// A decoded binary trace: events in file (= recording) order plus the
+/// interned string table, track names, and footer totals.
 struct BinaryTrace {
-  std::uint32_t shard_count = 1;
   std::vector<std::string> strings;
   std::vector<BinEvent> events;
   std::map<std::uint32_t, std::string> process_names;
@@ -349,60 +341,6 @@ class BinaryTraceWriter {
   std::uint64_t batches_ = 0;
 };
 
-/// One container fed by *several* TraceSinks, one per shard -- the
-/// sharded kernel's direct-recording path. Each attached sink gets a drain
-/// hook that encodes straight into that shard's own instance of the
-/// BinaryTraceWriter encoder (its own string table, its own open chunk,
-/// its own shard tag), and finished shard-tagged chunks are
-/// appended to the shared container in whatever order the workers finish
-/// them. The *reader* merges shard streams canonically, so reports from a
-/// sharded recording are byte-identical across worker thread counts even
-/// though the files themselves need not be.
-///
-/// Lifecycle: attachShard() per staging sink when a run starts (re-attach
-/// with fresh sinks every run invocation -- the per-shard encoder and its
-/// string table persist across runs); detachAll() before the staging sinks
-/// die (final drain + totals snapshot); close() seals every shard's open
-/// chunk in shard order and writes meta/index/footer.
-class ShardedBinaryWriter {
- public:
-  explicit ShardedBinaryWriter(const std::string& path,
-                               BinaryTraceWriterConfig config = {});
-  explicit ShardedBinaryWriter(std::string* out,
-                               BinaryTraceWriterConfig config = {});
-  ~ShardedBinaryWriter();
-
-  ShardedBinaryWriter(const ShardedBinaryWriter&) = delete;
-  ShardedBinaryWriter& operator=(const ShardedBinaryWriter&) = delete;
-
-  /// Bind shard `shard`'s staging sink: installs its drain hook. Rebinding
-  /// the same shard to a new sink (the next run invocation's fresh staging
-  /// ring) keeps the shard's encoder and string table.
-  void attachShard(std::uint32_t shard, TraceSink& sink);
-
-  /// Final-drain every attached sink, fold its recorded/dropped counters
-  /// into the footer totals, and uninstall the hooks. Must run before the
-  /// staging sinks are destroyed. Idempotent.
-  void detachAll();
-
-  /// Track-name source for the meta chunk (usually the global sink the
-  /// application registered names on). Must outlive close().
-  void setNameSource(const TraceSink& sink);
-
-  /// detachAll() + seal every shard's open chunk (ascending shard order) +
-  /// meta/index/footer + file checksum. Idempotent. Returns false if any
-  /// file write failed.
-  bool close();
-
-  bool good() const;
-  std::uint64_t events() const;
-  std::uint64_t bytesWritten() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
 /// Incremental reader for a *growing* container -- the engine behind
 /// `iobts_profile --follow`. feed() consumes every complete, checksum-
 /// valid chunk from the byte stream and buffers the incomplete tail; a
@@ -437,7 +375,7 @@ class BinlogTailReader {
   /// The index as rebuilt from consumed chunks.
   const std::vector<BinlogIndexEntry>& liveIndex() const noexcept;
 
-  /// Canonically merged view of everything consumed so far.
+  /// Everything consumed so far, decoded.
   BinaryTrace snapshot() const;
 
  private:

@@ -96,11 +96,6 @@ std::string profileSummaryText(const BinaryTrace& trace,
   if (saw_span) {
     appendf(out, ", virtual span [%.3f s, %.3f s]", t_min, t_max);
   }
-  // Single-shard traces keep the exact v1 header: golden pins depend on it.
-  if (trace.shard_count > 1) {
-    appendf(out, ", %u shards merged",
-            static_cast<unsigned>(trace.shard_count));
-  }
   out += "\n\n";
 
   std::vector<std::pair<std::string, SpanAgg>> ranked(spans.begin(),

@@ -238,15 +238,10 @@ TraceSink::threadNames() const {
 
 namespace detail {
 std::atomic<TraceSink*> g_trace_sink{nullptr};
-thread_local TraceSink* t_trace_sink_override = nullptr;
 }  // namespace detail
 
 void installTraceSink(TraceSink* sink) noexcept {
   detail::g_trace_sink.store(sink, std::memory_order_release);
-}
-
-TraceSink* installThreadTraceSink(TraceSink* sink) noexcept {
-  return std::exchange(detail::t_trace_sink_override, sink);
 }
 
 std::uint64_t parseJourneySampleStride(const char* text) noexcept {

@@ -218,18 +218,9 @@ namespace detail {
 /// point; null means "tracing off" and costs exactly one relaxed load plus
 /// a branch.
 extern std::atomic<TraceSink*> g_trace_sink;
-/// Per-thread override consulted before the global sink. A sharded
-/// simulation worker recording through a ShardedBinaryWriter points this at
-/// the staging sink of the shard it is running, so instrumentation emitted
-/// on that worker lands in the shard's own recorder stream (see
-/// sim/sharded.hpp). Null everywhere else; the cost when unused is one
-/// thread-local load and a predictable branch.
-extern thread_local TraceSink* t_trace_sink_override;
 }  // namespace detail
 
 inline TraceSink* traceSink() noexcept {
-  TraceSink* const override_sink = detail::t_trace_sink_override;
-  if (override_sink != nullptr) return override_sink;
   return detail::g_trace_sink.load(std::memory_order_relaxed);
 }
 
@@ -237,11 +228,6 @@ inline TraceSink* traceSink() noexcept {
 /// outlive its installation; install before constructing instrumented
 /// components if you want their setup-time track names registered.
 void installTraceSink(TraceSink* sink) noexcept;
-
-/// Install (or clear, with nullptr) this thread's override sink; returns
-/// the previous override. Used by sharded-simulation workers around each
-/// recorded shard run; normal code never needs it.
-TraceSink* installThreadTraceSink(TraceSink* sink) noexcept;
 
 // --- Journey sampling -------------------------------------------------------
 //

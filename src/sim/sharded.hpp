@@ -18,18 +18,13 @@
 // shard's error is rethrown, so the error that surfaces never depends on
 // timing. threads == 1 runs every shard on the calling thread.
 //
-// Tracing has one lossless path per mode:
-//   * setTraceRecorder(writer): each shard records into a private staging
-//     sink (installed as a thread-local override, so no instrumentation
-//     point changes) whose drain hook encodes into the ShardedBinaryWriter
-//     from the worker that produced the events;
-//   * a global obs::TraceSink and no recorder: run() drains the shards on
-//     the calling thread, in shard order, straight into that sink.
-// Either way the decoded reports are identical at every thread count.
+// Tracing has one path: with a global obs::TraceSink installed, run()
+// drains the shards on the calling thread, in shard order, straight into
+// that sink. One sink is one ordered stream, so the recording loses no
+// event and is byte-identical at every thread count.
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <vector>
 
@@ -39,8 +34,6 @@
 
 namespace iobts::obs {
 class MetricsRegistry;
-class ShardedBinaryWriter;
-class TraceSink;
 }  // namespace iobts::obs
 
 namespace iobts::sim {
@@ -64,14 +57,11 @@ class ShardedSimulation {
   struct Stats {
     /// Shards that had no event to run when run() started.
     std::uint64_t window_stalls = 0;
-    /// Trace events encoded by the direct recorder (setTraceRecorder).
-    std::uint64_t trace_events_recorded = 0;
   };
 
   explicit ShardedSimulation(ShardedConfig config);
   ShardedSimulation(const ShardedSimulation&) = delete;
   ShardedSimulation& operator=(const ShardedSimulation&) = delete;
-  ~ShardedSimulation();
 
   std::uint32_t shardCount() const noexcept {
     return static_cast<std::uint32_t>(shards_.size());
@@ -79,11 +69,11 @@ class ShardedSimulation {
 
   Simulation& shard(ShardId id) {
     IOBTS_CHECK(id < shards_.size(), "shard id out of range");
-    return shards_[id]->sim;
+    return *shards_[id];
   }
   const Simulation& shard(ShardId id) const {
     IOBTS_CHECK(id < shards_.size(), "shard id out of range");
-    return shards_[id]->sim;
+    return *shards_[id];
   }
 
   /// Run every shard to exhaustion with the configured (or given) number of
@@ -103,30 +93,9 @@ class ShardedSimulation {
   /// on it.
   void exportMetrics(obs::MetricsRegistry& registry) const;
 
-  /// Record shard trace events directly into a sharded binary writer: each
-  /// shard's staging sink gets the writer's drain hook, so events are
-  /// encoded into shard-tagged chunks from the worker that produced them.
-  /// The per-shard chunk sequence is a pure function of the shard's event
-  /// stream, so decoded reports are identical across thread counts even
-  /// though chunk interleaving in the file is not. The recorder must
-  /// outlive every run(); pass nullptr to detach. A global sink, if
-  /// installed, still provides track names but receives no events.
-  void setTraceRecorder(obs::ShardedBinaryWriter* recorder) {
-    recorder_ = recorder;
-  }
-
  private:
-  struct Shardlet {
-    Simulation sim;
-    /// Recorder staging ring (only during a recorded run()).
-    std::unique_ptr<obs::TraceSink> staging;
-  };
-
-  void runShard(Shardlet& shard, std::exception_ptr& error);
-
   unsigned config_threads_ = 1;
-  std::vector<std::unique_ptr<Shardlet>> shards_;
-  obs::ShardedBinaryWriter* recorder_ = nullptr;
+  std::vector<std::unique_ptr<Simulation>> shards_;
   Stats stats_{};
 };
 

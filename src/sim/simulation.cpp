@@ -38,11 +38,14 @@ void Simulation::scheduleResume(Time dt, std::coroutine_handle<> h) {
 
 void Simulation::scheduleResumeAt(Time t, std::coroutine_handle<> h) {
   IOBTS_CHECK(t >= now_, "cannot schedule into the past");
+  IOBTS_CHECK(t < kInfiniteTime, "virtual clock overflow");
   IOBTS_CHECK(static_cast<bool>(h), "cannot schedule a null handle");
   queue_.push(t, next_seq_++, h, 0);
 }
 
 void Simulation::pushCallback(Time t, SmallCallback cb) {
+  // post() already rejected a negative dt, but now + dt can still overflow.
+  IOBTS_CHECK(t < kInfiniteTime, "virtual clock overflow");
   IOBTS_CHECK(static_cast<bool>(cb), "cannot post a null callback");
   std::uint32_t slot;
   if (free_slots_.empty()) {

@@ -248,7 +248,9 @@ class Simulation {
   /// Schedule `h` to resume at now + dt (dt >= 0).
   void scheduleResume(Time dt, std::coroutine_handle<> h);
 
-  /// Schedule `h` to resume at absolute time t (t >= now).
+  /// Schedule `h` to resume at absolute time t (t >= now). Every event
+  /// time must be finite: a t that overflowed to +inf (or is NaN) throws
+  /// CheckError, here and in post(), instead of parking the clock at inf.
   void scheduleResumeAt(Time t, std::coroutine_handle<> h);
 
   /// Schedule a plain callback at now + dt. Callbacks interleave with

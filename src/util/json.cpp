@@ -9,6 +9,12 @@
 
 namespace iobts {
 
+Json::Json(const Json&) = default;
+Json::Json(Json&&) noexcept = default;
+Json& Json::operator=(const Json&) = default;
+Json& Json::operator=(Json&&) noexcept = default;
+Json::~Json() = default;
+
 std::string Json::dump() const {
   std::string out;
   dumpTo(out, /*indent=*/-1, /*depth=*/0);

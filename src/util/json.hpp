@@ -39,6 +39,13 @@ class Json {
   Json(std::string_view s) : value_(std::string(s)) {}
   Json(JsonArray a) : value_(std::move(a)) {}
   Json(JsonObject o) : value_(std::move(o)) {}
+  // Out of line: inlined, GCC 12 reports the variant's inactive members as
+  // maybe-uninitialized at every copy or move site.
+  Json(const Json& other);
+  Json(Json&& other) noexcept;
+  Json& operator=(const Json& other);
+  Json& operator=(Json&& other) noexcept;
+  ~Json();
 
   bool isNull() const noexcept { return std::holds_alternative<std::nullptr_t>(value_); }
   bool isBool() const noexcept { return std::holds_alternative<bool>(value_); }

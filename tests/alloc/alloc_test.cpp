@@ -121,7 +121,8 @@ TEST(AllocationGate, ResolveAndPokeChurnIsAllocationFree) {
   std::vector<pfs::StreamId> streams;
   streams.reserve(kStreams);
   for (int i = 0; i < kStreams; ++i) {
-    streams.push_back(link.createStream("s" + std::to_string(i)));
+    streams.push_back(link.createStream(
+        std::string("s").append(std::to_string(i))));
   }
   auto spawnTransfers = [&] {
     for (const auto s : streams) {

@@ -79,7 +79,7 @@ Base makeBase() {
   constexpr double kWatermark = 2.03;
   sim.runUntil(kWatermark);
   base.bytes = encodeCheckpoint(encodeSnapshot(
-      captureSnapshot(instance, text, kWatermark, /*finished=*/false)));
+      captureSnapshot(instance, text, kWatermark)));
   return base;
 }
 

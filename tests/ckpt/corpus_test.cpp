@@ -102,6 +102,8 @@ TEST(CkptCorpus, DefectSpecificDetailInDiagnostics) {
             std::string::npos);
   EXPECT_NE(messageOf("malformed-count.ckpt").find("4294967295 section(s)"),
             std::string::npos);
+  EXPECT_NE(messageOf("malformed-finished.ckpt").find("finished must be 0"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -60,8 +60,7 @@ Snapshot checkpointAt(const std::string& text, double t) {
   scenario::Instance instance(sim, scenario::parseScenario(text));
   instance.launch();
   sim.runUntil(t);
-  const Snapshot snapshot =
-      captureSnapshot(instance, text, t, /*finished=*/false);
+  const Snapshot snapshot = captureSnapshot(instance, text, t);
   const std::string bytes = encodeCheckpoint(encodeSnapshot(snapshot));
   return decodeSnapshot(decodeCheckpoint(bytes, "<memory>"), "<memory>");
 }

@@ -27,6 +27,7 @@
 #include "../support/mutation.hpp"
 #include "obs/binlog.hpp"
 #include "obs/trace.hpp"
+#include "sim/sharded.hpp"
 
 namespace iobts::obs {
 namespace {
@@ -40,30 +41,26 @@ using testsupport::loadU64;
 using testsupport::storeU32;
 using testsupport::storeU64;
 
-/// A varied event stream: every phase, several tracks and names, wall
-/// times, values and journey ids.
-void recordVariety(TraceSink& sink, int events, double t0) {
+/// Step `i` of a varied event stream: every phase over the steps, several
+/// tracks and names, wall times, values and journey ids.
+void recordStep(TraceSink& sink, int i, double ts) {
   static const char* const kNames[] = {"transfer.write", "transfer.read",
                                        "adio.queue", "adio.pace", "resolve"};
-  for (int i = 0; i < events; ++i) {
-    const double ts = t0 + 0.01 * i;
-    const auto tid = static_cast<std::uint32_t>(i % 4);
-    sink.complete("pfs", kNames[i % 5], track::kStreams, tid, ts,
-                  0.005 * (i % 3), 1024.0 * i,
-                  i % 7 == 0 ? 1000 + static_cast<std::uint64_t>(i) : 0);
-    if (i % 10 == 0) {
-      const std::uint64_t journey = (static_cast<std::uint64_t>(i) + 1) << 40;
-      sink.flowStart("journey", "io", track::kAdio, tid, ts, journey);
-      sink.flowStep("journey", "io", track::kStreams, tid, ts + 0.001,
-                    journey);
-      sink.flowEnd("journey", "io", track::kStreams, tid, ts + 0.002,
-                   journey);
-    }
-    if (i % 13 == 0) sink.instant("adio", "adio.retry", track::kAdio, 0, ts);
-    if (i % 17 == 0) {
-      sink.counter("tmio", "tmio.app.breq.write", track::kTmio, 1, ts,
-                   1.0e9 + i);
-    }
+  const auto tid = static_cast<std::uint32_t>(i % 4);
+  sink.complete("pfs", kNames[i % 5], track::kStreams, tid, ts,
+                0.005 * (i % 3), 1024.0 * i,
+                i % 7 == 0 ? 1000 + static_cast<std::uint64_t>(i) : 0);
+  if (i % 10 == 0) {
+    const std::uint64_t journey = (static_cast<std::uint64_t>(i) + 1) << 40;
+    sink.flowStart("journey", "io", track::kAdio, tid, ts, journey);
+    sink.flowStep("journey", "io", track::kStreams, tid, ts + 0.001,
+                  journey);
+    sink.flowEnd("journey", "io", track::kStreams, tid, ts + 0.002, journey);
+  }
+  if (i % 13 == 0) sink.instant("adio", "adio.retry", track::kAdio, 0, ts);
+  if (i % 17 == 0) {
+    sink.counter("tmio", "tmio.app.breq.write", track::kTmio, 1, ts,
+                 1.0e9 + i);
   }
 }
 
@@ -78,27 +75,35 @@ std::string singleWriterContainer() {
   config.flush_bytes = 256;
   std::string bytes;
   BinaryTraceWriter writer(sink, &bytes, config);
-  recordVariety(sink, 120, 0.0);
+  for (int i = 0; i < 120; ++i) recordStep(sink, i, 0.01 * i);
   writer.close();
   return bytes;
 }
 
-/// Two shards recording interleaved into one container.
+/// A two-shard run recorded through the global sink: each shard's events
+/// interleave with the kernel's dispatch spans and counters.
 std::string shardedContainer() {
+  TraceSinkConfig ring;
+  ring.capacity = 64;
+  TraceSink sink(ring);
+  sink.setProcessName(track::kAdio, "adio");
   BinaryTraceWriterConfig config;
   config.flush_bytes = 256;
   std::string bytes;
-  TraceSinkConfig ring;
-  ring.capacity = 64;
-  TraceSink names, a(ring), b(ring);
-  names.setProcessName(track::kAdio, "adio");
-  ShardedBinaryWriter recorder(&bytes, config);
-  recorder.setNameSource(names);
-  recorder.attachShard(0, a);
-  recorder.attachShard(1, b);
-  recordVariety(a, 60, 0.0);
-  recordVariety(b, 60, 0.3);
-  recorder.close();
+  BinaryTraceWriter writer(sink, &bytes, config);
+  {
+    ScopedTraceSink scoped(sink);
+    sim::ShardedSimulation sharded({.shards = 2, .threads = 2});
+    for (sim::ShardId s = 0; s < 2; ++s) {
+      for (int i = 0; i < 60; ++i) {
+        const double ts = 0.3 * s + 0.01 * i;
+        sharded.shard(s).post(ts,
+                              [i, ts] { recordStep(*traceSink(), i, ts); });
+      }
+    }
+    sharded.run();
+  }
+  writer.close();
   return bytes;
 }
 
@@ -273,8 +278,7 @@ bool sameEvents(const BinaryTrace& a, const BinaryTrace& b) {
     if (bits(x.ts) != bits(y.ts) || bits(x.dur) != bits(y.dur) ||
         bits(x.value) != bits(y.value) || x.category != y.category ||
         x.name != y.name || x.pid != y.pid || x.tid != y.tid ||
-        x.phase != y.phase || x.shard != y.shard || x.wall_ns != y.wall_ns ||
-        x.flow != y.flow) {
+        x.phase != y.phase || x.wall_ns != y.wall_ns || x.flow != y.flow) {
       return false;
     }
   }

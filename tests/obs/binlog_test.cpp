@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/mutation.hpp"
 #include "obs/binlog.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -24,6 +25,9 @@ namespace iobts::obs {
 namespace {
 
 namespace fs = std::filesystem;
+using testsupport::loadU64;
+using testsupport::storeU32;
+using testsupport::storeU64;
 
 /// A deterministic event mix covering every phase, value/wall_ns payloads,
 /// and journey ids above 2^53 (the doubles-can't-hold-this range).
@@ -400,14 +404,9 @@ TEST(BinlogCorpus, DefectSpecificDetailInDiagnostics) {
             std::string::npos);
 }
 
-TEST(BinlogCorpus, FooterIndexOffsetIsBadIndexForEveryReader) {
-  // bad_index-footer.bin: a footer index offset of 2^64-1. The strict and
-  // tail readers compare it with where the index chunk really is; the
-  // seeking readers bounds-check it without wrapping (it must not reach a
-  // read, let alone one before the buffer).
-  const std::string path =
-      (fs::path(IOBTS_TRACE_DIR) / "invalid" / "bad_index-footer.bin")
-          .string();
+/// The error kind every reader reports for the container at `path`:
+/// windowed (memory, file), strict, tail -- or "decoded cleanly".
+std::vector<std::string> kindsFromEveryReader(const std::string& path) {
   std::string bytes;
   {
     std::ifstream in(path, std::ios::binary);
@@ -415,7 +414,7 @@ TEST(BinlogCorpus, FooterIndexOffsetIsBadIndexForEveryReader) {
     ss << in.rdbuf();
     bytes = ss.str();
   }
-  ASSERT_FALSE(bytes.empty());
+  EXPECT_FALSE(bytes.empty()) << path;
   const auto kindOf = [](const auto& read) -> std::string {
     try {
       read();
@@ -425,15 +424,54 @@ TEST(BinlogCorpus, FooterIndexOffsetIsBadIndexForEveryReader) {
     return "decoded cleanly";
   };
   const TraceWindow all;
-  EXPECT_EQ(kindOf([&] { decodeBinaryTraceWindow(bytes, "<mem>", all); }),
-            "bad_index");
-  EXPECT_EQ(kindOf([&] { readBinaryTraceWindow(path, all); }), "bad_index");
-  EXPECT_EQ(kindOf([&] { decodeBinaryTrace(bytes, "<mem>"); }), "bad_index");
-  EXPECT_EQ(kindOf([&] {
-              BinlogTailReader tail;
-              tail.feed(bytes);
-            }),
-            "bad_index");
+  return {kindOf([&] { decodeBinaryTraceWindow(bytes, "<mem>", all); }),
+          kindOf([&] { readBinaryTraceWindow(path, all); }),
+          kindOf([&] { decodeBinaryTrace(bytes, "<mem>"); }),
+          kindOf([&] {
+            BinlogTailReader tail;
+            tail.feed(bytes);
+          })};
+}
+
+TEST(BinlogCorpus, FooterIndexOffsetIsBadIndexForEveryReader) {
+  // bad_index-footer.bin: a footer index offset of 2^64-1. The strict and
+  // tail readers compare it with where the index chunk really is; the
+  // seeking readers bounds-check it without wrapping (it must not reach a
+  // read, let alone one before the buffer).
+  EXPECT_EQ(kindsFromEveryReader((fs::path(IOBTS_TRACE_DIR) / "invalid" /
+                                  "bad_index-footer.bin")
+                                     .string()),
+            std::vector<std::string>(4, "bad_index"));
+}
+
+TEST(BinlogCorpus, SecondShardIsBadShardForEveryReader) {
+  // A binlog holds one recording stream. bad_shard-nonzero.bin tags every
+  // strings and events chunk, and its index entry, consistently as shard 1;
+  // the strict and tail readers stop at the first chunk, the seeking
+  // readers at the index.
+  EXPECT_EQ(kindsFromEveryReader((fs::path(IOBTS_TRACE_DIR) / "invalid" /
+                                  "bad_shard-nonzero.bin")
+                                     .string()),
+            std::vector<std::string>(4, "bad_shard"));
+
+  // A written trace whose index declares two shards (checksums repaired):
+  // rejected before any index entry is trusted.
+  std::string bytes = writtenTrace();
+  const std::size_t footer = bytes.size() - 8 - 8 - kBinlogFooterBytes;
+  const auto index = static_cast<std::size_t>(loadU64(bytes, footer + 40));
+  const std::uint64_t len = loadU64(bytes, index + 4);
+  const std::size_t payload = index + 12;
+  storeU32(bytes, payload + 4, 2);
+  storeU64(bytes, payload + len, binlogChecksum(bytes.data() + payload, len));
+  storeU64(bytes, bytes.size() - 8,
+           binlogTrailerDigest(bytes.data(), bytes.size() - 8));
+  const std::string path = ::testing::TempDir() + "/two_shard_index.bin";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  EXPECT_EQ(kindsFromEveryReader(path),
+            std::vector<std::string>(4, "bad_shard"));
 }
 
 TEST(BinlogCorpus, ValidPinDecodesLosslessly) {

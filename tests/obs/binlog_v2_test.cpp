@@ -1,9 +1,7 @@
 // Binlog v2 container tests: the footer index lets the windowed reader
 // skip chunks it proves irrelevant (counters assert the skipping actually
-// happened), shard-tagged recording through ShardedBinaryWriter runs the
-// same encoder as the single-sink writer and merges canonically including
-// degenerate zero-event shards, and the tail reader buffers a mid-chunk
-// cut while still snapshotting every complete chunk before it.
+// happened), and the tail reader buffers a mid-chunk cut while still
+// snapshotting every complete chunk before it.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,10 +16,10 @@ namespace {
 
 /// Enough events to seal several chunks under a tiny flush threshold,
 /// spread over [0.5 s, ~21 s] so time windows can select subsets.
-void recordSpread(TraceSink& sink, double t0 = 0.0, int events = 200) {
+void recordSpread(TraceSink& sink) {
   sink.setProcessName(track::kStreams, "pfs streams");
-  for (int i = 0; i < events; ++i) {
-    const double ts = t0 + 0.5 + 0.1 * i;
+  for (int i = 0; i < 200; ++i) {
+    const double ts = 0.5 + 0.1 * i;
     sink.complete("pfs", (i % 2) ? "transfer.read" : "transfer.write",
                   track::kStreams, std::uint32_t(i % 4), ts, 0.05,
                   4096.0 * (1 + i % 8));
@@ -77,83 +75,6 @@ TEST(BinlogV2, WindowedReadDecodesOnlyIndexSelectedChunks) {
               full.strings[expected[i]->name])
         << i;
   }
-}
-
-TEST(BinlogV2, OneShardShardedWriterMatchesTheSingleSinkWriter) {
-  // Both writers run the same encoder: the same events through one shard
-  // of a ShardedBinaryWriter (names from the same kind of sink) must give
-  // the single-sink writer's file byte for byte -- across many chunk seals
-  // and ring drains.
-  for (const std::size_t flush_bytes : {std::size_t{256}, std::size_t{1} << 20}) {
-    SCOPED_TRACE(flush_bytes);
-    TraceSinkConfig ring;
-    ring.capacity = 64;
-    BinaryTraceWriterConfig config;
-    config.flush_bytes = flush_bytes;
-    std::string single;
-    {
-      TraceSink sink(ring);
-      BinaryTraceWriter writer(sink, &single, config);
-      recordSpread(sink);
-      ASSERT_TRUE(writer.close());
-    }
-    std::string sharded;
-    {
-      TraceSink sink(ring);
-      ShardedBinaryWriter recorder(&sharded, config);
-      recorder.attachShard(0, sink);
-      recorder.setNameSource(sink);
-      recordSpread(sink);
-      ASSERT_TRUE(recorder.close());
-    }
-    ASSERT_GT(single.size(), 100u);
-    EXPECT_EQ(single, sharded);
-  }
-}
-
-TEST(BinlogV2, ShardEntirelyOutsideTheWindowIsSkipped) {
-  // Shard 0 lives around t=1s, shard 1 around t=100s. A [95, 105] window
-  // must decode shard 1's chunks only.
-  std::string bytes;
-  {
-    ShardedBinaryWriter recorder(&bytes);
-    TraceSink early, late;
-    recorder.attachShard(0, early);
-    recorder.attachShard(1, late);
-    recordSpread(early, 0.0, 40);   // [0.5, 4.4]
-    recordSpread(late, 99.0, 40);   // [99.5, 103.4]
-    recorder.close();
-  }
-  TraceWindow window;
-  window.from = 95.0;
-  window.to = 105.0;
-  const BinaryTrace part = decodeBinaryTraceWindow(bytes, "<shardwin>",
-                                                   window);
-  EXPECT_TRUE(part.stats.used_index);
-  EXPECT_GT(part.stats.events_chunks_skipped, 0u);
-  ASSERT_EQ(part.events.size(), 40u);
-  for (const BinEvent& e : part.events) EXPECT_EQ(e.shard, 1u);
-
-  const BinaryTrace full = decodeBinaryTrace(bytes, "<shardfull>");
-  EXPECT_EQ(full.shard_count, 2u);
-  EXPECT_EQ(full.events.size(), 80u);
-}
-
-TEST(BinlogV2, ZeroEventShardContributesNothingButDecodesCleanly) {
-  std::string bytes;
-  {
-    ShardedBinaryWriter recorder(&bytes);
-    TraceSink busy, idle;
-    recorder.attachShard(0, busy);
-    recorder.attachShard(1, idle);  // never records a single event
-    recordSpread(busy, 0.0, 10);
-    recorder.close();
-    EXPECT_EQ(recorder.events(), 10u);
-  }
-  const BinaryTrace trace = decodeBinaryTrace(bytes, "<zeroshard>");
-  EXPECT_EQ(trace.events.size(), 10u);
-  for (const BinEvent& e : trace.events) EXPECT_EQ(e.shard, 0u);
-  EXPECT_EQ(trace.totals.recorded, 10u);
 }
 
 TEST(BinlogV2, TailReaderBuffersAMidChunkCutAndSnapshotsThePrefix) {

@@ -1,8 +1,7 @@
 // Byte-identical-export gate for the independent-shard executor: the same
 // three-cluster scenario (one cluster per shard) run at threads 1, 2 and 4
 // must produce the exact same binary recording and metrics dump through
-// the global sink, and the same decoded reports through the shard-direct
-// recorder. Both recording paths keep every event.
+// the global sink, and the recording keeps every event.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -144,56 +143,6 @@ TEST(ExportIdentity, GlobalSinkRecordingThroughASmallRingKeepsEveryEvent) {
   }
 }
 
-struct DirectRecording {
-  std::string bytes;
-  std::uint64_t events = 0;
-};
-
-DirectRecording runDirectlyRecordedClusters(unsigned threads) {
-  // Same scenario as runTracedClusters, recorded through the per-shard
-  // direct path: no global sink -- each shard's staging ring feeds its own
-  // encoder from the worker that produced the events.
-  DirectRecording out;
-  obs::ShardedBinaryWriter recorder(&out.bytes);
-  const std::unique_ptr<ClusterShards> shards = makeClusters(threads);
-  shards->sharded.setTraceRecorder(&recorder);
-  for (auto& member : shards->clusters) member->start();
-  shards->sharded.run(threads);
-  shards->sharded.setTraceRecorder(nullptr);
-  recorder.close();
-  out.events = recorder.events();
-  return out;
-}
-
-TEST(ExportIdentity, DirectShardRecordingReportsMatchAcrossThreadCounts) {
-  // The *files* may interleave shard chunks differently per thread count;
-  // the canonical reader merge must make every decoded report identical.
-  const DirectRecording reference = runDirectlyRecordedClusters(1);
-  ASSERT_GT(reference.events, 0u);
-  const obs::BinaryTrace ref_trace =
-      obs::decodeBinaryTrace(reference.bytes, "<t1>");
-  EXPECT_EQ(ref_trace.shard_count, 3u);
-  EXPECT_EQ(ref_trace.events.size(), reference.events);
-  EXPECT_EQ(ref_trace.totals.dropped, 0u);
-  const std::string ref_profile = obs::profileSummaryText(ref_trace);
-  const std::string ref_critical = obs::criticalPathText(ref_trace);
-  const std::string ref_breq = obs::breqTableText(ref_trace);
-  const std::string ref_chrome = obs::chromeJsonFromBinaryTrace(ref_trace);
-  for (const unsigned threads : kThreadCounts) {
-    const DirectRecording parallel = runDirectlyRecordedClusters(threads);
-    EXPECT_EQ(parallel.events, reference.events) << "threads=" << threads;
-    const obs::BinaryTrace trace =
-        obs::decodeBinaryTrace(parallel.bytes, "<tN>");
-    EXPECT_EQ(obs::profileSummaryText(trace), ref_profile)
-        << "threads=" << threads;
-    EXPECT_EQ(obs::criticalPathText(trace), ref_critical)
-        << "threads=" << threads;
-    EXPECT_EQ(obs::breqTableText(trace), ref_breq) << "threads=" << threads;
-    EXPECT_EQ(obs::chromeJsonFromBinaryTrace(trace), ref_chrome)
-        << "threads=" << threads;
-  }
-}
-
 TEST(ExportIdentity, ParallelCountersUseStableDottedNames) {
   obs::MetricsRegistry registry;
   {
@@ -208,9 +157,6 @@ TEST(ExportIdentity, ParallelCountersUseStableDottedNames) {
   EXPECT_EQ(registry.counter("sim.shard.0.events_dispatched"), 1u);
   EXPECT_EQ(registry.counter("sim.shard.1.events_dispatched"), 1u);
   EXPECT_EQ(registry.gauge("sim.shard.0.pending_events"), 0.0);
-  // No recorder attached: no recorded-events counter.
-  EXPECT_EQ(registry.counters().count("sim.parallel.trace_events_recorded"),
-            0u);
 }
 
 TEST(ExportIdentity, ShardedComponentsPublishTheirShardId) {

@@ -90,7 +90,7 @@ std::uint64_t runFig10QuickFleet(unsigned threads, std::uint64_t seed) {
   std::string canon = "fig10-quick-fleet\n";
   appendNumber(canon, "t_end", t_end);
   for (sim::ShardId s = 0; s < kShards; ++s) {
-    const std::string p = "w" + std::to_string(s);
+    const std::string p = std::string("w").append(std::to_string(s));
     appendNumber(canon, p + ".elapsed", members[s]->world.elapsed());
     appendNumber(canon, p + ".bytes_write",
                  static_cast<double>(
@@ -120,7 +120,7 @@ std::string clusterCanon(ClusterShards& shards, double t_end,
   appendNumber(canon, "t_end", t_end);
   for (sim::ShardId c = 0; c < shards.clusters.size(); ++c) {
     cluster::Cluster& cl = *shards.clusters[c];
-    const std::string p = "c" + std::to_string(c);
+    const std::string p = std::string("c").append(std::to_string(c));
     for (cluster::JobId j = 0; j < cl.jobCount(); ++j) {
       const cluster::JobResult& r = cl.result(j);
       const std::string jp = p + "." + cl.spec(j).name;
@@ -223,7 +223,7 @@ std::uint64_t runFaultPlanFleet(unsigned threads, std::uint64_t seed) {
   for (auto& member : shards.clusters) {
     for (int i = 0; i < 2; ++i) {
       cluster::JobSpec spec;
-      spec.name = "j" + std::to_string(i);
+      spec.name = std::string("j").append(std::to_string(i));
       spec.nodes = 10;
       spec.io = i == 0 ? cluster::JobIo::Sync : cluster::JobIo::Async;
       spec.loops = 2;

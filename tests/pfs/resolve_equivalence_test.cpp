@@ -150,8 +150,9 @@ ScenarioResult runScenario(const ScenarioParams& p) {
   const std::size_t n_streams = 2 + rng.uniformInt(6);
   std::vector<StreamId> streams;
   for (std::size_t i = 0; i < n_streams; ++i) {
-    streams.push_back(link.createStream("s" + std::to_string(i),
-                                        rng.uniform(0.5, 4.0)));
+    streams.push_back(
+        link.createStream(std::string("s").append(std::to_string(i)),
+                          rng.uniform(0.5, 4.0)));
   }
   link.setRecordStream(streams[0], true);
 

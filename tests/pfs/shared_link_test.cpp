@@ -361,7 +361,8 @@ TEST(SharedLink, ManyConcurrentTransfersDrainCompletely) {
   constexpr int kN = 200;
   int done = 0;
   for (int i = 0; i < kN; ++i) {
-    const auto s = link.createStream("s" + std::to_string(i));
+    const auto s = link.createStream(
+        std::string("s").append(std::to_string(i)));
     sim.spawn(oneTransfer(link, s, 1000, done));
   }
   sim.run();
@@ -386,7 +387,8 @@ TEST(SharedLink, TenThousandSameInstantCompletionsDrainLinearly) {
   constexpr int kN = 10000;
   int done = 0;
   for (int i = 0; i < kN; ++i) {
-    const auto s = link.createStream("s" + std::to_string(i));
+    const auto s = link.createStream(
+        std::string("s").append(std::to_string(i)));
     sim.spawn(oneTransfer(link, s, 1000, done));
   }
   sim.run();
@@ -452,7 +454,8 @@ TEST(SharedLink, CongestionReducesAggregateThroughput) {
   SharedLink link(sim, cfg);
   int done = 0;
   for (int i = 0; i < 4; ++i) {
-    const auto s = link.createStream("s" + std::to_string(i));
+    const auto s = link.createStream(
+        std::string("s").append(std::to_string(i)));
     sim.spawn(oneTransfer(link, s, 100, done));
   }
   sim.run();

@@ -3,10 +3,10 @@
 // never crash (this suite runs under ASan/UBSan in the sanitize tier and
 // under TSan in the tsan tier). Runtime guards -- arithmetic faults, operand
 // types, size/tag/loop-count conversions, request-slot limits, unwaited
-// requests and the per-rank op budget -- surface through sim.run(), which
-// rethrows the first uncaught process exception. A few well-formed
-// documents pin interpreter semantics (let scoping, short-circuit guards)
-// through RunStats.
+// requests, the per-rank op budget and virtual-clock overflow -- surface
+// through sim.run(), which rethrows the first uncaught process exception.
+// A few well-formed documents pin interpreter semantics (let scoping,
+// short-circuit guards) through RunStats.
 #include <string>
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "scenario/instance.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulation.hpp"
+#include "util/check.hpp"
 
 namespace iobts::scenario {
 namespace {
@@ -343,6 +344,31 @@ TEST(ScenarioParseError, RuntimeOpBudget) {
                      "  loop i : 1000000 { let a = i  let b = i }\n"
                      "}",
                      "rank 0 exceeded the 2000000-statement budget");
+}
+
+TEST(ScenarioParseError, RuntimeClockOverflow) {
+  // Each compute is finite, so both documents validate, but their sum
+  // overflows the virtual clock. The kernel rejects the event time; the
+  // run used to finish at elapsed=inf, or hang once I/O had to drain there.
+  for (const char* io :
+       {"", "  write file \"/pfs/x.{rank}\" at 0 bytes 1MiB\n"}) {
+    ScenarioSpec spec = parseScenario(
+        std::string("scenario \"t\"\nworld main { ranks = 4 }\n"
+                    "program main {\n  compute 1e308\n  compute 1e308\n") +
+        io + "}\n");
+    sim::Simulation sim;
+    Instance instance(sim, std::move(spec));
+    instance.launch();
+    try {
+      sim.run();
+      ADD_FAILURE() << "run finished at t=" << sim.now() << " with io '"
+                    << io << "'";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("virtual clock overflow"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioParseError, RuntimeShiftOutOfRange) {

@@ -55,7 +55,7 @@ std::uint64_t runScenarioFleet(unsigned threads, std::uint64_t seed) {
   for (sim::ShardId s = 0; s < kShards; ++s) {
     Instance& inst = *instances[s];
     inst.requireFinished();
-    const std::string p = "i" + std::to_string(s);
+    const std::string p = std::string("i").append(std::to_string(s));
     appendNumber(canon, p + ".elapsed", inst.elapsed());
     for (std::size_t w = 0; w < inst.worldCount(); ++w) {
       appendNumber(canon, p + ".w" + std::to_string(w) + ".elapsed",

@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -84,6 +85,34 @@ TEST(Simulation, NegativeDelayThrows) {
   auto proc = [&]() -> Task<void> { co_await sim.delay(-1.0); };
   sim.spawn(proc());
   EXPECT_THROW(sim.run(), CheckError);
+}
+
+TEST(Simulation, EventTimeThatOverflowsToInfinityThrows) {
+  // Each delay is finite but now + dt rounds to +inf: the kernel refuses
+  // the event time, for resumes and callbacks alike, instead of parking the
+  // clock at infinity.
+  const auto expectOverflow = [](Simulation& sim) {
+    try {
+      sim.run();
+      ADD_FAILURE() << "run() finished at t=" << sim.now();
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("virtual clock overflow"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(sim.now(), 1e308);
+  };
+  Simulation resumes;
+  auto proc = [&]() -> Task<void> {
+    co_await resumes.delay(1e308);
+    co_await resumes.delay(1e308);
+  };
+  resumes.spawn(proc());
+  expectOverflow(resumes);
+
+  Simulation callbacks;
+  callbacks.post(1e308, [&callbacks] { callbacks.post(1e308, [] {}); });
+  expectOverflow(callbacks);
 }
 
 TEST(Simulation, RunUntilStopsAtLimit) {

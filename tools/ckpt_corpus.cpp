@@ -6,7 +6,8 @@
 // derives one corrupted variant per CheckpointError kind. Each file is
 // named after the errorKindName() the reader must report for it
 // (truncated.ckpt, bad_magic.ckpt, ...), optionally followed by '-' and a
-// qualifier naming a specific defect (malformed-count.ckpt);
+// qualifier naming a specific defect (malformed-count.ckpt,
+// malformed-finished.ckpt);
 // tests/ckpt/corpus_test.cpp sweeps the directory and keys its expectations
 // on the stem up to the first '-', so the corpus and the sweep can never
 // drift apart silently. The corpus under checkpoints/invalid/ is a
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
   instance.launch();
   sim.runUntil(1.0);
   const ckpt::Snapshot snapshot =
-      ckpt::captureSnapshot(instance, kScenario, 1.0, /*finished=*/false);
+      ckpt::captureSnapshot(instance, kScenario, 1.0);
   const std::string valid =
       ckpt::encodeCheckpoint(ckpt::encodeSnapshot(snapshot));
 
@@ -125,6 +126,21 @@ int main(int argc, char** argv) {
       bytes[body + i] = static_cast<char>((sum >> (8 * i)) & 0xffU);
     }
     writeBytes(dir + "/malformed-count.ckpt", bytes);
+  }
+
+  // malformed-finished: the meta flag claims the run had finished
+  // (checksums valid). Every checkpoint is taken mid-run and restore could
+  // not verify the claim, so the reader rejects it.
+  {
+    ckpt::CheckpointFile file = ckpt::encodeSnapshot(snapshot);
+    std::string& meta = file.sections.front().payload;  // "meta" is first
+    const std::size_t flag = meta.find("finished=0");
+    if (flag == std::string::npos) {
+      std::fprintf(stderr, "no finished=0 line to tamper\n");
+      return 1;
+    }
+    meta[flag + sizeof("finished=") - 1] = '1';
+    writeBytes(dir + "/malformed-finished.ckpt", ckpt::encodeCheckpoint(file));
   }
 
   // missing_section: a structurally valid container without the mandatory

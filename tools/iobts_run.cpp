@@ -36,6 +36,10 @@
 // --digest prints the canonical end-of-run digest; a straight run and a
 // checkpoint/kill/resume run of the same scenario print identical digests
 // (tools/run_crash_resume.sh is the harness asserting exactly that).
+//
+// A scenario or resumed run exits 2 on a scenario error, 3 on a checkpoint
+// error and 4 when the run itself fails a kernel check (such as a virtual
+// clock that overflows to infinity).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -58,6 +62,7 @@
 #include "tmio/report.hpp"
 #include "tmio/tracer.hpp"
 #include "util/ascii_chart.hpp"
+#include "util/check.hpp"
 #include "util/string_util.hpp"
 #include "workloads/hacc_io.hpp"
 #include "workloads/wacomm.hpp"
@@ -366,8 +371,15 @@ int runResume(const CliOptions& opt) {
 
 int main(int argc, char** argv) {
   const CliOptions opt = parse(argc, argv);
-  if (opt.resume) return runResume(opt);
-  if (opt.scenario) return runScenario(opt);
+  try {
+    if (opt.resume) return runResume(opt);
+    if (opt.scenario) return runScenario(opt);
+  } catch (const CheckError& e) {
+    // A document that parses can still break a kernel invariant at run
+    // time, e.g. compute delays that overflow the virtual clock.
+    std::fprintf(stderr, "run failed: %s\n", e.what());
+    return 4;
+  }
 
   sim::Simulation sim;
   pfs::LinkConfig link_cfg;

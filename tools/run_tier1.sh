@@ -13,6 +13,9 @@
 # apply its flags (see CMakeLists.txt), so this pass compiles uninstrumented
 # code until that is fixed.
 #
+# Every tree configures with -DIOBTS_WERROR=ON: the GCC builds are
+# warning-clean, so a new warning fails the gate.
+#
 # Usage: tools/run_tier1.sh [--skip-sanitize] [--skip-tsan] [--tsan-only]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,7 +34,7 @@ done
 
 run_tsan() {
   echo "== tsan: configure + build (TSan, sim+pfs+mpisim+parallel+scenario tests) =="
-  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Tsan \
+  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Tsan -DIOBTS_WERROR=ON \
     -DIOBTS_BUILD_BENCH=OFF -DIOBTS_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-tsan -j --target sim_test pfs_test mpisim_test parallel_test scenario_test
 
@@ -41,8 +44,8 @@ run_tsan() {
   ./build-tsan/tests/sim_test
   ./build-tsan/tests/pfs_test
   ./build-tsan/tests/mpisim_test
-  # The parallel suite is the point: the worker pool, the join, fatal-error
-  # capture and the shard-direct recorder all run under the race detector.
+  # The parallel suite is the point: the worker pool, the join and
+  # fatal-error capture all run under the race detector.
   ./build-tsan/tests/parallel_test
   # Scenario fuzz + sharded-equivalence: generated programs drive the
   # multi-threaded kernel with the race detector watching.
@@ -56,7 +59,7 @@ if [[ "$TSAN_ONLY" == 1 ]]; then
 fi
 
 echo "== tier-1: configure + build =="
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DIOBTS_WERROR=ON >/dev/null
 cmake --build build -j
 
 echo "== tier-1: ctest =="
@@ -99,7 +102,7 @@ if [[ "$SKIP_SANITIZE" == 1 ]]; then
 fi
 
 echo "== sanitize: configure + build (ASan+UBSan, sim+pfs+mpisim+throttle+fault+scenario+ckpt+obs+tmio+alloc tests) =="
-cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Sanitize \
+cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Sanitize -DIOBTS_WERROR=ON \
   -DIOBTS_BUILD_BENCH=OFF -DIOBTS_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-sanitize -j --target sim_test pfs_test mpisim_test throttle_test fault_test scenario_test ckpt_test obs_test tmio_test alloc_test
 

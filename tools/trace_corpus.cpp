@@ -299,14 +299,42 @@ int main(int argc, char** argv) {
     writeBytes(dir + "/bad_index-footer.bin", bytes);
   }
 
-  // bad_shard: an events chunk tagged with a shard id past the format
-  // limit (checksums repaired; the shard-range check fires first).
+  // bad_shard: an events chunk tagged with shard id 65536 (checksums
+  // repaired). A binlog holds one stream, so any tag but 0 is bad_shard.
   {
     std::string bytes = valid_v2;
     const ChunkRef& events = chunkOfKind(v2_chunks, obs::binchunk::kEvents);
-    patchU32(bytes, events.payload, obs::kBinlogMaxShards);
+    patchU32(bytes, events.payload, 1u << 16);
     repair(bytes, events);
     writeBytes(dir + "/bad_shard.bin", bytes);
+  }
+
+  // bad_shard-nonzero: every strings and events chunk, and its index
+  // entry, consistently retagged as shard 1 (checksums repaired) -- what a
+  // second recording stream in one file would look like.
+  {
+    std::string bytes = valid_v2;
+    const ChunkRef& index = chunkOfKind(v2_chunks, obs::binchunk::kIndex);
+    for (const ChunkRef& c : v2_chunks) {
+      if (c.kind != obs::binchunk::kStrings &&
+          c.kind != obs::binchunk::kEvents) {
+        continue;
+      }
+      patchU32(bytes, c.payload, 1);
+      repair(bytes, c);
+    }
+    const std::uint32_t entries = readU32At(bytes, index.payload);
+    for (std::uint32_t i = 0; i < entries; ++i) {
+      const std::size_t entry =
+          index.payload + 8 +
+          static_cast<std::size_t>(i) * obs::kBinlogIndexEntryBytes;
+      const std::uint32_t kind = readU32At(bytes, entry);
+      if (kind == obs::binchunk::kStrings || kind == obs::binchunk::kEvents) {
+        patchU32(bytes, entry + 4, 1);
+      }
+    }
+    repair(bytes, index);
+    writeBytes(dir + "/bad_shard-nonzero.bin", bytes);
   }
 
   return 0;
