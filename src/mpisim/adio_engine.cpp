@@ -209,7 +209,7 @@ sim::Task<void> AdioEngine::execute(Job& job) {
     info.error = IoError::RetriesExhausted;
     ++stats_.failures;
   } else if (isWrite(info.op)) {
-    store_.write(job.path, info.offset, info.bytes, job.tag);
+    store_.write(job.file, info.offset, info.bytes, job.tag);
   }
 
   info.io_end = sim_.now();

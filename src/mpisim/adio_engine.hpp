@@ -20,7 +20,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 
 #include "mpisim/hooks.hpp"
 #include "mpisim/request.hpp"
@@ -37,7 +36,7 @@ class AdioEngine {
  public:
   struct Job {
     std::shared_ptr<detail::RequestState> request;  // null = stop marker
-    std::string path;
+    pfs::FileStore::Handle file;  // resolved once, at RankCtx::open
     pfs::ContentTag tag = 0;
   };
 

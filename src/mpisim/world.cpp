@@ -87,7 +87,9 @@ sim::Task<void> RankCtx::recv(sim::Semaphore& channel) {
   times_.comm += sim_.now() - t0;
 }
 
-File RankCtx::open(std::string path) { return File(this, std::move(path)); }
+File RankCtx::open(const std::string& path) {
+  return File(this, world_.store_.open(path));
+}
 
 sim::Task<void> RankCtx::chargeIntercept() {
   if (world_.hooks_ == nullptr) co_return;
@@ -98,7 +100,7 @@ sim::Task<void> RankCtx::chargeIntercept() {
   }
 }
 
-sim::Task<Request> RankCtx::submitIo(const std::string& path, IoOp op,
+sim::Task<Request> RankCtx::submitIo(pfs::FileStore::Handle file, IoOp op,
                                      Bytes offset, Bytes len,
                                      pfs::ContentTag tag) {
   auto state = detail::makeRequestState(sim_);
@@ -112,11 +114,11 @@ sim::Task<Request> RankCtx::submitIo(const std::string& path, IoOp op,
 
   co_await chargeIntercept();
   if (world_.hooks_) world_.hooks_->onSubmit(info);
-  engine_->submit(AdioEngine::Job{state, path, tag});
+  engine_->submit(AdioEngine::Job{state, file, tag});
   co_return Request(state);
 }
 
-sim::Task<void> RankCtx::blockingIo(const std::string& path, IoOp op,
+sim::Task<void> RankCtx::blockingIo(pfs::FileStore::Handle file, IoOp op,
                                     Bytes offset, Bytes len,
                                     pfs::ContentTag tag) {
   auto state = detail::makeRequestState(sim_);
@@ -131,7 +133,7 @@ sim::Task<void> RankCtx::blockingIo(const std::string& path, IoOp op,
   const sim::Time t0 = sim_.now();
   co_await chargeIntercept();
   if (world_.hooks_) world_.hooks_->onSyncStart(info);
-  engine_->submit(AdioEngine::Job{state, path, tag});
+  engine_->submit(AdioEngine::Job{state, file, tag});
   co_await state->done.wait();
   times_.sync_io += sim_.now() - t0;
   if (world_.hooks_) world_.hooks_->onSyncEnd(info);
@@ -206,33 +208,33 @@ sim::Task<void> RankCtx::finalize(bool aborted) {
 
 sim::Task<void> File::writeAt(Bytes offset, Bytes len, pfs::ContentTag tag) {
   IOBTS_CHECK(ctx_ != nullptr, "operation on a default-constructed File");
-  return ctx_->blockingIo(path_, IoOp::WriteAt, offset, len, tag);
+  return ctx_->blockingIo(file_, IoOp::WriteAt, offset, len, tag);
 }
 
 sim::Task<void> File::readAt(Bytes offset, Bytes len) {
   IOBTS_CHECK(ctx_ != nullptr, "operation on a default-constructed File");
-  return ctx_->blockingIo(path_, IoOp::ReadAt, offset, len, 0);
+  return ctx_->blockingIo(file_, IoOp::ReadAt, offset, len, 0);
 }
 
 sim::Task<Request> File::iwriteAt(Bytes offset, Bytes len,
                                   pfs::ContentTag tag) {
   IOBTS_CHECK(ctx_ != nullptr, "operation on a default-constructed File");
-  return ctx_->submitIo(path_, IoOp::IWriteAt, offset, len, tag);
+  return ctx_->submitIo(file_, IoOp::IWriteAt, offset, len, tag);
 }
 
 sim::Task<Request> File::ireadAt(Bytes offset, Bytes len) {
   IOBTS_CHECK(ctx_ != nullptr, "operation on a default-constructed File");
-  return ctx_->submitIo(path_, IoOp::IReadAt, offset, len, 0);
+  return ctx_->submitIo(file_, IoOp::IReadAt, offset, len, 0);
 }
 
 bool File::verify(Bytes offset, Bytes len, pfs::ContentTag tag) const {
   IOBTS_CHECK(ctx_ != nullptr, "operation on a default-constructed File");
-  return ctx_->world_.store().verify(path_, offset, len, tag);
+  return ctx_->world_.store().verify(file_, offset, len, tag);
 }
 
 Bytes File::size() const {
   IOBTS_CHECK(ctx_ != nullptr, "operation on a default-constructed File");
-  return ctx_->world_.store().size(path_);
+  return ctx_->world_.store().size(file_);
 }
 
 // ---------------------------------------------------------------------------

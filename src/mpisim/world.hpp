@@ -120,14 +120,13 @@ class File {
   bool verify(Bytes offset, Bytes len, pfs::ContentTag tag) const;
 
   Bytes size() const;
-  const std::string& path() const noexcept { return path_; }
 
  private:
   friend class RankCtx;
-  File(RankCtx* ctx, std::string path) : ctx_(ctx), path_(std::move(path)) {}
+  File(RankCtx* ctx, pfs::FileStore::Handle file) : ctx_(ctx), file_(file) {}
 
   RankCtx* ctx_ = nullptr;
-  std::string path_;
+  pfs::FileStore::Handle file_;
 };
 
 class RankCtx {
@@ -150,8 +149,9 @@ class RankCtx {
   /// MPI_Allreduce analog.
   sim::Task<void> allreduce(Bytes bytes = 8);
 
-  /// MPI_File_open analog (no cost; metadata only).
-  File open(std::string path);
+  /// MPI_File_open analog (no cost; metadata only). Resolves `path` in the
+  /// world's FileStore once, creating the file if it is missing.
+  File open(const std::string& path);
 
   /// Block on an external rendezvous channel (the scenario compiler's
   /// streaming `recv`; an MPI_Recv-shaped point-to-point stand-in). Blocked
@@ -191,10 +191,10 @@ class RankCtx {
 
   RankCtx(World& world, int rank);
 
-  sim::Task<Request> submitIo(const std::string& path, IoOp op, Bytes offset,
-                              Bytes len, pfs::ContentTag tag);
-  sim::Task<void> blockingIo(const std::string& path, IoOp op, Bytes offset,
-                             Bytes len, pfs::ContentTag tag);
+  sim::Task<Request> submitIo(pfs::FileStore::Handle file, IoOp op,
+                              Bytes offset, Bytes len, pfs::ContentTag tag);
+  sim::Task<void> blockingIo(pfs::FileStore::Handle file, IoOp op,
+                             Bytes offset, Bytes len, pfs::ContentTag tag);
   sim::Task<void> chargeIntercept();
   sim::Task<void> collective(Bytes bytes, int stages);
   /// Aborted teardown cancels still-queued I/O instead of draining it.

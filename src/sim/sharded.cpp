@@ -1,7 +1,9 @@
 #include "sim/sharded.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
+#include <numeric>
 #include <string>
 #include <thread>
 
@@ -53,14 +55,27 @@ Time ShardedSimulation::run(unsigned threads) {
       runShard(*shards_[s], errors[s]);
     }
   } else {
+    // Longest first: a shard's pending events (two per rank after launch)
+    // stand in for its cost, ties in shard order. Each worker claims the
+    // next shard from one cursor and runs it to completion, so a shard's
+    // frames never change threads.
+    std::vector<std::size_t> order(shards_.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [this](std::size_t a, std::size_t b) {
+                       return shards_[a]->pendingEvents() >
+                              shards_[b]->pendingEvents();
+                     });
+    std::atomic<std::size_t> next{0};
     std::vector<std::thread> pool;
     try {
       pool.reserve(workers);
       for (std::size_t w = 0; w < workers; ++w) {
-        // Static map: a shard runs on exactly one worker, start to finish.
-        pool.emplace_back([this, w, workers, &errors] {
-          for (std::size_t s = w; s < shards_.size(); s += workers) {
-            runShard(*shards_[s], errors[s]);
+        pool.emplace_back([this, &order, &next, &errors] {
+          std::size_t i;
+          while ((i = next.fetch_add(1, std::memory_order_relaxed)) <
+                 order.size()) {
+            runShard(*shards_[order[i]], errors[order[i]]);
           }
         });
       }

@@ -10,13 +10,15 @@
 // contention scenario -- and it makes each shard's results a pure function
 // of its own setup, whatever the worker count.
 //
-// run(threads) starts min(threads, shards) workers with a static shard ->
-// worker map (worker w runs shards w, w + workers, ...). Each worker runs
-// its shards' Simulations to completion, one after another; then the
-// workers join. A shard's fatal process error is captured on its worker
+// run(threads) starts min(threads, shards) workers that claim shards
+// longest first: the shards are ordered once by pending events, most first
+// (ties by shard id), and each worker takes the next one from a shared
+// cursor and runs its Simulation to completion before claiming again; then
+// the workers join. A shard's fatal process error is captured on its worker
 // and the other shards still finish; after the join the lowest failing
 // shard's error is rethrown, so the error that surfaces never depends on
-// timing. threads == 1 runs every shard on the calling thread.
+// timing. threads == 1 runs every shard on the calling thread, in shard
+// order.
 //
 // Tracing has one path: with a global obs::TraceSink installed, run()
 // drains the shards on the calling thread, in shard order, straight into

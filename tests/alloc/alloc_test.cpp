@@ -9,10 +9,11 @@
 //     under cap churn with quiescent pokes (the lazy skip) must perform zero
 //     allocations once their pools are warm;
 //   * growth probes -- a whole one-rank scenario-interpreter run and a
-//     whole one-rank MPI-IO run (unpaced and paced) must allocate exactly
-//     as often at a small N as at a large N, so no per-statement or
-//     per-request allocation can hide in either path. With the TMIO tracer
-//     attached, only its record vectors may grow with N.
+//     whole one-rank MPI-IO run (unpaced, paced, and verifying each
+//     extent after its wait) must allocate exactly as often at a small N
+//     as at a large N, so no per-statement or per-request allocation can
+//     hide in either path. With the TMIO tracer attached, only its record
+//     vectors may grow with N.
 //
 // Each probe reads the counter only around its window; test-framework
 // bookkeeping happens outside. The Release ctest and the sanitize phase of
@@ -199,9 +200,17 @@ TEST(AllocationGate, ScenarioInterpreterAllocationsDoNotGrowWithStatements) {
 // on already-completed and on in-flight requests both occur. A `paced` run
 // caps the rank at 1 GB/s, which splits every request into three
 // sub-requests. A `traced` run attaches a TMIO tracer (Direct strategy) as
-// the world's hooks. Only per-request allocations can grow with N.
-std::uint64_t mpiIoRunAllocations(int iterations, bool paced,
-                                  bool traced = false) {
+// the world's hooks. A `verified` run checks the written extent after each
+// wait (HACC-IO's verify block). Only per-request allocations can grow with
+// N.
+struct MpiIoProbe {
+  bool paced = false;
+  bool traced = false;
+  bool verified = false;
+};
+
+std::uint64_t mpiIoRunAllocations(int iterations, MpiIoProbe probe) {
+  int verify_failures = 0;
   const std::uint64_t before = allocationCount();
   {
     sim::Simulation sim;
@@ -210,7 +219,7 @@ std::uint64_t mpiIoRunAllocations(int iterations, bool paced,
     pfs::SharedLink link(sim, link_config);
     pfs::FileStore store;
     std::optional<tmio::Tracer> tracer;
-    if (traced) {
+    if (probe.traced) {
       tmio::TracerConfig tracer_config;
       tracer_config.strategy = tmio::StrategyKind::Direct;
       tracer.emplace(tracer_config);
@@ -218,34 +227,45 @@ std::uint64_t mpiIoRunAllocations(int iterations, bool paced,
     mpisim::World world(sim, link, store, mpisim::WorldConfig{},
                         tracer ? &*tracer : nullptr);
     if (tracer) tracer->attach(world);
-    if (paced) world.setRankLimit(0, 1e9);
-    world.launch([iterations](mpisim::RankCtx& ctx) -> sim::Task<void> {
+    if (probe.paced) world.setRankLimit(0, 1e9);
+    world.launch([iterations, probe, &verify_failures](
+                     mpisim::RankCtx& ctx) -> sim::Task<void> {
       mpisim::File file = ctx.open("/pfs/probe");
       for (int i = 0; i < iterations; ++i) {
         const auto tag = static_cast<pfs::ContentTag>(i);
         mpisim::Request request = co_await file.iwriteAt(0, 9 * kMiB, tag);
         if (i % 2 == 1) co_await ctx.compute(0.01);
         co_await ctx.wait(request);
+        if (probe.verified && !file.verify(0, 9 * kMiB, tag)) {
+          ++verify_failures;
+        }
       }
     });
     sim.run();
   }
-  return allocationCount() - before;
+  const std::uint64_t allocations = allocationCount() - before;
+  EXPECT_EQ(verify_failures, 0);
+  return allocations;
 }
 
-void expectMpiIoAllocationsFlat(bool paced) {
-  mpiIoRunAllocations(1, paced);  // warm-up: first-use statics
-  const std::uint64_t small = mpiIoRunAllocations(1'000, paced);
-  const std::uint64_t large = mpiIoRunAllocations(101'000, paced);
+void expectMpiIoAllocationsFlat(MpiIoProbe probe) {
+  mpiIoRunAllocations(1, probe);  // warm-up: first-use statics
+  const std::uint64_t small = mpiIoRunAllocations(1'000, probe);
+  const std::uint64_t large = mpiIoRunAllocations(101'000, probe);
   EXPECT_EQ(small, large) << "allocations at N=1000 vs N=101000";
 }
 
 TEST(AllocationGate, MpiIoAllocationsDoNotGrowWithRequests) {
-  expectMpiIoAllocationsFlat(/*paced=*/false);
+  expectMpiIoAllocationsFlat({});
 }
 
 TEST(AllocationGate, PacedMpiIoAllocationsDoNotGrowWithRequests) {
-  expectMpiIoAllocationsFlat(/*paced=*/true);
+  expectMpiIoAllocationsFlat({.paced = true});
+}
+
+// Verify walks the file's extents in place: no per-call result vector.
+TEST(AllocationGate, VerifiedMpiIoAllocationsDoNotGrowWithRequests) {
+  expectMpiIoAllocationsFlat({.verified = true});
 }
 
 // The same probe with the tracer attached. Its per-request bookkeeping (live
@@ -256,11 +276,9 @@ TEST(AllocationGate, PacedMpiIoAllocationsDoNotGrowWithRequests) {
 // capacity steps between the two runs; allow 8 per vector, 3 x 8 in all.
 // Any per-request allocation would add 100,000.
 TEST(AllocationGate, TracedMpiIoAllocationsGrowOnlyWithRecords) {
-  mpiIoRunAllocations(1, /*paced=*/false, /*traced=*/true);  // warm-up
-  const std::uint64_t small =
-      mpiIoRunAllocations(1'000, /*paced=*/false, /*traced=*/true);
-  const std::uint64_t large =
-      mpiIoRunAllocations(101'000, /*paced=*/false, /*traced=*/true);
+  mpiIoRunAllocations(1, {.traced = true});  // warm-up
+  const std::uint64_t small = mpiIoRunAllocations(1'000, {.traced = true});
+  const std::uint64_t large = mpiIoRunAllocations(101'000, {.traced = true});
   EXPECT_GE(large, small);
   EXPECT_LE(large - small, 3u * 8u)
       << "allocations at N=1000: " << small << ", at N=101000: " << large;

@@ -1,11 +1,15 @@
 // Unit tests for the independent-shard executor: shard identity, worker
-// pools of every size, fatal-error collection, and the idle-shard counter.
+// pools of every size, the longest-first claim order, fatal-error
+// collection, and the idle-shard counter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/sharded.hpp"
@@ -57,6 +61,65 @@ TEST(ShardedKernel, FatalErrorLowestShardWinsDeterministically) {
       FAIL() << "expected a rethrown fatal error";
     } catch (const std::runtime_error& err) {
       EXPECT_STREQ(err.what(), "boom shard 0") << "threads=" << threads;
+    }
+  }
+}
+
+// Shard s holds s + 1 events; its first one records when the shard
+// started. The first `workers` starters wait inside that event until every
+// worker has started a shard, so no worker can claim a second shard before
+// each has claimed one: the first `workers` starters are the first claims.
+// Returns the shards in start order.
+std::vector<ShardId> shardStartOrder(unsigned threads) {
+  constexpr ShardId kShards = 4;
+  const int workers = static_cast<int>(std::min<unsigned>(threads, kShards));
+  ShardedSimulation sharded({.shards = kShards});
+  std::atomic<int> started{0};
+  std::vector<int> start_rank(kShards, -1);
+  for (ShardId s = 0; s < kShards; ++s) {
+    sharded.shard(s).post(1.0, [&started, &start_rank, s, workers] {
+      start_rank[s] = started.fetch_add(1);
+      while (started.load() < workers) std::this_thread::yield();
+    });
+    for (ShardId e = 1; e <= s; ++e) {
+      sharded.shard(s).post(1.0 + e, [] {});
+    }
+  }
+  sharded.run(threads);
+  std::vector<ShardId> order(kShards);
+  for (ShardId s = 0; s < kShards; ++s) order[start_rank[s]] = s;
+  return order;
+}
+
+TEST(ShardedKernel, WorkersClaimTheShardsWithTheMostPendingEventsFirst) {
+  const std::vector<ShardId> two = shardStartOrder(2);
+  EXPECT_EQ((std::set<ShardId>{two[0], two[1]}), (std::set<ShardId>{3, 2}));
+  EXPECT_EQ(shardStartOrder(1), (std::vector<ShardId>{0, 1, 2, 3}));
+}
+
+TEST(ShardedKernel, LowestFailingShardWinsWhenTheLongestShardFails) {
+  // Shard 3 holds the most events, so with two or more workers it is
+  // claimed first; the error that surfaces is still the lowest failing
+  // shard's.
+  for (unsigned threads : {1u, 2u, 4u}) {
+    ShardedSimulation sharded({.shards = 4});
+    for (const ShardId s : {ShardId{1}, ShardId{3}}) {
+      sharded.shard(s).spawn([](Simulation&, ShardId shard) -> Task<void> {
+        throw std::runtime_error("boom shard " + std::to_string(shard));
+        co_return;  // unreachable
+      }(sharded.shard(s), s));
+    }
+    for (int i = 1; i <= 8; ++i) {
+      sharded.shard(3).post(static_cast<Time>(i), [] {});
+    }
+    for (const ShardId s : {ShardId{0}, ShardId{2}}) {
+      sharded.shard(s).post(1.0, [] {});
+    }
+    try {
+      sharded.run(threads);
+      FAIL() << "expected a rethrown fatal error";
+    } catch (const std::runtime_error& err) {
+      EXPECT_STREQ(err.what(), "boom shard 1") << "threads=" << threads;
     }
   }
 }

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace iobts::pfs {
@@ -144,6 +146,47 @@ TEST(FileStore, AdjacentWritesDontInterfere) {
   EXPECT_TRUE(fs.verify("/f", 10, 10, 2));
 }
 
+TEST(FileStore, OpenCreatesButPathQueriesDoNot) {
+  FileStore fs;
+  EXPECT_EQ(fs.size("/q"), 0u);
+  EXPECT_FALSE(fs.verify("/q", 0, 8, 5));
+  EXPECT_TRUE(fs.read("/q", 0, 8).empty());
+  EXPECT_FALSE(fs.exists("/q"));
+  const FileStore::Handle file = fs.open("/q");
+  EXPECT_TRUE(fs.exists("/q"));
+  EXPECT_EQ(fs.size(file), 0u);
+  fs.write(file, 0, 8, 5);
+  EXPECT_TRUE(fs.verify(fs.open("/q"), 0, 8, 5));  // same file, same extents
+  EXPECT_EQ(fs.fileCount(), 1u);
+
+  const FileStore::Handle none;  // names no file: reads as empty
+  EXPECT_EQ(fs.size(none), 0u);
+  EXPECT_FALSE(fs.verify(none, 0, 8, 5));
+  EXPECT_TRUE(fs.verify(none, 0, 0, 5));
+  EXPECT_THROW(fs.write(none, 0, 8, 5), CheckError);
+}
+
+TEST(FileStore, HandleStaysValidWhileOtherFilesAreCreated) {
+  // Each file's extents live in a std::map node, which never moves: a
+  // handle resolved before 10,000 other files exist still names its file.
+  FileStore fs;
+  const FileStore::Handle kept = fs.open("/keep");
+  fs.write(kept, 0, 100, 1);
+  for (int i = 0; i < 10'000; ++i) {
+    const std::string path = std::string("/other.").append(std::to_string(i));
+    fs.write(fs.open(path), 0, 10, 2);
+  }
+  fs.write(kept, 50, 50, 3);
+  EXPECT_EQ(fs.fileCount(), 10'001u);
+  EXPECT_TRUE(fs.verify(kept, 0, 50, 1));
+  EXPECT_TRUE(fs.verify(kept, 50, 50, 3));
+  EXPECT_EQ(fs.size(kept), 100u);
+  EXPECT_EQ(fs.read("/keep", 0, 100),
+            (std::vector<Extent>{{0, 50, 1}, {50, 50, 3}}));
+  EXPECT_TRUE(fs.verify("/other.9999", 0, 10, 2));
+  EXPECT_EQ(fs.totalBytes(), 100u + 10'000u * 10u);
+}
+
 TEST(FileStore, ManyRanksDistinctFiles) {
   // HACC-IO pattern: one file per rank, header + arrays.
   FileStore fs;
@@ -163,7 +206,9 @@ TEST(FileStore, ManyRanksDistinctFiles) {
 // are exactly the model's maximal runs of one write. The generator favours
 // the shapes write() special-cases or carves differently: exact overwrites
 // of an existing extent (retagged in place), partial overlaps, writes
-// adjacent to an extent, and writes spanning several extents.
+// adjacent to an extent, and writes spanning several extents. Writes go
+// through a handle; size and verify are checked through the handle and
+// through the path forwards.
 class FileStoreModel {
  public:
   static constexpr Bytes kSize = 256;
@@ -225,6 +270,7 @@ TEST(FileStore, MatchesPerByteModelUnderRandomWrites) {
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     Rng rng(seed, "file-store-differential");
     FileStore fs;
+    const FileStore::Handle file = fs.open("/f");
     FileStoreModel model;
     const auto pick = [&rng](Bytes n) { return rng.uniformInt(n); };
     for (int step = 0; step < 200; ++step) {
@@ -265,12 +311,13 @@ TEST(FileStore, MatchesPerByteModelUnderRandomWrites) {
         }
       }
       const ContentTag tag = 1 + pick(4);  // few tags: equal neighbours occur
-      fs.write("/f", offset, length, tag);
+      fs.write(file, offset, length, tag);
       model.write(offset, length, tag);
 
       ASSERT_EQ(fs.read("/f", 0, kSize), model.extents())
           << "seed " << seed << " step " << step << " wrote [" << offset
           << ", " << offset + length << ") tag " << tag;
+      ASSERT_EQ(fs.size(file), model.size());
       ASSERT_EQ(fs.size("/f"), model.size());
       ASSERT_EQ(fs.totalBytes(), model.totalBytes());
       for (int probe = 0; probe < 4; ++probe) {
@@ -278,9 +325,10 @@ TEST(FileStore, MatchesPerByteModelUnderRandomWrites) {
         const Bytes len = 1 + pick(std::min<Bytes>(kSize - at, 32));
         const ContentTag want = model.tagAt(at);
         const bool expected = model.verify(at, len, want);
-        ASSERT_EQ(fs.verify("/f", at, len, want), expected)
+        ASSERT_EQ(fs.verify(file, at, len, want), expected)
             << "seed " << seed << " step " << step << " verify [" << at
             << ", " << at + len << ") tag " << want;
+        ASSERT_EQ(fs.verify("/f", at, len, want), expected);
         verified += expected ? 1 : 0;
       }
     }

@@ -36,7 +36,7 @@ run_tsan() {
   echo "== tsan: configure + build (TSan, sim+pfs+mpisim+parallel+scenario tests) =="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Tsan -DIOBTS_WERROR=ON \
     -DIOBTS_BUILD_BENCH=OFF -DIOBTS_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build build-tsan -j --target sim_test pfs_test mpisim_test parallel_test scenario_test
+  cmake --build build-tsan -j "$(nproc)" --target sim_test pfs_test mpisim_test parallel_test scenario_test
 
   echo "== tsan: run sim_test + pfs_test + mpisim_test + parallel_test + scenario_test =="
   # TSan also defeats coroutine symmetric transfer; lift the stack limit.
@@ -60,10 +60,10 @@ fi
 
 echo "== tier-1: configure + build =="
 cmake -B build -S . -DIOBTS_WERROR=ON >/dev/null
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 
 echo "== tier-1: ctest =="
-(cd build && ctest --output-on-failure -j)
+(cd build && ctest --output-on-failure -j "$(nproc)")
 
 echo "== tier-1: test-registration audit =="
 # Every *_test binary in the build tree must be ctest-registered (the
@@ -104,7 +104,7 @@ fi
 echo "== sanitize: configure + build (ASan+UBSan, sim+pfs+mpisim+throttle+fault+scenario+ckpt+obs+tmio+alloc tests) =="
 cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Sanitize -DIOBTS_WERROR=ON \
   -DIOBTS_BUILD_BENCH=OFF -DIOBTS_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build build-sanitize -j --target sim_test pfs_test mpisim_test throttle_test fault_test scenario_test ckpt_test obs_test tmio_test alloc_test
+cmake --build build-sanitize -j "$(nproc)" --target sim_test pfs_test mpisim_test throttle_test fault_test scenario_test ckpt_test obs_test tmio_test alloc_test
 
 echo "== sanitize: run sim_test + pfs_test + mpisim_test + throttle_test + fault_test + scenario_test + ckpt_test + obs_test + tmio_test + alloc_test =="
 # ASan instrumentation defeats the coroutine symmetric-transfer tail call,
