@@ -17,24 +17,16 @@ FairShareStats fairShareInto(std::span<const FairShareItem> items,
   allocation.assign(items.size(), 0.0);
   if (items.empty() || capacity == 0.0) return stats;
 
-  // Validate and precompute each item's cap/weight ratio once (the
-  // comparator below would otherwise recompute two divisions per comparison,
-  // and a NaN ratio would break strict weak ordering). The same pass
-  // classifies the instance for the two pre-passes: how many items are
-  // capped, whether all capped items share a single cap/weight ratio class
-  // (in which case their input order already is their sorted order), and
-  // the cap sum, smallest weight and cap coverage of the positive-weight
-  // items.
-  scratch.ratio.resize(items.size());
+  // Validate, and classify the instance for the two pre-passes: how many
+  // items are capped, and the cap sum, smallest weight and cap coverage of
+  // the positive-weight items. The cap/weight ratios only order the
+  // saturating walk, so only that path computes them.
   double active_weight = 0.0;
   std::size_t n_capped = 0;
-  double first_ratio = 0.0;
-  bool single_ratio_class = true;
   double cap_sum = 0.0;
   double min_weight = std::numeric_limits<double>::infinity();
   bool all_capped = true;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto& item = items[i];
+  for (const auto& item : items) {
     IOBTS_CHECK(!std::isnan(item.weight), "weights must not be NaN");
     IOBTS_CHECK(item.weight >= 0.0, "weights must be non-negative");
     IOBTS_CHECK(!std::isinf(item.weight), "weights must be finite");
@@ -43,21 +35,7 @@ FairShareStats fairShareInto(std::span<const FairShareItem> items,
       IOBTS_CHECK(*item.cap >= 0.0, "caps must be non-negative");
     }
     active_weight += item.weight;
-    if (!item.cap) {
-      scratch.ratio[i] = std::numeric_limits<double>::infinity();
-    } else if (item.weight <= 0.0) {
-      scratch.ratio[i] = 0.0;  // zero weight: saturates at once
-    } else {
-      scratch.ratio[i] = *item.cap / item.weight;
-    }
-    if (item.cap) {
-      if (n_capped == 0) {
-        first_ratio = scratch.ratio[i];
-      } else if (scratch.ratio[i] != first_ratio) {
-        single_ratio_class = false;
-      }
-      ++n_capped;
-    }
+    if (item.cap) ++n_capped;
     if (item.weight > 0.0) {
       min_weight = std::min(min_weight, item.weight);
       if (item.cap) {
@@ -140,13 +118,30 @@ FairShareStats fairShareInto(std::span<const FairShareItem> items,
     // prefix, and once the walk breaks, the remaining items' allocations are
     // order-independent (each is min(lambda * weight, cap)). When all capped
     // items share one ratio class their input order is already sorted and
-    // even that sort is skipped.
+    // even that sort is skipped. Each capped item's ratio is computed once
+    // here: the comparator would otherwise recompute two divisions per
+    // comparison (uncapped items have none; the sort never reads theirs).
+    // Validated inputs keep every ratio non-NaN, as the strict weak ordering
+    // needs.
     scratch.order.resize(items.size());
+    scratch.ratio.resize(items.size());
+    bool single_ratio_class = true;
     {
       std::size_t capped_pos = 0;
       std::size_t uncapped_pos = n_capped;
+      double first_ratio = 0.0;
       for (std::size_t i = 0; i < items.size(); ++i) {
-        if (items[i].cap) {
+        const auto& item = items[i];
+        if (item.cap) {
+          // Zero weight saturates at once.
+          const double ratio =
+              item.weight <= 0.0 ? 0.0 : *item.cap / item.weight;
+          scratch.ratio[i] = ratio;
+          if (capped_pos == 0) {
+            first_ratio = ratio;
+          } else if (ratio != first_ratio) {
+            single_ratio_class = false;
+          }
           scratch.order[capped_pos++] = static_cast<std::uint32_t>(i);
         } else {
           scratch.order[uncapped_pos++] = static_cast<std::uint32_t>(i);

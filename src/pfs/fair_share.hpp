@@ -24,8 +24,9 @@
 // The hot path (SharedLink::resolve) re-solves on every transfer join /
 // completion / cap change, so fairShareInto keeps per-call allocations at
 // zero: the caller passes a FairShareScratch whose buffers (sort order,
-// precomputed cap/weight ratios) are reused across solves. All three produce
-// bit-identical allocations.
+// precomputed cap/weight ratios) are reused across solves; only the sorting
+// path fills them, so a solve that a pre-pass decides computes no ratio at
+// all. All three produce bit-identical allocations.
 #pragma once
 
 #include <algorithm>
@@ -55,7 +56,7 @@ struct FairShareResult {
 /// and never shrinks, so steady-state solves do not allocate.
 struct FairShareScratch {
   std::vector<std::uint32_t> order;  // item indices sorted by cap/weight
-  std::vector<double> ratio;         // precomputed cap/weight per item
+  std::vector<double> ratio;         // cap/weight per capped item
 };
 
 /// Totals of a solve performed by fairShareInto (the allocations themselves

@@ -6,7 +6,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pfs/fair_share.hpp"
-#include "sim/frame_cache.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -16,39 +15,54 @@ namespace {
 // A transfer is "drained" when less than half a byte remains (floating-point
 // residue from rate * dt settlement).
 constexpr double kDrainEpsilonBytes = 0.5;
+// The transfer table's encoding of "no noise cap". A real noise cap never
+// exceeds the (finite) channel capacity.
+constexpr double kNoNoiseCap = std::numeric_limits<double>::infinity();
 }  // namespace
 
-// Recycled through the per-thread FrameCache together with the transfer()
-// frame that owns it: a steady-state transfer allocates nothing.
-struct SharedLink::Transfer : sim::CacheAllocated<SharedLink::Transfer> {
-  explicit Transfer(sim::Simulation& simulation) : done(simulation) {}
+// A transfer's cold record: what only admission and completion read. It is a
+// local of the transfer() coroutine, so it lives in that suspended frame and
+// costs no allocation of its own. The frame stays suspended at done.wait()
+// until the completing resolve has fired `done` (which resumes it through
+// the event queue, never inline) and dropped the table row that points here.
+struct SharedLink::TransferRecord {
+  explicit TransferRecord(sim::Simulation& simulation) : done(simulation) {}
 
-  StreamId stream = 0;
   Bytes total = 0;
-  double remaining = 0.0;
   sim::Time start = 0.0;
-  sim::Time last_settle = 0.0;
-  double rate = 0.0;
-  std::optional<BytesPerSec> noise_cap{};
   /// Monotone per-link id; keys the deterministic fault verdict.
   std::uint64_t serial = 0;
   /// Caller's journey id (0 = none); ties the settled span into the
   /// request's flow chain.
   std::uint64_t journey = 0;
-  /// Points into the awaiting transfer() frame's TransferResult.status. The
-  /// frame is suspended at done.wait() until fire() resumes it through the
-  /// event queue, so the sink outlives this Transfer object (which is
-  /// destroyed at the end of the completion sweep, before resumption).
-  TransferStatus* status_sink = nullptr;
+  /// Written by the completing resolve before `done` fires.
+  TransferStatus status = TransferStatus::Ok;
   sim::Trigger done;
+};
+
+// One row of a channel's transfer table: the fields a resolve touches.
+struct SharedLink::Transfer {
+  double remaining = 0.0;
+  double rate = 0.0;
+  sim::Time last_settle = 0.0;
+  /// Private lognormal cap, or kNoNoiseCap on a noise-free link.
+  BytesPerSec noise_cap = kNoNoiseCap;
+  StreamId stream = 0;
+  TransferRecord* record = nullptr;
+};
+
+// A stream's solve inputs, flat beside streams_ so the level-1 pass reads one
+// contiguous array instead of chasing each Stream.
+struct SharedLink::StreamInputs {
+  double weight = 1.0;
+  BytesPerSec cap = 0.0;  // meaningful when `capped`
+  bool capped = false;
+  bool record = false;
 };
 
 struct SharedLink::Stream {
   std::string name;
-  double weight = 1.0;
-  std::optional<BytesPerSec> cap{};
   Bytes bytes_moved = 0;
-  bool record = false;
   StepSeries rate_series[kChannels];
   std::size_t active[kChannels] = {0, 0};
 };
@@ -56,7 +70,13 @@ struct SharedLink::Stream {
 struct SharedLink::ChannelState {
   Channel ch = Channel::Read;
   BytesPerSec capacity = 0.0;
-  std::vector<std::unique_ptr<Transfer>> active;
+  /// The transfer table: every active transfer of the channel, in admission
+  /// order. A resolve compacts it in place and keeps that order.
+  std::vector<Transfer> active;
+  /// Streams holding two or more of `active`'s transfers. While it is 0
+  /// every stream appears at most once in the table, and the solve takes the
+  /// table rows themselves as its level-1 items.
+  std::size_t shared_streams = 0;
   bool dirty_scheduled = false;
   sim::Time last_resolve = -1.0;
   bool ever_resolved = false;
@@ -96,20 +116,20 @@ struct SharedLink::ChannelState {
   // Persistent scratch for the two-level solve. The stream->group slot map
   // is epoch-stamped so it is valid without an O(total streams) clear per
   // resolve; all other buffers are reused across resolves (allocation-free
-  // once warm).
+  // once warm). The grouping buffers are touched only while some stream
+  // holds two transfers.
   std::uint32_t grouping_epoch = 0;
   std::vector<std::uint32_t> slot_epoch;    // per stream id
   std::vector<std::uint32_t> slot;          // per stream id -> group index
   std::vector<StreamId> group_streams;      // group index -> stream id
   std::vector<std::uint32_t> group_count;   // transfers per group
   std::vector<std::uint32_t> group_offset;  // prefix offsets into `grouped`
-  std::vector<Transfer*> grouped;           // transfers, grouped by stream
+  std::vector<std::uint32_t> grouped;       // table rows, grouped by stream
   std::vector<FairShareItem> level1;
   std::vector<BytesPerSec> level1_alloc;
   std::vector<FairShareItem> level2;
   std::vector<BytesPerSec> level2_alloc;
   FairShareScratch fair_share_scratch;
-  std::vector<std::unique_ptr<Transfer>> completed_scratch;
 };
 
 SharedLink::SharedLink(sim::Simulation& simulation, LinkConfig config)
@@ -149,6 +169,9 @@ SharedLink::SharedLink(sim::Simulation& simulation, LinkConfig config)
   }
 }
 
+// Touches no transfer record: the records live in suspended transfer()
+// frames, which the Simulation may destroy first (a moved-over RestoredRun
+// drops its old simulation before its old link).
 SharedLink::~SharedLink() = default;
 
 SharedLink::ChannelState& SharedLink::chan(Channel channel) noexcept {
@@ -165,8 +188,8 @@ StreamId SharedLink::createStream(std::string name, double weight) {
   IOBTS_CHECK(!std::isnan(weight), "stream weight must not be NaN");
   auto stream = std::make_unique<Stream>();
   stream->name = std::move(name);
-  stream->weight = weight;
   streams_.push_back(std::move(stream));
+  stream_inputs_.push_back(StreamInputs{.weight = weight});
   const StreamId id = static_cast<StreamId>(streams_.size() - 1);
   if (obs::TraceSink* const sink = obs::traceSink()) {
     sink->setThreadName(obs::track::kStreams, id, streams_.back()->name);
@@ -183,7 +206,8 @@ void SharedLink::setStreamCap(StreamId stream,
   IOBTS_CHECK(stream < streams_.size(), "unknown stream");
   IOBTS_CHECK(!cap || *cap >= 0.0, "cap must be non-negative");
   IOBTS_CHECK(!cap || !std::isnan(*cap), "cap must not be NaN");
-  streams_[stream]->cap = cap;
+  stream_inputs_[stream].capped = cap.has_value();
+  stream_inputs_[stream].cap = cap.value_or(0.0);
   for (std::size_t c = 0; c < kChannels; ++c) {
     if (streams_[stream]->active[c] > 0) {
       noteSolveInputChanged(static_cast<Channel>(c));
@@ -194,14 +218,15 @@ void SharedLink::setStreamCap(StreamId stream,
 
 std::optional<BytesPerSec> SharedLink::streamCap(StreamId stream) const {
   IOBTS_CHECK(stream < streams_.size(), "unknown stream");
-  return streams_[stream]->cap;
+  const StreamInputs& in = stream_inputs_[stream];
+  return in.capped ? std::optional<BytesPerSec>(in.cap) : std::nullopt;
 }
 
 void SharedLink::setStreamWeight(StreamId stream, double weight) {
   IOBTS_CHECK(stream < streams_.size(), "unknown stream");
   IOBTS_CHECK(weight > 0.0, "stream weight must be positive");
   IOBTS_CHECK(!std::isnan(weight), "stream weight must not be NaN");
-  streams_[stream]->weight = weight;
+  stream_inputs_[stream].weight = weight;
   for (std::size_t c = 0; c < kChannels; ++c) {
     if (streams_[stream]->active[c] > 0) {
       noteSolveInputChanged(static_cast<Channel>(c));
@@ -212,7 +237,7 @@ void SharedLink::setStreamWeight(StreamId stream, double weight) {
 
 double SharedLink::streamWeight(StreamId stream) const {
   IOBTS_CHECK(stream < streams_.size(), "unknown stream");
-  return streams_[stream]->weight;
+  return stream_inputs_[stream].weight;
 }
 
 const std::string& SharedLink::streamName(StreamId stream) const {
@@ -222,7 +247,7 @@ const std::string& SharedLink::streamName(StreamId stream) const {
 
 void SharedLink::setRecordStream(StreamId stream, bool record) {
   IOBTS_CHECK(stream < streams_.size(), "unknown stream");
-  streams_[stream]->record = record;
+  stream_inputs_[stream].record = record;
   auto& recorded = recorded_streams_;
   const auto it = std::find(recorded.begin(), recorded.end(), stream);
   if (record && it == recorded.end()) {
@@ -243,32 +268,37 @@ sim::Task<TransferResult> SharedLink::transfer(Channel channel,
   if (bytes == 0) co_return result;
 
   ChannelState& cs = chan(channel);
-
-  auto transfer_obj = std::make_unique<Transfer>(sim_);
-  Transfer& t = *transfer_obj;
-  t.stream = stream;
-  t.total = bytes;
-  t.remaining = static_cast<double>(bytes);
-  t.start = sim_.now();
-  t.last_settle = sim_.now();
-  t.serial = next_transfer_serial_++;
-  t.journey = journey;
-  t.status_sink = &result.status;
+  // The cold record lives in this frame; the table row points at it until
+  // the completing resolve fires `done`.
+  TransferRecord record(sim_);
+  record.total = bytes;
+  record.start = sim_.now();
+  record.serial = next_transfer_serial_++;
+  record.journey = journey;
+  BytesPerSec noise_cap = kNoNoiseCap;
   if (config_.noise_sigma > 0.0) {
     const double factor =
         std::min(1.0, noise_rng_.lognormalFactor(config_.noise_sigma));
     const BytesPerSec reference = config_.noise_reference_rate > 0.0
                                       ? config_.noise_reference_rate
                                       : cs.capacity;
-    t.noise_cap = std::min(cs.capacity, reference * factor);
+    noise_cap = std::min(cs.capacity, reference * factor);
   }
-  cs.active.push_back(std::move(transfer_obj));
-  ++streams_[stream]->active[static_cast<int>(channel)];
+  if (++streams_[stream]->active[static_cast<int>(channel)] == 2) {
+    ++cs.shared_streams;
+  }
   noteSolveInputChanged(channel);
   markDirty(channel);
+  // Appended last, so a throw above leaves no row pointing into this frame.
+  cs.active.push_back(Transfer{.remaining = static_cast<double>(bytes),
+                               .last_settle = sim_.now(),
+                               .noise_cap = noise_cap,
+                               .stream = stream,
+                               .record = &record});
 
-  co_await t.done.wait();
+  co_await record.done.wait();
   result.end = sim_.now();
+  result.status = record.status;
   co_return result;
 }
 
@@ -313,9 +343,8 @@ void SharedLink::resolve(Channel channel) {
                     static_cast<double>(cs.active.size()));
     }
     if (config_.force_full_resolve) {
-      for (const auto& t : cs.active) {
-        const double projected =
-            t->remaining - t->rate * (now - t->last_settle);
+      for (const Transfer& t : cs.active) {
+        const double projected = t.remaining - t.rate * (now - t.last_settle);
         // Tiny slack: the bound and this projection round differently, so a
         // resolve landing within ULPs of the bound may disagree by ULPs.
         IOBTS_CHECK(projected > kDrainEpsilonBytes * (1.0 - 1e-9),
@@ -328,20 +357,12 @@ void SharedLink::resolve(Channel channel) {
   ++cs.resolves_executed;
   const std::uint64_t wall_start = sink != nullptr ? sink->wallNowNs() : 0;
 
-  // 1. Settle progress since each transfer's last settlement.
-  for (auto& t : cs.active) {
-    const sim::Time dt = now - t->last_settle;
-    if (dt > 0.0 && t->rate > 0.0) {
-      t->remaining = std::max(0.0, t->remaining - t->rate * dt);
-    }
-    t->last_settle = now;
-  }
-
-  // 2. Complete drained transfers: stable in-place compaction of the
-  // survivors (O(n) even when thousands drain in the same sweep; the
-  // previous erase-from-the-middle made batch drains quadratic). Completed
-  // transfers are collected and fired in their original active order so the
-  // (time, seq) resume order of waiting coroutines is unchanged.
+  // 1-2. One pass over the table settles progress since each transfer's
+  // last settlement, completes drained transfers and compacts the survivors
+  // in place, keeping their order (O(n) even when thousands drain in the
+  // same sweep). Completions happen in table order, so triggers fire -- and
+  // the (time, seq) resume order of waiting coroutines follows -- in
+  // admission order.
   //
   // A transfer also counts as drained when its drain time is at most one
   // ULP of `now`: at large virtual times and high rates remaining / rate can
@@ -352,54 +373,69 @@ void SharedLink::resolve(Channel channel) {
   // is large (at 1.2e11 B/s, from 2^15 s on).
   const double ulp =
       std::nextafter(now, std::numeric_limits<double>::infinity()) - now;
+  const bool judge = fault_plan_ && fault_plan_->hasTransferFaults();
+  const auto complete = [&](const Transfer& t) {
+    TransferRecord& record = *t.record;
+    cs.bytes_moved += record.total;
+    Stream& s = *streams_[t.stream];
+    s.bytes_moved += record.total;
+    if (s.active[static_cast<int>(channel)]-- == 2) --cs.shared_streams;
+    // Fault verdict at settle time: the transfer ran to its full fair-share
+    // duration and consumed bandwidth either way, but a faulted one reports
+    // an EIO-class error to its waiter. The verdict is written into the
+    // record before fire() so the awaiting frame observes it on resumption.
+    bool faulted = false;
+    if (judge &&
+        fault_plan_->faultVerdict(channel, t.stream, record.serial, now)) {
+      record.status = TransferStatus::Faulted;
+      ++cs.faulted_transfers;
+      faulted = true;
+    }
+    if (sink != nullptr) {
+      // Transfers are genuine virtual-time spans: start at admission, end
+      // at the completing sweep. One track per stream; bytes in value.
+      sink->complete("pfs",
+                     faulted ? "transfer.faulted"
+                             : (channel == Channel::Read ? "transfer.read"
+                                                         : "transfer.write"),
+                     obs::track::kStreams, t.stream, record.start,
+                     now - record.start, static_cast<double>(record.total));
+      if (record.journey != 0) {
+        sink->flowStep("journey", "io", obs::track::kStreams, t.stream,
+                       record.start, record.journey);
+      }
+    }
+    record.done.fire();
+  };
+  // The settled fields are written once, into the survivor's final slot; a
+  // shifted row copies its untouched fields one by one (copying the whole
+  // row would reload the fields just stored through wider loads, a
+  // store-forwarding stall per row).
   auto& active = cs.active;
   std::size_t write_pos = 0;
   for (std::size_t read_pos = 0; read_pos < active.size(); ++read_pos) {
-    const Transfer& t = *active[read_pos];
-    if (t.remaining <= kDrainEpsilonBytes || t.remaining <= t.rate * ulp) {
-      cs.completed_scratch.push_back(std::move(active[read_pos]));
-    } else {
-      if (write_pos != read_pos) active[write_pos] = std::move(active[read_pos]);
-      ++write_pos;
+    const Transfer& t = active[read_pos];
+    double remaining = t.remaining;
+    const sim::Time dt = now - t.last_settle;
+    if (dt > 0.0 && t.rate > 0.0) {
+      remaining = std::max(0.0, remaining - t.rate * dt);
     }
+    if (remaining <= kDrainEpsilonBytes || remaining <= t.rate * ulp) {
+      complete(t);
+      continue;
+    }
+    Transfer& survivor = active[write_pos++];
+    if (&survivor != &t) {
+      survivor.rate = t.rate;
+      survivor.noise_cap = t.noise_cap;
+      survivor.stream = t.stream;
+      survivor.record = t.record;
+    }
+    survivor.remaining = remaining;
+    survivor.last_settle = now;
   }
-  if (!cs.completed_scratch.empty()) {
+  if (write_pos != active.size()) {
     active.resize(write_pos);
-    const bool judge = fault_plan_ && fault_plan_->hasTransferFaults();
-    for (const auto& t : cs.completed_scratch) {
-      cs.bytes_moved += t->total;
-      Stream& s = *streams_[t->stream];
-      s.bytes_moved += t->total;
-      --s.active[static_cast<int>(channel)];
-      // Fault verdict at settle time: the transfer ran to its full
-      // fair-share duration and consumed bandwidth either way, but a faulted
-      // one reports an EIO-class error to its waiter. The verdict is written
-      // through status_sink before fire() so the awaiting frame observes it
-      // on resumption.
-      bool faulted = false;
-      if (judge &&
-          fault_plan_->faultVerdict(channel, t->stream, t->serial, now)) {
-        *t->status_sink = TransferStatus::Faulted;
-        ++cs.faulted_transfers;
-        faulted = true;
-      }
-      if (sink != nullptr) {
-        // Transfers are genuine virtual-time spans: start at admission, end
-        // at the completing sweep. One track per stream; bytes in value.
-        sink->complete("pfs",
-                       faulted ? "transfer.faulted"
-                               : (channel == Channel::Read ? "transfer.read"
-                                                           : "transfer.write"),
-                       obs::track::kStreams, t->stream, t->start,
-                       now - t->start, static_cast<double>(t->total));
-        if (t->journey != 0) {
-          sink->flowStep("journey", "io", obs::track::kStreams, t->stream,
-                         t->start, t->journey);
-        }
-      }
-      t->done.fire();
-    }
-    cs.completed_scratch.clear();
     ++cs.input_version;
   }
 
@@ -409,12 +445,12 @@ void SharedLink::resolve(Channel channel) {
   // right after a sweep already resolved at this instant) cannot change any
   // rate, so settle + sweep rescheduling is sufficient.
   if (cs.input_version != cs.solved_version || config_.force_full_resolve) {
-    solveRates(cs, channel, now);
+    const std::size_t groups = solveRates(cs, channel, now);
     cs.solved_version = cs.input_version;
     ++cs.full_solves;
     if (sink != nullptr) {
       sink->instant("pfs", "solve", obs::track::kLink, trace_tid, now,
-                    static_cast<double>(cs.group_streams.size()));
+                    static_cast<double>(groups));
     }
   }
 
@@ -427,11 +463,11 @@ void SharedLink::resolve(Channel channel) {
   ++cs.sweep_generation;
   sim::Time next = std::numeric_limits<double>::infinity();
   sim::Time interesting = std::numeric_limits<double>::infinity();
-  for (const auto& t : cs.active) {
-    if (t->rate > 0.0) {
-      next = std::min(next, t->remaining / t->rate);
+  for (const Transfer& t : cs.active) {
+    if (t.rate > 0.0) {
+      next = std::min(next, t.remaining / t.rate);
       interesting =
-          std::min(interesting, (t->remaining - kDrainEpsilonBytes) / t->rate);
+          std::min(interesting, (t.remaining - kDrainEpsilonBytes) / t.rate);
     }
   }
   cs.next_interesting = std::isfinite(interesting)
@@ -457,46 +493,64 @@ void SharedLink::resolve(Channel channel) {
   }
 }
 
-void SharedLink::solveRates(ChannelState& cs, Channel channel,
-                            sim::Time now) {
-  // Group active transfers by stream, first-appearance order, using the
-  // epoch-stamped slot map (no per-resolve O(total streams) clear) and flat
-  // reused buffers (no per-resolve vector-of-vectors).
+std::size_t SharedLink::solveRates(ChannelState& cs, Channel channel,
+                                   sim::Time now) {
   //    Level 1: streams (weight = stream weight, cap = stream cap combined
   //    with the sum of its transfers' noise caps).
   //    Level 2: a stream's transfers split its allocation equally, subject
   //    to per-transfer noise caps.
-  const std::uint32_t epoch = ++cs.grouping_epoch;
-  if (cs.slot_epoch.size() < streams_.size()) {
-    cs.slot_epoch.resize(streams_.size(), 0);
-    cs.slot.resize(streams_.size(), 0);
-  }
-  cs.group_streams.clear();
-  cs.group_count.clear();
-  for (const auto& t : cs.active) {
-    if (cs.slot_epoch[t->stream] != epoch) {
-      cs.slot_epoch[t->stream] = epoch;
-      cs.slot[t->stream] = static_cast<std::uint32_t>(cs.group_streams.size());
-      cs.group_streams.push_back(t->stream);
-      cs.group_count.push_back(0);
+  // Group k is a stream and holds the table rows member(begin(k)) ..
+  // member(begin(k + 1) - 1), groups in order of first appearance in the
+  // table. While no stream holds two transfers, that grouping is the table
+  // itself: group k is row k. Otherwise the rows are grouped through the
+  // epoch-stamped slot map (no per-resolve O(total streams) clear) into
+  // flat reused buffers (no per-resolve vector-of-vectors).
+  const bool grouping = cs.shared_streams > 0;
+  std::size_t n_groups = cs.active.size();
+  if (grouping) {
+    const std::uint32_t epoch = ++cs.grouping_epoch;
+    if (cs.slot_epoch.size() < streams_.size()) {
+      cs.slot_epoch.resize(streams_.size(), 0);
+      cs.slot.resize(streams_.size(), 0);
     }
-    ++cs.group_count[cs.slot[t->stream]];
-  }
-  const std::size_t n_groups = cs.group_streams.size();
-  cs.group_offset.resize(n_groups + 1);
-  cs.group_offset[0] = 0;
-  for (std::size_t k = 0; k < n_groups; ++k) {
-    cs.group_offset[k + 1] = cs.group_offset[k] + cs.group_count[k];
-  }
-  cs.grouped.resize(cs.active.size());
-  {
+    cs.group_streams.clear();
+    cs.group_count.clear();
+    for (const Transfer& t : cs.active) {
+      if (cs.slot_epoch[t.stream] != epoch) {
+        cs.slot_epoch[t.stream] = epoch;
+        cs.slot[t.stream] = static_cast<std::uint32_t>(cs.group_streams.size());
+        cs.group_streams.push_back(t.stream);
+        cs.group_count.push_back(0);
+      }
+      ++cs.group_count[cs.slot[t.stream]];
+    }
+    n_groups = cs.group_streams.size();
+    cs.group_offset.resize(n_groups + 1);
+    cs.group_offset[0] = 0;
+    for (std::size_t k = 0; k < n_groups; ++k) {
+      cs.group_offset[k + 1] = cs.group_offset[k] + cs.group_count[k];
+    }
+    cs.grouped.resize(cs.active.size());
     // group_count doubles as the per-group fill cursor during placement.
     std::fill(cs.group_count.begin(), cs.group_count.end(), 0u);
-    for (const auto& t : cs.active) {
-      const std::uint32_t g = cs.slot[t->stream];
-      cs.grouped[cs.group_offset[g] + cs.group_count[g]++] = t.get();
+    for (std::uint32_t i = 0; i < cs.active.size(); ++i) {
+      const std::uint32_t g = cs.slot[cs.active[i].stream];
+      cs.grouped[cs.group_offset[g] + cs.group_count[g]++] = i;
     }
   }
+  const auto begin = [&](std::size_t k) -> std::uint32_t {
+    return grouping ? cs.group_offset[k] : static_cast<std::uint32_t>(k);
+  };
+  const auto member = [&](std::uint32_t j) -> Transfer& {
+    return cs.active[grouping ? cs.grouped[j] : j];
+  };
+  const auto streamOf = [&](std::size_t k) -> StreamId {
+    return grouping ? cs.group_streams[k] : cs.active[k].stream;
+  };
+  const auto noiseCap = [](const Transfer& t) {
+    return t.noise_cap != kNoNoiseCap ? std::optional<BytesPerSec>(t.noise_cap)
+                                      : std::nullopt;
+  };
 
   // Degradation/blackout windows scale the deliverable capacity. Guarded so
   // a healthy link's arithmetic stays bit-identical to the pre-fault-plane
@@ -515,65 +569,79 @@ void SharedLink::solveRates(ChannelState& cs, Channel channel,
   if (n_groups > 0) {
     cs.level1.resize(n_groups);
     for (std::size_t k = 0; k < n_groups; ++k) {
-      const Stream& s = *streams_[cs.group_streams[k]];
-      cs.level1[k].weight = s.weight;
-      std::optional<BytesPerSec> cap = s.cap;
+      const StreamId sid = streamOf(k);
+      const StreamInputs& in = stream_inputs_[sid];
+      // The cap is carried as a (capped, cap) pair and the item is written
+      // field by field: assembling a std::optional temporary and copying it
+      // in reloads two narrow stores as one wide load, a store-forwarding
+      // stall on every item.
+      bool capped = in.capped;
+      BytesPerSec cap = in.cap;
       if (config_.client_rate_cap > 0.0) {
-        const BytesPerSec client_cap = config_.client_rate_cap * s.weight;
-        cap = cap ? std::min(*cap, client_cap) : client_cap;
+        const BytesPerSec client_cap = config_.client_rate_cap * in.weight;
+        cap = capped ? std::min(cap, client_cap) : client_cap;
+        capped = true;
       }
       // Straggler windows cap the afflicted stream at a fraction of the base
       // channel capacity. The vector is empty on a fault-free link, so this
       // costs nothing (and performs no float ops) in the common case.
       if (!straggler_factor_.empty()) {
-        const StreamId sid = cs.group_streams[k];
         if (sid < straggler_factor_.size() && straggler_factor_[sid] != 1.0) {
           const BytesPerSec straggler_cap =
               cs.capacity * straggler_factor_[sid];
-          cap = cap ? std::min(*cap, straggler_cap) : straggler_cap;
+          cap = capped ? std::min(cap, straggler_cap) : straggler_cap;
+          capped = true;
         }
       }
       if (config_.noise_sigma > 0.0) {
+        // With noise on, every transfer carries a noise cap.
         double noise_sum = 0.0;
-        for (std::uint32_t j = cs.group_offset[k]; j < cs.group_offset[k + 1];
-             ++j) {
-          noise_sum += cs.grouped[j]->noise_cap.value_or(cs.capacity);
+        for (std::uint32_t j = begin(k); j < begin(k + 1); ++j) {
+          noise_sum += member(j).noise_cap;
         }
-        cap = cap ? std::min(*cap, noise_sum) : noise_sum;
+        cap = capped ? std::min(cap, noise_sum) : noise_sum;
+        capped = true;
       }
-      cs.level1[k].cap = cap;
-      total_demand += cap ? std::min(*cap, cs.capacity) : cs.capacity;
+      FairShareItem& item = cs.level1[k];
+      item.weight = in.weight;
+      if (capped) {
+        item.cap = cap;
+      } else {
+        item.cap.reset();
+      }
+      total_demand += capped ? std::min(cap, cs.capacity) : cs.capacity;
     }
     fairShareInto(cs.level1, effective_capacity, cs.fair_share_scratch,
                   cs.level1_alloc);
 
     for (std::size_t k = 0; k < n_groups; ++k) {
-      const std::uint32_t begin = cs.group_offset[k];
-      const std::uint32_t count = cs.group_offset[k + 1] - begin;
+      const std::uint32_t first = begin(k);
+      const std::uint32_t count = begin(k + 1) - first;
       BytesPerSec stream_rate = 0.0;
       if (count == 1) {
         // A lone transfer takes its stream's whole allocation up to its
         // noise cap: the level-2 solve's exact bits without running it.
-        Transfer& t = *cs.grouped[begin];
-        t.rate = fairShareSingle(t.noise_cap, cs.level1_alloc[k]);
+        Transfer& t = member(first);
+        t.rate = fairShareSingle(noiseCap(t), cs.level1_alloc[k]);
         stream_rate = t.rate;
       } else {
         cs.level2.resize(count);
         for (std::uint32_t j = 0; j < count; ++j) {
           cs.level2[j].weight = 1.0;
-          cs.level2[j].cap = cs.grouped[begin + j]->noise_cap;
+          cs.level2[j].cap = noiseCap(member(first + j));
         }
         stream_rate = fairShareInto(cs.level2, cs.level1_alloc[k],
                                     cs.fair_share_scratch, cs.level2_alloc)
                           .total;
         for (std::uint32_t j = 0; j < count; ++j) {
-          cs.grouped[begin + j]->rate = cs.level2_alloc[j];
+          member(first + j).rate = cs.level2_alloc[j];
         }
       }
       total_rate += stream_rate;
-      Stream& s = *streams_[cs.group_streams[k]];
-      if (s.record) {
-        s.rate_series[static_cast<int>(channel)].add(now, stream_rate);
+      const StreamId sid = streamOf(k);
+      if (stream_inputs_[sid].record) {
+        streams_[sid]->rate_series[static_cast<int>(channel)].add(now,
+                                                                  stream_rate);
       }
     }
   }
@@ -605,6 +673,7 @@ void SharedLink::solveRates(ChannelState& cs, Channel channel,
       cs.active_series.add(now, static_cast<double>(cs.active.size()));
     }
   }
+  return n_groups;
 }
 
 // --- Fault plane -----------------------------------------------------------

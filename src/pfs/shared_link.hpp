@@ -20,6 +20,15 @@
 // next completion sweep. An optional recompute quantum batches rate updates
 // for very large rank counts (documented accuracy/performance knob).
 //
+// Each channel keeps its active transfers in one contiguous table, in
+// admission order, holding only what a resolve touches (remaining bytes,
+// rate, last settle time, noise cap, stream, and a pointer to the transfer's
+// cold record, which lives in the suspended transfer() coroutine frame). A
+// resolve settles, completes drained transfers and compacts the table in
+// one pass. The solve groups the table by stream only while some stream
+// holds two or more of the channel's transfers; otherwise the table rows
+// are the level-1 items themselves.
+//
 // Each channel additionally tracks a "next interesting time": the earliest
 // virtual time at which any active transfer could cross the drain threshold
 // under the current rates. A resolve that arrives strictly before that bound
@@ -240,7 +249,9 @@ class SharedLink {
   void exportMetrics(obs::MetricsRegistry& registry) const;
 
  private:
+  struct TransferRecord;
   struct Transfer;
+  struct StreamInputs;
   struct Stream;
   struct ChannelState;
 
@@ -254,7 +265,8 @@ class SharedLink {
 
   /// The two-level weighted max-min solve over the channel's active
   /// transfers (allocation-free: reuses the channel's scratch buffers).
-  void solveRates(ChannelState& cs, Channel channel, sim::Time now);
+  /// Returns the number of level-1 items (streams with active transfers).
+  std::size_t solveRates(ChannelState& cs, Channel channel, sim::Time now);
 
   /// Request a (possibly quantized) resolve.
   void markDirty(Channel channel);
@@ -279,6 +291,8 @@ class SharedLink {
   LinkConfig config_;
   Rng noise_rng_;
   std::vector<std::unique_ptr<Stream>> streams_;
+  /// Each stream's solve inputs (weight, cap, record flag), by stream id.
+  std::vector<StreamInputs> stream_inputs_;
   /// Streams with setRecordStream(.., true); lets the per-resolve
   /// zero-rate recording loop skip the (possibly huge) non-recorded rest.
   std::vector<StreamId> recorded_streams_;

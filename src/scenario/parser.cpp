@@ -29,7 +29,7 @@ namespace {
 constexpr int kMaxBlockDepth = 32;
 constexpr int kMaxExprDepth = 64;
 constexpr std::int64_t kMaxLoopCount = 1'000'000;
-constexpr int kMaxRanks = 4096;
+constexpr int kMaxRanks = 16384;
 
 [[noreturn]] void fail(int line, const std::string& field,
                        const std::string& message) {

@@ -2,10 +2,11 @@
 //
 // Every simulated MPI-IO request creates and destroys a handful of
 // short-lived blocks: coroutine frames (the submit/wait/engine/transfer
-// tasks), the link's Transfer record and the request's shared state. Sent
-// through the global allocator they cost more than the simulated work
-// itself. The FrameCache keeps freed blocks on per-thread, size-classed
-// free lists instead, so a steady-state request allocates nothing:
+// tasks; the link's transfer record lives in the transfer frame) and the
+// request's shared state. Sent through the global allocator they cost more
+// than the simulated work itself. The FrameCache keeps freed blocks on
+// per-thread, size-classed free lists instead, so a steady-state request
+// allocates nothing:
 //
 //   * size classes are multiples of kClassBytes up to kMaxBytes; larger
 //     blocks go straight to the global allocator;

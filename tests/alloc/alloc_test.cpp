@@ -5,9 +5,10 @@
 // the process is counted. Two kinds of probe:
 //
 //   * steady-state windows -- the event-kernel churn (tracing off and on,
-//     and with every event at its own time) and the SharedLink resolve path
-//     under cap churn with quiescent pokes (the lazy skip) must perform zero
-//     allocations once their pools are warm;
+//     and with every event at its own time), the SharedLink resolve path
+//     under cap churn with quiescent pokes (the lazy skip), and transfers
+//     joining and completing on a noisy link must perform zero allocations
+//     once their pools are warm;
 //   * growth probes -- a whole one-rank scenario-interpreter run and a
 //     whole one-rank MPI-IO run (unpaced, paced, and verifying each
 //     extent after its wait) must allocate exactly as often at a small N
@@ -20,6 +21,8 @@
 // tools/run_tier1.sh both run this suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -166,6 +169,81 @@ TEST(AllocationGate, ResolveAndPokeChurnIsAllocationFree) {
             skipped_before)
       << "no lazy-skipped resolve inside the probe window (poke pattern "
          "broken?)";
+  sim.run();
+}
+
+// Back-to-back transfers of one stream until `until`; with a `period`, each
+// transfer starts on the next multiple of it instead.
+sim::Task<void> transferLoop(sim::Simulation& sim, pfs::SharedLink& link,
+                             pfs::StreamId stream, Bytes bytes,
+                             sim::Time until, sim::Time period) {
+  while (sim.now() < until) {
+    co_await link.transfer(pfs::Channel::Write, stream, bytes);
+    if (period > 0.0) {
+      const sim::Time next = period * std::ceil(sim.now() / period);
+      co_await sim.delay(std::max(0.0, next - sim.now()));
+    }
+  }
+}
+
+// Joins and completions under hacc_noisy's link shape: lognormal noise caps
+// around a per-client reference, a client cap and a 5 ms recompute quantum.
+// 128 streams run back-to-back transfers, whose noise caps make them drain
+// at distinct times, so the transfer table appends, compacts and fires the
+// frame-resident records throughout the window. 8 of the streams run a
+// second transfer at the start of every 50 ms period, so the solve runs
+// both with streams that hold two transfers and with none. Every join
+// resolve orphans the pending completion sweep, so the pending-event peak
+// varies with the noise draws: the warm-up phase runs the same shape for
+// twice as long to reach that peak, and the counted middle of the second
+// phase must then allocate nothing.
+TEST(AllocationGate, NoisyJoinAndCompleteChurnIsAllocationFree) {
+  sim::Simulation sim;
+  pfs::LinkConfig cfg;
+  cfg.noise_sigma = 0.4;
+  cfg.noise_reference_rate = 0.5e9;
+  cfg.client_rate_cap = 1.5e9;
+  cfg.recompute_quantum = 0.005;
+  cfg.record_total = false;
+  pfs::SharedLink link(sim, cfg);
+  constexpr int kStreams = 128;
+  constexpr int kDoubled = 8;
+  std::vector<pfs::StreamId> streams;
+  streams.reserve(kStreams);
+  for (int i = 0; i < kStreams; ++i) {
+    streams.push_back(link.createStream(
+        std::string("s").append(std::to_string(i))));
+  }
+  auto spawnPhase = [&](sim::Time until) {
+    for (const auto s : streams) {
+      sim.spawn(transferLoop(sim, link, s, 4 * kMiB, until, 0.0));
+    }
+    for (int i = 0; i < kDoubled; ++i) {
+      sim.spawn(transferLoop(sim, link, streams[i], 4 * kMiB, until, 0.05));
+    }
+  };
+
+  // Phase 1 (warm-up).
+  spawnPhase(2.0);
+  sim.run();
+
+  // Phase 2 (probe): the same shape; the spawns and the first joins stay
+  // outside the window.
+  const sim::Time t0 = sim.now();
+  spawnPhase(t0 + 1.0);
+  sim.runUntil(t0 + 0.1);
+  const Bytes moved_before = link.bytesMoved(pfs::Channel::Write);
+  const std::uint64_t solves_before =
+      link.resolveStats(pfs::Channel::Write).full_solves;
+  const std::uint64_t before = allocationCount();
+  sim.runUntil(t0 + 0.9);
+  const std::uint64_t delta = allocationCount() - before;
+  EXPECT_EQ(delta, 0u);
+  // Over 50 completions per stream on average: the window really churns.
+  EXPECT_GT(link.bytesMoved(pfs::Channel::Write) - moved_before,
+            kStreams * 50 * 4 * kMiB);
+  EXPECT_GT(link.resolveStats(pfs::Channel::Write).full_solves - solves_before,
+            1000u);
   sim.run();
 }
 

@@ -15,11 +15,20 @@
 // and both modes must report identical executed/skipped resolve counters
 // (the skip decision is shared, only what a "skipped" resolve computes
 // differs).
+//
+// The equivalence tests compare two modes of one build, so a change that
+// moves both modes alike passes them. ResolveEquivalence.LinkBitsArePinned
+// closes that gap: it hashes the exact bits of the same scenarios against a
+// recorded constant.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "pfs/fair_share.hpp"
@@ -80,6 +89,9 @@ TEST(FairShareEquivalence, DirtyScratchAndOutputBuffersAreFullyOverwritten) {
 
 struct ScenarioResult {
   std::vector<TransferResult> transfers;
+  // Each transfer's channel and stream, by transfer index.
+  std::vector<Channel> channels;
+  std::vector<StreamId> streams;
   std::vector<Bytes> stream_bytes;
   Bytes bytes_moved[kChannels] = {0, 0};
   sim::Time end_time = 0.0;
@@ -89,6 +101,9 @@ struct ScenarioResult {
   // function they describe must not).
   std::vector<double> total_rate_samples[kChannels];
   std::vector<double> stream0_rate_samples;
+  // The raw step-series points, for the exact-bits pin.
+  std::vector<std::pair<double, double>> total_rate_points[kChannels];
+  std::vector<std::pair<double, double>> stream0_rate_points[kChannels];
   std::uint64_t resolves_executed[kChannels] = {0, 0};
   std::uint64_t resolves_skipped[kChannels] = {0, 0};
 };
@@ -164,6 +179,8 @@ ScenarioResult runScenario(const ScenarioParams& p) {
     const StreamId s = streams[rng.uniformInt(streams.size())];
     const Bytes bytes = 1 + rng.uniformInt(5000);
     const sim::Time at = rng.uniform(0.0, 40.0);
+    result.channels.push_back(ch);
+    result.streams.push_back(s);
     sim.spawn(
         delayedTransfer(sim, link, ch, s, bytes, at, result.transfers[i]));
   }
@@ -205,6 +222,9 @@ ScenarioResult runScenario(const ScenarioParams& p) {
     for (double t = 0.0; t <= result.end_time + 1.0; t += 0.25) {
       result.total_rate_samples[c].push_back(series.at(t));
     }
+    result.total_rate_points[c] = series.points();
+    result.stream0_rate_points[c] =
+        link.streamRateSeries(streams[0], ch).points();
   }
   const auto& s0 = link.streamRateSeries(streams[0], Channel::Write);
   for (double t = 0.0; t <= result.end_time + 1.0; t += 0.25) {
@@ -322,6 +342,108 @@ TEST(ResolveEquivalence, RandomizedScenariosQuantizedMode) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     expectEquivalent(full, incremental);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Exact bits of the link, pinned against a recorded value.
+
+// The four setups of the equivalence tests above, in the incremental mode.
+std::vector<ScenarioParams> pinnedSetups() {
+  std::vector<ScenarioParams> setups(4);
+  setups[1].noise_sigma = 0.6;
+  setups[2].congestion_gamma = 0.2;
+  setups[2].client_rate_cap = 30.0;
+  setups[3].recompute_quantum = 0.5;
+  return setups;
+}
+
+void appendBits(std::string& out, double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%a\n", value);
+  out += buf;
+}
+
+// Virtual time during which some stream of a channel holds two or more
+// active transfers (`shared`), and during which transfers are active but no
+// stream holds two (`unshared`), summed over both channels. A transfer is
+// active on [start, end).
+struct SharingSpans {
+  double shared = 0.0;
+  double unshared = 0.0;
+};
+
+void addSharingSpans(const ScenarioResult& r, SharingSpans& spans) {
+  for (std::size_t c = 0; c < kChannels; ++c) {
+    // (time, +1 join / -1 leave, stream); leaves sort before joins.
+    std::vector<std::tuple<double, int, StreamId>> edges;
+    for (std::size_t i = 0; i < r.transfers.size(); ++i) {
+      if (static_cast<std::size_t>(r.channels[i]) != c) continue;
+      edges.emplace_back(r.transfers[i].start, 1, r.streams[i]);
+      edges.emplace_back(r.transfers[i].end, -1, r.streams[i]);
+    }
+    std::sort(edges.begin(), edges.end());
+    std::vector<int> per_stream(r.stream_bytes.size(), 0);
+    int active = 0;
+    int shared_streams = 0;
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      const auto [t, delta, stream] = edges[e];
+      const int before = per_stream[stream];
+      per_stream[stream] += delta;
+      active += delta;
+      if (before < 2 && per_stream[stream] >= 2) ++shared_streams;
+      if (before >= 2 && per_stream[stream] < 2) --shared_streams;
+      if (e + 1 == edges.size() || active == 0) continue;
+      const double span = std::get<0>(edges[e + 1]) - t;
+      (shared_streams > 0 ? spans.shared : spans.unshared) += span;
+    }
+  }
+}
+
+// hashName over the hexfloat bits of every transfer's start and end, every
+// stream's bytes, and every point of both channels' total-rate series and of
+// stream 0's rate series: seeds 1-12 under each of the four setups.
+// Recorded on the link before its flat transfer table and grouping-free
+// solve, so both sides of that change give these bits. The noise setup's
+// caps go through the C library's exp and log, whose last bits other libms
+// may round differently; the constant is checked against glibc only.
+constexpr std::uint64_t kLinkBitsDigest = 0x5b6f11d8c475c570ULL;
+
+TEST(ResolveEquivalence, LinkBitsArePinned) {
+  std::string folded;
+  SharingSpans spans;
+  for (const ScenarioParams& setup : pinnedSetups()) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      ScenarioParams p = setup;
+      p.seed = seed;
+      const ScenarioResult r = runScenario(p);
+      for (const TransferResult& t : r.transfers) {
+        appendBits(folded, t.start);
+        appendBits(folded, t.end);
+      }
+      for (const Bytes b : r.stream_bytes) {
+        appendBits(folded, static_cast<double>(b));
+      }
+      for (std::size_t c = 0; c < kChannels; ++c) {
+        for (const auto& [t, v] : r.total_rate_points[c]) {
+          appendBits(folded, t);
+          appendBits(folded, v);
+        }
+        for (const auto& [t, v] : r.stream0_rate_points[c]) {
+          appendBits(folded, t);
+          appendBits(folded, v);
+        }
+      }
+      addSharingSpans(r, spans);
+    }
+  }
+  // The corpus drives both selections of the solve: spans where a stream
+  // holds two transfers (the grouped solve) and spans where none does.
+  EXPECT_GT(spans.shared, 0.0);
+  EXPECT_GT(spans.unshared, 0.0);
+#if defined(__GLIBC__)
+  EXPECT_EQ(hashName(folded), kLinkBitsDigest)
+      << std::hex << "0x" << hashName(folded);
+#endif
 }
 
 // ---------------------------------------------------------------------------

@@ -155,10 +155,26 @@ TEST(ScenarioParseError, NoWorlds) {
 TEST(ScenarioParseError, RanksOutOfRange) {
   expectParseError("scenario \"t\"\nworld main { ranks = 0 }\n"
                    "program main { barrier }",
-                   2, "world main", "ranks must lie in [1, 4096]");
-  expectParseError("scenario \"t\"\nworld main { ranks = 5000 }\n"
+                   2, "world main", "ranks must lie in [1, 16384]");
+  expectParseError("scenario \"t\"\nworld main { ranks = 16385 }\n"
                    "program main { barrier }",
-                   2, "world main", "ranks must lie in [1, 4096]");
+                   2, "world main", "ranks must lie in [1, 16384]");
+}
+
+// A document at the rank cap runs to completion: 16,384 ranks synchronize,
+// compute, write 4 KiB each through the shared link, and synchronize again.
+TEST(ScenarioParse, LargestRankCountRunsToCompletion) {
+  const RunStats stats = runToCompletion(
+      "scenario \"t\"\nworld main { ranks = 16384 }\n"
+      "program main {\n"
+      "  barrier\n"
+      "  compute 0.5\n"
+      "  write file \"/pfs/r.{rank}\" at 0 bytes 4KiB\n"
+      "  barrier\n"
+      "}\n");
+  EXPECT_EQ(stats.io_submitted, 16384u);
+  EXPECT_EQ(stats.write_bytes_requested, 16384u * 4096u);
+  EXPECT_EQ(stats.collectives, 2u * 16384u);
 }
 
 TEST(ScenarioParseError, NonFiniteLinkNumbers) {

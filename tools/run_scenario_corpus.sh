@@ -6,6 +6,14 @@
 # bounded by RUN_TIMEOUT_S of wall time, so a hung document fails the sweep
 # by name instead of stalling it.
 #
+# Each valid document runs with --digest, and its run.digest must equal the
+# document's line in scenarios/digests.txt ('<file> <digest>'); a mismatch,
+# or a document with no line, fails the sweep by name. The digests are exact
+# bits, including the lognormal link noise of noisy_link.scn, which goes
+# through the C library's exp and log. They were recorded with GCC and
+# glibc, where Release and Sanitize builds agree, so CI runs this script
+# only in the GCC/glibc release-tests and sanitize legs.
+#
 # Usage: tools/run_scenario_corpus.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,9 +29,11 @@ fi
 # document's time in the Sanitize build, so only a hang reaches it.
 RUN_TIMEOUT_S=20
 
-run_bounded() { # run_bounded <scn> -> iobts_run's exit status (124: timed out)
+DIGESTS=scenarios/digests.txt
+
+run_bounded() { # run_bounded <scn> [flags] -> iobts_run's exit status (124: timed out)
   set +e
-  timeout "$RUN_TIMEOUT_S" "$RUNNER" --scenario "$1" >/dev/null 2>/tmp/scn_err.$$
+  timeout "$RUN_TIMEOUT_S" "$RUNNER" --scenario "$@" >/tmp/scn_out.$$ 2>/tmp/scn_err.$$
   status=$?
   set -e
 }
@@ -32,9 +42,19 @@ FAILED=0
 
 echo "== scenario corpus: valid documents =="
 for scn in scenarios/*.scn; do
-  run_bounded "$scn"
+  run_bounded "$scn" --digest
   if [[ $status -eq 0 ]]; then
-    echo "ok   $scn"
+    want="$(awk -v f="$(basename "$scn")" '$1 == f { print $2 }' "$DIGESTS")"
+    got="$(sed -n 's/^run\.digest=//p' /tmp/scn_out.$$)"
+    if [[ -z "$want" ]]; then
+      echo "FAIL $scn (no line in $DIGESTS)" >&2
+      FAILED=1
+    elif [[ "$got" != "$want" ]]; then
+      echo "FAIL $scn (run.digest $got, $DIGESTS pins $want)" >&2
+      FAILED=1
+    else
+      echo "ok   $scn ($got)"
+    fi
   elif [[ $status -eq 124 ]]; then
     echo "FAIL $scn (timed out after ${RUN_TIMEOUT_S} s)" >&2
     FAILED=1
@@ -65,7 +85,7 @@ for scn in scenarios/invalid/*.scn; do
     echo "ok   $scn (rejected: $(head -1 /tmp/scn_err.$$))"
   fi
 done
-rm -f /tmp/scn_err.$$
+rm -f /tmp/scn_out.$$ /tmp/scn_err.$$
 
 if [[ "$FAILED" == 1 ]]; then
   echo "== scenario corpus: FAILED ==" >&2

@@ -113,9 +113,10 @@ echo "== sanitize: run sim_test + pfs_test + mpisim_test + throttle_test + fault
 ulimit -s unlimited 2>/dev/null || true
 ./build-sanitize/tests/sim_test
 ./build-sanitize/tests/pfs_test
-# The request path recycles coroutine frames, link transfers and request
-# state through the per-thread FrameCache; the mpisim and throttle suites
-# drive that reuse (poisoned while cached) end to end.
+# The request path recycles coroutine frames (the link's transfer records
+# live in the transfer frames) and request state through the per-thread
+# FrameCache; the mpisim and throttle suites drive that reuse (poisoned
+# while cached) end to end.
 ./build-sanitize/tests/mpisim_test
 ./build-sanitize/tests/throttle_test
 # The fault suite crosses every layer (fault plan -> link -> engine -> world
