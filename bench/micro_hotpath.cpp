@@ -183,60 +183,6 @@ void BM_BinaryWriterDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_BinaryWriterDrain)->Arg(100000);
 
-// Flow-emitting churn under journey sampling: each dispatch opens and
-// closes a journey flow the way the ADIO engine does, gated through
-// obs::sampledJourney(). Arg(1) = record every journey (the former
-// fixed cost); larger strides drop (stride-1)/stride of the flow traffic
-// at the price of one modulo per dispatch -- the knob
-// IOBTS_TRACE_JOURNEY_SAMPLE exposes to fleet runs.
-void flowChurn(int total) {
-  sim::Simulation sim;
-  std::uint64_t fired = 0;
-  struct FlowReposter {
-    sim::Simulation* sim;
-    std::uint64_t* fired;
-    int remaining;
-    std::uint64_t id;
-    void operator()() {
-      ++*fired;
-      if (obs::TraceSink* const sink = obs::traceSink()) {
-        const std::uint64_t journey = obs::sampledJourney(id);
-        if (journey != 0) {
-          sink->flowStart("journey", "io", obs::track::kAdio, 0,
-                          sim->now(), journey);
-          sink->flowEnd("journey", "io", obs::track::kAdio, 0, sim->now(),
-                        journey);
-        }
-      }
-      if (remaining > 0) {
-        FlowReposter next = *this;
-        --next.remaining;
-        next.id += 64;  // one slot per window lane, like rank-striped ids
-        sim->post(1.0, next);
-      }
-    }
-  };
-  constexpr int kWindow = 64;
-  for (int w = 0; w < kWindow; ++w) {
-    sim.post(1.0, FlowReposter{&sim, &fired, total / kWindow,
-                               static_cast<std::uint64_t>(w + 1)});
-  }
-  sim.run();
-  benchmark::DoNotOptimize(fired);
-}
-
-void BM_DispatchTracingSampled(benchmark::State& state) {
-  const int n = 100000;
-  const auto stride = static_cast<std::uint64_t>(state.range(0));
-  obs::TraceSink sink;
-  obs::ScopedTraceSink install(sink);
-  obs::setJourneySampleStride(stride);
-  for (auto _ : state) flowChurn(n);
-  obs::setJourneySampleStride(0);
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_DispatchTracingSampled)->Arg(1)->Arg(8)->Arg(64);
-
 // --- SharedLink resolve ----------------------------------------------------
 
 sim::Task<void> oneTransfer(pfs::SharedLink& link, pfs::StreamId stream,

@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "ckpt/snapshot.hpp"
@@ -11,81 +10,59 @@
 #include "pfs/shared_link.hpp"
 #include "scenario/instance.hpp"
 #include "tmio/tracer.hpp"
+#include "util/hash.hpp"
 
 namespace iobts::ckpt {
+
+std::string hexfloat(double value) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%a", value);
+  return buf;
+}
+
+void SectionBuilder::line(std::string_view key, std::string_view value) {
+  text_ += key;
+  text_ += '=';
+  text_ += value;
+  text_ += '\n';
+}
+
+void SectionBuilder::kv(std::string_view key, std::uint64_t value) {
+  line(key, std::to_string(value));
+}
+
+void SectionBuilder::kv(std::string_view key, int value) {
+  line(key, std::to_string(value));
+}
+
+void SectionBuilder::kv(std::string_view key, bool value) {
+  line(key, value ? "1" : "0");
+}
+
+void SectionBuilder::kv(std::string_view key, double value) {
+  line(key, hexfloat(value));
+}
+
+void SectionBuilder::hex(std::string_view key, std::uint64_t value) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, value);
+  line(key, buf);
+}
+
+Section metricsSection(scenario::Instance& instance, std::string name) {
+  obs::MetricsRegistry registry;
+  instance.sim().exportMetrics(registry);
+  instance.link().exportMetrics(registry);
+  for (std::size_t w = 0; w < instance.worldCount(); ++w) {
+    instance.world(w).exportMetrics(registry);
+  }
+  return {std::move(name), registry.dumpText()};
+}
+
 namespace {
-
-/// Canonical key=value emitter: hexfloat doubles, zero-padded hex digests.
-class SectionBuilder {
- public:
-  void kv(const char* key, std::uint64_t value) {
-    text_ += key;
-    text_ += '=';
-    text_ += std::to_string(value);
-    text_ += '\n';
-  }
-  void kv(const char* key, int value) {
-    text_ += key;
-    text_ += '=';
-    text_ += std::to_string(value);
-    text_ += '\n';
-  }
-  void kv(const char* key, bool value) {
-    text_ += key;
-    text_ += value ? "=1\n" : "=0\n";
-  }
-  void kv(const char* key, double value) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%a", value);
-    text_ += key;
-    text_ += '=';
-    text_ += buf;
-    text_ += '\n';
-  }
-  void hex(const char* key, std::uint64_t value) {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, value);
-    text_ += key;
-    text_ += '=';
-    text_ += buf;
-    text_ += '\n';
-  }
-  void raw(const std::string& blob) { text_ += blob; }
-
-  std::string take() { return std::move(text_); }
-
- private:
-  std::string text_;
-};
-
-/// FNV-1a accumulator over raw 64-bit words (for large per-rank /
-/// per-stream vectors where listing every element would bloat the file).
-class WordDigest {
- public:
-  void mix(std::uint64_t bits) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (bits >> (8 * i)) & 0xffULL;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void mix(double value) noexcept {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    mix(bits);
-  }
-  std::uint64_t value() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
 
 /// Section name for one captured subsystem ("state.<leaf>").
 std::string stateName(const std::string& leaf) { return kStatePrefix + leaf; }
-
-constexpr pfs::Channel kChannelList[] = {pfs::Channel::Read,
-                                         pfs::Channel::Write};
-constexpr const char* kChannelName[] = {"read", "write"};
 
 Section captureSim(scenario::Instance& instance, const CaptureOptions& opt) {
   sim::Simulation& sim = instance.sim();
@@ -104,26 +81,25 @@ Section captureSim(scenario::Instance& instance, const CaptureOptions& opt) {
 Section captureLink(scenario::Instance& instance, const CaptureOptions& opt) {
   pfs::SharedLink& link = instance.link();
   SectionBuilder b;
-  for (int c = 0; c < 2; ++c) {
-    const pfs::Channel channel = kChannelList[c];
-    const std::string p = kChannelName[c];
-    const auto key = [&p](const char* suffix) { return p + "." + suffix; };
-    b.kv(key("bytes_moved").c_str(), link.bytesMoved(channel));
-    b.kv(key("active_transfers").c_str(), link.activeTransfers(channel));
-    b.kv(key("effective_capacity").c_str(), link.effectiveCapacity(channel));
-    b.kv(key("contended").c_str(), link.contended(channel));
+  for (std::size_t c = 0; c < pfs::kChannels; ++c) {
+    const auto channel = static_cast<pfs::Channel>(c);
+    const std::string p = pfs::channelName(channel);
+    b.kv(p + ".bytes_moved", link.bytesMoved(channel));
+    b.kv(p + ".active_transfers", link.activeTransfers(channel));
+    b.kv(p + ".effective_capacity", link.effectiveCapacity(channel));
+    b.kv(p + ".contended", link.contended(channel));
     if (opt.include_clock) {
       // The lazy-settle bound is clock-like: a checkpointing driver's final
       // empty runUntil() window cannot change it, but mid-run it is part of
       // the exact state a replay must land on.
-      b.kv(key("next_interesting").c_str(), link.nextInterestingTime(channel));
+      b.kv(p + ".next_interesting", link.nextInterestingTime(channel));
     }
     const pfs::SharedLink::ResolveStats rs = link.resolveStats(channel);
-    b.kv(key("resolves_executed").c_str(), rs.executed);
-    b.kv(key("resolves_lazy_skipped").c_str(), rs.lazy_skipped);
-    b.kv(key("full_solves").c_str(), rs.full_solves);
-    b.kv(key("faulted_transfers").c_str(), rs.faulted_transfers);
-    b.kv(key("capacity_edges").c_str(), rs.capacity_edges);
+    b.kv(p + ".resolves_executed", rs.executed);
+    b.kv(p + ".resolves_lazy_skipped", rs.lazy_skipped);
+    b.kv(p + ".full_solves", rs.full_solves);
+    b.kv(p + ".faulted_transfers", rs.faulted_transfers);
+    b.kv(p + ".capacity_edges", rs.capacity_edges);
   }
   const std::size_t streams = link.streamCount();
   b.kv("streams", streams);
@@ -197,18 +173,6 @@ Section captureTracer(scenario::Instance& instance, std::size_t index) {
   return {stateName("tracer." + std::to_string(index)), b.take()};
 }
 
-Section captureMetrics(scenario::Instance& instance) {
-  obs::MetricsRegistry registry;
-  instance.sim().exportMetrics(registry);
-  instance.link().exportMetrics(registry);
-  for (std::size_t w = 0; w < instance.worldCount(); ++w) {
-    instance.world(w).exportMetrics(registry);
-  }
-  SectionBuilder b;
-  b.raw(registry.dumpText());
-  return {stateName("metrics"), b.take()};
-}
-
 }  // namespace
 
 std::vector<Section> captureInstanceState(scenario::Instance& instance,
@@ -222,7 +186,7 @@ std::vector<Section> captureInstanceState(scenario::Instance& instance,
     sections.push_back(captureWorld(instance, w));
     sections.push_back(captureTracer(instance, w));
   }
-  sections.push_back(captureMetrics(instance));
+  sections.push_back(metricsSection(instance, stateName("metrics")));
   return sections;
 }
 
@@ -238,7 +202,7 @@ std::string joinSections(const std::vector<Section>& sections) {
 std::uint64_t runDigest(scenario::Instance& instance) {
   CaptureOptions options;
   options.include_clock = false;
-  return fnv1a(joinSections(captureInstanceState(instance, options)));
+  return hashName(joinSections(captureInstanceState(instance, options)));
 }
 
 void requireSectionsEqual(const std::vector<Section>& expected,

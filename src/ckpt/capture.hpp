@@ -13,6 +13,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ckpt/format.hpp"
@@ -22,6 +24,33 @@ class Instance;
 }  // namespace iobts::scenario
 
 namespace iobts::ckpt {
+
+/// A double as a C hexfloat (`%a`), which round-trips exactly.
+std::string hexfloat(double value);
+
+/// Canonical `key=value` line emitter shared by state captures and run
+/// summaries (obs::summarizeInstance): integers in decimal, doubles as
+/// hexfloats, digests as zero-padded hex.
+class SectionBuilder {
+ public:
+  void kv(std::string_view key, std::uint64_t value);
+  void kv(std::string_view key, int value);
+  void kv(std::string_view key, bool value);
+  void kv(std::string_view key, double value);
+  void hex(std::string_view key, std::uint64_t value);
+  void raw(std::string_view text) { text_ += text; }
+
+  std::string take() { return std::move(text_); }
+
+ private:
+  void line(std::string_view key, std::string_view value);
+
+  std::string text_;
+};
+
+/// The full metrics export (sim + link + worlds; trace sinks excluded, so
+/// the text is the same whether or not the run traced) as section `name`.
+Section metricsSection(scenario::Instance& instance, std::string name);
 
 struct CaptureOptions {
   /// Include the raw kernel clock and pending-schedule digest. On for

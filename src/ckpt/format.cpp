@@ -2,30 +2,21 @@
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <optional>
+
+#include "util/file_io.hpp"
+#include "util/hash.hpp"
+#include "util/le_bytes.hpp"
 
 namespace iobts::ckpt {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+using le::appendU32;
+using le::appendU64;
 
-void appendU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
-  }
-}
-
-void appendU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
-  }
-}
-
-/// Strict little-endian cursor over the container bytes. Every read is
-/// bounds-checked; running out of bytes is Truncated with the offset and
-/// what was being read.
+/// Strict cursor over the container bytes. Every read is bounds-checked;
+/// running out of bytes is Truncated with the offset and what was being
+/// read.
 class Reader {
  public:
   Reader(const std::string& bytes, const std::string& origin)
@@ -48,23 +39,10 @@ class Reader {
   }
 
   std::uint32_t u32(const char* what) {
-    const std::string_view v = take(4, what);
-    std::uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<std::uint32_t>(static_cast<unsigned char>(v[i]))
-             << (8 * i);
-    }
-    return out;
+    return le::readU32(take(4, what).data());
   }
-
   std::uint64_t u64(const char* what) {
-    const std::string_view v = take(8, what);
-    std::uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<std::uint64_t>(static_cast<unsigned char>(v[i]))
-             << (8 * i);
-    }
-    return out;
+    return le::readU64(take(8, what).data());
   }
 
  private:
@@ -73,30 +51,16 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-}  // namespace
-
-std::uint64_t fnv1a(const std::string& bytes) noexcept {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
+/// FNV-1a of the first `n` bytes: section payloads and the file trailer.
+std::uint64_t checksumOf(const std::string& bytes, std::size_t n) noexcept {
+  return hashName(std::string_view(bytes.data(), n));
 }
-
-namespace {
 
 /// True when the last 8 bytes are the FNV-1a checksum of all before them.
 bool trailerHolds(const std::string& bytes) {
   if (bytes.size() < 8) return false;
   const std::size_t body = bytes.size() - 8;
-  std::uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored |= static_cast<std::uint64_t>(
-                  static_cast<unsigned char>(bytes[body + i]))
-              << (8 * i);
-  }
-  return stored == fnv1a(bytes.substr(0, body));
+  return le::readU64(bytes.data() + body) == checksumOf(bytes, body);
 }
 
 }  // namespace
@@ -144,9 +108,9 @@ std::string encodeCheckpoint(const CheckpointFile& file) {
     out.append(s.name);
     appendU64(out, s.payload.size());
     out.append(s.payload);
-    appendU64(out, fnv1a(s.payload));
+    appendU64(out, hashName(s.payload));
   }
-  appendU64(out, fnv1a(out));
+  appendU64(out, hashName(out));
   return out;
 }
 
@@ -204,7 +168,7 @@ CheckpointFile decodeCheckpoint(const std::string& bytes,
     section.payload =
         std::string(reader.take(payload_len, "section payload"));
     const std::uint64_t want = reader.u64("section checksum");
-    const std::uint64_t got = fnv1a(section.payload);
+    const std::uint64_t got = hashName(section.payload);
     if (got != want) {
       char buf[128];
       std::snprintf(buf, sizeof(buf),
@@ -219,7 +183,7 @@ CheckpointFile decodeCheckpoint(const std::string& bytes,
   }
   const std::size_t body_end = reader.offset();
   const std::uint64_t want = reader.u64("file checksum");
-  const std::uint64_t got = fnv1a(bytes.substr(0, body_end));
+  const std::uint64_t got = checksumOf(bytes, body_end);
   if (got != want) {
     char buf[112];
     std::snprintf(buf, sizeof(buf),
@@ -237,41 +201,22 @@ CheckpointFile decodeCheckpoint(const std::string& bytes,
   return file;
 }
 
-void writeCheckpointFile(const std::string& path,
-                         const CheckpointFile& file) {
+std::size_t writeCheckpointFile(const std::string& path,
+                                const CheckpointFile& file) {
   const std::string bytes = encodeCheckpoint(file);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw CheckpointError(ErrorKind::Io,
-                            tmp + ": cannot open checkpoint for writing");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      throw CheckpointError(ErrorKind::Io, tmp + ": short checkpoint write");
-    }
+  std::string error;
+  if (!publishFile(path, bytes, &error)) {
+    throw CheckpointError(ErrorKind::Io, error);
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    throw CheckpointError(ErrorKind::Io, path + ": cannot publish checkpoint: " +
-                                             ec.message());
-  }
+  return bytes.size();
 }
 
 CheckpointFile readCheckpointFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw CheckpointError(ErrorKind::Io,
-                          path + ": cannot open checkpoint for reading");
+  const std::optional<std::string> bytes = readFile(path);
+  if (!bytes) {
+    throw CheckpointError(ErrorKind::Io, path + ": cannot read checkpoint");
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw CheckpointError(ErrorKind::Io, path + ": checkpoint read failed");
-  }
-  return decodeCheckpoint(bytes, path);
+  return decodeCheckpoint(*bytes, path);
 }
 
 }  // namespace iobts::ckpt

@@ -9,11 +9,11 @@
 //   per section, in order:
 //     u32     name length, then name bytes (UTF-8, no NUL)
 //     u64     payload length, then payload bytes
-//     u64     FNV-1a checksum of the payload bytes
+//     u64     FNV-1a checksum (hashName) of the payload bytes
 //   u64       FNV-1a checksum of every preceding byte of the file
 //
-// All integers are little-endian and written byte-by-byte, so the encoding
-// is identical on every host. Section payloads are canonical `key=value`
+// All integers are little-endian (util/le_bytes.hpp), so the encoding is
+// identical on every host. Section payloads are canonical `key=value`
 // text (doubles rendered as C hexfloats, `%a`, which round-trip exactly);
 // the container does not interpret them beyond the checksums.
 //
@@ -27,6 +27,7 @@
 // kind.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -105,15 +106,13 @@ std::string encodeCheckpoint(const CheckpointFile& file);
 CheckpointFile decodeCheckpoint(const std::string& bytes,
                                 const std::string& origin);
 
-/// Write atomically: encode, write to `path + ".tmp"`, fsync-free rename
-/// over `path`. Throws CheckpointError{Io} on any filesystem failure.
-void writeCheckpointFile(const std::string& path, const CheckpointFile& file);
+/// Encode and publish atomically (publishFile: write `path + ".tmp"`, then
+/// rename it over `path`). Returns the container's size in bytes. Throws
+/// CheckpointError{Io} on any filesystem failure.
+std::size_t writeCheckpointFile(const std::string& path,
+                                const CheckpointFile& file);
 
 /// Read + decodeCheckpoint. Throws CheckpointError (Io if unreadable).
 CheckpointFile readCheckpointFile(const std::string& path);
-
-/// FNV-1a 64-bit over `bytes` (the container's checksum primitive; same
-/// constants as util::hashName so digests are comparable across the repo).
-std::uint64_t fnv1a(const std::string& bytes) noexcept;
 
 }  // namespace iobts::ckpt

@@ -3,10 +3,11 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 
 #include "obs/trace.hpp"
 #include "util/check.hpp"
+#include "util/file_io.hpp"
 #include "util/rng.hpp"
 
 namespace iobts::ckpt {
@@ -19,23 +20,11 @@ std::string checkpointFileName(std::size_t index) {
 }
 
 void publishLatest(const std::string& dir, const std::string& name) {
-  // Same atomic-rename discipline as the checkpoint itself: a crash between
-  // the two leaves `latest` pointing at the previous (complete) checkpoint.
-  const std::string tmp = dir + "/latest.tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      throw CheckpointError(ErrorKind::Io,
-                            tmp + ": cannot write latest pointer");
-    }
-    out << name << "\n";
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, dir + "/latest", ec);
-  if (ec) {
-    throw CheckpointError(ErrorKind::Io,
-                          dir + "/latest: cannot publish pointer: " +
-                              ec.message());
+  // Same atomic publish as the checkpoint itself: a crash between the two
+  // leaves `latest` pointing at the previous (complete) checkpoint.
+  std::string error;
+  if (!publishFile(dir + "/latest", name + "\n", &error)) {
+    throw CheckpointError(ErrorKind::Io, error);
   }
 }
 
@@ -88,28 +77,8 @@ std::vector<CheckpointRecord> runWithCheckpoints(
     record.watermark = target;
     const std::string name = checkpointFileName(records.size() + 1);
     record.path = policy.dir + "/" + name;
-    const std::string bytes = encodeCheckpoint(encodeSnapshot(snapshot));
-    record.file_bytes = bytes.size();
-    // Re-use writeCheckpointFile's atomic publish but avoid double-encoding.
-    {
-      const std::string tmp = record.path + ".tmp";
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        throw CheckpointError(ErrorKind::Io,
-                              tmp + ": cannot open checkpoint for writing");
-      }
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      if (!out) {
-        throw CheckpointError(ErrorKind::Io, tmp + ": short checkpoint write");
-      }
-      out.close();
-      std::filesystem::rename(tmp, record.path, ec);
-      if (ec) {
-        throw CheckpointError(ErrorKind::Io,
-                              record.path + ": cannot publish checkpoint: " +
-                                  ec.message());
-      }
-    }
+    record.file_bytes =
+        writeCheckpointFile(record.path, encodeSnapshot(snapshot));
     publishLatest(policy.dir, name);
     record.capture_wall_ms =
         std::chrono::duration<double, std::milli>(
@@ -146,6 +115,7 @@ RestoredRun::RestoredRun(Snapshot snapshot, const std::string& origin) {
                               snapshot.scenario_name + "'");
   }
   watermark_ = snapshot.watermark;
+  scenario_text_ = std::move(snapshot.scenario_text);
   sim_ = std::make_unique<sim::Simulation>();
   instance_ = std::make_unique<scenario::Instance>(*sim_, std::move(spec));
   instance_->launch();
@@ -165,10 +135,8 @@ RestoredRun restoreScenarioCheckpoint(const std::string& path) {
 }
 
 std::string latestCheckpointPath(const std::string& dir) {
-  std::ifstream in(dir + "/latest");
-  if (!in) return {};
-  std::string name;
-  std::getline(in, name);
+  const std::optional<std::string> text = readFile(dir + "/latest");
+  const std::string name = text ? text->substr(0, text->find('\n')) : "";
   if (name.empty()) return {};
   return dir + "/" + name;
 }

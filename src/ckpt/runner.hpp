@@ -74,11 +74,14 @@ class RestoredRun {
   sim::Simulation& sim() noexcept { return *sim_; }
   scenario::Instance& instance() noexcept { return *instance_; }
   sim::Time watermark() const noexcept { return watermark_; }
+  /// The embedded scenario text the run was rebuilt from.
+  const std::string& scenarioText() const noexcept { return scenario_text_; }
 
  private:
   std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<scenario::Instance> instance_;
   sim::Time watermark_ = 0.0;
+  std::string scenario_text_;
 };
 
 /// readCheckpointFile + decodeSnapshot + RestoredRun.

@@ -6,16 +6,11 @@
 #include <cstring>
 #include <map>
 
-#include "util/rng.hpp"
+#include "ckpt/capture.hpp"
+#include "util/hash.hpp"
 
 namespace iobts::ckpt {
 namespace {
-
-std::string formatTime(sim::Time t) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", t);
-  return buf;
-}
 
 std::string formatHex64(std::uint64_t v) {
   char buf[24];
@@ -90,16 +85,16 @@ sim::Time parseTime(const std::string& value, const char* key,
 }  // namespace
 
 CheckpointFile encodeSnapshot(const Snapshot& snapshot) {
-  std::string meta;
-  meta += "scenario_name=" + snapshot.scenario_name + "\n";
-  meta += "scenario_digest=" + formatHex64(snapshot.scenario_digest) + "\n";
-  meta += "watermark=" + formatTime(snapshot.watermark) + "\n";
+  SectionBuilder meta;
+  meta.raw("scenario_name=" + snapshot.scenario_name + "\n");
+  meta.hex("scenario_digest", snapshot.scenario_digest);
+  meta.kv("watermark", snapshot.watermark);
   // Every checkpoint is taken mid-run; the key stays so the bytes do not
   // change.
-  meta += "finished=0\n";
+  meta.kv("finished", false);
 
   CheckpointFile file;
-  file.sections.push_back({"meta", std::move(meta)});
+  file.sections.push_back({"meta", meta.take()});
   file.sections.push_back({"scenario", snapshot.scenario_text});
   for (const Section& s : snapshot.state) file.sections.push_back(s);
   return file;

@@ -65,12 +65,7 @@ sim::Task<void> AdioEngine::execute(Job& job) {
   RequestInfo& info = state.info;
   info.io_start = sim_.now();
 
-  // Sampled: an unsampled request gets journey 0, which suppresses its
-  // whole flow chain here and downstream (the link treats 0 as "none").
-  // Spans (adio.queue/subreq/...) are always recorded; only the flow
-  // edges are sampled.
-  const std::uint64_t journey =
-      obs::sampledJourney(journeyOf(info.rank, info.id));
+  const std::uint64_t journey = journeyOf(info.rank, info.id);
   if (obs::TraceSink* const sink = obs::traceSink()) {
     // Queue span: MPI call entry (submit) to the engine picking the job up.
     // The flow chain starts here, inside this span.
@@ -139,34 +134,15 @@ sim::Task<void> AdioEngine::execute(Job& job) {
           continue;
         }
         // Faulted attempt: the wire time was spent but no payload moved.
-        // Bank it -- and the backoff sleep below -- as Case-B deficit so
-        // the paced elapsed time stays ~max(required, actual) across the
-        // retry instead of paying the pacing sleep on top.
+        // Bank it -- and, in retryStep, the backoff sleep -- as Case-B
+        // deficit so the paced elapsed time stays ~max(required, actual)
+        // across the retry instead of paying the pacing sleep on top.
         pacer_.onSubrequestDone(0, actual);
-        const std::optional<Seconds> backoff =
-            retry.nextBackoff(sim_.now() - first_attempt);
-        if (!backoff) {
+        const bool again =
+            co_await retryStep(retry, first_attempt, journey, &pacer_);
+        if (!again) {
           failed = true;
           break;
-        }
-        ++stats_.retries;
-        if (obs::TraceSink* const sink = obs::traceSink()) {
-          sink->instant("adio", "adio.retry", obs::track::kAdio, stream_,
-                        sim_.now(), static_cast<double>(retry.retriesUsed()));
-        }
-        if (*backoff > 0.0) {
-          const sim::Time backoff_start = sim_.now();
-          co_await sim_.delay(*backoff);
-          pacer_.onSubrequestDone(0, *backoff);
-          if (obs::TraceSink* const sink = obs::traceSink()) {
-            sink->complete("adio", "adio.backoff", obs::track::kAdio, stream_,
-                           backoff_start, *backoff,
-                           static_cast<double>(retry.retriesUsed()));
-            if (journey != 0) {
-              sink->flowStep("journey", "io", obs::track::kAdio, stream_,
-                             backoff_start, journey);
-            }
-          }
         }
       }
       if (failed) break;
@@ -177,29 +153,11 @@ sim::Task<void> AdioEngine::execute(Job& job) {
       const pfs::TransferResult r =
           co_await link_.transfer(channel, stream_, info.bytes, journey);
       if (r.ok()) break;
-      const std::optional<Seconds> backoff =
-          retry.nextBackoff(sim_.now() - first_attempt);
-      if (!backoff) {
+      const bool again =
+          co_await retryStep(retry, first_attempt, journey, nullptr);
+      if (!again) {
         failed = true;
         break;
-      }
-      ++stats_.retries;
-      if (obs::TraceSink* const sink = obs::traceSink()) {
-        sink->instant("adio", "adio.retry", obs::track::kAdio, stream_,
-                      sim_.now(), static_cast<double>(retry.retriesUsed()));
-      }
-      if (*backoff > 0.0) {
-        const sim::Time backoff_start = sim_.now();
-        co_await sim_.delay(*backoff);
-        if (obs::TraceSink* const sink = obs::traceSink()) {
-          sink->complete("adio", "adio.backoff", obs::track::kAdio, stream_,
-                         backoff_start, *backoff,
-                         static_cast<double>(retry.retriesUsed()));
-          if (journey != 0) {
-            sink->flowStep("journey", "io", obs::track::kAdio, stream_,
-                           backoff_start, journey);
-          }
-        }
       }
     }
   }
@@ -233,6 +191,35 @@ sim::Task<void> AdioEngine::execute(Job& job) {
   }
   if (hooks_) hooks_->onComplete(info);
   state.done.fire();  // MPI_Grequest_complete
+}
+
+sim::Task<bool> AdioEngine::retryStep(throttle::RetryState& retry,
+                                      sim::Time first_attempt,
+                                      std::uint64_t journey,
+                                      throttle::Pacer* pacer) {
+  const std::optional<Seconds> backoff =
+      retry.nextBackoff(sim_.now() - first_attempt);
+  if (!backoff) co_return false;
+  ++stats_.retries;
+  if (obs::TraceSink* const sink = obs::traceSink()) {
+    sink->instant("adio", "adio.retry", obs::track::kAdio, stream_,
+                  sim_.now(), static_cast<double>(retry.retriesUsed()));
+  }
+  if (*backoff > 0.0) {
+    const sim::Time backoff_start = sim_.now();
+    co_await sim_.delay(*backoff);
+    if (pacer != nullptr) pacer->onSubrequestDone(0, *backoff);
+    if (obs::TraceSink* const sink = obs::traceSink()) {
+      sink->complete("adio", "adio.backoff", obs::track::kAdio, stream_,
+                     backoff_start, *backoff,
+                     static_cast<double>(retry.retriesUsed()));
+      if (journey != 0) {
+        sink->flowStep("journey", "io", obs::track::kAdio, stream_,
+                       backoff_start, journey);
+      }
+    }
+  }
+  co_return true;
 }
 
 }  // namespace iobts::mpisim

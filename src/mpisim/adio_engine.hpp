@@ -92,6 +92,12 @@ class AdioEngine {
 
  private:
   sim::Task<void> execute(Job& job);
+  /// One retry after a faulted attempt: draw the backoff, count and trace
+  /// the retry, sleep the backoff off (a paced request banks it in its
+  /// `pacer`). Yields false when the request is out of retries.
+  sim::Task<bool> retryStep(throttle::RetryState& retry,
+                            sim::Time first_attempt, std::uint64_t journey,
+                            throttle::Pacer* pacer);
 
   throttle::Pacer& pacer(pfs::Channel channel) noexcept {
     return pacers_[static_cast<int>(channel)];

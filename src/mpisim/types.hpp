@@ -52,6 +52,14 @@ inline constexpr std::uint64_t journeyOf(int rank,
   return (static_cast<std::uint64_t>(rank + 1) << 32) ^ (request_id + 1);
 }
 
+/// Rounds of a binomial-tree collective over `ranks` ranks: ceil(log2),
+/// 0 for one rank. Collective latency and TMIO's finalize cost scale by it.
+inline constexpr int treeStages(int ranks) noexcept {
+  int stages = 0;
+  for (int reach = 1; reach < ranks; reach *= 2) ++stages;
+  return stages;
+}
+
 /// Everything an interception library (TMIO) learns about one I/O request
 /// through the PMPI-style hooks.
 struct RequestInfo {

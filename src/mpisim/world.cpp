@@ -8,18 +8,6 @@
 
 namespace iobts::mpisim {
 
-namespace {
-int treeStages(int ranks) noexcept {
-  int stages = 0;
-  int reach = 1;
-  while (reach < ranks) {
-    reach *= 2;
-    ++stages;
-  }
-  return stages;
-}
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // RankCtx
 

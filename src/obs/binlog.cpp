@@ -9,17 +9,28 @@
 #endif
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <memory>
+
+#include "util/file_io.hpp"
+#include "util/hash.hpp"
+#include "util/le_bytes.hpp"
 
 namespace iobts::obs {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+using le::appendU32;
+using le::appendU64;
+using le::putF64;
+using le::putU32;
+using le::putU64;
+using le::readF64;
+using le::readU32;
+using le::readU64;
+
 // Lane seeds: lane i starts at kFnvOffset perturbed by i times the golden
 // ratio, so no two lanes ever share a state.
 constexpr std::uint64_t kFnvGolden = 0x9e3779b97f4a7c15ULL;
@@ -31,140 +42,12 @@ constexpr std::uint64_t rotl1(std::uint64_t v) noexcept {
   return (v << 1) | (v >> 63);
 }
 
-std::uint64_t fnvWordStep(std::uint64_t h, std::uint64_t word) noexcept {
-  h ^= word;
-  h *= kFnvPrime;
-  return h;
-}
-
-// On little-endian hosts the wire layout *is* the in-memory layout, and the
-// memcpy forms compile to single loads/stores -- the byte-shift fallbacks
-// keep big-endian hosts correct.
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-constexpr bool kHostLittleEndian = true;
-#else
-constexpr bool kHostLittleEndian = false;
-#endif
-
-void putU32(char* out, std::uint32_t v) noexcept {
-  if constexpr (kHostLittleEndian) {
-    std::memcpy(out, &v, sizeof(v));
-  } else {
-    for (int i = 0; i < 4; ++i) {
-      out[i] = static_cast<char>((v >> (8 * i)) & 0xffU);
-    }
-  }
-}
-
-void putU64(char* out, std::uint64_t v) noexcept {
-  if constexpr (kHostLittleEndian) {
-    std::memcpy(out, &v, sizeof(v));
-  } else {
-    for (int i = 0; i < 8; ++i) {
-      out[i] = static_cast<char>((v >> (8 * i)) & 0xffU);
-    }
-  }
-}
-
-void putF64(char* out, double v) noexcept {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  putU64(out, bits);
-}
-
-void appendU32(std::string& out, std::uint32_t v) {
-  char buf[4];
-  putU32(buf, v);
-  out.append(buf, sizeof(buf));
-}
-
-void appendU64(std::string& out, std::uint64_t v) {
-  char buf[8];
-  putU64(buf, v);
-  out.append(buf, sizeof(buf));
-}
-
-std::uint32_t readU32(const char* data) noexcept {
-  if constexpr (kHostLittleEndian) {
-    std::uint32_t out;
-    std::memcpy(&out, data, sizeof(out));
-    return out;
-  } else {
-    std::uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<std::uint32_t>(static_cast<unsigned char>(data[i]))
-             << (8 * i);
-    }
-    return out;
-  }
-}
-
-std::uint64_t readU64(const char* data) noexcept {
-  if constexpr (kHostLittleEndian) {
-    std::uint64_t out;
-    std::memcpy(&out, data, sizeof(out));
-    return out;
-  } else {
-    std::uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<std::uint64_t>(static_cast<unsigned char>(data[i]))
-             << (8 * i);
-    }
-    return out;
-  }
-}
-
-double readF64(const char* data) noexcept {
-  const std::uint64_t bits = readU64(data);
-  double out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
-
 std::uint64_t f64Bits(double v) noexcept {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
+  return std::bit_cast<std::uint64_t>(v);
 }
 
-double f64FromBits(std::uint64_t bits) noexcept {
-  double out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
-
-/// Strict little-endian cursor over the container bytes. Running out of
-/// file bytes is Truncated with the offset and what was being read.
-class FileReader {
- public:
-  FileReader(const std::string& bytes, const std::string& origin)
-      : bytes_(bytes), origin_(origin) {}
-
-  std::size_t offset() const noexcept { return pos_; }
-  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
-
-  const char* take(std::size_t n, const char* what) {
-    if (remaining() < n) {
-      throw BinlogError(
-          BinlogErrorKind::Truncated,
-          origin_ + ": truncated trace: need " + std::to_string(n) +
-              " byte(s) for " + what + " at offset " + std::to_string(pos_) +
-              ", only " + std::to_string(remaining()) + " left");
-    }
-    const char* out = bytes_.data() + pos_;
-    pos_ += n;
-    return out;
-  }
-
-  std::uint32_t u32(const char* what) { return readU32(take(4, what)); }
-  std::uint64_t u64(const char* what) { return readU64(take(8, what)); }
-
- private:
-  const std::string& bytes_;
-  const std::string& origin_;
-  std::size_t pos_ = 0;
-};
+/// The file header: the magic, then the u32 format version.
+constexpr std::size_t kHeaderBytes = sizeof(kBinlogMagic) + 4;
 
 /// Cursor over one chunk's payload. The payload length was already
 /// satisfied at file level, so running out of bytes *inside* it means the
@@ -388,20 +271,20 @@ std::uint64_t binlogChecksum(const char* data, std::size_t size) noexcept {
     lanes[lane] = rotl1(lanes[lane]) ^ readPaddedWord(data + i, size - i);
   }
   std::uint64_t h = kFnvOffset;
-  for (unsigned w = 0; w < 4; ++w) h = fnvWordStep(h, lanes[w]);
-  return fnvWordStep(h, size);
+  for (unsigned w = 0; w < 4; ++w) h = fnvStep(h, lanes[w]);
+  return fnvStep(h, size);
 }
 
 std::uint64_t binlogTrailerDigest(const char* data, std::size_t size) {
-  if (size < sizeof(kBinlogMagic) + 4) {
+  if (size < kHeaderBytes) {
     throw BinlogError(BinlogErrorKind::Truncated,
                       "<trailer digest>: body of " + std::to_string(size) +
                           " byte(s) is shorter than the file header");
   }
   std::uint64_t h = kFnvOffset;
-  h = fnvWordStep(h, readU64(data));
-  h = fnvWordStep(h, readU32(data + sizeof(kBinlogMagic)));
-  std::size_t pos = sizeof(kBinlogMagic) + 4;
+  h = fnvStep(h, readU64(data));
+  h = fnvStep(h, readU32(data + sizeof(kBinlogMagic)));
+  std::size_t pos = kHeaderBytes;
   while (pos < size) {
     if (size - pos < 12) {
       throw BinlogError(BinlogErrorKind::Truncated,
@@ -416,9 +299,9 @@ std::uint64_t binlogTrailerDigest(const char* data, std::size_t size) {
                             std::to_string(pos));
     }
     const std::uint64_t sum = readU64(data + pos + 12 + len);
-    h = fnvWordStep(h, kind);
-    h = fnvWordStep(h, len);
-    h = fnvWordStep(h, sum);
+    h = fnvStep(h, kind);
+    h = fnvStep(h, len);
+    h = fnvStep(h, sum);
     pos += 12 + len + 8;
   }
   return h;
@@ -493,7 +376,34 @@ void requireFileChecksum(const std::string& origin, std::uint64_t want,
   }
 }
 
-void requireVersion(std::uint32_t version, const std::string& origin) {
+/// Input that ends inside a unit the reader needs whole.
+[[noreturn]] void throwTruncated(const std::string& origin,
+                                 std::uint64_t offset, std::uint64_t need,
+                                 const char* what, std::uint64_t left) {
+  throw BinlogError(BinlogErrorKind::Truncated,
+                    origin + ": truncated trace: need " + std::to_string(need) +
+                        " byte(s) for " + what + " at offset " +
+                        std::to_string(offset) + ", only " +
+                        std::to_string(left) + " left");
+}
+
+/// The file header check every reader shares: the magic, then the version.
+/// `size` bytes of the file's start are at `data`; a header cut short is
+/// Truncated, naming the missing field. Returns the version word.
+std::uint32_t requireHeader(const char* data, std::size_t size,
+                            const std::string& origin) {
+  if (size < sizeof(kBinlogMagic)) {
+    throwTruncated(origin, 0, sizeof(kBinlogMagic), "file magic", size);
+  }
+  if (std::memcmp(data, kBinlogMagic, sizeof(kBinlogMagic)) != 0) {
+    throw BinlogError(BinlogErrorKind::BadMagic,
+                      origin + ": not a binary trace file (bad magic)");
+  }
+  if (size < kHeaderBytes) {
+    throwTruncated(origin, sizeof(kBinlogMagic), 4, "format version",
+                   size - sizeof(kBinlogMagic));
+  }
+  const std::uint32_t version = readU32(data + sizeof(kBinlogMagic));
   if (version != kBinlogVersion) {
     throw BinlogError(BinlogErrorKind::BadVersion,
                       origin + ": binary trace format version " +
@@ -501,6 +411,7 @@ void requireVersion(std::uint32_t version, const std::string& origin) {
                           " is not supported (this build reads version " +
                           std::to_string(kBinlogVersion) + ")");
   }
+  return version;
 }
 
 /// The chunk-sequence decoder shared by the strict whole-file reader, the
@@ -521,7 +432,6 @@ class ContainerDecoder {
       : origin_(std::move(origin)), strict_(strict) {}
 
   bool footerSeen() const noexcept { return footer_seen_; }
-  bool indexSeen() const noexcept { return index_seen_; }
   std::uint64_t indexOffset() const noexcept { return index_offset_; }
   std::uint64_t chunksConsumed() const noexcept { return chunks_; }
   std::uint64_t eventsDecoded() const noexcept { return events_.size(); }
@@ -606,19 +516,21 @@ class ContainerDecoder {
     return entry;
   }
 
-  /// The trace decoded from everything consumed so far.
-  BinaryTrace finalize() const {
+  /// The trace decoded from everything consumed so far. A decoder that is
+  /// done (an rvalue) hands its tables over instead of copying them.
+  BinaryTrace finalize() const& { return ContainerDecoder(*this).finalize(); }
+  BinaryTrace finalize() && {
     BinaryTrace t;
-    t.strings = strings_;
-    t.events = events_;
-    t.process_names = process_names_;
-    t.thread_names = thread_names_;
-    t.totals = totals_;
-    t.index = declared_index_;
     t.stats.chunks_total = chunks_;
     t.stats.events_chunks_decoded = events_chunks_;
     t.stats.events_decoded = events_.size();
-    t.stats.events_in_window = t.events.size();
+    t.stats.events_in_window = events_.size();
+    t.strings = std::move(strings_);
+    t.events = std::move(events_);
+    t.process_names = std::move(process_names_);
+    t.thread_names = std::move(thread_names_);
+    t.totals = totals_;
+    t.index = std::move(declared_index_);
     return t;
   }
 
@@ -702,9 +614,9 @@ class ContainerDecoder {
         d.value_bits += unzigzag(p.varint("value delta"));
       }
       e.flow = (flags & kFlagFlow) != 0 ? p.varint("flow id") : 0;
-      e.ts = f64FromBits(d.ts_bits);
-      e.dur = f64FromBits(d.dur_bits);
-      e.value = f64FromBits(d.value_bits);
+      e.ts = std::bit_cast<double>(d.ts_bits);
+      e.dur = std::bit_cast<double>(d.dur_bits);
+      e.value = std::bit_cast<double>(d.value_bits);
       e.wall_ns = d.wall;
       const auto table = static_cast<std::uint32_t>(strings_.size());
       if (e.category >= table || e.name >= table) {
@@ -871,61 +783,130 @@ class ContainerDecoder {
   bool footer_seen_ = false;
 };
 
+/// The one sequential chunk walk: the header, then each chunk --
+/// bounds-checked, checksum-verified, folded into the trailer digest and
+/// decoded -- then, after the footer, the trailer digest and nothing else.
+/// walk() consumes every complete unit of the bytes it is given, in place.
+/// The tail reader calls it as bytes arrive and keeps the incomplete rest
+/// for the next call; the strict reader calls it once over the whole input
+/// `at_end`, where input that stops inside a unit is Truncated (or, at a
+/// chunk boundary before the footer, MissingFooter).
+class ChunkWalk {
+ public:
+  explicit ChunkWalk(const std::string& origin)
+      : origin_(origin), decoder_(origin, /*strict=*/true) {}
+
+  bool headerSeen() const noexcept { return header_seen_; }
+  bool finished() const noexcept { return trailer_done_; }
+  const ContainerDecoder& decoder() const noexcept { return decoder_; }
+  BinaryTrace take() && { return std::move(decoder_).finalize(); }
+
+  /// Consume the complete units of data[0, size), which continue the file
+  /// at the first byte not yet consumed; returns the bytes consumed.
+  std::size_t walk(const char* data, std::size_t size, bool at_end) {
+    std::size_t pos = 0;
+    while (!trailer_done_) {
+      const char* unit = data + pos;
+      const std::size_t avail = size - pos;
+      const std::uint64_t offset = offset_ + pos;
+      if (!header_seen_) {
+        if (avail < kHeaderBytes && !at_end) break;
+        const std::uint32_t version = requireHeader(unit, avail, origin_);
+        trailer_ = fnvStep(fnvStep(kFnvOffset, readU64(unit)), version);
+        header_seen_ = true;
+        pos += kHeaderBytes;
+      } else if (decoder_.footerSeen()) {
+        if (avail < 8) {
+          if (!at_end) break;
+          throwTruncated(origin_, offset, 8, "file checksum", avail);
+        }
+        requireFileChecksum(origin_, readU64(unit), trailer_);
+        trailer_done_ = true;
+        pos += 8;
+      } else {
+        const std::size_t used = chunk(unit, avail, offset, at_end);
+        if (used == 0) break;
+        pos += used;
+      }
+    }
+    if (trailer_done_ && pos < size) {
+      throw BinlogError(BinlogErrorKind::Malformed,
+                        origin_ + ": " + std::to_string(size - pos) +
+                            " trailing byte(s) after the file checksum");
+    }
+    offset_ += pos;
+    return pos;
+  }
+
+ private:
+  /// Consume the chunk at `unit` (`avail` input bytes from there on);
+  /// returns its size, or 0 when the input stops inside it.
+  std::size_t chunk(const char* unit, std::size_t avail, std::uint64_t offset,
+                    bool at_end) {
+    if (avail < 12) {
+      if (!at_end) return 0;
+      if (avail == 0) {
+        throw BinlogError(BinlogErrorKind::MissingFooter,
+                          origin_ + ": file ends after " +
+                              std::to_string(offset) +
+                              " byte(s) without a footer chunk");
+      }
+      if (avail < 4) throwTruncated(origin_, offset, 4, "chunk kind", avail);
+      throwTruncated(origin_, offset + 4, 8, "chunk payload length",
+                     avail - 4);
+    }
+    const std::uint32_t kind = readU32(unit);
+    const std::uint64_t len = readU64(unit + 4);
+    const std::size_t body = avail - 12;  // input past the chunk header
+    if (len > body || body - len < 8) {
+      if (at_end) {
+        if (len > body) {
+          throwTruncated(origin_, offset + 12, len, "chunk payload", body);
+        }
+        throwTruncated(origin_, offset + 12 + len, 8, "chunk checksum",
+                       body - len);
+      }
+      // A growing file is still short of this chunk -- unless no file
+      // could ever hold it.
+      if (len > (std::uint64_t{1} << 62)) {
+        throw BinlogError(BinlogErrorKind::Malformed,
+                          origin_ + ": chunk declares an absurd length " +
+                              std::to_string(len));
+      }
+      return 0;
+    }
+    const char* payload = unit + 12;
+    const std::uint64_t want = readU64(payload + len);
+    requireChunkChecksum(origin_, kind, payload, len, want);
+    trailer_ = fnvStep(fnvStep(fnvStep(trailer_, kind), len), want);
+    decoder_.consumeChunk(kind, payload, len, offset);
+    return 12 + static_cast<std::size_t>(len) + 8;
+  }
+
+  std::string origin_;
+  ContainerDecoder decoder_;
+  std::uint64_t offset_ = 0;  // file offset of the next unconsumed byte
+  std::uint64_t trailer_ = 0;
+  bool header_seen_ = false;
+  bool trailer_done_ = false;
+};
+
 }  // namespace
 
 BinaryTrace decodeBinaryTrace(const std::string& bytes,
                               const std::string& origin) {
-  FileReader reader(bytes, origin);
-  const char* magic = reader.take(sizeof(kBinlogMagic), "file magic");
-  if (std::memcmp(magic, kBinlogMagic, sizeof(kBinlogMagic)) != 0) {
-    throw BinlogError(BinlogErrorKind::BadMagic,
-                      origin + ": not a binary trace file (bad magic)");
-  }
-  const std::uint32_t version = reader.u32("format version");
-  requireVersion(version, origin);
-  ContainerDecoder decoder(origin, /*strict=*/true);
-  std::uint64_t trailer = kFnvOffset;
-  trailer = fnvWordStep(trailer, readU64(bytes.data()));
-  trailer = fnvWordStep(trailer, version);
-  while (!decoder.footerSeen()) {
-    if (reader.remaining() == 0) {
-      throw BinlogError(BinlogErrorKind::MissingFooter,
-                        origin + ": file ends after " +
-                            std::to_string(reader.offset()) +
-                            " byte(s) without a footer chunk");
-    }
-    const std::uint64_t chunk_offset = reader.offset();
-    const std::uint32_t kind = reader.u32("chunk kind");
-    const std::uint64_t payload_len = reader.u64("chunk payload length");
-    const char* payload = reader.take(payload_len, "chunk payload");
-    const std::uint64_t want = reader.u64("chunk checksum");
-    requireChunkChecksum(origin, kind, payload, payload_len, want);
-    trailer = fnvWordStep(trailer, kind);
-    trailer = fnvWordStep(trailer, payload_len);
-    trailer = fnvWordStep(trailer, want);
-    decoder.consumeChunk(kind, payload, payload_len, chunk_offset);
-  }
-  requireFileChecksum(origin, reader.u64("file checksum"), trailer);
-  if (reader.remaining() != 0) {
-    throw BinlogError(BinlogErrorKind::Malformed,
-                      origin + ": " + std::to_string(reader.remaining()) +
-                          " trailing byte(s) after the file checksum");
-  }
-  return decoder.finalize();
+  ChunkWalk walk(origin);
+  walk.walk(bytes.data(), bytes.size(), /*at_end=*/true);
+  return std::move(walk).take();
 }
 
 BinaryTrace readBinaryTrace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> bytes = readFile(path);
+  if (!bytes) {
     throw BinlogError(BinlogErrorKind::Io,
-                      path + ": cannot open binary trace for reading");
+                      path + ": cannot read binary trace");
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw BinlogError(BinlogErrorKind::Io, path + ": binary trace read failed");
-  }
-  return decodeBinaryTrace(bytes, path);
+  return decodeBinaryTrace(*bytes, path);
 }
 
 // --- Windowed (index-seeking) reading ---------------------------------------
@@ -998,20 +979,11 @@ void applyWindowFilter(BinaryTrace& trace, const TraceWindow& window) {
 BinaryTrace windowedDecode(ByteSource& src, const std::string& origin,
                            const TraceWindow& window) {
   const std::uint64_t fsize = src.size();
-  if (fsize < sizeof(kBinlogMagic) + 4) {
-    throw BinlogError(BinlogErrorKind::Truncated,
-                      origin + ": truncated trace: need " +
-                          std::to_string(sizeof(kBinlogMagic) + 4) +
-                          " byte(s) for the file header, only " +
-                          std::to_string(fsize) + " in the file");
-  }
-  char header[sizeof(kBinlogMagic) + 4];
-  src.read(0, header, sizeof(header));
-  if (std::memcmp(header, kBinlogMagic, sizeof(kBinlogMagic)) != 0) {
-    throw BinlogError(BinlogErrorKind::BadMagic,
-                      origin + ": not a binary trace file (bad magic)");
-  }
-  requireVersion(readU32(header + sizeof(kBinlogMagic)), origin);
+  char header[kHeaderBytes];
+  const auto have = static_cast<std::size_t>(
+      std::min<std::uint64_t>(fsize, sizeof(header)));
+  src.read(0, header, have);
+  requireHeader(header, have, origin);
   if (fsize < sizeof(header) + kBinlogTailBytes) {
     throw BinlogError(BinlogErrorKind::Truncated,
                       origin + ": truncated trace: need " +
@@ -1215,13 +1187,13 @@ struct BinlogContainer {
   bool good() const { return !file_mode || file_ok; }
 
   void writeHeader() {
-    char header[sizeof(kBinlogMagic) + 4];
+    char header[kHeaderBytes];
     std::memcpy(header, kBinlogMagic, sizeof(kBinlogMagic));
     putU32(header + sizeof(kBinlogMagic), kBinlogVersion);
     emitRaw(header, sizeof(header));
     trailer_fnv = kFnvOffset;
-    trailer_fnv = fnvWordStep(trailer_fnv, readU64(header));
-    trailer_fnv = fnvWordStep(trailer_fnv, kBinlogVersion);
+    trailer_fnv = fnvStep(trailer_fnv, readU64(header));
+    trailer_fnv = fnvStep(trailer_fnv, kBinlogVersion);
   }
 
   void emitRaw(const char* data, std::size_t size) {
@@ -1246,9 +1218,9 @@ struct BinlogContainer {
     char sum[8];
     putU64(sum, checksum);
     emitRaw(sum, sizeof(sum));
-    trailer_fnv = fnvWordStep(trailer_fnv, kind);
-    trailer_fnv = fnvWordStep(trailer_fnv, size);
-    trailer_fnv = fnvWordStep(trailer_fnv, checksum);
+    trailer_fnv = fnvStep(trailer_fnv, kind);
+    trailer_fnv = fnvStep(trailer_fnv, size);
+    trailer_fnv = fnvStep(trailer_fnv, checksum);
     return offset;
   }
 
@@ -1574,78 +1546,19 @@ std::uint64_t BinaryTraceWriter::bytesWritten() const {
 // --- Live tailing -----------------------------------------------------------
 
 struct BinlogTailReader::Impl {
-  std::string origin;
-  std::string buffer;
-  std::uint64_t base_offset = 0;  // absolute file offset of buffer[0]
-  bool header_seen = false;
-  bool footer_seen = false;
-  bool trailer_done = false;
-  std::uint64_t trailer_fnv = kFnvOffset;
-  std::uint64_t chunks = 0;
-  ContainerDecoder decoder;
+  ChunkWalk walk;
+  std::string buffer;  // the incomplete unit the last feed ended inside
 
-  explicit Impl(std::string o)
-      : origin(std::move(o)), decoder(origin, /*strict=*/true) {}
+  explicit Impl(const std::string& origin) : walk(origin) {}
 
   void feed(const char* data, std::size_t size) {
-    buffer.append(data, size);
-    std::size_t pos = 0;
-    for (;;) {
-      const std::size_t avail = buffer.size() - pos;
-      if (!header_seen) {
-        if (avail < sizeof(kBinlogMagic) + 4) break;
-        const char* h = buffer.data() + pos;
-        if (std::memcmp(h, kBinlogMagic, sizeof(kBinlogMagic)) != 0) {
-          throw BinlogError(BinlogErrorKind::BadMagic,
-                            origin + ": not a binary trace file (bad magic)");
-        }
-        const std::uint32_t version = readU32(h + sizeof(kBinlogMagic));
-        requireVersion(version, origin);
-        trailer_fnv = fnvWordStep(trailer_fnv, readU64(h));
-        trailer_fnv = fnvWordStep(trailer_fnv, version);
-        header_seen = true;
-        pos += sizeof(kBinlogMagic) + 4;
-        continue;
-      }
-      if (trailer_done) {
-        if (avail > 0) {
-          throw BinlogError(BinlogErrorKind::Malformed,
-                            origin + ": " + std::to_string(avail) +
-                                " trailing byte(s) after the file checksum");
-        }
-        break;
-      }
-      if (footer_seen) {
-        if (avail < 8) break;
-        requireFileChecksum(origin, readU64(buffer.data() + pos),
-                            trailer_fnv);
-        pos += 8;
-        trailer_done = true;
-        continue;
-      }
-      if (avail < 12) break;
-      const char* ch = buffer.data() + pos;
-      const std::uint32_t kind = readU32(ch);
-      const std::uint64_t len = readU64(ch + 4);
-      if (len > (std::uint64_t{1} << 62)) {
-        throw BinlogError(BinlogErrorKind::Malformed,
-                          origin + ": chunk declares an absurd length " +
-                              std::to_string(len));
-      }
-      if (avail < 12 + len + 8) break;  // partial chunk: wait for more bytes
-      const char* payload = ch + 12;
-      const std::uint64_t want = readU64(payload + len);
-      requireChunkChecksum(origin, kind, payload, len, want);
-      trailer_fnv = fnvWordStep(trailer_fnv, kind);
-      trailer_fnv = fnvWordStep(trailer_fnv, len);
-      trailer_fnv = fnvWordStep(trailer_fnv, want);
-      decoder.consumeChunk(kind, payload, len, base_offset + pos);
-      ++chunks;
-      if (kind == binchunk::kFooter) footer_seen = true;
-      pos += 12 + len + 8;
+    if (buffer.empty()) {
+      const std::size_t used = walk.walk(data, size, /*at_end=*/false);
+      buffer.assign(data + used, size - used);
+      return;
     }
-    base_offset += pos;
-    buffer.erase(0, pos);
+    buffer.append(data, size);
+    buffer.erase(0, walk.walk(buffer.data(), buffer.size(), /*at_end=*/false));
   }
 };
 
@@ -1659,19 +1572,19 @@ void BinlogTailReader::feed(const char* data, std::size_t size) {
 }
 
 bool BinlogTailReader::headerSeen() const noexcept {
-  return impl_->header_seen;
+  return impl_->walk.headerSeen();
 }
 
 bool BinlogTailReader::finished() const noexcept {
-  return impl_->trailer_done;
+  return impl_->walk.finished();
 }
 
 std::uint64_t BinlogTailReader::chunksConsumed() const noexcept {
-  return impl_->chunks;
+  return impl_->walk.decoder().chunksConsumed();
 }
 
 std::uint64_t BinlogTailReader::eventsDecoded() const noexcept {
-  return impl_->decoder.eventsDecoded();
+  return impl_->walk.decoder().eventsDecoded();
 }
 
 std::uint64_t BinlogTailReader::bufferedBytes() const noexcept {
@@ -1680,11 +1593,11 @@ std::uint64_t BinlogTailReader::bufferedBytes() const noexcept {
 
 const std::vector<BinlogIndexEntry>& BinlogTailReader::liveIndex()
     const noexcept {
-  return impl_->decoder.observedIndex();
+  return impl_->walk.decoder().observedIndex();
 }
 
 BinaryTrace BinlogTailReader::snapshot() const {
-  return impl_->decoder.finalize();
+  return impl_->walk.decoder().finalize();
 }
 
 }  // namespace iobts::obs

@@ -3,9 +3,10 @@
 // Chrome trace JSON is great to *look at* and terrible to *stream*: every
 // event costs a Json object allocation plus ~200 bytes of text. The binlog
 // is the one format events leave a run in -- a versioned,
-// length-prefixed, checksummed chunk container mirroring the src/ckpt
-// checkpoint discipline; Chrome JSON is derived from it offline
-// (chromeJsonFromBinaryTrace, `iobts_profile --to-chrome`):
+// length-prefixed, checksummed chunk container built on the artifact codec
+// it shares with src/ckpt (util/hash.hpp FNV-1a, util/le_bytes.hpp
+// little-endian I/O, util/file_io.hpp reads); Chrome JSON is derived from
+// it offline (chromeJsonFromBinaryTrace, `iobts_profile --to-chrome`):
 //
 //   magic[8]  = "IOBTRCE\n"
 //   u32       format version (little-endian; 2)
@@ -74,15 +75,19 @@
 // every reader rejects a shard tag other than 0, or an index shard count
 // other than 1, as BadShard.
 //
-// Reading is strict, ckpt-style: every length is bounds-checked before
-// use, per-chunk checksums are verified before payloads are surfaced,
-// string references are validated against the table defined so far,
-// the index chunk is cross-checked entry-by-entry against the chunks
-// actually decoded (and the footer's index offset against where the index
-// chunk really is), trailing bytes after the file checksum are an error,
-// and every failure carries a BinlogError::Kind naming the *first*
-// defect. The corrupt-trace corpus under traces/invalid/ pins one
-// diagnostic per kind.
+// One chunk walk reads the file sequentially: the header, then each chunk
+// (length bounds-checked, checksum verified before the payload is
+// surfaced, folded into the trailer digest, decoded), then the trailer
+// and nothing after it. BinlogTailReader runs it over bytes as they
+// arrive; decodeBinaryTrace runs it in place over the whole input to the
+// end of input, where a unit cut short is Truncated and a clean end
+// without a footer is MissingFooter. String references are validated
+// against the table defined so far, the index chunk is cross-checked
+// entry-by-entry against the chunks actually decoded (and the footer's
+// index offset against where the index chunk really is), and every
+// failure carries a BinlogError::Kind naming the *first* defect. The
+// strict, windowed and tail readers share one header check. The
+// corrupt-trace corpus under traces/invalid/ pins one diagnostic per kind.
 #pragma once
 
 #include <cstdint>
@@ -250,8 +255,9 @@ struct BinaryTrace {
   TraceEvent event(std::size_t i) const;
 };
 
-/// Strict parse of container bytes; `origin` names the source (file path or
-/// "<memory>") in diagnostics. Throws BinlogError.
+/// Strict parse of container bytes, in place (the chunk walk run to the
+/// end of input); `origin` names the source (file path or "<memory>") in
+/// diagnostics. Throws BinlogError.
 BinaryTrace decodeBinaryTrace(const std::string& bytes,
                               const std::string& origin);
 
@@ -342,15 +348,16 @@ class BinaryTraceWriter {
 };
 
 /// Incremental reader for a *growing* container -- the engine behind
-/// `iobts_profile --follow`. feed() consumes every complete, checksum-
-/// valid chunk from the byte stream and buffers the incomplete tail; a
-/// complete chunk failing its checksum (or a bad header) is real
-/// corruption and throws. The index is rebuilt on the fly from the chunks
-/// actually seen (liveIndex()); when the file's own index chunk arrives it
-/// is cross-checked against it. After the footer chunk the 8 trailer bytes
-/// are verified, and snapshot() of a fully-fed file is equivalent to
-/// decodeBinaryTrace of the same bytes -- the follow report converges to
-/// the offline one by construction.
+/// `iobts_profile --follow`. feed() runs the chunk walk over the bytes
+/// that arrived: every complete, checksum-valid chunk is consumed in place
+/// and only the incomplete tail is buffered; a complete chunk failing its
+/// checksum (or a bad header) is real corruption and throws, and so does a
+/// chunk length no file could reach. The index is rebuilt on the fly from
+/// the chunks actually seen (liveIndex()); when the file's own index chunk
+/// arrives it is cross-checked against it. After the footer chunk the 8
+/// trailer bytes are verified. decodeBinaryTrace is the same walk run to
+/// the end of input, so snapshot() of a fully-fed file equals it and the
+/// follow report converges to the offline one by construction.
 class BinlogTailReader {
  public:
   explicit BinlogTailReader(std::string origin = "<follow>");

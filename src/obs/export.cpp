@@ -1,7 +1,8 @@
 #include "obs/export.hpp"
 
 #include <cstdio>
-#include <fstream>
+
+#include "util/file_io.hpp"
 
 namespace iobts::obs {
 
@@ -95,16 +96,10 @@ JsonArray traceMetadataEvents(
 }
 
 bool writeMetrics(const MetricsRegistry& registry, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
   const bool json =
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  if (json) {
-    out << registry.toJson().pretty() << '\n';
-  } else {
-    out << registry.dumpText();
-  }
-  return static_cast<bool>(out);
+  return publishFile(path, json ? registry.toJson().pretty() + "\n"
+                                : registry.dumpText());
 }
 
 }  // namespace iobts::obs

@@ -1,96 +1,20 @@
 #include "obs/summary.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "ckpt/capture.hpp"
-#include "obs/metrics.hpp"
 #include "pfs/shared_link.hpp"
 #include "scenario/instance.hpp"
 #include "scenario/scenario.hpp"
 #include "tmio/tracer.hpp"
+#include "util/file_io.hpp"
+#include "util/hash.hpp"
 
 namespace iobts::obs {
 namespace {
 
-/// Canonical key=value emitter (the checkpoint plane's discipline: doubles
-/// as hexfloats, digests as zero-padded hex).
-class SectionBuilder {
- public:
-  void kv(const std::string& key, std::uint64_t value) {
-    text_ += key;
-    text_ += '=';
-    text_ += std::to_string(value);
-    text_ += '\n';
-  }
-  void kv(const std::string& key, int value) {
-    text_ += key;
-    text_ += '=';
-    text_ += std::to_string(value);
-    text_ += '\n';
-  }
-  void kv(const std::string& key, bool value) {
-    text_ += key;
-    text_ += value ? "=1\n" : "=0\n";
-  }
-  void kv(const std::string& key, double value) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%a", value);
-    text_ += key;
-    text_ += '=';
-    text_ += buf;
-    text_ += '\n';
-  }
-  void hex(const std::string& key, std::uint64_t value) {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, value);
-    text_ += key;
-    text_ += '=';
-    text_ += buf;
-    text_ += '\n';
-  }
-  void raw(const std::string& blob) { text_ += blob; }
-
-  std::string take() { return std::move(text_); }
-
- private:
-  std::string text_;
-};
-
-/// FNV-1a over raw 64-bit words -- full tables are always digested even
-/// when only a prefix is rendered, so truncation cannot hide a divergence.
-class WordDigest {
- public:
-  void mix(std::uint64_t bits) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (bits >> (8 * i)) & 0xffULL;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void mix(double value) noexcept {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    mix(bits);
-  }
-  std::uint64_t value() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-constexpr pfs::Channel kChannelList[] = {pfs::Channel::Read,
-                                         pfs::Channel::Write};
-constexpr const char* kChannelName[] = {"read", "write"};
-
-std::string hexfloat(double value) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", value);
-  return std::string(buf);
-}
+using ckpt::hexfloat;
+using ckpt::SectionBuilder;
 
 void emitTimeline(SectionBuilder& b, const std::string& key,
                   const StepSeries& series, double t0, double t1,
@@ -108,7 +32,7 @@ ckpt::Section summaryMeta(scenario::Instance& instance,
   SectionBuilder b;
   b.raw("scenario=" + opt.scenario_name + "\n");
   b.hex("scenario_digest",
-        opt.scenario_text.empty() ? 0 : ckpt::fnv1a(opt.scenario_text));
+        opt.scenario_text.empty() ? 0 : hashName(opt.scenario_text));
   b.hex("run_digest", ckpt::runDigest(instance));
   b.kv("elapsed", instance.elapsed());
   b.kv("worlds", static_cast<std::uint64_t>(instance.worldCount()));
@@ -138,7 +62,7 @@ ckpt::Section summaryPhases(scenario::Instance& instance, std::size_t index,
     ++rendered;
     b.raw("row=rank:" + std::to_string(p.rank) +
           " phase:" + std::to_string(p.phase) + " ch:" +
-          kChannelName[static_cast<int>(p.channel)] + " ts:" + hexfloat(p.ts) +
+          pfs::channelName(p.channel) + " ts:" + hexfloat(p.ts) +
           " te:" + hexfloat(p.te) +
           " bytes:" + std::to_string(static_cast<std::uint64_t>(p.bytes)) +
           " requests:" + std::to_string(p.requests) +
@@ -151,9 +75,10 @@ ckpt::Section summaryPhases(scenario::Instance& instance, std::size_t index,
   b.hex("rows_digest", rows.value());
   // Application-level view (Eq. 3): the step count and maximum per channel,
   // plus the overall minimal zero-waiting bandwidth (Sec. IV-C).
-  for (int c = 0; c < 2; ++c) {
-    const StepSeries breq = tracer.appRequiredSeries(kChannelList[c]);
-    const std::string key = std::string("breq.") + kChannelName[c];
+  for (std::size_t c = 0; c < pfs::kChannels; ++c) {
+    const auto channel = static_cast<pfs::Channel>(c);
+    const StepSeries breq = tracer.appRequiredSeries(channel);
+    const std::string key = std::string("breq.") + pfs::channelName(channel);
     b.kv(key + ".steps", static_cast<std::uint64_t>(breq.size()));
     b.kv(key + ".max", breq.maxValue());
   }
@@ -196,9 +121,9 @@ ckpt::Section summaryLink(scenario::Instance& instance,
   SectionBuilder b;
   pfs::SharedLink& link = instance.link();
   const double t1 = instance.elapsed();
-  for (int c = 0; c < 2; ++c) {
-    const pfs::Channel channel = kChannelList[c];
-    const std::string p = kChannelName[c];
+  for (std::size_t c = 0; c < pfs::kChannels; ++c) {
+    const auto channel = static_cast<pfs::Channel>(c);
+    const std::string p = pfs::channelName(channel);
     b.kv(p + ".capacity", link.capacity(channel));
     b.kv(p + ".effective_capacity", link.effectiveCapacity(channel));
     b.kv(p + ".bytes_moved",
@@ -221,27 +146,11 @@ ckpt::Section summaryLink(scenario::Instance& instance,
   return {"link", b.take()};
 }
 
-ckpt::Section summaryMetrics(scenario::Instance& instance) {
-  // Same registry population as the end-of-run state capture: sim + link +
-  // worlds. Trace sinks are deliberately not exported here, so the summary
-  // is byte-identical whether the run traced to JSON, to the binary
-  // recorder, or not at all.
-  MetricsRegistry registry;
-  instance.sim().exportMetrics(registry);
-  instance.link().exportMetrics(registry);
-  for (std::size_t w = 0; w < instance.worldCount(); ++w) {
-    instance.world(w).exportMetrics(registry);
-  }
-  SectionBuilder b;
-  b.raw(registry.dumpText());
-  return {"metrics", b.take()};
-}
-
 }  // namespace
 
 std::string RunSummary::render() const { return ckpt::joinSections(sections); }
 
-std::uint64_t RunSummary::digest() const { return ckpt::fnv1a(render()); }
+std::uint64_t RunSummary::digest() const { return hashName(render()); }
 
 RunSummary summarizeInstance(scenario::Instance& instance,
                              const SummaryOptions& options) {
@@ -253,24 +162,12 @@ RunSummary summarizeInstance(scenario::Instance& instance,
     summary.sections.push_back(summaryStalls(instance, w));
   }
   summary.sections.push_back(summaryLink(instance, options));
-  summary.sections.push_back(summaryMetrics(instance));
+  summary.sections.push_back(ckpt::metricsSection(instance, "metrics"));
   return summary;
 }
 
 bool writeRunSummary(const RunSummary& summary, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out << summary.render();
-    out.flush();
-    if (!out) return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return publishFile(path, summary.render());
 }
 
 }  // namespace iobts::obs

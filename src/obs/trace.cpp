@@ -1,13 +1,10 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "util/log.hpp"
 
 namespace iobts::obs {
 
@@ -242,59 +239,6 @@ std::atomic<TraceSink*> g_trace_sink{nullptr};
 
 void installTraceSink(TraceSink* sink) noexcept {
   detail::g_trace_sink.store(sink, std::memory_order_release);
-}
-
-std::uint64_t parseJourneySampleStride(const char* text) noexcept {
-  if (text == nullptr || *text == '\0') return 0;
-  // Require a plain positive decimal integer. strtoull would silently
-  // accept leading whitespace, a sign (wrapping "-3" to a huge stride), and
-  // hex prefixes -- reject all of those up front.
-  if (*text < '0' || *text > '9') return 0;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return 0;
-  if (errno == ERANGE) return 0;
-  if (parsed == 0) return 0;
-  return static_cast<std::uint64_t>(parsed);
-}
-
-namespace {
-
-std::uint64_t journeyStrideFromEnv() noexcept {
-  const char* const value = std::getenv("IOBTS_TRACE_JOURNEY_SAMPLE");
-  if (value == nullptr || *value == '\0') return 1;
-  const std::uint64_t parsed = parseJourneySampleStride(value);
-  if (parsed == 0) {
-    IOBTS_LOG_WARN() << "IOBTS_TRACE_JOURNEY_SAMPLE='" << value
-                     << "' is not a positive integer; recording every "
-                        "journey (stride 1)";
-    return 1;
-  }
-  return parsed;
-}
-
-/// 0 = "use the environment value"; set via setJourneySampleStride().
-std::atomic<std::uint64_t> g_journey_stride_override{0};
-
-}  // namespace
-
-std::uint64_t journeySampleStride() noexcept {
-  const std::uint64_t forced =
-      g_journey_stride_override.load(std::memory_order_relaxed);
-  if (forced != 0) return forced;
-  static const std::uint64_t env_stride = journeyStrideFromEnv();
-  return env_stride;
-}
-
-void setJourneySampleStride(std::uint64_t stride) noexcept {
-  g_journey_stride_override.store(stride, std::memory_order_relaxed);
-}
-
-std::uint64_t sampledJourney(std::uint64_t journey) noexcept {
-  const std::uint64_t stride = journeySampleStride();
-  if (stride <= 1) return journey;
-  return journey % stride == 0 ? journey : 0;
 }
 
 }  // namespace iobts::obs

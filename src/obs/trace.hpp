@@ -229,39 +229,6 @@ inline TraceSink* traceSink() noexcept {
 /// components if you want their setup-time track names registered.
 void installTraceSink(TraceSink* sink) noexcept;
 
-// --- Journey sampling -------------------------------------------------------
-//
-// Flow-event chains ("request journeys") are the densest trace traffic a
-// large run emits: every MPI-IO request adds a flowStart, one flowStep per
-// paced sub-request and backoff, and a flowEnd. IOBTS_TRACE_JOURNEY_SAMPLE=N
-// keeps every Nth journey and drops the rest *at journey-id level*: the
-// decision is a pure function of the stable journey id (journey % N == 0),
-// never of an RNG or a counter, so sampled traces are identical across
-// reruns and across thread counts, and a kept journey is always complete
-// (all of its flow events share the id, so they all pass the same test).
-
-/// Parse an IOBTS_TRACE_JOURNEY_SAMPLE-style stride string. Returns the
-/// stride for a plain positive decimal integer and 0 for anything else:
-/// empty, signed ("-3", "+2"), zero, trailing garbage ("12x"), non-numeric,
-/// or out of uint64 range. Exposed so the rejection matrix is unit-testable
-/// without mutating the process environment.
-std::uint64_t parseJourneySampleStride(const char* text) noexcept;
-
-/// Current stride: 1 records every journey (the default). Reads
-/// IOBTS_TRACE_JOURNEY_SAMPLE once; invalid values (zero, negative,
-/// garbage, overflow) fall back to 1 with a single warning.
-/// setJourneySampleStride() overrides it.
-std::uint64_t journeySampleStride() noexcept;
-
-/// Programmatic override for benchmarks/tests; 0 restores the environment
-/// value. Not thread-safe against concurrent recording -- call at setup.
-void setJourneySampleStride(std::uint64_t stride) noexcept;
-
-/// Maps a journey id to itself when the journey is sampled, else to 0 (the
-/// instrumentation sites' "no journey" value, which suppresses the whole
-/// flow chain downstream).
-std::uint64_t sampledJourney(std::uint64_t journey) noexcept;
-
 /// RAII installation for tests and examples.
 class ScopedTraceSink {
  public:

@@ -213,17 +213,13 @@ void IoThread::serve() {
           static_cast<double>(stats.bytes));
       // Real-clock ops carry journeys too; the high bit keeps their id
       // space disjoint from the simulated engine's journeyOf() values.
-      // Sampling applies here as well (0 = not sampled, no flow edges).
-      const std::uint64_t journey =
-          obs::sampledJourney((1ULL << 63) | op.serial);
-      if (journey != 0) {
-        sink->flowStart("journey", "io", obs::track::kRtio,
-                        static_cast<std::uint32_t>(op.serial), op_start,
-                        journey);
-        sink->flowEnd("journey", "io", obs::track::kRtio,
-                      static_cast<std::uint32_t>(op.serial),
-                      op_start + op_dur, journey);
-      }
+      const std::uint64_t journey = (1ULL << 63) | op.serial;
+      sink->flowStart("journey", "io", obs::track::kRtio,
+                      static_cast<std::uint32_t>(op.serial), op_start,
+                      journey);
+      sink->flowEnd("journey", "io", obs::track::kRtio,
+                    static_cast<std::uint32_t>(op.serial), op_start + op_dur,
+                    journey);
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);

@@ -13,15 +13,17 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <initializer_list>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/file_io.hpp"
 
 namespace iobts::scenario {
 namespace {
@@ -1403,20 +1405,21 @@ ScenarioSpec parseScenario(std::string_view text) {
   return spec;
 }
 
-ScenarioSpec loadScenarioFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+ScenarioSpec loadScenarioFile(const std::string& path, std::string* text) {
+  std::optional<std::string> bytes = readFile(path);
+  if (!bytes) {
     throw ScenarioError(0, path, "cannot open scenario file");
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  ScenarioSpec spec;
   try {
-    return parseScenario(buffer.str());
+    spec = parseScenario(*bytes);
   } catch (const ScenarioError& e) {
     const std::string field =
         e.field().empty() ? path : path + ": " + e.field();
     throw ScenarioError(e.line(), field, e.message());
   }
+  if (text != nullptr) *text = std::move(*bytes);
+  return spec;
 }
 
 }  // namespace iobts::scenario

@@ -223,6 +223,9 @@ struct ScenarioSpec {
 ScenarioSpec parseScenario(std::string_view text);
 
 /// Read and parse a scenario file; the filename is reported in diagnostics.
-ScenarioSpec loadScenarioFile(const std::string& path);
+/// With `text`, also hand back the bytes that were parsed (what a
+/// checkpoint embeds and a summary digests), so the file is read once.
+ScenarioSpec loadScenarioFile(const std::string& path,
+                              std::string* text = nullptr);
 
 }  // namespace iobts::scenario

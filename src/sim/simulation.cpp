@@ -4,6 +4,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 
 namespace iobts::sim {
@@ -143,21 +144,12 @@ std::uint64_t Simulation::pendingEventsDigest() const {
     schedule.emplace_back(event.t, event.seq);
   });
   std::sort(schedule.begin(), schedule.end());
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t bits) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  };
+  WordDigest digest;
   for (const auto& [t, seq] : schedule) {
-    std::uint64_t t_bits;
-    static_assert(sizeof(t_bits) == sizeof(t));
-    std::memcpy(&t_bits, &t, sizeof(t_bits));
-    mix(t_bits);
-    mix(seq);
+    digest.mix(t);
+    digest.mix(seq);
   }
-  return h;
+  return digest.value();
 }
 
 void Simulation::exportMetrics(obs::MetricsRegistry& registry) const {

@@ -54,16 +54,6 @@ Json toJson(const LimitChange& c) {
 // the required bandwidth is effectively unbounded; clamp the window instead
 // of dividing by zero.
 constexpr double kMinWindow = 1e-9;
-
-int treeStages(int ranks) noexcept {
-  int stages = 0;
-  int reach = 1;
-  while (reach < ranks) {
-    reach *= 2;
-    ++stages;
-  }
-  return stages;
-}
 }  // namespace
 
 /// Requests of one in-flight bandwidth phase.
@@ -415,7 +405,7 @@ Seconds Tracer::onFinalize(int rank) {
   const double records =
       static_cast<double>(rs.intercepted_calls);
   return model.finalize_base +
-         model.finalize_per_stage * treeStages(ranks) +
+         model.finalize_per_stage * mpisim::treeStages(ranks) +
          model.finalize_per_record * records +
          model.finalize_per_rank * static_cast<double>(ranks);
 }

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "util/hash.hpp"
+
 namespace iobts {
 
 /// SplitMix64 step -- used for seeding and hashing stream names.
@@ -17,16 +19,6 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-/// FNV-1a hash of a stream name, for deriving per-stream seeds.
-constexpr std::uint64_t hashName(std::string_view name) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : name) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 /// xoshiro256** 1.0 -- fast, high-quality, 2^256-1 period.

@@ -25,6 +25,7 @@
 #include <iterator>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "../support/mutation.hpp"
@@ -35,6 +36,7 @@
 #include "scenario/instance.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulation.hpp"
+#include "util/hash.hpp"
 
 namespace iobts::ckpt {
 namespace {
@@ -122,9 +124,11 @@ void repair(std::string& s) {
   if (s.size() < kFirstSection + 8) return;
   for (const SectionSpan& span : walkSections(s)) {
     storeU64(s, span.payload_at + span.payload_len,
-             fnv1a(s.substr(span.payload_at, span.payload_len)));
+             hashName(std::string_view(s).substr(span.payload_at,
+                                                 span.payload_len)));
   }
-  storeU64(s, s.size() - 8, fnv1a(s.substr(0, s.size() - 8)));
+  storeU64(s, s.size() - 8,
+           hashName(std::string_view(s).substr(0, s.size() - 8)));
 }
 
 /// A position worth overwriting: anywhere, the section count, or one

@@ -6,9 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "ckpt/format.hpp"
+#include "ckpt/runner.hpp"
+#include "ckpt/snapshot.hpp"
+#include "scenario/instance.hpp"
+#include "scenario/scenario.hpp"
+#include "sim/simulation.hpp"
+#include "util/hash.hpp"
 
 namespace iobts::ckpt {
 namespace {
@@ -158,9 +166,37 @@ TEST(CkptFormat, ErrorKindNamesAreStableAndDistinct) {
   EXPECT_STREQ(errorKindName(ErrorKind::StateDivergence), "state_divergence");
 }
 
+TEST(CkptFormat, Fig13QuickCheckpointBytesArePinned) {
+  // The encoder's byte pin: fig13_quick parked inside its first write
+  // burst (32 write transfers in flight), captured, encoded. Any drift in
+  // the container layout, the checksums or the canonical state text moves
+  // this hash.
+  std::ifstream in(IOBTS_SCENARIO_DIR "/fig13_quick.scn", std::ios::binary);
+  ASSERT_TRUE(in) << "cannot read fig13_quick.scn";
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  sim::Simulation sim;
+  scenario::Instance instance(sim, scenario::parseScenario(text));
+  instance.launch();
+  constexpr double kWatermark = 2.03;
+  sim.runUntil(kWatermark);
+  const std::string bytes = encodeCheckpoint(
+      encodeSnapshot(captureSnapshot(instance, text, kWatermark)));
+  EXPECT_EQ(bytes.size(), 4673u);
+  EXPECT_EQ(hashName(bytes), 0xe2fa22ff9586d9b5ULL)
+      << std::hex << "0x" << hashName(bytes);
+}
+
 TEST(CkptFormat, ReadFileReportsIoForMissingPath) {
   try {
     readCheckpointFile("/nonexistent/dir/x.ckpt");
+    FAIL();
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Io);
+  }
+  // A directory opens but cannot be read: Io too, not a stream exception.
+  try {
+    readCheckpointFile(::testing::TempDir());
     FAIL();
   } catch (const CheckpointError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::Io);

@@ -311,6 +311,13 @@ TEST(BinlogCorruption, UnreadableFileIsIo) {
     EXPECT_EQ(e.kind(), BinlogErrorKind::Io);
     EXPECT_STREQ(e.kindName(), "io");
   }
+  // A directory opens but cannot be read: Io too, not a stream exception.
+  try {
+    readBinaryTrace(::testing::TempDir());
+    ADD_FAILURE() << "directory decoded";
+  } catch (const BinlogError& e) {
+    EXPECT_EQ(e.kind(), BinlogErrorKind::Io);
+  }
 }
 
 // --- Corruption: the checked-in corpus sweep --------------------------------

@@ -354,79 +354,5 @@ TEST(Journey, TmioBreqSeriesMatchesPhaseRecords) {
   EXPECT_GT(max_value, 0.0);  // a nonzero required-bandwidth series
 }
 
-// --- journey sampling (IOBTS_TRACE_JOURNEY_SAMPLE) -------------------------
-
-/// Restores the programmatic stride override on scope exit so sampling
-/// tests cannot leak into the rest of the suite.
-struct ScopedStride {
-  explicit ScopedStride(std::uint64_t stride) {
-    obs::setJourneySampleStride(stride);
-  }
-  ~ScopedStride() { obs::setJourneySampleStride(0); }
-};
-
-TEST(JourneySampling, DecisionIsAPureFunctionOfTheJourneyId) {
-  ScopedStride stride(4);
-  for (std::uint64_t j = 1; j < 64; ++j) {
-    const std::uint64_t expected = (j % 4 == 0) ? j : 0;
-    EXPECT_EQ(obs::sampledJourney(j), expected) << "journey " << j;
-    // Deterministic: the same id always gets the same verdict.
-    EXPECT_EQ(obs::sampledJourney(j), obs::sampledJourney(j));
-  }
-}
-
-TEST(JourneySampling, StrideOneRecordsEveryJourney) {
-  ScopedStride stride(1);
-  EXPECT_EQ(obs::journeySampleStride(), 1u);
-  EXPECT_EQ(obs::sampledJourney(17), 17u);
-  EXPECT_EQ(obs::sampledJourney(0), 0u);  // "no journey" stays suppressed
-}
-
-std::map<std::uint64_t, std::pair<int, int>> flowChains(
-    const std::string& recording) {
-  // journey -> (starts, ends)
-  std::map<std::uint64_t, std::pair<int, int>> chains;
-  for (const obs::BinEvent& ev :
-       obs::decodeBinaryTrace(recording, "<memory>").events) {
-    if (ev.phase == obs::Phase::FlowStart) ++chains[ev.flow].first;
-    if (ev.phase == obs::Phase::FlowEnd) ++chains[ev.flow].second;
-  }
-  return chains;
-}
-
-TEST(JourneySampling, SampledRunKeepsOnlyCompleteNthChains) {
-  // Same paced scenario twice: unsampled, then stride 3. Sampling must (a)
-  // keep strictly fewer journeys, (b) keep only ids divisible by the
-  // stride, and (c) keep every surviving chain complete -- one start, one
-  // end -- because the whole chain shares the id and thus the verdict.
-  const auto unsampled = [&] {
-    PacedRun run;
-    return flowChains(run.recording);
-  }();
-  ASSERT_GE(unsampled.size(), 4u);
-
-  std::map<std::uint64_t, std::pair<int, int>> sampled;
-  {
-    ScopedStride stride(3);
-    PacedRun run;
-    sampled = flowChains(run.recording);
-  }
-
-  EXPECT_LT(sampled.size(), unsampled.size());
-  for (const auto& [journey, counts] : sampled) {
-    EXPECT_EQ(journey % 3, 0u) << "journey " << journey;
-    EXPECT_EQ(counts.first, 1) << "journey " << journey;
-    EXPECT_EQ(counts.second, 1) << "journey " << journey;
-    // A sampled journey is exactly the chain the unsampled run recorded.
-    ASSERT_TRUE(unsampled.count(journey));
-  }
-  // Every kept-eligible journey from the reference run did survive.
-  for (const auto& [journey, counts] : unsampled) {
-    if (journey % 3 == 0) {
-      EXPECT_TRUE(sampled.count(journey));
-    }
-  }
-}
-
 }  // namespace
 }  // namespace iobts

@@ -126,51 +126,38 @@ TEST(TraceSinkDrops, ExporterAttachedAfterWrapDrainsNewestWindowAndKeepsDropCoun
 }
 
 TEST(TraceSinkDrops, JourneySamplingSentinelNeverEmitsFlowIdZero) {
-  // journey=0 is the "sampled out" sentinel: with a sparse stride the
-  // instrumentation must drop the flow edges entirely, never record them
-  // under id 0 (which would glue unrelated requests into one mega-journey).
-  const auto flowsOf = [](std::uint64_t stride) {
-    obs::setJourneySampleStride(stride);
-    obs::TraceSinkConfig cfg;
-    cfg.capacity = 64;
-    obs::TraceSink sink(cfg);
-    std::string bytes;
-    obs::BinaryTraceWriter writer(sink, &bytes);
-    obs::ScopedTraceSink install(sink);
-    sim::Simulation sim;
-    pfs::LinkConfig link_cfg;
-    link_cfg.read_capacity = 5e9;
-    link_cfg.write_capacity = 5e9;
-    pfs::SharedLink link(sim, link_cfg);
-    pfs::FileStore store;
-    mpisim::WorldConfig world_cfg;
-    world_cfg.ranks = 2;
-    mpisim::World world(sim, link, store, world_cfg);
-    world.launch(smallApp);
-    sim.run();
-    EXPECT_TRUE(writer.close());
-    obs::setJourneySampleStride(0);  // restore the environment default
-    EXPECT_EQ(sink.dropped(), 0u);
-    std::vector<obs::BinEvent> flows;
-    for (const obs::BinEvent& ev :
-         obs::decodeBinaryTrace(bytes, "<memory>").events) {
-      if (ev.phase == obs::Phase::FlowStart ||
-          ev.phase == obs::Phase::FlowStep ||
-          ev.phase == obs::Phase::FlowEnd) {
-        flows.push_back(ev);
-      }
+  // journey=0 is the "no journey" sentinel: every flow edge a run records
+  // carries a real journey id, never 0 (which would glue unrelated requests
+  // into one mega-journey).
+  obs::TraceSinkConfig cfg;
+  cfg.capacity = 64;
+  obs::TraceSink sink(cfg);
+  std::string bytes;
+  obs::BinaryTraceWriter writer(sink, &bytes);
+  obs::ScopedTraceSink install(sink);
+  sim::Simulation sim;
+  pfs::LinkConfig link_cfg;
+  link_cfg.read_capacity = 5e9;
+  link_cfg.write_capacity = 5e9;
+  pfs::SharedLink link(sim, link_cfg);
+  pfs::FileStore store;
+  mpisim::WorldConfig world_cfg;
+  world_cfg.ranks = 2;
+  mpisim::World world(sim, link, store, world_cfg);
+  world.launch(smallApp);
+  sim.run();
+  EXPECT_TRUE(writer.close());
+  EXPECT_EQ(sink.dropped(), 0u);
+  std::size_t flows = 0;
+  for (const obs::BinEvent& ev :
+       obs::decodeBinaryTrace(bytes, "<memory>").events) {
+    if (ev.phase == obs::Phase::FlowStart ||
+        ev.phase == obs::Phase::FlowStep || ev.phase == obs::Phase::FlowEnd) {
+      ++flows;
+      EXPECT_NE(ev.flow, 0u) << "flow event recorded with the sentinel id";
     }
-    return flows;
-  };
-
-  const std::vector<obs::BinEvent> all = flowsOf(1);
-  ASSERT_FALSE(all.empty());
-  for (const obs::BinEvent& ev : all) {
-    EXPECT_NE(ev.flow, 0u) << "flow event recorded with the drop sentinel";
   }
-  // A stride no journey id can satisfy: every flow edge is sampled out.
-  const std::vector<obs::BinEvent> none = flowsOf(0xffffffffffffffffULL);
-  EXPECT_TRUE(none.empty());
+  EXPECT_GT(flows, 0u);
 }
 
 TEST(TraceSinkMetrics, ClearKeepsSpanStatsAndCounters) {

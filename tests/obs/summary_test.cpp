@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "scenario/instance.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulation.hpp"
+#include "util/hash.hpp"
 
 namespace iobts::obs {
 namespace {
@@ -90,7 +92,7 @@ TEST(RunSummary, ScenarioTextIsDigestedNotStored) {
   char expected[48];
   std::snprintf(expected, sizeof(expected), "scenario_digest=0x%016llx",
                 static_cast<unsigned long long>(
-                    ckpt::fnv1a(options.scenario_text)));
+                    hashName(options.scenario_text)));
   EXPECT_NE(render.find(expected), std::string::npos);
 }
 
@@ -114,6 +116,27 @@ TEST(RunSummary, PhaseRowCapElidesRowsButDigestsAllOfThem) {
     return payload.substr(at, payload.find('\n', at) - at);
   };
   EXPECT_EQ(digestLine(full_phases), digestLine(capped_phases));
+}
+
+TEST(RunSummary, Fig13QuickDigestIsPinned) {
+  // The summary carries the per-phase B_ij table and the Eq. 3 B_req
+  // maxima: pin its bytes so no encoder change can move them silently.
+  std::ifstream in(scenarioPath("fig13_quick.scn"), std::ios::binary);
+  ASSERT_TRUE(in) << "cannot read fig13_quick.scn";
+  SummaryOptions options;
+  options.scenario_text.assign(std::istreambuf_iterator<char>(in),
+                               std::istreambuf_iterator<char>());
+  sim::Simulation sim;
+  scenario::Instance instance(sim,
+                              scenario::parseScenario(options.scenario_text));
+  options.scenario_name = instance.spec().name;
+  instance.launch();
+  sim.run();
+  instance.requireFinished();
+  const RunSummary summary = summarizeInstance(instance, options);
+  EXPECT_EQ(summary.sections.size(), 5u);
+  EXPECT_EQ(summary.digest(), 0x41e50dfde110b591ULL)
+      << std::hex << "0x" << summary.digest();
 }
 
 TEST(RunSummary, WriteIsAtomicAndFaithful) {

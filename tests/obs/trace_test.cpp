@@ -164,70 +164,5 @@ TEST(MetricsRegistry, DumpsAreSortedAndStable) {
   EXPECT_EQ(again.toJson().dump(), reg.toJson().dump());
 }
 
-// IOBTS_TRACE_JOURNEY_SAMPLE hardening: the env parser must reject every
-// malformed spelling (returning 0 = "fall back to stride 1 with a warning")
-// rather than silently wrapping negatives to huge strides or truncating
-// trailing garbage, and must accept exactly the plain positive decimals.
-TEST(JourneySampleStride, RejectsZero) {
-  EXPECT_EQ(parseJourneySampleStride("0"), 0u);
-}
-
-TEST(JourneySampleStride, RejectsNegative) {
-  // strtoull would wrap "-3" to 2^64-3; the parser must not.
-  EXPECT_EQ(parseJourneySampleStride("-3"), 0u);
-}
-
-TEST(JourneySampleStride, RejectsExplicitPlusSign) {
-  EXPECT_EQ(parseJourneySampleStride("+2"), 0u);
-}
-
-TEST(JourneySampleStride, RejectsNonNumericGarbage) {
-  EXPECT_EQ(parseJourneySampleStride("abc"), 0u);
-}
-
-TEST(JourneySampleStride, RejectsTrailingGarbage) {
-  EXPECT_EQ(parseJourneySampleStride("12x"), 0u);
-  EXPECT_EQ(parseJourneySampleStride("3 "), 0u);
-}
-
-TEST(JourneySampleStride, RejectsLeadingWhitespace) {
-  EXPECT_EQ(parseJourneySampleStride(" 4"), 0u);
-  EXPECT_EQ(parseJourneySampleStride("\t4"), 0u);
-}
-
-TEST(JourneySampleStride, RejectsHexAndFloatSpellings) {
-  EXPECT_EQ(parseJourneySampleStride("0x10"), 0u);
-  EXPECT_EQ(parseJourneySampleStride("1.5"), 0u);
-  EXPECT_EQ(parseJourneySampleStride("1e3"), 0u);
-}
-
-TEST(JourneySampleStride, RejectsOverflow) {
-  // 2^64 = 18446744073709551616 overflows unsigned long long.
-  EXPECT_EQ(parseJourneySampleStride("18446744073709551616"), 0u);
-  EXPECT_EQ(parseJourneySampleStride("99999999999999999999999"), 0u);
-}
-
-TEST(JourneySampleStride, RejectsEmptyAndNull) {
-  EXPECT_EQ(parseJourneySampleStride(""), 0u);
-  EXPECT_EQ(parseJourneySampleStride(nullptr), 0u);
-}
-
-TEST(JourneySampleStride, AcceptsPlainPositiveDecimals) {
-  EXPECT_EQ(parseJourneySampleStride("1"), 1u);
-  EXPECT_EQ(parseJourneySampleStride("16"), 16u);
-  EXPECT_EQ(parseJourneySampleStride("18446744073709551615"),
-            18446744073709551615ULL);  // UINT64_MAX is a valid stride
-}
-
-TEST(JourneySampleStride, OverrideBypassesTheEnvironment) {
-  setJourneySampleStride(3);
-  EXPECT_EQ(journeySampleStride(), 3u);
-  EXPECT_EQ(sampledJourney(6), 6u);
-  EXPECT_EQ(sampledJourney(7), 0u);  // dropped: journey=0 sentinel
-  setJourneySampleStride(1);
-  EXPECT_EQ(sampledJourney(7), 7u);
-  setJourneySampleStride(0);  // back to the environment default
-}
-
 }  // namespace
 }  // namespace iobts::obs

@@ -11,13 +11,13 @@
 // tools/run_obs_bench.sh drives this binary to record
 // BENCH_obs_overhead.json.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/file_io.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -25,18 +25,16 @@ namespace {
 using iobts::Json;
 using iobts::JsonObject;
 
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  IOBTS_CHECK(in.good(), "cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+Json parseFile(const std::string& path) {
+  const std::optional<std::string> bytes = iobts::readFile(path);
+  IOBTS_CHECK(bytes.has_value(), "cannot open " + path);
+  return Json::parse(*bytes);
 }
 
 /// Extract {benchmark name -> {real_time_ns, items_per_second}} from a
 /// google-benchmark JSON report.
 Json extractBenchmarks(const std::string& report_path) {
-  const Json report = Json::parse(readFile(report_path));
+  const Json report = parseFile(report_path);
   IOBTS_CHECK(report.isObject(), report_path + ": report is not an object");
   const auto& obj = report.asObject();
   const auto it = obj.find("benchmarks");
@@ -134,10 +132,9 @@ int main(int argc, char** argv) {
 
   try {
     JsonObject root;
-    if (std::ifstream probe(out_path); probe.good()) {
-      probe.close();
-      const Json existing = Json::parse(readFile(out_path));
-      if (existing.isObject()) root = existing.asObject();
+    if (const std::optional<std::string> existing = iobts::readFile(out_path)) {
+      const Json parsed = Json::parse(*existing);
+      if (parsed.isObject()) root = parsed.asObject();
     }
     root["schema"] = Json(schema);
 
@@ -153,9 +150,12 @@ int main(int argc, char** argv) {
     }
     root[label] = Json(std::move(section));
 
-    std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-    IOBTS_CHECK(out.good(), "cannot write " + out_path);
-    out << Json(std::move(root)).pretty() << "\n";
+    std::string error;
+    if (!iobts::publishFile(out_path, Json(std::move(root)).pretty() + "\n",
+                            &error)) {
+      std::fprintf(stderr, "bench_to_json: %s\n", error.c_str());
+      return 1;
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_to_json: %s\n", e.what());
     return 1;

@@ -16,8 +16,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
+#include <string_view>
 
 #include "ckpt/capture.hpp"
 #include "ckpt/runner.hpp"
@@ -25,6 +25,9 @@
 #include "scenario/instance.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulation.hpp"
+#include "util/file_io.hpp"
+#include "util/hash.hpp"
+#include "util/le_bytes.hpp"
 
 using namespace iobts;
 
@@ -50,10 +53,9 @@ program main {
 )";
 
 void writeBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  std::string error;
+  if (!publishFile(path, bytes, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     std::exit(1);
   }
   std::printf("wrote %s (%zu bytes)\n", path.c_str(), bytes.size());
@@ -119,12 +121,10 @@ int main(int argc, char** argv) {
   // reserved the count before bounding it would ask for about 274 GB.
   {
     std::string bytes = valid;
-    for (int i = 0; i < 4; ++i) bytes[12 + i] = '\xff';  // u32 at offset 12
+    le::putU32(bytes.data() + 12, 0xffffffffU);  // the section count
     const std::size_t body = bytes.size() - 8;
-    const std::uint64_t sum = ckpt::fnv1a(bytes.substr(0, body));
-    for (int i = 0; i < 8; ++i) {
-      bytes[body + i] = static_cast<char>((sum >> (8 * i)) & 0xffU);
-    }
+    le::putU64(bytes.data() + body,
+               hashName(std::string_view(bytes.data(), body)));
     writeBytes(dir + "/malformed-count.ckpt", bytes);
   }
 

@@ -38,6 +38,7 @@
 
 #include "obs/binlog.hpp"
 #include "obs/profile.hpp"
+#include "util/file_io.hpp"
 
 namespace {
 
@@ -262,17 +263,11 @@ int main(int argc, char** argv) {
     std::fputs(iobts::obs::breqTableCsv(trace).c_str(), stdout);
   }
   if (!to_chrome.empty()) {
-    std::ofstream out(to_chrome, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "iobts_profile: cannot write %s\n",
-                   to_chrome.c_str());
-      return 1;
-    }
-    out << iobts::obs::chromeJsonFromBinaryTrace(trace);
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "iobts_profile: write to %s failed\n",
-                   to_chrome.c_str());
+    std::string error;
+    if (!iobts::publishFile(to_chrome,
+                            iobts::obs::chromeJsonFromBinaryTrace(trace),
+                            &error)) {
+      std::fprintf(stderr, "iobts_profile: %s\n", error.c_str());
       return 1;
     }
     std::printf("chrome trace: %zu events -> %s\n", trace.events.size(),

@@ -43,8 +43,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -287,17 +285,13 @@ int runScenario(const CliOptions& opt) {
 
   sim::Simulation sim;
   scenario::ScenarioSpec spec;
+  // The text that ran: what checkpoints embed and --summary digests.
+  std::string text;
   try {
-    spec = scenario::loadScenarioFile(*opt.scenario);
+    spec = scenario::loadScenarioFile(*opt.scenario, &text);
   } catch (const scenario::ScenarioError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
-  }
-  std::string text;
-  if (opt.checkpoint_dir || opt.summary) {
-    std::ifstream in(*opt.scenario, std::ios::binary);
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
   }
   scenario::Instance instance(sim, std::move(spec));
   instance.launch();
@@ -338,12 +332,7 @@ int runResume(const CliOptions& opt) {
                 opt.resume->c_str(), run.watermark(), restore_ms);
     // The embedded scenario text is the authoritative source for both
     // continued checkpointing and the summary's scenario digest.
-    std::string text;
-    if (opt.checkpoint_dir || opt.summary) {
-      const ckpt::CheckpointFile file =
-          ckpt::readCheckpointFile(*opt.resume);
-      text = file.require("scenario").payload;
-    }
+    const std::string& text = run.scenarioText();
     if (opt.checkpoint_dir) {
       // Keep checkpointing past the restore point (a resumed run can crash
       // too).

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Record the observability-plane overhead into BENCH_obs_overhead.json.
 #
-# Runs the BM_DispatchTracing{Off,On,Binary,Sampled} family plus
+# Runs the BM_DispatchTracing{Off,On,Binary} family plus
 # BM_BinaryWriterDrain from bench/micro_hotpath (the identical event-dispatch
 # churn with no sink, with an installed TraceSink, and with the binary
 # flight recorder draining that sink; the drain-and-encode pass alone) and
@@ -25,7 +25,7 @@ trap 'rm -rf "$TMP"' EXIT
 
 echo "== micro_hotpath (BM_DispatchTracing*)"
 "$BUILD/bench/micro_hotpath" \
-  --benchmark_filter='^BM_DispatchTracing(Off|On|Binary|Sampled)/|^BM_BinaryWriterDrain/' \
+  --benchmark_filter='^BM_DispatchTracing(Off|On|Binary)/|^BM_BinaryWriterDrain/' \
   --benchmark_repetitions=9 --benchmark_enable_random_interleaving=true \
   --benchmark_min_time=0.25 \
   --benchmark_out="$TMP/obs.json" --benchmark_out_format=json

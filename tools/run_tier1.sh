@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the standard build + test line from ROADMAP.md (the ctest
-# pass includes alloc_test, the zero-allocation steady-state gate), plus an
+# pass includes alloc_test, the zero-allocation steady-state gate), the
+# byte-for-byte corpus regeneration check (tools/check_corpora.sh), plus an
 # ASan+UBSan pass over the event-kernel, PFS and tracer hot paths (the code
 # most exposed to lifetime bugs: SBO callback relocation, pooled event
 # entries and buckets, in-place completion compaction, recycled coroutine
@@ -64,6 +65,11 @@ cmake --build build -j "$(nproc)"
 
 echo "== tier-1: ctest =="
 (cd build && ctest --output-on-failure -j "$(nproc)")
+
+echo "== tier-1: corpora regenerate byte for byte =="
+# The checked-in invalid trace and checkpoint corpora are encoder output;
+# any drift in the binlog or checkpoint bytes fails here.
+tools/check_corpora.sh build
 
 echo "== tier-1: test-registration audit =="
 # Every *_test binary in the build tree must be ctest-registered (the

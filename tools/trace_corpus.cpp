@@ -19,74 +19,41 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "obs/binlog.hpp"
 #include "obs/trace.hpp"
+#include "util/file_io.hpp"
+#include "util/le_bytes.hpp"
 
 using namespace iobts;
 
 namespace {
 
 void writeBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  std::string error;
+  if (!publishFile(path, bytes, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     std::exit(1);
   }
   std::printf("wrote %s (%zu bytes)\n", path.c_str(), bytes.size());
 }
 
-void putU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(char((v >> (8 * i)) & 0xff));
-}
-
-void putU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(char((v >> (8 * i)) & 0xff));
-}
-
-void patchU32(std::string& bytes, std::size_t at, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    bytes[at + static_cast<std::size_t>(i)] = char((v >> (8 * i)) & 0xff);
-  }
-}
-
-void patchU64(std::string& bytes, std::size_t at, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    bytes[at + static_cast<std::size_t>(i)] = char((v >> (8 * i)) & 0xff);
-  }
-}
-
-std::uint32_t readU32At(const std::string& bytes, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= std::uint32_t(static_cast<unsigned char>(
-             bytes[at + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t readU64At(const std::string& bytes, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= std::uint64_t(static_cast<unsigned char>(
-             bytes[at + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
+using le::appendU32;
+using le::appendU64;
+using le::putU32;
+using le::putU64;
+using le::readU32;
+using le::readU64;
 
 /// Append one chunk (kind + length + payload + payload checksum).
 void putChunk(std::string& out, std::uint32_t kind,
               const std::string& payload) {
-  putU32(out, kind);
-  putU64(out, payload.size());
+  appendU32(out, kind);
+  appendU64(out, payload.size());
   out += payload;
-  putU64(out, obs::binlogChecksum(payload));
+  appendU64(out, obs::binlogChecksum(payload));
 }
 
 struct ChunkRef {
@@ -102,8 +69,8 @@ std::vector<ChunkRef> scanChunks(const std::string& bytes) {
   std::size_t pos = sizeof(obs::kBinlogMagic) + 4;
   while (pos + 12 <= bytes.size() - 8) {
     ChunkRef c;
-    c.kind = readU32At(bytes, pos);
-    c.len = static_cast<std::size_t>(readU64At(bytes, pos + 4));
+    c.kind = readU32(bytes.data() + pos);
+    c.len = static_cast<std::size_t>(readU64(bytes.data() + pos + 4));
     c.payload = pos + 12;
     chunks.push_back(c);
     pos = c.payload + c.len + 8;
@@ -123,10 +90,10 @@ const ChunkRef& chunkOfKind(const std::vector<ChunkRef>& chunks,
 /// Re-derive the tampered chunk's stored checksum and the whole-file
 /// trailer digest, so only the intended defect remains.
 void repair(std::string& bytes, const ChunkRef& chunk) {
-  patchU64(bytes, chunk.payload + chunk.len,
-           obs::binlogChecksum(bytes.data() + chunk.payload, chunk.len));
-  patchU64(bytes, bytes.size() - 8,
-           obs::binlogTrailerDigest(bytes.data(), bytes.size() - 8));
+  putU64(bytes.data() + chunk.payload + chunk.len,
+         obs::binlogChecksum(bytes.data() + chunk.payload, chunk.len));
+  putU64(bytes.data() + bytes.size() - 8,
+         obs::binlogTrailerDigest(bytes.data(), bytes.size() - 8));
 }
 
 /// The valid base trace: a handful of deterministic events through the
@@ -154,7 +121,7 @@ std::string validTrace() {
 std::string headerOnly() {
   std::string bytes;
   bytes.append(obs::kBinlogMagic, sizeof(obs::kBinlogMagic));
-  putU32(bytes, obs::kBinlogVersion);
+  appendU32(bytes, obs::kBinlogVersion);
   return bytes;
 }
 
@@ -216,7 +183,7 @@ int main(int argc, char** argv) {
   {
     std::string bytes = headerOnly();
     putChunk(bytes, obs::binchunk::kEvents, "xyz");
-    putU64(bytes, obs::binlogTrailerDigest(bytes));
+    appendU64(bytes, obs::binlogTrailerDigest(bytes));
     writeBytes(dir + "/malformed.bin", bytes);
   }
 
@@ -226,7 +193,7 @@ int main(int argc, char** argv) {
   {
     std::string bytes = valid_v2;
     const ChunkRef& events = chunkOfKind(v2_chunks, obs::binchunk::kEvents);
-    patchU32(bytes, events.payload + 4, 0xffffffffU);
+    putU32(bytes.data() + events.payload + 4, 0xffffffffU);
     repair(bytes, events);
     writeBytes(dir + "/malformed-count.bin", bytes);
   }
@@ -258,7 +225,8 @@ int main(int argc, char** argv) {
   {
     std::string bytes = valid_v2;
     const ChunkRef& index = chunkOfKind(v2_chunks, obs::binchunk::kIndex);
-    patchU32(bytes, index.payload, readU32At(bytes, index.payload) + 1);
+    putU32(bytes.data() + index.payload,
+           readU32(bytes.data() + index.payload) + 1);
     repair(bytes, index);
     writeBytes(dir + "/bad_index-truncated.bin", bytes);
   }
@@ -268,13 +236,13 @@ int main(int argc, char** argv) {
   {
     std::string bytes = valid_v2;
     const ChunkRef& index = chunkOfKind(v2_chunks, obs::binchunk::kIndex);
-    const std::uint32_t entries = readU32At(bytes, index.payload);
+    const std::uint32_t entries = readU32(bytes.data() + index.payload);
     std::size_t tampered = 0;
     for (std::uint32_t i = 0; i < entries; ++i) {
       const std::size_t entry =
           index.payload + 8 +
           static_cast<std::size_t>(i) * obs::kBinlogIndexEntryBytes;
-      if (readU32At(bytes, entry) != obs::binchunk::kEvents) continue;
+      if (readU32(bytes.data() + entry) != obs::binchunk::kEvents) continue;
       bytes[entry + 40] ^= 0x01;  // low mantissa byte of t_max
       tampered = entry;
       break;
@@ -294,7 +262,7 @@ int main(int argc, char** argv) {
   {
     std::string bytes = valid_v2;
     const ChunkRef& footer = chunkOfKind(v2_chunks, obs::binchunk::kFooter);
-    patchU64(bytes, footer.payload + 40, ~std::uint64_t{0});
+    putU64(bytes.data() + footer.payload + 40, ~std::uint64_t{0});
     repair(bytes, footer);
     writeBytes(dir + "/bad_index-footer.bin", bytes);
   }
@@ -304,7 +272,7 @@ int main(int argc, char** argv) {
   {
     std::string bytes = valid_v2;
     const ChunkRef& events = chunkOfKind(v2_chunks, obs::binchunk::kEvents);
-    patchU32(bytes, events.payload, 1u << 16);
+    putU32(bytes.data() + events.payload, 1u << 16);
     repair(bytes, events);
     writeBytes(dir + "/bad_shard.bin", bytes);
   }
@@ -320,17 +288,17 @@ int main(int argc, char** argv) {
           c.kind != obs::binchunk::kEvents) {
         continue;
       }
-      patchU32(bytes, c.payload, 1);
+      putU32(bytes.data() + c.payload, 1);
       repair(bytes, c);
     }
-    const std::uint32_t entries = readU32At(bytes, index.payload);
+    const std::uint32_t entries = readU32(bytes.data() + index.payload);
     for (std::uint32_t i = 0; i < entries; ++i) {
       const std::size_t entry =
           index.payload + 8 +
           static_cast<std::size_t>(i) * obs::kBinlogIndexEntryBytes;
-      const std::uint32_t kind = readU32At(bytes, entry);
+      const std::uint32_t kind = readU32(bytes.data() + entry);
       if (kind == obs::binchunk::kStrings || kind == obs::binchunk::kEvents) {
-        patchU32(bytes, entry + 4, 1);
+        putU32(bytes.data() + entry + 4, 1);
       }
     }
     repair(bytes, index);
