@@ -1,6 +1,5 @@
 #include "bench_common.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,25 +50,6 @@ TracedRun::TracedRun(pfs::LinkConfig link_cfg, mpisim::WorldConfig world_cfg,
 void TracedRun::run(mpisim::World::RankProgram program) {
   world.launch(std::move(program));
   sim.run();
-}
-
-pfs::LinkConfig lichtenbergLink() {
-  pfs::LinkConfig cfg;
-  cfg.write_capacity = 106e9;
-  cfg.read_capacity = 120e9;
-  // A single client (rank/node) cannot drive the whole PFS; typical GPFS
-  // single-node injection is a couple of GB/s.
-  cfg.client_rate_cap = 1.5e9;
-  return cfg;
-}
-
-workloads::HaccIoConfig paperScaledHacc(int ranks) {
-  workloads::HaccIoConfig cfg;  // 1e6 particles/rank, 10 loops (paper)
-  const double scale = std::pow(static_cast<double>(ranks), 0.55);
-  cfg.compute_seconds = 0.30 * scale;
-  cfg.verify_seconds = 0.25 * scale;
-  cfg.requests_per_write = 9;  // the nine HACC particle arrays
-  return cfg;
 }
 
 tmio::TracerConfig tracerFor(tmio::StrategyKind strategy, double tolerance,

@@ -23,7 +23,7 @@
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
-#include "workloads/hacc_io.hpp"
+#include "workloads/quick.hpp"
 
 namespace iobts::bench {
 
@@ -52,18 +52,6 @@ struct TracedRun {
   tmio::Tracer tracer;
   mpisim::World world;
 };
-
-/// Lichtenberg-like PFS (106 GB/s write / 120 GB/s read).
-pfs::LinkConfig lichtenbergLink();
-
-/// HACC-IO configured to the paper's observed scale behaviour: phase lengths
-/// grow from ~0.6 s (1 rank) to ~105 s (9216 ranks) on the production
-/// cluster (Sec. VI-B). We calibrate the compute/verify blocks to that
-/// measured phase-length curve (approximately ranks^0.55) because the
-/// growth stems from production-cluster effects (cross-job interference,
-/// collective skew) outside the fluid PFS model. Nine requests per write
-/// mirror HACC-IO's nine particle arrays.
-workloads::HaccIoConfig paperScaledHacc(int ranks);
 
 /// Tracer config for a given strategy with the paper's overhead model.
 tmio::TracerConfig tracerFor(tmio::StrategyKind strategy, double tolerance,

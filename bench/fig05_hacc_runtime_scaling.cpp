@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
   for (const int ranks : rank_list) {
     mpisim::WorldConfig wcfg;
     wcfg.ranks = ranks;
-    bench::TracedRun run(bench::lichtenbergLink(), wcfg,
+    bench::TracedRun run(workloads::lichtenbergLinkConfig(), wcfg,
                          bench::tracerFor(tmio::StrategyKind::Direct, 1.1));
-    workloads::HaccIoConfig hacc = bench::paperScaledHacc(ranks);
+    workloads::HaccIoConfig hacc = workloads::paperScaledHaccConfig(ranks);
     run.run(workloads::haccIoProgram(hacc));
 
     const tmio::RuntimeSummary summary = tmio::runtimeSummary(run.world);

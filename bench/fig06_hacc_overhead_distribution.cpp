@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
           run_id == 0 ? tmio::StrategyKind::Direct : tmio::StrategyKind::None;
       mpisim::WorldConfig wcfg;
       wcfg.ranks = ranks;
-      bench::TracedRun run(bench::lichtenbergLink(), wcfg,
+      bench::TracedRun run(workloads::lichtenbergLinkConfig(), wcfg,
                            bench::tracerFor(strategy, 1.1));
-      workloads::HaccIoConfig hacc = bench::paperScaledHacc(ranks);
+      workloads::HaccIoConfig hacc = workloads::paperScaledHaccConfig(ranks);
       run.run(workloads::haccIoProgram(hacc));
 
       const tmio::VisibleBreakdown v = tmio::visibleBreakdown(run.world);

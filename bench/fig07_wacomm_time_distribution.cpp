@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     for (const Setting& s : settings) {
       mpisim::WorldConfig wcfg;
       wcfg.ranks = ranks;
-      bench::TracedRun run(bench::lichtenbergLink(), wcfg,
+      bench::TracedRun run(workloads::lichtenbergLinkConfig(), wcfg,
                            bench::tracerFor(s.strategy, s.tolerance));
       const auto cfg = paperWacomm();
       run.run(workloads::wacommProgram(cfg));

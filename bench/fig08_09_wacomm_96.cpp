@@ -29,7 +29,7 @@ void runCase(const char* figure, tmio::StrategyKind strategy,
              const Options& options, const std::string& csv_prefix) {
   mpisim::WorldConfig wcfg;
   wcfg.ranks = 96;
-  bench::TracedRun run(bench::lichtenbergLink(), wcfg,
+  bench::TracedRun run(workloads::lichtenbergLinkConfig(), wcfg,
                        bench::tracerFor(strategy, 1.1));
   run.run(workloads::wacommProgram(paperWacomm(options.quick)));
 

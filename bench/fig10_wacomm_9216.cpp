@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
                       const std::string& csv_prefix) {
     mpisim::WorldConfig wcfg;
     wcfg.ranks = ranks;
-    pfs::LinkConfig link = bench::lichtenbergLink();
+    pfs::LinkConfig link = workloads::lichtenbergLinkConfig();
     link.congestion_gamma = 2e-4;  // mild concurrent-writer inefficiency
     bench::TracedRun run(link, wcfg, bench::tracerFor(strategy, 1.1));
     workloads::WacommConfig cfg;

@@ -48,9 +48,9 @@ int main(int argc, char** argv) {
     for (const Setting& s : settings) {
       mpisim::WorldConfig wcfg;
       wcfg.ranks = ranks;
-      bench::TracedRun run(bench::lichtenbergLink(), wcfg,
+      bench::TracedRun run(workloads::lichtenbergLinkConfig(), wcfg,
                            bench::tracerFor(s.strategy, 1.1));
-      workloads::HaccIoConfig hacc = bench::paperScaledHacc(ranks);
+      workloads::HaccIoConfig hacc = workloads::paperScaledHaccConfig(ranks);
       if (options.quick) hacc.loops = 4;
       run.run(workloads::haccIoProgram(hacc));
 

@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
     mpisim::WorldConfig wcfg;
     wcfg.ranks = ranks;
     wcfg.compute_jitter_sigma = 0.03;
-    workloads::HaccIoConfig hacc = bench::paperScaledHacc(ranks);
-    pfs::LinkConfig link = bench::lichtenbergLink();
+    workloads::HaccIoConfig hacc = workloads::paperScaledHaccConfig(ranks);
+    pfs::LinkConfig link = workloads::lichtenbergLinkConfig();
     link.noise_sigma = noise_sigma;  // per-transfer lognormal slowdowns
     // Stragglers relative to the per-client rate regime (not the whole
     // link): the reference sits just above the write limit the direct

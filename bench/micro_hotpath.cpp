@@ -240,7 +240,8 @@ void BM_SameInstantDrain(benchmark::State& state) {
 BENCHMARK(BM_SameInstantDrain)->Arg(1024)->Arg(10000);
 
 // Cap churn on long-lived transfers: re-solves triggered by setStreamCap
-// while membership stays constant (the cluster coordinator's usage pattern).
+// while membership stays constant (the cluster contention monitor's usage
+// pattern).
 void BM_CapChurnResolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   constexpr int kChanges = 512;

@@ -1,6 +1,7 @@
 #include "ckpt/runner.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <optional>
@@ -26,6 +27,15 @@ void publishLatest(const std::string& dir, const std::string& name) {
   if (!publishFile(dir + "/latest", name + "\n", &error)) {
     throw CheckpointError(ErrorKind::Io, error);
   }
+}
+
+std::string cadenceTooFine(sim::Time every, sim::Time next) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "checkpoint cadence %g s is too fine to count its intervals "
+                "up to virtual time %g s",
+                every, next);
+  return buf;
 }
 
 }  // namespace
@@ -57,17 +67,23 @@ std::vector<CheckpointRecord> runWithCheckpoints(
 
   sim::Simulation& sim = instance.sim();
   std::vector<CheckpointRecord> records;
-  for (std::uint64_t k = 1;; ++k) {
-    const sim::Time target = policy.every * static_cast<double>(k);
+  // k counts cadence intervals in a double: every integer below 2^53 is
+  // exact there and k + 1 steps, and the skip-ahead converts nothing out of
+  // range. Each pass runs at least the event at `next`, so the loop ends.
+  constexpr double kMaxIntervals = 9007199254740992.0;  // 2^53
+  for (double k = 1.0;; k += 1.0) {
+    sim::Time target = policy.every * k;
     const sim::Time next = sim.nextEventTime();
     if (next == sim::kInfiniteTime) break;  // drained: nothing left to park
     if (next > target) {
-      // Empty interval: skip ahead so a cadence much finer than the event
-      // spacing does not spin (the loop's ++k lands the next target at or
-      // past `next`).
-      k = static_cast<std::uint64_t>(next / policy.every);
-      continue;
+      // Empty interval: skip ahead to the first multiple past `next`, so a
+      // cadence much finer than the event spacing does not walk every
+      // empty interval.
+      k = std::floor(next / policy.every) + 1.0;
+      while (k < kMaxIntervals && policy.every * k < next) k += 1.0;
+      target = policy.every * k;
     }
+    IOBTS_CHECK(k < kMaxIntervals, cadenceTooFine(policy.every, next));
     sim.runUntil(target);
     if (sim.nextEventTime() == sim::kInfiniteTime) break;  // finished inside
     const auto wall_start = std::chrono::steady_clock::now();

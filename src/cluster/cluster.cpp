@@ -328,11 +328,6 @@ const StepSeries& Cluster::jobWriteRateSeries(JobId id) const {
   return link_->streamRateSeries(jobs_[id]->stream, pfs::Channel::Write);
 }
 
-const tmio::Tracer* Cluster::jobTracer(JobId id) const {
-  IOBTS_CHECK(id < jobs_.size(), "unknown job");
-  return jobs_[id]->tracer.get();
-}
-
 pfs::StreamId Cluster::jobStream(JobId id) const {
   IOBTS_CHECK(id < jobs_.size(), "unknown job");
   return jobs_[id]->stream;

@@ -130,9 +130,6 @@ class Cluster {
   /// The job's allocated write bandwidth over time (Fig. 2 per-job series).
   const StepSeries& jobWriteRateSeries(JobId job) const;
 
-  /// The TMIO tracer observing an async job (nullptr for sync jobs or jobs
-  /// that have not started); used by the GlobalCoordinator.
-  const tmio::Tracer* jobTracer(JobId job) const;
   pfs::StreamId jobStream(JobId job) const;
   bool allFinished() const noexcept { return all_done_.fired(); }
 

@@ -17,9 +17,8 @@ RankCtx::RankCtx(World& world, int rank)
       rank_(rank),
       stream_(world.config_.shared_stream
                   ? *world.config_.shared_stream
-                  : world.link_.createStream(
-                        world.config_.name + ".rank" + std::to_string(rank),
-                        world.config_.stream_weight)),
+                  : world.link_.createStream(world.config_.name + ".rank" +
+                                             std::to_string(rank))),
       jitter_rng_(world.config_.seed,
                   "jitter/" + world.config_.name + "/" + std::to_string(rank)) {
   if (world.config_.burst_buffer) {

@@ -70,9 +70,6 @@ struct WorldConfig {
   /// setting for synchronous I/O). When set, the per-rank write limiter is
   /// bypassed -- the buffer's drain_limit takes its role.
   std::optional<pfs::BurstBufferConfig> burst_buffer{};
-  /// Weight of each rank's PFS stream (the cluster simulator uses this to
-  /// model per-node fair share).
-  double stream_weight = 1.0;
   /// If set, all ranks share this single PFS stream instead of creating one
   /// each -- the cluster simulator uses one stream per *job* so the link's
   /// fair share (and a QoS cap) applies job-wide.

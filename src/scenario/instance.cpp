@@ -62,6 +62,7 @@ mpisim::WorldConfig toWorldConfig(const WorldSpec& world) {
   cfg.compute_jitter_sigma = world.jitter;
   cfg.seed = world.seed;
   cfg.name = world.name;
+  if (world.burst_buffer) cfg.burst_buffer = pfs::BurstBufferConfig{};
   return cfg;
 }
 
@@ -148,6 +149,16 @@ Seconds Instance::elapsed() const {
     max_elapsed = std::max(max_elapsed, entry.world->elapsed());
   }
   return max_elapsed;
+}
+
+std::string Instance::recordPath(const std::string& path,
+                                 std::size_t index) const {
+  const std::string& name = worlds_.at(index).spec->name;
+  if (worlds_.size() == 1) return path;
+  const std::size_t base = path.find_last_of('/') + 1;  // npos + 1 == 0
+  std::size_t dot = path.find_last_of('.');
+  if (dot == std::string::npos || dot <= base) dot = path.size();
+  return path.substr(0, dot) + "." + name + path.substr(dot);
 }
 
 sim::Semaphore& Instance::channel(const std::string& name, int rank) {

@@ -91,6 +91,13 @@ class Instance {
   /// Virtual elapsed time of the slowest world (valid once finished).
   Seconds elapsed() const;
 
+  /// Where world `index`'s records go when a run's records are written to
+  /// `path` (a JSONL file or a CSV prefix): `path` itself in a one-world
+  /// document, else `path` with ".<world name>" inserted before the
+  /// extension of its last component ("run.jsonl" -> "run.producer.jsonl",
+  /// "out/run" -> "out/run.producer").
+  std::string recordPath(const std::string& path, std::size_t index) const;
+
   /// The rendezvous semaphore behind `signal`/`recv` statements. Channels
   /// are per (name, rank): producer rank r feeds consumer rank r. Created
   /// on first use (deterministic: one shard drives all of the instance's

@@ -552,11 +552,18 @@ class Parser {
         world.strategy = expectString(key);
       } else if (key == "tolerance") {
         world.tolerance = expectNumber(key);
+      } else if (key == "burst_buffer") {
+        const std::int64_t on = expectInt(key);
+        if (on != 0 && on != 1) {
+          fail(line, "world." + key,
+               "burst_buffer must be 0 or 1, got " + std::to_string(on));
+        }
+        world.burst_buffer = on == 1;
       } else {
         fail(line, "world " + world.name,
              "unknown key '" + key +
-                 "' in world block (expected ranks, seed, jitter, strategy "
-                 "or tolerance)");
+                 "' in world block (expected ranks, seed, jitter, strategy, "
+                 "tolerance or burst_buffer)");
       }
     }
     spec.worlds.push_back(std::move(world));

@@ -22,7 +22,7 @@
 //             blackout from 5.0 to 5.5
 //             transfer_fault any 0.25 from 1.0 to 9.0 }
 //   let bpp = 2048                      # program-scoped constants
-//   world main { ranks = 48  strategy = "up-only" }
+//   world main { ranks = 48  strategy = "up-only"  burst_buffer = 0 }
 //   program main {
 //     phase init {
 //       if rank == 0 { read file "/pfs/in" at 0 bytes 4MiB }
@@ -200,6 +200,9 @@ struct WorldSpec {
   /// tmio limiting strategy: none|direct|up-only|adaptive|mfu.
   std::string strategy = "none";
   double tolerance = 1.1;
+  /// `burst_buffer = 1`: every rank writes through a node-local burst
+  /// buffer with the default pfs::BurstBufferConfig.
+  bool burst_buffer = false;
   /// Program body: either flat statements or a phase chain, never both.
   std::vector<Stmt> stmts;
   std::vector<Phase> phases;

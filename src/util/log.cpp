@@ -20,9 +20,6 @@ Level levelFromEnv() noexcept {
   if (const char* env = std::getenv("IOBTS_LOG_LEVEL")) {
     return parseLevel(env);
   }
-  if (const char* env = std::getenv("IOBTS_LOG")) {
-    return parseLevel(env);
-  }
   return Level::Warn;
 }
 

@@ -2,9 +2,7 @@
 //
 // Levels: Trace < Debug < Info < Warn < Error < Off.
 // The global level defaults to Warn and can be overridden with the
-// IOBTS_LOG_LEVEL environment variable (trace|debug|info|warn|error|off);
-// the older IOBTS_LOG spelling is still honoured when IOBTS_LOG_LEVEL is
-// unset.
+// IOBTS_LOG_LEVEL environment variable (trace|debug|info|warn|error|off).
 //
 // Usage:
 //   IOBTS_LOG_INFO() << "solved " << n << " regions";
@@ -25,8 +23,7 @@ enum class Level : int { Trace = 0, Debug, Info, Warn, Error, Off };
 Level level() noexcept;
 
 /// The level the environment requests right now: IOBTS_LOG_LEVEL, falling
-/// back to IOBTS_LOG, falling back to Warn. Does not touch the cached
-/// global level.
+/// back to Warn. Does not touch the cached global level.
 Level levelFromEnv() noexcept;
 
 /// Override the global level programmatically (tests use this).

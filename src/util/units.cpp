@@ -121,10 +121,4 @@ Bytes parseBytes(std::string_view text) {
   return static_cast<Bytes>(v + 0.5);
 }
 
-BytesPerSec parseBandwidth(std::string_view text) {
-  const double v = parseScaled(text);
-  IOBTS_CHECK(v >= 0.0, "bandwidth must be non-negative");
-  return v;
-}
-
 }  // namespace iobts

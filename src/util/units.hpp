@@ -6,7 +6,7 @@
 //   * simulated time    -> double seconds
 //
 // Helpers format values the way the paper's plots do (MB/s, GB/s, ...)
-// and parse human-friendly strings like "4MiB" or "120GB/s" for CLI flags.
+// and parse human-friendly byte counts like "4MiB".
 #pragma once
 
 #include <cstdint>
@@ -42,8 +42,5 @@ std::string formatDuration(Seconds seconds);
 /// Parse "64", "64KiB", "4MiB", "1.5GB", "120GB/s" (suffix case-insensitive,
 /// optional "/s" ignored). Throws CheckError on malformed input.
 Bytes parseBytes(std::string_view text);
-
-/// Parse a bandwidth string; same grammar as parseBytes.
-BytesPerSec parseBandwidth(std::string_view text);
 
 }  // namespace iobts

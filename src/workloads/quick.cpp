@@ -27,13 +27,17 @@ WacommConfig fig10QuickWacommConfig() {
   return cfg;
 }
 
-HaccIoConfig fig13QuickHaccConfig() {
+HaccIoConfig paperScaledHaccConfig(int ranks) {
   HaccIoConfig cfg;
-  const double scale =
-      std::pow(static_cast<double>(kFig13QuickRanks), 0.55);
+  const double scale = std::pow(static_cast<double>(ranks), 0.55);
   cfg.compute_seconds = 0.30 * scale;
   cfg.verify_seconds = 0.25 * scale;
   cfg.requests_per_write = 9;
+  return cfg;
+}
+
+HaccIoConfig fig13QuickHaccConfig() {
+  HaccIoConfig cfg = paperScaledHaccConfig(kFig13QuickRanks);
   cfg.loops = 2;
   return cfg;
 }

@@ -35,8 +35,18 @@ pfs::LinkConfig fig10QuickLinkConfig();
 /// the bench's compute split. Run on kFig10QuickRanks ranks.
 WacommConfig fig10QuickWacommConfig();
 
-/// Fig. 13 at reduced scale: 2 loops, nine-array write split, paper-scaled
-/// compute for kFig13QuickRanks ranks.
+/// HACC-IO configured to the paper's observed scale behaviour: phase lengths
+/// grow from ~0.6 s (1 rank) to ~105 s (9216 ranks) on the production
+/// cluster (Sec. VI-B). The compute/verify blocks follow that measured
+/// phase-length curve (0.30 and 0.25 x ranks^0.55) because the growth stems
+/// from production-cluster effects (cross-job interference, collective
+/// skew) outside the fluid PFS model. Nine requests per write mirror
+/// HACC-IO's nine particle arrays; particles and loops keep the paper's
+/// defaults.
+HaccIoConfig paperScaledHaccConfig(int ranks);
+
+/// Fig. 13 at reduced scale: paperScaledHaccConfig(kFig13QuickRanks) with
+/// 2 loops.
 HaccIoConfig fig13QuickHaccConfig();
 
 /// Tracer at the paper's 1.1 tolerance with the given strategy.

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -23,6 +24,7 @@
 #include "scenario/instance.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulation.hpp"
+#include "util/check.hpp"
 
 namespace iobts::ckpt {
 namespace {
@@ -96,6 +98,13 @@ TEST(CkptResume, Fig13QuickAtThreeCheckpointTimes) {
 TEST(CkptResume, FaultedDegradeAtThreeCheckpointTimes) {
   expectResumeExact(readFile(scenarioPath("faulted_degrade.scn")),
                     "faulted_degrade");
+}
+
+TEST(CkptResume, BurstBufferAtThreeCheckpointTimes) {
+  // Checkpoints embed the document, so the world's burst_buffer key
+  // resumes with the run.
+  expectResumeExact(readFile(scenarioPath("burst_buffer.scn")),
+                    "burst_buffer");
 }
 
 TEST(CkptResume, GeneratedScenariosIncludingFaultPlan) {
@@ -237,6 +246,60 @@ TEST(CkptResume, RunWithCheckpointsMatchesStraightRunAndPublishesLatest) {
   run.sim().run();
   run.instance().requireFinished();
   EXPECT_EQ(runDigest(run.instance()), straight.digest);
+}
+
+/// Drive fig13_quick through runWithCheckpoints at cadence `every`.
+std::vector<CheckpointRecord> runFig13At(double every, std::uint64_t* digest) {
+  const std::string text = readFile(scenarioPath("fig13_quick.scn"));
+  const std::string dir = testing::TempDir() + "ckpt_cadence_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  sim::Simulation sim;
+  scenario::Instance instance(sim, scenario::parseScenario(text));
+  instance.launch();
+  CheckpointPolicy policy;
+  policy.dir = dir;
+  policy.every = every;
+  std::vector<CheckpointRecord> records;
+  try {
+    records = runWithCheckpoints(instance, text, policy);
+  } catch (...) {
+    std::filesystem::remove_all(dir);
+    throw;
+  }
+  std::filesystem::remove_all(dir);
+  instance.requireFinished();
+  *digest = runDigest(instance);
+  return records;
+}
+
+TEST(CkptResume, FineCadenceSkipsEmptyIntervalsToTheStraightDigest) {
+  // 1 ns is far finer than fig13_quick's event spacing: the runner skips
+  // the empty intervals instead of walking them, parks only where events
+  // are, and the run ends on the straight digest.
+  const StraightRun straight =
+      runStraight(readFile(scenarioPath("fig13_quick.scn")));
+  std::uint64_t digest = 0;
+  const std::vector<CheckpointRecord> records = runFig13At(1e-9, &digest);
+  EXPECT_EQ(digest, straight.digest);
+  ASSERT_GE(records.size(), 2u);
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    EXPECT_GT(records[i].watermark, records[i - 1].watermark);
+  }
+}
+
+TEST(CkptResume, CadenceTooFineToCountFailsTyped) {
+  // At 1e-300 s the intervals up to the second event time outnumber 2^53,
+  // past which a double cannot count them one by one: the run must fail
+  // with a CheckError there, not hang.
+  std::uint64_t digest = 0;
+  try {
+    runFig13At(1e-300, &digest);
+    FAIL() << "a cadence too fine to count must be rejected";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("too fine"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -224,7 +224,7 @@ TEST(GoldenDigest, FtioPublisherPipeline) {
 
 TEST(GoldenDigest, ClusterContentionPipeline) {
   // examples/cluster_contention at reduced scale, limited and unlimited:
-  // exercises the job-level coordinator + QoS cap path of the solver.
+  // exercises the contention monitor + QoS cap path of the solver.
   std::string canon = "cluster-mini\n";
   for (const bool limit : {true, false}) {
     sim::Simulation sim;

@@ -108,6 +108,35 @@ TEST(ScenarioParseError, UnknownWorldKey) {
                    2, "world main", "unknown key 'color'");
 }
 
+TEST(ScenarioParseError, BurstBufferIsZeroOrOne) {
+  expectParseError("scenario \"t\"\n"
+                   "world main { ranks = 2  burst_buffer = 2 }\n"
+                   "program main { barrier }",
+                   2, "world.burst_buffer", "burst_buffer must be 0 or 1");
+  expectParseError("scenario \"t\"\n"
+                   "world main { ranks = 2  burst_buffer = 1.0 }\n"
+                   "program main { barrier }",
+                   2, "burst_buffer", "expected an integer");
+}
+
+TEST(ScenarioParse, BurstBufferKeyGivesEveryRankTheDefaultBuffer) {
+  for (const int on : {0, 1}) {
+    sim::Simulation sim;
+    Instance instance(
+        sim, parseScenario("scenario \"t\"\n"
+                           "world main { ranks = 2  burst_buffer = " +
+                           std::to_string(on) +
+                           " }\n"
+                           "program main { write file \"/f.{rank}\" at 0 "
+                           "bytes 1MiB }"));
+    EXPECT_EQ(instance.spec().worlds[0].burst_buffer, on == 1);
+    EXPECT_EQ(instance.world(0).config().burst_buffer.has_value(), on == 1);
+    instance.launch();
+    sim.run();
+    instance.requireFinished();
+  }
+}
+
 TEST(ScenarioParseError, UnknownStrategy) {
   expectParseError("scenario \"t\"\n"
                    "world main { ranks = 2  strategy = \"turbo\" }\n"
@@ -535,6 +564,40 @@ TEST(ScenarioParseError, OutageFractionOutOfRange) {
                    "outage fraction must lie in (0, 1]");
   expectParseError(doc("1.5"), 2, "faults",
                    "outage fraction must lie in (0, 1]");
+}
+
+TEST(ScenarioRuntime, RecordPathsNameEveryWorld) {
+  // Two worlds with async writes in both: each world has tmio records of
+  // its own, and each world's record files are named by the world.
+  const std::string program =
+      "  loop i : 3 {\n"
+      "    iwrite file \"/pfs/{rank}\" at i * 4KiB bytes 4KiB -> w\n"
+      "    compute 0.1\n"
+      "    wait w\n"
+      "  }\n";
+  sim::Simulation sim;
+  Instance instance(sim, parseScenario("scenario \"two\"\n"
+                                       "world left { ranks = 2 }\n"
+                                       "world right { ranks = 3 }\n"
+                                       "program left {\n" + program + "}\n"
+                                       "program right {\n" + program + "}\n"));
+  instance.launch();
+  sim.run();
+  instance.requireFinished();
+
+  EXPECT_EQ(instance.recordPath("run.jsonl", 0), "run.left.jsonl");
+  EXPECT_EQ(instance.recordPath("run.jsonl", 1), "run.right.jsonl");
+  EXPECT_EQ(instance.recordPath("out/run", 1), "out/run.right");
+  EXPECT_EQ(instance.recordPath("out.d/run", 0), "out.d/run.left");
+  EXPECT_EQ(instance.recordPath(".jsonl", 0), ".jsonl.left");
+  EXPECT_EQ(instance.tracer(0).phaseRecords().size(), 6u);
+  EXPECT_EQ(instance.tracer(1).phaseRecords().size(), 9u);
+
+  // A one-world document keeps the name it was given.
+  sim::Simulation one_sim;
+  Instance one(one_sim, parseScenario(std::string(kWorld) +
+                                      "program main { barrier }"));
+  EXPECT_EQ(one.recordPath("run.jsonl", 0), "run.jsonl");
 }
 
 TEST(ScenarioParse, AcceptsPhaseChainWithExplicitLinks) {

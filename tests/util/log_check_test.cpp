@@ -35,22 +35,17 @@ TEST(Log, LevelNamesRoundTrip) {
   EXPECT_STREQ(log::levelName(log::Level::Info), "INFO");
 }
 
-TEST(Log, EnvLevelPrefersLogLevelOverLegacySpelling) {
-  // levelFromEnv() consults IOBTS_LOG_LEVEL first, then the older IOBTS_LOG,
-  // then defaults to Warn. It reads the environment afresh on every call, so
-  // the cached global level is unaffected.
+TEST(Log, EnvLevelReadsLogLevel) {
+  // levelFromEnv() consults IOBTS_LOG_LEVEL, then defaults to Warn. It
+  // reads the environment afresh on every call, so the cached global level
+  // is unaffected.
   ::unsetenv("IOBTS_LOG_LEVEL");
-  ::unsetenv("IOBTS_LOG");
   EXPECT_EQ(log::levelFromEnv(), log::Level::Warn);
-
-  ::setenv("IOBTS_LOG", "error", 1);
-  EXPECT_EQ(log::levelFromEnv(), log::Level::Error);
 
   ::setenv("IOBTS_LOG_LEVEL", "debug", 1);
   EXPECT_EQ(log::levelFromEnv(), log::Level::Debug);
 
   ::unsetenv("IOBTS_LOG_LEVEL");
-  ::unsetenv("IOBTS_LOG");
 }
 
 TEST(Log, MessagesBelowLevelSuppressed) {

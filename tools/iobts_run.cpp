@@ -1,25 +1,29 @@
 // iobts_run -- command-line driver for the simulated TMIO stack.
 //
-// Runs one of the bundled workloads under a chosen limiting strategy and
-// prints the paper's metrics (required bandwidth, throughput, exploitation,
-// overhead), optionally dumping raw records.
+// Compiles and runs a scenario DSL document (src/scenario; grammar in
+// DESIGN.md §10) and prints the paper's metrics per world: required
+// bandwidth, the app vs. tracer-overhead split, peak write throughput,
+// exploitation and the phases and limit changes the tracer saw. Every run
+// is a document: rank count, strategy, tolerance, link and burst buffer are
+// the document's `world` and `link` keys, so a different run is an edited
+// copy of a document, not a flag.
 //
-//   iobts_run --workload hacc|wacomm --ranks N --strategy none|direct|
-//             up-only|adaptive|mfu [--tol X] [--loops N] [--particles N]
-//             [--write-bw 106GB] [--read-bw 120GB] [--noise SIGMA]
-//             [--burst-buffer] [--jsonl FILE] [--csv PREFIX] [--chart]
-//
-// or compiles and runs a scenario DSL file (src/scenario) instead:
-//
-//   iobts_run --scenario FILE [--trace TRACE] [--trace-flush-bytes N]
-//             [--summary FILE] [--jsonl FILE] [--csv PREFIX] [--digest]
+//   iobts_run --scenario FILE [--chart] [--ftio] [--jsonl FILE]
+//             [--csv PREFIX] [--trace TRACE] [--trace-flush-bytes N]
+//             [--summary FILE] [--digest]
 //             [--checkpoint-dir DIR --checkpoint-every SECONDS]
 //
 // or resumes a run from a checkpoint written by a previous (possibly
-// killed) invocation:
+// killed) invocation, with the same report flags:
 //
-//   iobts_run --resume CKPT [--digest] [--checkpoint-dir DIR
-//             --checkpoint-every SECONDS]
+//   iobts_run --resume CKPT [report flags as above]
+//             [--checkpoint-dir DIR --checkpoint-every SECONDS]
+//
+// --chart prints each world's write-channel T / B / B_L chart and --ftio
+// its FTIO periodicity line. --jsonl and --csv dump the raw tmio records;
+// a document with several worlds writes one set of files per world, named
+// by inserting ".<world name>" before the extension (run.jsonl ->
+// run.producer.jsonl; CSV prefix out/run -> out/run.producer_phases.csv).
 //
 // --trace installs the observability sink for the whole run and records
 // every event into a compact binary flight-recorder trace
@@ -37,12 +41,12 @@
 // checkpoint/kill/resume run of the same scenario print identical digests
 // (tools/run_crash_resume.sh is the harness asserting exactly that).
 //
-// A scenario or resumed run exits 2 on a scenario error, 3 on a checkpoint
-// error and 4 when the run itself fails a kernel check (such as a virtual
-// clock that overflows to infinity).
+// Exit codes: 2 on a usage or scenario error, 3 on a checkpoint error and
+// 4 when the run itself fails a kernel check (such as a virtual clock that
+// overflows to infinity, or a checkpoint cadence too fine to count).
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
@@ -61,53 +65,38 @@
 #include "tmio/tracer.hpp"
 #include "util/ascii_chart.hpp"
 #include "util/check.hpp"
-#include "util/string_util.hpp"
-#include "workloads/hacc_io.hpp"
-#include "workloads/wacomm.hpp"
+#include "util/units.hpp"
 
 using namespace iobts;
 
 namespace {
 
 struct CliOptions {
-  std::string workload = "hacc";
-  int ranks = 16;
-  std::string strategy = "direct";
-  double tolerance = 1.1;
-  int loops = 0;      // 0 = workload default
-  long particles = 0; // 0 = workload default
-  BytesPerSec write_bw = 106e9;
-  BytesPerSec read_bw = 120e9;
-  double noise = 0.0;
-  bool burst_buffer = false;
-  std::optional<std::string> jsonl;
-  std::optional<std::string> csv;
+  std::optional<std::string> scenario;
+  std::optional<std::string> resume;
   bool chart = false;
   bool ftio = false;
-  std::optional<std::string> scenario;
+  std::optional<std::string> jsonl;
+  std::optional<std::string> csv;
   std::optional<std::string> trace;
   std::size_t trace_flush_bytes = 0;  // 0 = writer default
   std::optional<std::string> summary;
+  bool digest = false;
   std::optional<std::string> checkpoint_dir;
   double checkpoint_every = 0.0;
-  std::optional<std::string> resume;
-  bool digest = false;
 };
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--workload hacc|wacomm] [--ranks N]\n"
-      "          [--strategy none|direct|up-only|adaptive|mfu] [--tol X]\n"
-      "          [--loops N] [--particles N] [--write-bw 106GB]\n"
-      "          [--read-bw 120GB] [--noise SIGMA] [--burst-buffer]\n"
-      "          [--jsonl FILE] [--csv PREFIX] [--chart] [--ftio]\n"
-      "       %s --scenario FILE [--trace TRACE] [--trace-flush-bytes N]\n"
-      "          [--summary FILE] [--jsonl FILE] [--csv PREFIX] [--digest]\n"
+      "usage: %s --scenario FILE [--chart] [--ftio] [--jsonl FILE]\n"
+      "          [--csv PREFIX] [--trace TRACE] [--trace-flush-bytes N]\n"
+      "          [--summary FILE] [--digest]\n"
       "          [--checkpoint-dir DIR --checkpoint-every SECONDS]\n"
-      "       %s --resume CKPT [--digest]\n"
-      "          [--checkpoint-dir DIR --checkpoint-every SECONDS]\n",
-      argv0, argv0, argv0);
+      "       %s --resume CKPT [the same report and checkpoint flags]\n"
+      "Rank count, strategy, tolerance, link and burst buffer are keys of\n"
+      "the document's world and link blocks (DESIGN.md §10).\n",
+      argv0, argv0);
   std::exit(2);
 }
 
@@ -119,21 +108,12 @@ CliOptions parse(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--workload") opt.workload = next(i);
-    else if (arg == "--ranks") opt.ranks = std::atoi(next(i));
-    else if (arg == "--strategy") opt.strategy = next(i);
-    else if (arg == "--tol") opt.tolerance = std::atof(next(i));
-    else if (arg == "--loops") opt.loops = std::atoi(next(i));
-    else if (arg == "--particles") opt.particles = std::atol(next(i));
-    else if (arg == "--write-bw") opt.write_bw = parseBandwidth(next(i));
-    else if (arg == "--read-bw") opt.read_bw = parseBandwidth(next(i));
-    else if (arg == "--noise") opt.noise = std::atof(next(i));
-    else if (arg == "--burst-buffer") opt.burst_buffer = true;
-    else if (arg == "--jsonl") opt.jsonl = next(i);
-    else if (arg == "--csv") opt.csv = next(i);
+    if (arg == "--scenario") opt.scenario = next(i);
+    else if (arg == "--resume") opt.resume = next(i);
     else if (arg == "--chart") opt.chart = true;
     else if (arg == "--ftio") opt.ftio = true;
-    else if (arg == "--scenario") opt.scenario = next(i);
+    else if (arg == "--jsonl") opt.jsonl = next(i);
+    else if (arg == "--csv") opt.csv = next(i);
     else if (arg == "--trace") opt.trace = next(i);
     else if (arg == "--trace-flush-bytes") {
       // Chunk seal threshold for the binary recorder. Small values seal
@@ -142,17 +122,19 @@ CliOptions parse(int argc, char** argv) {
       opt.trace_flush_bytes = static_cast<std::size_t>(std::atol(next(i)));
     }
     else if (arg == "--summary") opt.summary = next(i);
+    else if (arg == "--digest") opt.digest = true;
     else if (arg == "--checkpoint-dir") opt.checkpoint_dir = next(i);
     else if (arg == "--checkpoint-every") opt.checkpoint_every = std::atof(next(i));
-    else if (arg == "--resume") opt.resume = next(i);
-    else if (arg == "--digest") opt.digest = true;
     else if (arg == "--help" || arg == "-h") usage(argv[0]);
     else {
       std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
       usage(argv[0]);
     }
   }
-  if (opt.ranks <= 0) usage(argv[0]);
+  if (!opt.scenario && !opt.resume) {
+    std::fprintf(stderr, "--scenario or --resume is required\n");
+    usage(argv[0]);
+  }
   // --checkpoint-dir and --checkpoint-every only work as a pair: a dir
   // without a cadence has no capture schedule, a cadence without a dir has
   // nowhere to write. Reject here with usage instead of tripping an
@@ -192,6 +174,25 @@ bool startTrace(const CliOptions& opt, TraceRecording& rec) {
   return true;
 }
 
+/// The write channel's T / B / B_L chart over [0, t_end], in MB/s;
+/// `throughput` is the tracer's write-channel T series.
+void printChart(const tmio::Tracer& tracer, const StepSeries& throughput,
+                Seconds t_end) {
+  LineChart chart(90, 14);
+  chart.setTitle("write channel: T / B / B_L (MB/s)");
+  auto pts = [&](const StepSeries& s) {
+    auto v = s.resampleMax(0.0, t_end, 90);
+    for (auto& [t, y] : v) y /= 1e6;
+    return v;
+  };
+  chart.addSeries("T", pts(throughput));
+  chart.addSeries("B", pts(tracer.appRequiredSeries(pfs::Channel::Write)));
+  if (tracer.config().strategy != tmio::StrategyKind::None) {
+    chart.addSeries("B_L", pts(tracer.appLimitSeries(pfs::Channel::Write)));
+  }
+  std::printf("%s", chart.render().c_str());
+}
+
 /// Print the per-world paper metrics, shared by straight and resumed runs.
 int reportScenario(const CliOptions& opt, scenario::Instance& instance,
                    TraceRecording& trace, const std::string& scenario_text) {
@@ -202,14 +203,34 @@ int reportScenario(const CliOptions& opt, scenario::Instance& instance,
     const mpisim::World& world = instance.world(w);
     const tmio::Tracer& tracer = instance.tracer(w);
     const tmio::ExploitBreakdown e = tmio::exploitBreakdown(tracer, world);
+    const tmio::RuntimeSummary runtime = tmio::runtimeSummary(world);
+    const StepSeries throughput =
+        tracer.appThroughputSeries(pfs::Channel::Write);
     std::printf("world %zu: elapsed %.3f s  required bandwidth %s\n", w,
                 world.elapsed(),
                 formatBandwidth(tracer.minimalRequiredBandwidth()).c_str());
+    std::printf("  app %.3f s  tracer overhead %.3f s  peak write throughput "
+                "%s\n",
+                runtime.app, runtime.overhead,
+                formatBandwidth(throughput.maxValue()).c_str());
     std::printf("  async exploit %.1f %%  async lost %.1f %%  sync I/O "
                 "%.1f %%\n",
                 e.async_write_exploit + e.async_read_exploit,
                 e.async_write_lost + e.async_read_lost,
                 e.sync_write + e.sync_read);
+    std::printf("  phases traced %zu  limit changes %zu\n",
+                tracer.phaseRecords().size(), tracer.limitChanges().size());
+    if (opt.ftio) {
+      const tmio::PeriodicityResult ftio =
+          tmio::FtioAnalyzer().analyzeSeries(throughput, 0.0, runtime.total);
+      if (ftio.periodic) {
+        std::printf("  I/O periodicity %.3f s period (confidence %.2f)\n",
+                    ftio.period, ftio.confidence);
+      } else {
+        std::printf("  I/O periodicity none detected\n");
+      }
+    }
+    if (opt.chart) printChart(tracer, throughput, runtime.total);
   }
   const scenario::RunStats& stats = instance.stats();
   std::printf(
@@ -228,8 +249,11 @@ int reportScenario(const CliOptions& opt, scenario::Instance& instance,
                 static_cast<unsigned long long>(ckpt::runDigest(instance)));
   }
 
-  if (opt.jsonl) instance.tracer(0).writeJsonl(*opt.jsonl);
-  if (opt.csv) instance.tracer(0).writeCsv(*opt.csv);
+  for (std::size_t w = 0; w < instance.worldCount(); ++w) {
+    const tmio::Tracer& tracer = instance.tracer(w);
+    if (opt.jsonl) tracer.writeJsonl(instance.recordPath(*opt.jsonl, w));
+    if (opt.csv) tracer.writeCsv(instance.recordPath(*opt.csv, w));
+  }
   if (opt.trace) {
     // Fold the application-level B_req series into the trace before it is
     // finalized, so the offline profiler's --breq table works on any trace
@@ -361,102 +385,11 @@ int runResume(const CliOptions& opt) {
 int main(int argc, char** argv) {
   const CliOptions opt = parse(argc, argv);
   try {
-    if (opt.resume) return runResume(opt);
-    if (opt.scenario) return runScenario(opt);
+    return opt.resume ? runResume(opt) : runScenario(opt);
   } catch (const CheckError& e) {
     // A document that parses can still break a kernel invariant at run
     // time, e.g. compute delays that overflow the virtual clock.
     std::fprintf(stderr, "run failed: %s\n", e.what());
     return 4;
   }
-
-  sim::Simulation sim;
-  pfs::LinkConfig link_cfg;
-  link_cfg.write_capacity = opt.write_bw;
-  link_cfg.read_capacity = opt.read_bw;
-  link_cfg.noise_sigma = opt.noise;
-  pfs::SharedLink link(sim, link_cfg);
-  pfs::FileStore store;
-
-  tmio::TracerConfig tracer_cfg;
-  tracer_cfg.strategy = tmio::parseStrategy(opt.strategy);
-  tracer_cfg.params.tolerance = opt.tolerance;
-  tmio::Tracer tracer(tracer_cfg);
-
-  mpisim::WorldConfig world_cfg;
-  world_cfg.ranks = opt.ranks;
-  if (opt.burst_buffer) world_cfg.burst_buffer = pfs::BurstBufferConfig{};
-  mpisim::World world(sim, link, store, world_cfg, &tracer);
-  tracer.attach(world);
-
-  if (opt.workload == "hacc") {
-    workloads::HaccIoConfig cfg;
-    if (opt.loops > 0) cfg.loops = opt.loops;
-    if (opt.particles > 0) {
-      cfg.particles_per_rank = static_cast<Bytes>(opt.particles);
-    }
-    world.launch(workloads::haccIoProgram(cfg));
-  } else if (opt.workload == "wacomm") {
-    workloads::WacommConfig cfg;
-    if (opt.loops > 0) cfg.iterations = opt.loops;
-    if (opt.particles > 0) cfg.particles = opt.particles;
-    world.launch(workloads::wacommProgram(cfg));
-  } else {
-    std::fprintf(stderr, "unknown workload '%s'\n", opt.workload.c_str());
-    return 2;
-  }
-  sim.run();
-
-  const tmio::RuntimeSummary runtime = tmio::runtimeSummary(world);
-  const tmio::ExploitBreakdown e = tmio::exploitBreakdown(tracer, world);
-  std::printf("workload=%s ranks=%d strategy=%s tol=%.2f\n",
-              opt.workload.c_str(), opt.ranks, opt.strategy.c_str(),
-              opt.tolerance);
-  std::printf("elapsed            %.3f s (app %.3f s, tracer overhead %.3f s)\n",
-              runtime.total, runtime.app, runtime.overhead);
-  std::printf("required bandwidth %s (application-level minimum, Eq. 3)\n",
-              formatBandwidth(tracer.minimalRequiredBandwidth()).c_str());
-  std::printf("peak throughput    %s\n",
-              formatBandwidth(
-                  tracer.appThroughputSeries(pfs::Channel::Write).maxValue())
-                  .c_str());
-  std::printf("async exploit      %.1f %%   async lost %.1f %%   sync I/O "
-              "%.1f %%\n",
-              e.async_write_exploit + e.async_read_exploit,
-              e.async_write_lost + e.async_read_lost,
-              e.sync_write + e.sync_read);
-  std::printf("phases traced      %zu   limit changes %zu\n",
-              tracer.phaseRecords().size(), tracer.limitChanges().size());
-
-  if (opt.ftio) {
-    tmio::FtioAnalyzer ftio;
-    const auto result = ftio.analyzeSeries(
-        tracer.appThroughputSeries(pfs::Channel::Write), 0.0, runtime.total);
-    if (result.periodic) {
-      std::printf("I/O periodicity    %.3f s period (confidence %.2f)\n",
-                  result.period, result.confidence);
-    } else {
-      std::printf("I/O periodicity    none detected\n");
-    }
-  }
-
-  if (opt.chart) {
-    LineChart chart(90, 14);
-    chart.setTitle("write channel: T / B / B_L (MB/s)");
-    auto pts = [&](const StepSeries& s) {
-      auto v = s.resampleMax(0.0, runtime.total, 90);
-      for (auto& [t, y] : v) y /= 1e6;
-      return v;
-    };
-    chart.addSeries("T", pts(tracer.appThroughputSeries(pfs::Channel::Write)));
-    chart.addSeries("B", pts(tracer.appRequiredSeries(pfs::Channel::Write)));
-    if (tracer_cfg.strategy != tmio::StrategyKind::None) {
-      chart.addSeries("B_L", pts(tracer.appLimitSeries(pfs::Channel::Write)));
-    }
-    std::printf("%s", chart.render().c_str());
-  }
-
-  if (opt.jsonl) tracer.writeJsonl(*opt.jsonl);
-  if (opt.csv) tracer.writeCsv(*opt.csv);
-  return 0;
 }

@@ -10,9 +10,7 @@
 # A ThreadSanitizer pass over the independent-shard executor follows: the
 # sim/pfs/mpisim/parallel/scenario suites rebuilt for -fsanitize=thread, so
 # the claim that shards share no state across workers is machine-checked,
-# not just argued in comments. Known gap: the Tsan build type does not yet
-# apply its flags (see CMakeLists.txt), so this pass compiles uninstrumented
-# code until that is fixed.
+# not just argued in comments.
 #
 # Every tree configures with -DIOBTS_WERROR=ON: the GCC builds are
 # warning-clean, so a new warning fails the gate.
@@ -42,7 +40,10 @@ run_tsan() {
   echo "== tsan: run sim_test + pfs_test + mpisim_test + parallel_test + scenario_test =="
   # TSan also defeats coroutine symmetric transfer; lift the stack limit.
   ulimit -s unlimited 2>/dev/null || true
-  ./build-tsan/tests/sim_test
+  # Every hop of Task.DeepChainDoesNotOverflowStack's 100k-deep await chain
+  # takes real stack under TSan, and the run grows past 16 GB: never run it
+  # from this tree. It runs in every other build.
+  ./build-tsan/tests/sim_test --gtest_filter=-Task.DeepChainDoesNotOverflowStack
   ./build-tsan/tests/pfs_test
   ./build-tsan/tests/mpisim_test
   # The parallel suite is the point: the worker pool, the join and
