@@ -15,9 +15,7 @@
 // Simulation + Instance parked exactly where the checkpoint was taken.
 // Replay cost is bounded by the watermark (never more than the work the
 // original run had already done); what a crash costs is therefore at most
-// one checkpoint interval of *lost* progress plus the replay. Inside a
-// cluster, JobSpec::checkpoint_interval additionally lets a requeued job
-// skip the loops it already finished.
+// one checkpoint interval of *lost* progress plus the replay.
 #pragma once
 
 #include <cstdint>

@@ -22,10 +22,6 @@ struct Cluster::Job {
   // Policy bookkeeping: latest per-rank required bandwidth.
   std::vector<double> last_required;
   std::size_t records_consumed = 0;
-  // Bumped on every (re)launch; the contention monitor captures it at spawn
-  // and exits when it changes, so a monitor never touches the fresh
-  // world/tracer of a requeued attempt.
-  std::uint64_t launch_epoch = 0;
 };
 
 Cluster::Cluster(sim::Simulation& simulation, ClusterConfig config)
@@ -76,11 +72,6 @@ void Cluster::enableContentionLimiting(JobId id, double tolerance,
 void Cluster::start() {
   IOBTS_CHECK(!started_, "start() may only be called once");
   started_ = true;
-  // Install the fault plan only now: its straggler events may name job
-  // streams, which exist once every submit() has run.
-  if (config_.fault_plan != nullptr) {
-    link_->installFaultPlan(*config_.fault_plan);
-  }
   if (jobs_.empty()) {
     all_done_.fire();
     return;
@@ -119,9 +110,6 @@ void Cluster::tryStartJobs() {
     wcfg.name = "job." + job.spec.name;
     wcfg.shared_stream = job.stream;
     wcfg.seed = config_.seed ^ hashName(job.spec.name);
-    wcfg.retry = config_.retry;
-    ++job.launch_epoch;
-    job.records_consumed = 0;
     if (job.spec.io == JobIo::Async) {
       tmio::TracerConfig tcfg;
       tcfg.strategy = tmio::StrategyKind::None;  // observe only
@@ -153,46 +141,15 @@ void Cluster::tryStartJobs() {
 sim::Task<void> Cluster::jobWatcher(JobId id) {
   Job& job = *jobs_[id];
   co_await job.world->join();
-  const int failed_ranks = job.world->failedRanks();
-  job.result.io_retries += job.world->ioStats().retries;
   free_nodes_ += job.spec.nodes;
   link_->setStreamCap(job.stream, std::nullopt);  // drop any leftover cap
-
-  if (failed_ranks > 0 && job.result.resubmits < job.spec.max_resubmits) {
-    // Graceful degradation: tear the attempt down and requeue at the FCFS
-    // tail. The relaunch (tryStartJobs) spawns a fresh watcher/monitor; the
-    // epoch bump there retires this attempt's monitor.
-    ++job.result.resubmits;
-    job.result.start = sim::kNoTime;
-    job.world.reset();
-    job.tracer.reset();
-    if (obs::TraceSink* const sink = obs::traceSink()) {
-      sink->instant("cluster", "job.requeue", obs::track::kCluster,
-                    static_cast<std::uint32_t>(id), sim_.now(),
-                    static_cast<double>(job.result.resubmits));
-    }
-    IOBTS_LOG_WARN() << "job " << job.spec.name << " failed (" << failed_ranks
-                     << " ranks); resubmit " << job.result.resubmits << "/"
-                     << job.spec.max_resubmits;
-    pending_queue_.push_back(id);
-    tryStartJobs();
-    co_return;
-  }
-
   job.result.end = sim_.now();
-  job.result.failed = failed_ranks > 0;
-  job.result.failed_ranks = failed_ranks;
   if (obs::TraceSink* const sink = obs::traceSink()) {
-    // Job lifetime as a genuine virtual-time span (final attempt only).
-    sink->complete("cluster", job.result.failed ? "job.failed" : "job",
-                   obs::track::kCluster, static_cast<std::uint32_t>(id),
-                   job.result.start, job.result.end - job.result.start,
+    // Job lifetime as a genuine virtual-time span.
+    sink->complete("cluster", "job", obs::track::kCluster,
+                   static_cast<std::uint32_t>(id), job.result.start,
+                   job.result.end - job.result.start,
                    static_cast<double>(job.spec.nodes));
-  }
-  if (job.result.failed) {
-    IOBTS_LOG_WARN() << "job " << job.spec.name << " failed permanently ("
-                     << failed_ranks << " ranks, "
-                     << job.result.resubmits << " resubmits used)";
   }
   tryStartJobs();
   if (++finished_jobs_ == static_cast<int>(jobs_.size())) all_done_.fire();
@@ -201,16 +158,10 @@ sim::Task<void> Cluster::jobWatcher(JobId id) {
 sim::Task<void> Cluster::contentionMonitor(JobId id, double tolerance,
                                            sim::Time poll_interval) {
   Job& job = *jobs_[id];
-  // Watch one attempt only: a requeue resets world/tracer, so this monitor
-  // must retire the moment the job is relaunched under a newer epoch.
-  const std::uint64_t epoch = job.launch_epoch;
   bool capped = false;
-  while (!job.result.finished() && job.launch_epoch == epoch) {
+  while (!job.result.finished()) {
     co_await sim_.delay(poll_interval);
-    if (job.result.finished() || job.launch_epoch != epoch ||
-        job.tracer == nullptr) {
-      break;
-    }
+    if (job.result.finished() || job.tracer == nullptr) break;
 
     // Fold new tracer records into the per-rank estimates.
     const auto& records = job.tracer->phaseRecords();
@@ -223,16 +174,7 @@ sim::Task<void> Cluster::contentionMonitor(JobId id, double tolerance,
 
     const bool contended = link_->contended(pfs::Channel::Write);
     if (contended && estimate > 0.0) {
-      // Graceful degradation: the policy caps relative to what the link can
-      // actually deliver. Inside a degradation window the job's share of
-      // the *effective* capacity is proportionally smaller, so the cap
-      // shrinks with it instead of insisting on the healthy-link estimate.
-      // Guarded so a healthy link's cap arithmetic is unchanged.
-      BytesPerSec cap = estimate * tolerance;
-      const BytesPerSec base = link_->capacity(pfs::Channel::Write);
-      const BytesPerSec effective =
-          link_->effectiveCapacity(pfs::Channel::Write);
-      if (effective != base && base > 0.0) cap *= effective / base;
+      const BytesPerSec cap = estimate * tolerance;
       link_->setStreamCap(job.stream, cap);
       if (!capped) {
         IOBTS_LOG_DEBUG() << "capping job " << job.spec.name << " at "
@@ -255,25 +197,15 @@ sim::Task<void> Cluster::contentionMonitor(JobId id, double tolerance,
 }
 
 mpisim::World::RankProgram Cluster::makeProgram(JobId id) {
-  Job* const job = jobs_[id].get();
-  const JobSpec& spec = job->spec;
+  const JobSpec& spec = jobs_[id]->spec;
   const std::string prefix = "/pfs/" + spec.name + ".out";
-  // Resume from the last recorded application checkpoint: a requeued
-  // attempt re-runs only the loops after it. Loop indices stay absolute so
-  // a resumed attempt writes the same content tags as a straight run.
-  const int start_loop =
-      spec.checkpoint_interval > 0 ? job->result.checkpointed_loops : 0;
-  return [spec, prefix, start_loop, job, id](mpisim::RankCtx& ctx)
-             -> sim::Task<void> {
+  return [spec, prefix](mpisim::RankCtx& ctx) -> sim::Task<void> {
     auto file = ctx.open(prefix + "." + std::to_string(ctx.rank()));
     mpisim::Request pending;
-    for (int loop = start_loop; loop < spec.loops; ++loop) {
+    for (int loop = 0; loop < spec.loops; ++loop) {
       co_await ctx.compute(spec.compute_seconds);
       if (pending.valid()) {
         co_await ctx.wait(pending);
-        // Async errors arrive MPI-style in the request status; the job
-        // treats a permanently failed write like a fatal I/O error.
-        if (pending.failed()) throw mpisim::IoFailure(pending.info());
         pending = {};
       }
       std::uint64_t tag_seed = static_cast<std::uint64_t>(loop) + 1;
@@ -284,32 +216,8 @@ mpisim::World::RankProgram Cluster::makeProgram(JobId id) {
       } else {
         co_await file.writeAt(0, spec.write_bytes_per_node, tag);
       }
-      if (spec.checkpoint_interval > 0 && loop + 1 < spec.loops &&
-          (loop + 1) % spec.checkpoint_interval == 0) {
-        // Consistent application checkpoint: the burst must be on disk
-        // before progress is recorded, and every rank must have reached the
-        // boundary (a checkpoint covering only some ranks' loops would be
-        // unrestartable).
-        if (pending.valid()) {
-          co_await ctx.wait(pending);
-          if (pending.failed()) throw mpisim::IoFailure(pending.info());
-          pending = {};
-        }
-        co_await ctx.barrier();
-        if (ctx.rank() == 0) {
-          job->result.checkpointed_loops = loop + 1;
-          if (obs::TraceSink* const sink = obs::traceSink()) {
-            sink->instant("cluster", "job.checkpoint", obs::track::kCluster,
-                          static_cast<std::uint32_t>(id), ctx.now(),
-                          static_cast<double>(loop + 1));
-          }
-        }
-      }
     }
-    if (pending.valid()) {
-      co_await ctx.wait(pending);
-      if (pending.failed()) throw mpisim::IoFailure(pending.info());
-    }
+    if (pending.valid()) co_await ctx.wait(pending);
   };
 }
 
@@ -334,18 +242,12 @@ pfs::StreamId Cluster::jobStream(JobId id) const {
 }
 
 void Cluster::exportMetrics(obs::MetricsRegistry& registry) const {
-  std::uint64_t finished = 0, failed = 0, resubmits = 0, io_retries = 0;
+  std::uint64_t finished = 0;
   for (const auto& job : jobs_) {
     if (job->result.finished()) ++finished;
-    if (job->result.failed) ++failed;
-    resubmits += static_cast<std::uint64_t>(job->result.resubmits);
-    io_retries += job->result.io_retries;
   }
   registry.addCounter("cluster.jobs", jobs_.size());
   registry.addCounter("cluster.jobs_finished", finished);
-  registry.addCounter("cluster.jobs_failed", failed);
-  registry.addCounter("cluster.requeues", resubmits);
-  registry.addCounter("cluster.io_retries", io_retries);
   registry.setGauge("cluster.free_nodes", static_cast<double>(free_nodes_));
   registry.setGauge("cluster.pending_jobs",
                     static_cast<double>(pending_queue_.size()));

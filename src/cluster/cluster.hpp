@@ -11,11 +11,7 @@
 // enableContentionLimiting(): a monitor watches the link; while it is
 // contended the job's stream is capped at tolerance x its required
 // bandwidth (estimated online by an attached TMIO tracer); when contention
-// clears, the cap is lifted. Under a fault plan (ClusterConfig::fault_plan)
-// the monitor re-estimates against the link's *effective* (degraded)
-// capacity, and a job whose ranks exhaust their retry budget fails with a
-// JobResult failure state -- optionally requeued by the FCFS scheduler up
-// to JobSpec::max_resubmits times.
+// clears, the cap is lifted.
 #pragma once
 
 #include <memory>
@@ -23,12 +19,10 @@
 #include <string>
 #include <vector>
 
-#include "fault/plan.hpp"
 #include "mpisim/world.hpp"
 #include "pfs/file_store.hpp"
 #include "pfs/shared_link.hpp"
 #include "sim/sync.hpp"
-#include "throttle/retry.hpp"
 #include "tmio/tracer.hpp"
 
 namespace iobts::obs {
@@ -42,12 +36,6 @@ struct ClusterConfig {
   int cores_per_node = 96;
   pfs::LinkConfig pfs{};     // Fig. 1 uses a 120 GB/s PFS
   std::uint64_t seed = 1;
-  /// Retry/backoff policy handed to every job's I/O threads.
-  throttle::RetryPolicy retry{};
-  /// Optional fault plan installed on the PFS link at start(); must outlive
-  /// the cluster. Straggler stream ids refer to job streams, which are
-  /// created in submit() order (use jobStream() to look them up).
-  const fault::FaultPlan* fault_plan = nullptr;
 };
 
 enum class JobIo : int { Sync, Async };
@@ -62,42 +50,17 @@ struct JobSpec {
   int loops = 5;
   Bytes write_bytes_per_node = 4 * kGB;
   Seconds compute_seconds = 20.0;
-
-  /// Times a job that fails (ranks exhausting their I/O retry budget) is
-  /// put back on the FCFS queue before the failure becomes final.
-  int max_resubmits = 0;
-
-  /// Application-level checkpoint cadence, in loops (0 = never). Every
-  /// `checkpoint_interval` completed loops the job drains its in-flight
-  /// burst, barriers, and records its progress; a requeued attempt then
-  /// resumes from the last recorded checkpoint instead of loop 0. With the
-  /// default 0 the rank program is byte-identical to the uncheckpointed
-  /// one (the golden cluster digests do not move).
-  int checkpoint_interval = 0;
 };
 
 using JobId = std::size_t;
 
 struct JobResult {
   sim::Time submit = sim::kNoTime;
-  sim::Time start = sim::kNoTime;  // of the final attempt
+  sim::Time start = sim::kNoTime;
   sim::Time end = sim::kNoTime;
-  /// Final outcome: true when the last permitted attempt still had ranks
-  /// fail their I/O past the retry budget.
-  bool failed = false;
-  /// Failed ranks of the final attempt.
-  int failed_ranks = 0;
-  /// Resubmits consumed (<= JobSpec::max_resubmits).
-  int resubmits = 0;
-  /// Loops covered by the job's last recorded application checkpoint; a
-  /// requeued attempt starts here (0 with checkpointing disabled).
-  int checkpointed_loops = 0;
-  /// Transfer retries summed over all ranks and attempts.
-  std::uint64_t io_retries = 0;
 
   bool started() const noexcept { return start >= 0.0; }
   bool finished() const noexcept { return end >= 0.0; }
-  bool succeeded() const noexcept { return finished() && !failed; }
   Seconds runtime() const noexcept { return end - start; }
 };
 
@@ -138,8 +101,8 @@ class Cluster {
   const ClusterConfig& config() const noexcept { return config_; }
   int freeNodes() const noexcept { return free_nodes_; }
 
-  /// Publish scheduler totals (jobs finished/failed, requeues, retries)
-  /// into `registry` under "cluster.*".
+  /// Publish scheduler totals (jobs submitted and finished, free nodes,
+  /// pending jobs) into `registry` under "cluster.*".
   void exportMetrics(obs::MetricsRegistry& registry) const;
 
  private:

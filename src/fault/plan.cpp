@@ -25,15 +25,6 @@ FaultPlan& FaultPlan::degradeChannel(pfs::Channel channel, double factor,
   return *this;
 }
 
-FaultPlan& FaultPlan::straggleStream(pfs::StreamId stream, double multiplier,
-                                     TimeWindow window) {
-  validateWindow(window);
-  IOBTS_CHECK(multiplier > 0.0 && multiplier <= 1.0,
-              "straggler multiplier must lie in (0, 1]");
-  stragglers_.push_back(StragglerEvent{stream, multiplier, window});
-  return *this;
-}
-
 FaultPlan& FaultPlan::addTransferFault(TransferFaultRule rule) {
   validateWindow(rule.window);
   IOBTS_CHECK(rule.probability >= 0.0 && rule.probability <= 1.0 &&
@@ -61,13 +52,11 @@ FaultPlan& FaultPlan::addOutage(double fraction, TimeWindow window) {
   return *this;
 }
 
-bool FaultPlan::faultVerdict(pfs::Channel channel, pfs::StreamId stream,
-                             std::uint64_t serial,
+bool FaultPlan::faultVerdict(pfs::Channel channel, std::uint64_t serial,
                              sim::Time completion) const noexcept {
   for (std::size_t i = 0; i < faults_.size(); ++i) {
     const TransferFaultRule& rule = faults_[i];
     if (rule.channel && *rule.channel != channel) continue;
-    if (rule.stream && *rule.stream != stream) continue;
     if (!rule.window.contains(completion)) continue;
     if (rule.probability >= 1.0) return true;
     if (rule.probability <= 0.0) continue;
@@ -106,12 +95,6 @@ void FaultPlan::annotate(obs::TraceSink& sink) const {
     for (std::uint32_t tid = 0; tid < pfs::kChannels; ++tid) {
       edge("fault.plan.outage.begin", tid, ev.window.begin, ev.fraction);
       edge("fault.plan.outage.end", tid, ev.window.end, ev.fraction);
-    }
-  }
-  for (const StragglerEvent& ev : stragglers_) {
-    for (std::uint32_t tid = 0; tid < pfs::kChannels; ++tid) {
-      edge("fault.plan.straggler.begin", tid, ev.window.begin, ev.multiplier);
-      edge("fault.plan.straggler.end", tid, ev.window.end, ev.multiplier);
     }
   }
 }

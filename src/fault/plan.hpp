@@ -2,18 +2,18 @@
 //
 // The paper's premise is that asynchronous I/O only pays off when the PFS
 // actually delivers the required bandwidth; real Spectrum-Scale-class
-// systems see OST degradation windows, stragglers, and transient EIO-class
-// errors. A FaultPlan is a declarative schedule of such events that the
-// SharedLink consults (see SharedLink::installFaultPlan):
+// systems see OST degradation windows, outages and transient EIO-class
+// errors. A FaultPlan is a declarative schedule of such events, and
+// SharedLink::installFaultPlan is the one way it reaches a link:
 //
 //   * degradation windows -- a channel's effective capacity is multiplied by
 //     a factor in (0, 1] for [begin, end);
-//   * straggler windows   -- one stream is capped at multiplier x the base
-//     channel capacity for the window (a slow client, Fig. 14's "slow I/O");
 //   * transfer faults     -- transfers completing inside the window fail
 //     with an EIO-like error status, always or with a probability;
 //   * blackouts           -- both channels deliver zero bandwidth for the
-//     window (transfers stall and resume, they are not failed).
+//     window (transfers stall and resume, they are not failed);
+//   * outages             -- both channels lose the same capacity fraction
+//     for the window.
 //
 // Everything is deterministic: window edges are virtual-time events, and
 // probabilistic verdicts are a pure hash of (plan seed, transfer serial,
@@ -59,18 +59,10 @@ struct DegradationEvent {
   TimeWindow window{};
 };
 
-/// One stream capped at `multiplier` x base channel capacity during `window`.
-struct StragglerEvent {
-  pfs::StreamId stream = 0;
-  double multiplier = 1.0;  // in (0, 1]
-  TimeWindow window{};
-};
-
-/// Transfers completing inside `window` (on the matching channel/stream)
-/// fail with probability `probability`.
+/// Transfers completing inside `window` (on the matching channel) fail with
+/// probability `probability`.
 struct TransferFaultRule {
   std::optional<pfs::Channel> channel{};  // nullopt = both channels
-  std::optional<pfs::StreamId> stream{};  // nullopt = any stream
   TimeWindow window{};                    // matched against completion time
   double probability = 1.0;               // in [0, 1]
 };
@@ -99,23 +91,18 @@ class FaultPlan {
   /// Builders validate eagerly and return *this for chaining.
   FaultPlan& degradeChannel(pfs::Channel channel, double factor,
                             TimeWindow window);
-  FaultPlan& straggleStream(pfs::StreamId stream, double multiplier,
-                            TimeWindow window);
   FaultPlan& addTransferFault(TransferFaultRule rule);
   FaultPlan& addBlackout(TimeWindow window);
   FaultPlan& addOutage(double fraction, TimeWindow window);
 
   bool empty() const noexcept {
-    return degradations_.empty() && stragglers_.empty() && faults_.empty() &&
-           blackouts_.empty() && outages_.empty();
+    return degradations_.empty() && faults_.empty() && blackouts_.empty() &&
+           outages_.empty();
   }
   bool hasTransferFaults() const noexcept { return !faults_.empty(); }
 
   const std::vector<DegradationEvent>& degradations() const noexcept {
     return degradations_;
-  }
-  const std::vector<StragglerEvent>& stragglers() const noexcept {
-    return stragglers_;
   }
   const std::vector<TransferFaultRule>& transferFaults() const noexcept {
     return faults_;
@@ -128,11 +115,11 @@ class FaultPlan {
   }
 
   /// Deterministic fault verdict for the transfer with serial number
-  /// `serial` completing at `completion` on (channel, stream). Pure
-  /// function of the plan -- safe to call in any order, any number of
-  /// times, and across reruns.
-  bool faultVerdict(pfs::Channel channel, pfs::StreamId stream,
-                    std::uint64_t serial, sim::Time completion) const noexcept;
+  /// `serial` completing at `completion` on `channel`. Pure function of the
+  /// plan -- safe to call in any order, any number of times, and across
+  /// reruns.
+  bool faultVerdict(pfs::Channel channel, std::uint64_t serial,
+                    sim::Time completion) const noexcept;
 
   std::uint64_t seed() const noexcept { return seed_; }
 
@@ -147,7 +134,6 @@ class FaultPlan {
 
   std::uint64_t seed_ = 1;
   std::vector<DegradationEvent> degradations_;
-  std::vector<StragglerEvent> stragglers_;
   std::vector<TransferFaultRule> faults_;
   std::vector<BlackoutEvent> blackouts_;
   std::vector<OutageEvent> outages_;

@@ -124,9 +124,7 @@ sim::Task<void> RankCtx::blockingIo(pfs::FileStore::Handle file, IoOp op,
   co_await state->done.wait();
   times_.sync_io += sim_.now() - t0;
   if (world_.hooks_) world_.hooks_->onSyncEnd(info);
-  if (!info.ok() && !world_.config_.tolerate_io_failures) {
-    throw IoFailure(info);
-  }
+  if (!info.ok()) throw IoFailure(info);
 }
 
 sim::Task<void> RankCtx::wait(Request& request) {
@@ -276,7 +274,7 @@ sim::Task<void> World::rankMain(int rank, RankProgram program) {
     // A blocking MPI-IO call failed past its retry budget: the rank's
     // program is over (MPI's errors-are-fatal default), but the world keeps
     // running -- the rank still finalizes (cancelling queued async I/O) so
-    // join() completes and the cluster can account the failed job.
+    // join() completes and failedRanks() counts the rank.
     IOBTS_LOG_WARN() << config_.name << ".rank" << rank
                      << " failed: " << failure.what();
     ctx.failed_ = true;

@@ -60,11 +60,6 @@ struct WorldConfig {
   /// default fails fast (no retries) -- faults then surface on the first
   /// attempt.
   throttle::RetryPolicy retry{};
-  /// When set, a *blocking* MPI-IO call whose operation ultimately fails
-  /// returns normally instead of throwing IoFailure (errors are still
-  /// visible in the engine stats). Async requests always use
-  /// error-in-status and never throw.
-  bool tolerate_io_failures = false;
   /// Optional node-local burst buffer per rank: writes are absorbed locally
   /// and drained to the PFS in the background (the paper's future-work
   /// setting for synchronous I/O). When set, the per-rank write limiter is

@@ -385,8 +385,7 @@ void SharedLink::resolve(Channel channel) {
     // an EIO-class error to its waiter. The verdict is written into the
     // record before fire() so the awaiting frame observes it on resumption.
     bool faulted = false;
-    if (judge &&
-        fault_plan_->faultVerdict(channel, t.stream, record.serial, now)) {
+    if (judge && fault_plan_->faultVerdict(channel, record.serial, now)) {
       record.status = TransferStatus::Faulted;
       ++cs.faulted_transfers;
       faulted = true;
@@ -582,17 +581,6 @@ std::size_t SharedLink::solveRates(ChannelState& cs, Channel channel,
         cap = capped ? std::min(cap, client_cap) : client_cap;
         capped = true;
       }
-      // Straggler windows cap the afflicted stream at a fraction of the base
-      // channel capacity. The vector is empty on a fault-free link, so this
-      // costs nothing (and performs no float ops) in the common case.
-      if (!straggler_factor_.empty()) {
-        if (sid < straggler_factor_.size() && straggler_factor_[sid] != 1.0) {
-          const BytesPerSec straggler_cap =
-              cs.capacity * straggler_factor_[sid];
-          cap = capped ? std::min(cap, straggler_cap) : straggler_cap;
-          capped = true;
-        }
-      }
       if (config_.noise_sigma > 0.0) {
         // With noise on, every transfer carries a noise cap.
         double noise_sum = 0.0;
@@ -657,8 +645,7 @@ std::size_t SharedLink::solveRates(ChannelState& cs, Channel channel,
   }
 
   // Contention is judged against what the link can actually deliver: a
-  // degradation window can push an otherwise-uncontended load over the edge
-  // (graceful degradation: the cluster limiter re-estimates against this).
+  // degradation window can push an otherwise-uncontended load over the edge.
   BytesPerSec contention_capacity = cs.capacity;
   if (cs.degrade_factor != 1.0) contention_capacity *= cs.degrade_factor;
   cs.contended =
@@ -697,29 +684,10 @@ void SharedLink::refreshChannelFactor(Channel channel, sim::Time now) {
   }
 }
 
-void SharedLink::refreshStragglerFactor(StreamId stream, sim::Time now) {
-  if (straggler_factor_.size() < streams_.size()) {
-    straggler_factor_.resize(streams_.size(), 1.0);
-  }
-  double factor = 1.0;
-  for (const fault::StragglerEvent& ev : stragglers_) {
-    if (ev.stream == stream && ev.window.contains(now)) {
-      factor *= ev.multiplier;
-    }
-  }
-  if (factor != straggler_factor_[stream]) {
-    straggler_factor_[stream] = factor;
-    for (std::size_t c = 0; c < kChannels; ++c) {
-      if (streams_[stream]->active[c] > 0) {
-        noteSolveInputChanged(static_cast<Channel>(c));
-        markDirty(static_cast<Channel>(c));
-      }
-    }
-  }
-}
-
-void SharedLink::scheduleDegradationEdges(Channel channel,
-                                          fault::TimeWindow window) {
+void SharedLink::addDegradation(Channel channel, double factor,
+                                fault::TimeWindow window) {
+  degradations_[static_cast<int>(channel)].push_back(
+      fault::DegradationEvent{channel, factor, window});
   const sim::Time now = sim_.now();
   sim_.post(std::max(0.0, window.begin - now), [this, channel] {
     refreshChannelFactor(channel, sim_.now());
@@ -731,93 +699,35 @@ void SharedLink::scheduleDegradationEdges(Channel channel,
   }
 }
 
-void SharedLink::scheduleStragglerEdges(StreamId stream,
-                                        fault::TimeWindow window) {
-  const sim::Time now = sim_.now();
-  sim_.post(std::max(0.0, window.begin - now), [this, stream] {
-    refreshStragglerFactor(stream, sim_.now());
-  });
-  if (std::isfinite(window.end)) {
-    sim_.post(std::max(0.0, window.end - now), [this, stream] {
-      refreshStragglerFactor(stream, sim_.now());
-    });
-  }
-}
-
-void SharedLink::applyDegradation(Channel channel, double factor,
-                                  fault::TimeWindow window) {
-  IOBTS_CHECK(factor > 0.0 && factor <= 1.0 && !std::isnan(factor),
-              "degradation factor must lie in (0, 1]; use applyBlackout for "
-              "a full outage");
-  IOBTS_CHECK(window.end > window.begin, "degradation window must be non-empty");
-  IOBTS_CHECK(window.begin >= sim_.now(),
-              "degradation window must not start in the past");
-  degradations_[static_cast<int>(channel)].push_back(
-      fault::DegradationEvent{channel, factor, window});
-  scheduleDegradationEdges(channel, window);
-}
-
-void SharedLink::applyStraggler(StreamId stream, double multiplier,
-                                fault::TimeWindow window) {
-  IOBTS_CHECK(stream < streams_.size(), "unknown stream");
-  IOBTS_CHECK(multiplier > 0.0 && multiplier <= 1.0 && !std::isnan(multiplier),
-              "straggler multiplier must lie in (0, 1]");
-  IOBTS_CHECK(window.end > window.begin, "straggler window must be non-empty");
-  IOBTS_CHECK(window.begin >= sim_.now(),
-              "straggler window must not start in the past");
-  stragglers_.push_back(fault::StragglerEvent{stream, multiplier, window});
-  if (straggler_factor_.size() < streams_.size()) {
-    straggler_factor_.resize(streams_.size(), 1.0);
-  }
-  scheduleStragglerEdges(stream, window);
-}
-
-void SharedLink::applyBlackout(fault::TimeWindow window) {
-  IOBTS_CHECK(window.end > window.begin, "blackout window must be non-empty");
-  IOBTS_CHECK(window.begin >= sim_.now(),
-              "blackout window must not start in the past");
-  // A blackout is a factor-0 degradation on both channels; the compound
-  // product then collapses to 0 for the window's duration.
-  for (std::size_t c = 0; c < kChannels; ++c) {
-    const Channel channel = static_cast<Channel>(c);
-    degradations_[c].push_back(fault::DegradationEvent{channel, 0.0, window});
-    scheduleDegradationEdges(channel, window);
-  }
-}
-
-void SharedLink::applyOutage(double fraction, fault::TimeWindow window) {
-  IOBTS_CHECK(fraction > 0.0 && fraction <= 1.0 && !std::isnan(fraction),
-              "outage fraction must lie in (0, 1]");
-  IOBTS_CHECK(window.end > window.begin, "outage window must be non-empty");
-  IOBTS_CHECK(window.begin >= sim_.now(),
-              "outage window must not start in the past");
-  // The surviving fraction is a plain degradation factor applied to both
-  // channels with identical edges, so the loss is correlated by
-  // construction (fraction 1 collapses to the blackout factor 0).
-  const double factor = 1.0 - fraction;
-  for (std::size_t c = 0; c < kChannels; ++c) {
-    const Channel channel = static_cast<Channel>(c);
-    degradations_[c].push_back(
-        fault::DegradationEvent{channel, factor, window});
-    scheduleDegradationEdges(channel, window);
-  }
-}
-
 void SharedLink::installFaultPlan(const fault::FaultPlan& plan) {
   IOBTS_CHECK(fault_plan_ == nullptr, "a fault plan is already installed");
+  // The plan validated its factors and windows when it was built; only the
+  // install time is unknown to it. Checked before anything is scheduled.
+  const sim::Time now = sim_.now();
+  bool in_past = false;
+  for (const auto& ev : plan.degradations()) in_past |= ev.window.begin < now;
+  for (const auto& ev : plan.blackouts()) in_past |= ev.window.begin < now;
+  for (const auto& ev : plan.outages()) in_past |= ev.window.begin < now;
+  IOBTS_CHECK(!in_past, "fault window must not start in the past");
   fault_plan_ = &plan;
   if (obs::TraceSink* const sink = obs::traceSink()) plan.annotate(*sink);
   for (const fault::DegradationEvent& ev : plan.degradations()) {
-    applyDegradation(ev.channel, ev.factor, ev.window);
+    addDegradation(ev.channel, ev.factor, ev.window);
   }
-  for (const fault::StragglerEvent& ev : plan.stragglers()) {
-    applyStraggler(ev.stream, ev.multiplier, ev.window);
-  }
+  // A blackout is a factor-0 window on both channels: the compound product
+  // collapses to 0 for the window's duration.
   for (const fault::BlackoutEvent& ev : plan.blackouts()) {
-    applyBlackout(ev.window);
+    for (std::size_t c = 0; c < kChannels; ++c) {
+      addDegradation(static_cast<Channel>(c), 0.0, ev.window);
+    }
   }
+  // An outage keeps the surviving fraction on both channels with identical
+  // edges, so the loss is correlated by construction (fraction 1 collapses
+  // to the blackout factor 0).
   for (const fault::OutageEvent& ev : plan.outages()) {
-    applyOutage(ev.fraction, ev.window);
+    for (std::size_t c = 0; c < kChannels; ++c) {
+      addDegradation(static_cast<Channel>(c), 1.0 - ev.fraction, ev.window);
+    }
   }
 }
 

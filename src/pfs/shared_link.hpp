@@ -38,15 +38,15 @@
 // the no-op claim with a non-mutating projection check, so both modes keep
 // bit-identical state and event sequences (see resolve-equivalence tests).
 //
-// Fault plane (src/fault): the link accepts capacity-degradation windows,
-// per-stream straggler caps, and full blackouts -- either directly
-// (applyDegradation/applyStraggler/applyBlackout) or wholesale from a
-// fault::FaultPlan, which additionally supplies per-transfer EIO-like fault
-// verdicts evaluated at settle time. Window edges are posted as
-// resolve-triggering events, so a degradation edge is an "interesting time"
-// for the lazy-settle machinery like any other solve-input change. A null
-// plan schedules nothing and the solve arithmetic is bit-identical to a
-// fault-free link.
+// Fault plane (src/fault): faults reach the link only through
+// installFaultPlan(fault::FaultPlan). The plan's degradations, blackouts
+// (factor 0 on both channels) and outages (factor 1 - fraction on both
+// channels) become per-channel degradation windows, and its transfer-fault
+// rules give per-transfer EIO-like verdicts evaluated at settle time. Window
+// edges are posted as resolve-triggering events, so a degradation edge is an
+// "interesting time" for the lazy-settle machinery like any other
+// solve-input change. A null plan schedules nothing and the solve arithmetic
+// is bit-identical to a fault-free link.
 #pragma once
 
 #include <cstdint>
@@ -160,39 +160,21 @@ class SharedLink {
 
   // --- Fault plane ---------------------------------------------------------
 
-  /// Scale the channel's effective capacity by `factor` (in (0, 1]) during
-  /// `window`. Both edges are posted as resolve-triggering events, so rates
-  /// re-solve exactly at the window boundaries. Overlapping degradations
-  /// compound multiplicatively. Windows must start no earlier than now.
-  void applyDegradation(Channel channel, double factor,
-                        fault::TimeWindow window);
-
-  /// Cap `stream` at `multiplier` (in (0, 1]) x the base channel capacity on
-  /// both channels during `window` -- a slow client ("straggler").
-  void applyStraggler(StreamId stream, double multiplier,
-                      fault::TimeWindow window);
-
-  /// Zero both channels' bandwidth during `window`. Active transfers stall
-  /// and resume at the window's end; they are not failed.
-  void applyBlackout(fault::TimeWindow window);
-
-  /// Correlated whole-outage: remove `fraction` (in (0, 1]) of BOTH
-  /// channels' capacity simultaneously during `window` -- a failed server
-  /// takes the same slice of read and write bandwidth with it. fraction == 1
-  /// degenerates to applyBlackout (transfers stall, they are not failed).
-  void applyOutage(double fraction, fault::TimeWindow window);
-
-  /// Install a fault plan: schedules its degradation/straggler/blackout
-  /// windows and enables its per-transfer fault verdicts at settle time.
-  /// Call at most once, before the simulation runs past any window's start;
-  /// the plan must outlive the link. An empty plan is a provable no-op.
+  /// Install a fault plan: schedules its degradation/blackout/outage windows
+  /// as per-channel degradation windows (overlapping windows compound
+  /// multiplicatively; both edges re-solve the rates exactly) and enables
+  /// its per-transfer fault verdicts at settle time. Call at most once; no
+  /// window may start before the current virtual time (a rejected plan
+  /// leaves the link untouched). The plan must outlive the link. An empty
+  /// plan is a provable no-op.
   void installFaultPlan(const fault::FaultPlan& plan);
+
+  // --- Introspection -------------------------------------------------------
 
   /// The channel's capacity after degradation/blackout windows active at the
   /// current virtual time (== capacity() on an undegraded link).
   BytesPerSec effectiveCapacity(Channel channel) const noexcept;
 
-  // --- Introspection -------------------------------------------------------
   BytesPerSec capacity(Channel channel) const noexcept;
   std::size_t activeTransfers(Channel channel) const noexcept;
   Bytes bytesMoved(Channel channel) const noexcept;
@@ -279,13 +261,11 @@ class SharedLink {
   /// windows at `now` (from-scratch product: fp-exact and order-independent).
   void refreshChannelFactor(Channel channel, sim::Time now);
 
-  /// Recompute a stream's straggler multiplier from its windows at `now`.
-  void refreshStragglerFactor(StreamId stream, sim::Time now);
-
-  /// Post resolve-triggering events at a fault window's begin/end edges that
-  /// refresh the channel's (or stream's) factor before the solve runs.
-  void scheduleDegradationEdges(Channel channel, fault::TimeWindow window);
-  void scheduleStragglerEdges(StreamId stream, fault::TimeWindow window);
+  /// Record a degradation window on the channel and post resolve-triggering
+  /// events at its begin/end edges that refresh the channel's factor before
+  /// the solve runs.
+  void addDegradation(Channel channel, double factor,
+                      fault::TimeWindow window);
 
   sim::Simulation& sim_;
   LinkConfig config_;
@@ -306,11 +286,6 @@ class SharedLink {
   /// Degradation windows per channel (blackouts appear on both channels with
   /// factor 0). Kept for from-scratch factor refresh at window edges.
   std::vector<fault::DegradationEvent> degradations_[kChannels];
-  /// Straggler windows, scanned on refresh (tiny: one per injected fault).
-  std::vector<fault::StragglerEvent> stragglers_;
-  /// Per-stream active straggler multiplier (1.0 = unaffected). Sized lazily
-  /// on the first applyStraggler so fault-free links allocate nothing.
-  std::vector<double> straggler_factor_;
 };
 
 }  // namespace iobts::pfs

@@ -141,6 +141,9 @@ class Gen {
             pickStrategy());
     if (dice_.chance(20)) out_ += "  jitter = 0.02";
     if (dice_.chance(30)) out_ += "  tolerance = 1.30";
+    // Chosen by seed, not by a dice draw, so every other document keeps its
+    // bytes.
+    if (seed_ % 5 == 2) out_ += "  burst_buffer = 1";
     out_ += " }\n";
   }
 

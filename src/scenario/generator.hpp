@@ -22,6 +22,10 @@
 //   * generated fault plans use only degradation/blackout windows --
 //     transfers slow down or stall but never fail, keeping the
 //     conservation-of-bytes invariant exact.
+//
+// Every seed = 2 (mod 5) gives its worlds the default node-local burst
+// buffer (`burst_buffer = 1`): writes are absorbed locally and drained to
+// the link before the world finishes, so the byte totals still balance.
 #pragma once
 
 #include <cstdint>

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
+#include <initializer_list>
 
 #include "obs/trace.hpp"
 #include "util/check.hpp"
-#include "util/csv.hpp"
+#include "util/file_io.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 
@@ -460,38 +460,39 @@ BytesPerSec Tracer::minimalRequiredBandwidth() const {
   return appRequiredSeries().maxValue();
 }
 
-void Tracer::writeJsonl(const std::string& path) const {
-  std::ofstream out(path);
-  IOBTS_CHECK(out.is_open(), "cannot open '" + path + "'");
-  for (const PhaseRecord& p : phases_) out << toJson(p).dump() << '\n';
+bool Tracer::writeJsonl(const std::string& path) const {
+  std::string text;
+  for (const PhaseRecord& p : phases_) text += toJson(p).dump() + '\n';
   for (const ThroughputRecord& t : throughputs_) {
-    out << toJson(t).dump() << '\n';
+    text += toJson(t).dump() + '\n';
   }
-  for (const LimitChange& c : limit_changes_) out << toJson(c).dump() << '\n';
+  for (const LimitChange& c : limit_changes_) text += toJson(c).dump() + '\n';
+  return publishFile(path, text);
 }
 
-void Tracer::writeCsv(const std::string& prefix) const {
-  {
-    CsvWriter csv(prefix + "_phases.csv");
-    csv.header({"rank", "phase", "channel", "ts", "te", "bytes", "requests",
-                "B", "B_L"});
-    for (const PhaseRecord& p : phases_) {
-      csv.row({std::to_string(p.rank), std::to_string(p.phase),
-               pfs::channelName(p.channel), std::to_string(p.ts),
-               std::to_string(p.te), std::to_string(p.bytes),
-               std::to_string(p.requests), std::to_string(p.required),
-               p.applied_limit ? std::to_string(*p.applied_limit) : ""});
-    }
+bool Tracer::writeCsv(const std::string& prefix) const {
+  // Every field is a number or a channel name, so none needs CSV quoting.
+  const auto row = [](std::string& out,
+                      std::initializer_list<std::string> fields) {
+    for (const std::string& field : fields) (out += field) += ',';
+    out.back() = '\n';
+  };
+  std::string phases = "rank,phase,channel,ts,te,bytes,requests,B,B_L\n";
+  for (const PhaseRecord& p : phases_) {
+    row(phases, {std::to_string(p.rank), std::to_string(p.phase),
+                 pfs::channelName(p.channel), std::to_string(p.ts),
+                 std::to_string(p.te), std::to_string(p.bytes),
+                 std::to_string(p.requests), std::to_string(p.required),
+                 p.applied_limit ? std::to_string(*p.applied_limit) : ""});
   }
-  {
-    CsvWriter csv(prefix + "_throughput.csv");
-    csv.header({"rank", "channel", "start", "end", "bytes", "T"});
-    for (const ThroughputRecord& t : throughputs_) {
-      csv.row({std::to_string(t.rank), pfs::channelName(t.channel),
-               std::to_string(t.start), std::to_string(t.end),
-               std::to_string(t.bytes), std::to_string(t.throughput)});
-    }
+  std::string throughput = "rank,channel,start,end,bytes,T\n";
+  for (const ThroughputRecord& t : throughputs_) {
+    row(throughput, {std::to_string(t.rank), pfs::channelName(t.channel),
+                     std::to_string(t.start), std::to_string(t.end),
+                     std::to_string(t.bytes), std::to_string(t.throughput)});
   }
+  return publishFile(prefix + "_phases.csv", phases) &&
+         publishFile(prefix + "_throughput.csv", throughput);
 }
 
 }  // namespace iobts::tmio

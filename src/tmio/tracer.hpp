@@ -121,9 +121,11 @@ class Tracer : public mpisim::IoHooks {
   /// zero waiting (Sec. IV-C).
   BytesPerSec minimalRequiredBandwidth() const;
 
-  /// Dump all records as JSON Lines / CSV.
-  void writeJsonl(const std::string& path) const;
-  void writeCsv(const std::string& prefix) const;
+  /// Dump all records as JSON Lines (to `path`) or CSV (to
+  /// `prefix`_phases.csv and `prefix`_throughput.csv), each file published
+  /// atomically. False when a file cannot be written.
+  bool writeJsonl(const std::string& path) const;
+  bool writeCsv(const std::string& prefix) const;
 
  private:
   struct OpenPhase;

@@ -5,13 +5,13 @@
 //   * bandwidth / rate  -> double bytes-per-second (BytesPerSec)
 //   * simulated time    -> double seconds
 //
-// Helpers format values the way the paper's plots do (MB/s, GB/s, ...)
-// and parse human-friendly byte counts like "4MiB".
+// Helpers format values the way the paper's plots do (MB/s, GB/s, ...).
+// Scenario documents spell byte counts with unit suffixes ("4MiB"); the
+// DSL lexer reads those itself (src/scenario/parser.cpp).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 namespace iobts {
 
@@ -38,9 +38,5 @@ std::string formatBandwidth(BytesPerSec rate);
 
 /// "12.3 s", "450 ms", "8.1 us".
 std::string formatDuration(Seconds seconds);
-
-/// Parse "64", "64KiB", "4MiB", "1.5GB", "120GB/s" (suffix case-insensitive,
-/// optional "/s" ignored). Throws CheckError on malformed input.
-Bytes parseBytes(std::string_view text);
 
 }  // namespace iobts

@@ -109,21 +109,30 @@ TEST(CkptResume, BurstBufferAtThreeCheckpointTimes) {
 
 TEST(CkptResume, GeneratedScenariosIncludingFaultPlan) {
   // Walk the generator's seed space until three documents have been
-  // proven, at least one carrying an active fault plan.
+  // proven, at least one carrying an active fault plan and one a burst
+  // buffer.
   int proven = 0;
   int faulted = 0;
-  for (std::uint64_t seed = 1; seed <= 64 && (proven < 3 || faulted == 0);
-       ++seed) {
+  int buffered = 0;
+  for (std::uint64_t seed = 1;
+       seed <= 64 && (proven < 3 || faulted == 0 || buffered == 0); ++seed) {
     const std::string text =
         scenario::generateScenario(scenario::GeneratorConfig{}, seed);
     const bool has_faults = text.find("faults") != std::string::npos;
-    if (proven >= 2 && faulted == 0 && !has_faults) continue;
+    const bool has_buffer =
+        text.find("burst_buffer = 1") != std::string::npos;
+    const bool missing_class = faulted == 0 || buffered == 0;
+    const bool fills_class =
+        (faulted == 0 && has_faults) || (buffered == 0 && has_buffer);
+    if (proven >= 2 && missing_class && !fills_class) continue;
     expectResumeExact(text, "generated seed " + std::to_string(seed));
     ++proven;
     if (has_faults) ++faulted;
+    if (has_buffer) ++buffered;
   }
   EXPECT_GE(proven, 3);
   EXPECT_GE(faulted, 1) << "no generated document carried a fault plan";
+  EXPECT_GE(buffered, 1) << "no generated document carried a burst buffer";
 }
 
 TEST(CkptResume, MidBlackoutAndMidOutageCheckpoints) {

@@ -18,22 +18,19 @@ TEST(FaultPlan, NullPlanIsEmpty) {
   // Every verdict on a null plan is "no fault".
   for (std::uint64_t serial = 0; serial < 100; ++serial) {
     EXPECT_FALSE(
-        plan.faultVerdict(pfs::Channel::Write, 0, serial, 1.0 * serial));
+        plan.faultVerdict(pfs::Channel::Write, serial, 1.0 * serial));
   }
 }
 
 TEST(FaultPlan, BuildersChainAndStore) {
   FaultPlan plan(42);
   plan.degradeChannel(pfs::Channel::Write, 0.5, {10.0, 20.0})
-      .straggleStream(3, 0.25, {5.0, 15.0})
       .addTransferFault({.window = {0.0, 100.0}, .probability = 1.0})
       .addBlackout({30.0, 31.0});
   EXPECT_FALSE(plan.empty());
   EXPECT_TRUE(plan.hasTransferFaults());
   ASSERT_EQ(plan.degradations().size(), 1u);
   EXPECT_EQ(plan.degradations()[0].factor, 0.5);
-  ASSERT_EQ(plan.stragglers().size(), 1u);
-  EXPECT_EQ(plan.stragglers()[0].stream, 3u);
   ASSERT_EQ(plan.blackouts().size(), 1u);
   EXPECT_EQ(plan.seed(), 42u);
 }
@@ -47,9 +44,6 @@ TEST(FaultPlan, RejectsBadInputs) {
                CheckError);
   EXPECT_THROW(plan.degradeChannel(pfs::Channel::Write, -0.5, {0.0, 1.0}),
                CheckError);
-  // Straggler multiplier must lie in (0, 1].
-  EXPECT_THROW(plan.straggleStream(0, 0.0, {0.0, 1.0}), CheckError);
-  EXPECT_THROW(plan.straggleStream(0, 2.0, {0.0, 1.0}), CheckError);
   // Probability must lie in [0, 1].
   EXPECT_THROW(
       plan.addTransferFault({.window = {0.0, 1.0}, .probability = 1.5}),
@@ -91,18 +85,16 @@ TEST(FaultPlan, WindowContainmentIsHalfOpen) {
   EXPECT_TRUE(all.contains(1e12));
 }
 
-TEST(FaultPlan, VerdictMatchesChannelStreamAndWindow) {
+TEST(FaultPlan, VerdictMatchesChannelAndWindow) {
   FaultPlan plan;
   plan.addTransferFault({.channel = pfs::Channel::Write,
-                         .stream = pfs::StreamId{7},
                          .window = {10.0, 20.0},
                          .probability = 1.0});
-  // Matches only the configured channel, stream, and completion window.
-  EXPECT_TRUE(plan.faultVerdict(pfs::Channel::Write, 7, 0, 15.0));
-  EXPECT_FALSE(plan.faultVerdict(pfs::Channel::Read, 7, 0, 15.0));
-  EXPECT_FALSE(plan.faultVerdict(pfs::Channel::Write, 8, 0, 15.0));
-  EXPECT_FALSE(plan.faultVerdict(pfs::Channel::Write, 7, 0, 25.0));
-  EXPECT_FALSE(plan.faultVerdict(pfs::Channel::Write, 7, 0, 20.0));  // end
+  // Matches only the configured channel and completion window.
+  EXPECT_TRUE(plan.faultVerdict(pfs::Channel::Write, 0, 15.0));
+  EXPECT_FALSE(plan.faultVerdict(pfs::Channel::Read, 0, 15.0));
+  EXPECT_FALSE(plan.faultVerdict(pfs::Channel::Write, 0, 25.0));
+  EXPECT_FALSE(plan.faultVerdict(pfs::Channel::Write, 0, 20.0));  // end
 }
 
 TEST(FaultPlan, ProbabilisticVerdictIsDeterministicAndStateless) {
@@ -113,11 +105,11 @@ TEST(FaultPlan, ProbabilisticVerdictIsDeterministicAndStateless) {
 
   int faulted = 0;
   for (std::uint64_t serial = 0; serial < 1000; ++serial) {
-    const bool va = a.faultVerdict(pfs::Channel::Write, 0, serial, 1.0);
+    const bool va = a.faultVerdict(pfs::Channel::Write, serial, 1.0);
     // Same seed, same serial => same verdict, independent of call order or
     // how many verdicts were drawn before (counter-based, not stateful).
-    EXPECT_EQ(va, b.faultVerdict(pfs::Channel::Write, 0, serial, 1.0));
-    EXPECT_EQ(va, a.faultVerdict(pfs::Channel::Write, 0, serial, 1.0));
+    EXPECT_EQ(va, b.faultVerdict(pfs::Channel::Write, serial, 1.0));
+    EXPECT_EQ(va, a.faultVerdict(pfs::Channel::Write, serial, 1.0));
     if (va) ++faulted;
   }
   // p=0.5 over 1000 draws: expect roughly half (very loose bounds).
@@ -129,8 +121,8 @@ TEST(FaultPlan, ProbabilisticVerdictIsDeterministicAndStateless) {
   c.addTransferFault({.window = {0.0, kInf}, .probability = 0.5});
   int differing = 0;
   for (std::uint64_t serial = 0; serial < 1000; ++serial) {
-    if (a.faultVerdict(pfs::Channel::Write, 0, serial, 1.0) !=
-        c.faultVerdict(pfs::Channel::Write, 0, serial, 1.0)) {
+    if (a.faultVerdict(pfs::Channel::Write, serial, 1.0) !=
+        c.faultVerdict(pfs::Channel::Write, serial, 1.0)) {
       ++differing;
     }
   }
@@ -141,7 +133,7 @@ TEST(FaultPlan, ZeroProbabilityNeverFaults) {
   FaultPlan plan(9);
   plan.addTransferFault({.window = {0.0, kInf}, .probability = 0.0});
   for (std::uint64_t serial = 0; serial < 200; ++serial) {
-    EXPECT_FALSE(plan.faultVerdict(pfs::Channel::Read, 0, serial, 1.0));
+    EXPECT_FALSE(plan.faultVerdict(pfs::Channel::Read, serial, 1.0));
   }
 }
 
@@ -156,7 +148,7 @@ TEST(FaultPlan, OutageStoresFractionAndWindow) {
   EXPECT_EQ(plan.outages()[1].fraction, 1.0);
   // Outages carry no verdicts: transfers are slowed, never failed.
   EXPECT_FALSE(plan.hasTransferFaults());
-  EXPECT_FALSE(plan.faultVerdict(pfs::Channel::Write, 0, 0, 15.0));
+  EXPECT_FALSE(plan.faultVerdict(pfs::Channel::Write, 0, 15.0));
 }
 
 TEST(FaultPlan, OutageRejectsBadInputs) {

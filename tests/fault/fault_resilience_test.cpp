@@ -1,13 +1,12 @@
-// End-to-end behaviour of the fault plane: degradation/blackout/straggler
-// windows on the SharedLink, per-transfer fault verdicts, retry/backoff in
-// the ADIO engine, rank-failure semantics in the World, and graceful
-// degradation (requeue) in the cluster scheduler.
+// End-to-end behaviour of the fault plane: degradation/blackout/outage
+// windows installed on the SharedLink through a fault plan, per-transfer
+// fault verdicts, retry/backoff in the ADIO engine, and rank-failure
+// semantics in the World.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <vector>
 
-#include "cluster/cluster.hpp"
 #include "fault/plan.hpp"
 #include "mpisim/world.hpp"
 #include "pfs/shared_link.hpp"
@@ -39,11 +38,13 @@ sim::Task<void> transferAt(sim::Simulation& sim, pfs::SharedLink& link,
 
 TEST(FaultLink, DegradationWindowSlowsTransfers) {
   sim::Simulation sim;
-  pfs::SharedLink link(sim, smallLink());
-  const auto s = link.createStream("rank0");
   // Half capacity during [5, 15): 1200 B move as 500 @100 + 500 @50 + 200
   // @100 => done at t = 5 + 10 + 2 = 17.
-  link.applyDegradation(pfs::Channel::Write, 0.5, {5.0, 15.0});
+  fault::FaultPlan plan;
+  plan.degradeChannel(pfs::Channel::Write, 0.5, {5.0, 15.0});
+  pfs::SharedLink link(sim, smallLink());
+  const auto s = link.createStream("rank0");
+  link.installFaultPlan(plan);
   pfs::TransferResult result;
   double mid_window_capacity = -1.0;
   auto probe = [&]() -> sim::Task<void> {
@@ -63,9 +64,11 @@ TEST(FaultLink, DegradationWindowSlowsTransfers) {
 
 TEST(FaultLink, BlackoutStallsAndResumesWithoutFailing) {
   sim::Simulation sim;
+  fault::FaultPlan plan;
+  plan.addBlackout({2.0, 4.0});
   pfs::SharedLink link(sim, smallLink());
   const auto s = link.createStream("rank0");
-  link.applyBlackout({2.0, 4.0});
+  link.installFaultPlan(plan);
   pfs::TransferResult result;
   double blackout_capacity = -1.0;
   auto probe = [&]() -> sim::Task<void> {
@@ -84,9 +87,11 @@ TEST(FaultLink, BlackoutStallsAndResumesWithoutFailing) {
 
 TEST(FaultLink, OutageRemovesCorrelatedCapacityFraction) {
   sim::Simulation sim;
+  fault::FaultPlan plan;
+  plan.addOutage(0.5, {2.0, 4.0});
   pfs::SharedLink link(sim, smallLink());
   const auto s = link.createStream("rank0");
-  link.applyOutage(0.5, {2.0, 4.0});
+  link.installFaultPlan(plan);
   pfs::TransferResult result;
   double write_capacity = -1.0;
   double read_capacity = -1.0;
@@ -111,9 +116,11 @@ TEST(FaultLink, OutageRemovesCorrelatedCapacityFraction) {
 
 TEST(FaultLink, FullFractionOutageBehavesLikeABlackout) {
   sim::Simulation sim;
+  fault::FaultPlan plan;
+  plan.addOutage(1.0, {2.0, 4.0});
   pfs::SharedLink link(sim, smallLink());
   const auto s = link.createStream("rank0");
-  link.applyOutage(1.0, {2.0, 4.0});
+  link.installFaultPlan(plan);
   pfs::TransferResult result;
   sim.spawn(transferAt(sim, link, s, 0.0, 1000, result));
   sim.run();
@@ -138,23 +145,6 @@ TEST(FaultLink, OutageViaInstalledPlan) {
   EXPECT_TRUE(result.ok());
 }
 
-TEST(FaultLink, StragglerCapsOneStreamOnly) {
-  sim::Simulation sim;
-  pfs::SharedLink link(sim, smallLink());
-  const auto slow = link.createStream("slow");
-  const auto fast = link.createStream("fast");
-  link.applyStraggler(slow, 0.25, {0.0, kInf});
-  pfs::TransferResult slow_result;
-  pfs::TransferResult fast_result;
-  sim.spawn(transferAt(sim, link, slow, 0.0, 1000, slow_result));
-  sim.spawn(transferAt(sim, link, fast, 0.0, 1000, fast_result));
-  sim.run();
-  // The straggler is pinned at 25 B/s; its peer absorbs the slack (75 B/s)
-  // by max-min fairness.
-  EXPECT_NEAR(slow_result.end, 40.0, 1e-9);
-  EXPECT_NEAR(fast_result.end, 1000.0 / 75.0, 1e-9);
-}
-
 TEST(FaultLink, TransferFaultVerdictMarksResultFaulted) {
   sim::Simulation sim;
   fault::FaultPlan plan(7);
@@ -176,21 +166,25 @@ TEST(FaultLink, TransferFaultVerdictMarksResultFaulted) {
 
 TEST(FaultLink, RejectsInvalidFaultInputs) {
   sim::Simulation sim;
+  // Factors, fractions and windows are the plan's to validate (see
+  // FaultPlan.RejectsBadInputs); the install time is the link's.
+  fault::FaultPlan past;
+  past.degradeChannel(pfs::Channel::Write, 0.5, {1.0, 9.0});
+  fault::FaultPlan future;
+  future.addBlackout({6.0, 7.0});
   pfs::SharedLink link(sim, smallLink());
-  const auto s = link.createStream("rank0");
-  EXPECT_THROW(link.applyDegradation(pfs::Channel::Write, 0.0, {0.0, 1.0}),
-               CheckError);
-  EXPECT_THROW(link.applyDegradation(pfs::Channel::Write, 2.0, {0.0, 1.0}),
-               CheckError);
-  EXPECT_THROW(link.applyStraggler(s, 0.0, {0.0, 1.0}), CheckError);
-  // Windows must not start in the past.
+  // Windows must not start in the past; a rejected plan leaves the link
+  // free to take another.
   auto proc = [&]() -> sim::Task<void> {
     co_await sim.delay(5.0);
-    EXPECT_THROW(link.applyDegradation(pfs::Channel::Write, 0.5, {1.0, 9.0}),
-                 CheckError);
+    EXPECT_THROW(link.installFaultPlan(past), CheckError);
+    link.installFaultPlan(future);
+    EXPECT_THROW(link.installFaultPlan(future), CheckError);
   };
   sim.spawn(proc());
   sim.run();
+  // The blackout's two edges only: the rejected plan scheduled none.
+  EXPECT_EQ(link.resolveStats(pfs::Channel::Write).capacity_edges, 2u);
 }
 
 // --- Determinism and null-plan equivalence --------------------------------
@@ -215,8 +209,6 @@ LinkRunOutcome runLinkScenario(const fault::FaultPlan* plan) {
   pfs::SharedLink link(sim, cfg);
   const auto a = link.createStream("a");
   const auto b = link.createStream("b", 2.0);
-  // Installed after the streams exist: the plan's straggler events name
-  // stream ids (same ordering contract as cluster::Cluster::start()).
   if (plan != nullptr) link.installFaultPlan(*plan);
   LinkRunOutcome out;
   out.results.resize(5);
@@ -259,7 +251,6 @@ TEST(FaultLink, NullPlanRunIsByteIdenticalToNoPlanRun) {
 TEST(FaultLink, SameSeedAndPlanGiveBitIdenticalRuns) {
   fault::FaultPlan plan(99);
   plan.degradeChannel(pfs::Channel::Write, 0.5, {3.0, 6.0})
-      .straggleStream(0, 0.5, {2.0, 10.0})
       .addTransferFault({.window = {0.0, kInf}, .probability = 0.5});
   const LinkRunOutcome first = runLinkScenario(&plan);
   const LinkRunOutcome second = runLinkScenario(&plan);
@@ -364,29 +355,6 @@ TEST(FaultWorld, BlockingFailureFailsTheRankButNotTheRun) {
   EXPECT_EQ(world.ioStats().failures, 1u);
 }
 
-TEST(FaultWorld, ToleratedBlockingFailureReturnsNormally) {
-  sim::Simulation sim;
-  fault::FaultPlan plan;
-  plan.addTransferFault({.probability = 1.0});
-  pfs::SharedLink link(sim, smallLink());
-  link.installFaultPlan(plan);
-  pfs::FileStore store;
-  mpisim::WorldConfig cfg;
-  cfg.ranks = 1;
-  cfg.tolerate_io_failures = true;
-  mpisim::World world(sim, link, store, cfg);
-  bool reached_end = false;
-  world.launch([&](mpisim::RankCtx& ctx) -> sim::Task<void> {
-    auto f = ctx.open("/out");
-    co_await f.writeAt(0, 100, 1);  // fails, but returns
-    reached_end = true;
-  });
-  sim.run();
-  EXPECT_TRUE(reached_end);
-  EXPECT_EQ(world.failedRanks(), 0);
-  EXPECT_EQ(world.ioStats().failures, 1u);
-}
-
 TEST(FaultWorld, AbortCancelsQueuedRequestsAndReleasesWaiters) {
   sim::Simulation sim;
   pfs::SharedLink link(sim, smallLink());
@@ -414,65 +382,6 @@ TEST(FaultWorld, AbortCancelsQueuedRequestsAndReleasesWaiters) {
     EXPECT_EQ(ctx.ioStats().cancelled, 1u);
   });
   sim.run();
-}
-
-// --- Cluster graceful degradation -----------------------------------------
-
-cluster::JobSpec tinyJob(std::string name, int resubmits) {
-  cluster::JobSpec spec;
-  spec.name = std::move(name);
-  spec.nodes = 1;
-  spec.io = cluster::JobIo::Async;
-  spec.loops = 1;
-  spec.write_bytes_per_node = 50;  // 0.5 s on a 100 B/s link
-  spec.compute_seconds = 2.0;
-  spec.max_resubmits = resubmits;
-  return spec;
-}
-
-TEST(FaultCluster, FailedJobIsRequeuedAndSucceeds) {
-  sim::Simulation sim;
-  fault::FaultPlan plan;
-  // Attempt 1's write completes at ~2.5 (inside the window) and faults;
-  // the requeued attempt's write lands at ~5.0 and succeeds.
-  plan.addTransferFault({.window = {0.0, 4.0}, .probability = 1.0});
-  cluster::ClusterConfig ccfg;
-  ccfg.nodes = 2;
-  ccfg.pfs = smallLink();
-  ccfg.fault_plan = &plan;
-  cluster::Cluster cl(sim, ccfg);
-  const auto id = cl.submit(tinyJob("flaky", /*resubmits=*/1));
-  cl.start();
-  sim.run();
-  const cluster::JobResult& r = cl.result(id);
-  EXPECT_TRUE(r.succeeded());
-  EXPECT_FALSE(r.failed);
-  EXPECT_EQ(r.resubmits, 1);
-  EXPECT_EQ(r.failed_ranks, 0);
-  EXPECT_GT(r.start, 2.0);  // the final attempt started after the failure
-  EXPECT_EQ(cl.freeNodes(), ccfg.nodes);
-}
-
-TEST(FaultCluster, ResubmitBudgetExhaustedIsATerminalFailure) {
-  sim::Simulation sim;
-  fault::FaultPlan plan;
-  plan.addTransferFault({.probability = 1.0});  // faults forever
-  cluster::ClusterConfig ccfg;
-  ccfg.nodes = 2;
-  ccfg.pfs = smallLink();
-  ccfg.fault_plan = &plan;
-  cluster::Cluster cl(sim, ccfg);
-  const auto id = cl.submit(tinyJob("doomed", /*resubmits=*/1));
-  cl.start();
-  sim.run();  // completes: job failure does not wedge the scheduler
-  const cluster::JobResult& r = cl.result(id);
-  EXPECT_TRUE(r.finished());
-  EXPECT_FALSE(r.succeeded());
-  EXPECT_TRUE(r.failed);
-  EXPECT_EQ(r.resubmits, 1);
-  EXPECT_EQ(r.failed_ranks, 1);
-  EXPECT_TRUE(cl.allFinished());
-  EXPECT_EQ(cl.freeNodes(), ccfg.nodes);
 }
 
 }  // namespace

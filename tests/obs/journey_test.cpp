@@ -219,7 +219,7 @@ TEST(Journey, FaultedRetriesKeepTheJourneyId) {
   pfs::SharedLink link(sim, link_cfg);
   fault::FaultPlan plan(/*seed=*/7);
   plan.addTransferFault(fault::TransferFaultRule{
-      pfs::Channel::Write, {}, {/*begin=*/0.0, /*end=*/1.0},
+      pfs::Channel::Write, {/*begin=*/0.0, /*end=*/1.0},
       /*probability=*/1.0});
   link.installFaultPlan(plan);
   pfs::FileStore store;

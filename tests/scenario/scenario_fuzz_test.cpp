@@ -174,18 +174,21 @@ TEST(ScenarioFuzz, GeneratorIsPureInSeed) {
 
 TEST(ScenarioFuzz, GeneratorCoversScenarioClasses) {
   // The corpus the blocks above run must actually contain the interesting
-  // classes: streaming pipelines, fault plans, phased programs.
-  int streaming = 0, faulted = 0, phased = 0;
+  // classes: streaming pipelines, fault plans, phased programs, burst
+  // buffers.
+  int streaming = 0, faulted = 0, phased = 0, buffered = 0;
   const GeneratorConfig config;
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
     const std::string doc = generateScenario(config, seed);
     if (doc.find("program consumer") != std::string::npos) ++streaming;
     if (doc.find("faults {") != std::string::npos) ++faulted;
     if (doc.find("phase p0") != std::string::npos) ++phased;
+    if (doc.find("burst_buffer = 1") != std::string::npos) ++buffered;
   }
   EXPECT_GE(streaming, 8);
   EXPECT_GE(faulted, 8);
   EXPECT_GE(phased, 24);
+  EXPECT_GE(buffered, 8);
 }
 
 }  // namespace

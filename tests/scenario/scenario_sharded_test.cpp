@@ -36,10 +36,10 @@ std::uint64_t runScenarioFleet(unsigned threads, std::uint64_t seed) {
   std::vector<std::unique_ptr<Instance>> instances;
   for (sim::ShardId s = 0; s < kShards; ++s) {
     // Per-shard seed drawn from the fleet seed; every document class the
-    // generator knows (phased, streaming, faulted) ends up in some shard
-    // across the seed set. A multi-world streaming instance shares its link
-    // and file store between its worlds, so the whole instance lives on one
-    // shard.
+    // generator knows (phased, streaming, faulted, burst-buffered) ends up
+    // in some shard across the seed set. A multi-world streaming instance
+    // shares its link and file store between its worlds, so the whole
+    // instance lives on one shard.
     const GeneratorConfig config;
     const std::uint64_t doc_seed = seed * 16 + s;
     ScenarioSpec spec = parseScenario(generateScenario(config, doc_seed));
@@ -80,6 +80,15 @@ std::uint64_t runScenarioFleet(unsigned threads, std::uint64_t seed) {
 }
 
 TEST(ScenarioSharded, GeneratedFleetAcrossThreadsAndSeeds) {
+  // The fleets below include burst-buffer worlds.
+  int buffered = 0;
+  for (const std::uint64_t seed : kSeeds) {
+    for (sim::ShardId s = 0; s < kShards; ++s) {
+      buffered += generateScenario(GeneratorConfig{}, seed * 16 + s)
+                      .find("burst_buffer = 1") != std::string::npos;
+    }
+  }
+  EXPECT_GE(buffered, 1);
   for (const std::uint64_t seed : kSeeds) {
     const std::uint64_t reference = runScenarioFleet(1, seed);
     for (const unsigned threads : kThreadCounts) {

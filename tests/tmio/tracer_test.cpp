@@ -345,8 +345,8 @@ TEST(Tracer, JsonlAndCsvOutputs) {
     }
   });
   const std::string jsonl = (dir / "trace.jsonl").string();
-  t.tracer.writeJsonl(jsonl);
-  t.tracer.writeCsv((dir / "trace").string());
+  EXPECT_TRUE(t.tracer.writeJsonl(jsonl));
+  EXPECT_TRUE(t.tracer.writeCsv((dir / "trace").string()));
   std::ifstream in(jsonl);
   std::string line;
   int lines = 0;
@@ -360,6 +360,20 @@ TEST(Tracer, JsonlAndCsvOutputs) {
   EXPECT_TRUE(std::filesystem::exists(dir / "trace_phases.csv"));
   EXPECT_TRUE(std::filesystem::exists(dir / "trace_throughput.csv"));
   std::filesystem::remove_all(dir);
+}
+
+TEST(Tracer, RecordWritersReportAnUnwritablePath) {
+  TracedRun t(noLimits());
+  t.run([](RankCtx& ctx) -> sim::Task<void> {
+    auto f = ctx.open("/out");
+    co_await f.writeAt(0, 100, 1);
+  });
+  const auto missing = std::filesystem::temp_directory_path() /
+                       "iobts_tmio_test_missing" / "no_such_dir";
+  std::filesystem::remove_all(missing.parent_path());
+  EXPECT_FALSE(t.tracer.writeJsonl((missing / "trace.jsonl").string()));
+  EXPECT_FALSE(t.tracer.writeCsv((missing / "trace").string()));
+  EXPECT_FALSE(std::filesystem::exists(missing.parent_path()));
 }
 
 TEST(Tracer, AttachValidatesHooksWiring) {

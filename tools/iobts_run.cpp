@@ -41,9 +41,11 @@
 // checkpoint/kill/resume run of the same scenario print identical digests
 // (tools/run_crash_resume.sh is the harness asserting exactly that).
 //
-// Exit codes: 2 on a usage or scenario error, 3 on a checkpoint error and
-// 4 when the run itself fails a kernel check (such as a virtual clock that
-// overflows to infinity, or a checkpoint cadence too fine to count).
+// Exit codes: 1 when an output file (--jsonl, --csv, --trace, --summary)
+// cannot be written, 2 on a usage or scenario error, 3 on a checkpoint
+// error and 4 when the run itself fails a kernel check (such as a virtual
+// clock that overflows to infinity, or a checkpoint cadence too fine to
+// count).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -251,8 +253,21 @@ int reportScenario(const CliOptions& opt, scenario::Instance& instance,
 
   for (std::size_t w = 0; w < instance.worldCount(); ++w) {
     const tmio::Tracer& tracer = instance.tracer(w);
-    if (opt.jsonl) tracer.writeJsonl(instance.recordPath(*opt.jsonl, w));
-    if (opt.csv) tracer.writeCsv(instance.recordPath(*opt.csv, w));
+    if (opt.jsonl) {
+      const std::string path = instance.recordPath(*opt.jsonl, w);
+      if (!tracer.writeJsonl(path)) {
+        std::fprintf(stderr, "cannot write records to %s\n", path.c_str());
+        return 1;
+      }
+    }
+    if (opt.csv) {
+      const std::string prefix = instance.recordPath(*opt.csv, w);
+      if (!tracer.writeCsv(prefix)) {
+        std::fprintf(stderr, "cannot write CSV records to %s_*.csv\n",
+                     prefix.c_str());
+        return 1;
+      }
+    }
   }
   if (opt.trace) {
     // Fold the application-level B_req series into the trace before it is

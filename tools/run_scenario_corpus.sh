@@ -6,6 +6,9 @@
 # bounded by RUN_TIMEOUT_S of wall time, so a hung document fails the sweep
 # by name instead of stalling it.
 #
+# Each output flag (--jsonl, --csv, --trace, --summary) pointed into a
+# missing directory must fail with a "cannot ..." line on stderr and exit 1.
+#
 # Each valid document runs with --digest, and its run.digest must equal the
 # document's line in scenarios/digests.txt ('<file> <digest>'); a mismatch,
 # or a document with no line, fails the sweep by name. The digests are exact
@@ -85,6 +88,20 @@ for scn in scenarios/invalid/*.scn; do
     echo "ok   $scn (rejected: $(head -1 /tmp/scn_err.$$))"
   fi
 done
+echo "== output flags: unwritable paths =="
+SCRATCH="$(mktemp -d)"
+for flag in --jsonl --csv --trace --summary; do
+  run_bounded scenarios/single_rank.scn "$flag" "$SCRATCH/no_such_dir/out"
+  if [[ $status -eq 1 ]] && grep -q "^cannot " /tmp/scn_err.$$; then
+    echo "ok   $flag into a missing directory ($(head -1 /tmp/scn_err.$$))"
+  else
+    echo "FAIL $flag into a missing directory (exit $status, expected 1" \
+      "with a 'cannot ...' diagnostic)" >&2
+    cat /tmp/scn_err.$$ >&2
+    FAILED=1
+  fi
+done
+rm -rf "$SCRATCH"
 rm -f /tmp/scn_out.$$ /tmp/scn_err.$$
 
 if [[ "$FAILED" == 1 ]]; then

@@ -126,8 +126,8 @@ ulimit -s unlimited 2>/dev/null || true
 # while cached) end to end.
 ./build-sanitize/tests/mpisim_test
 ./build-sanitize/tests/throttle_test
-# The fault suite crosses every layer (fault plan -> link -> engine -> world
-# -> cluster) including teardown-by-abort paths: prime lifetime-bug ground.
+# The fault suite crosses every layer (fault plan -> link -> engine ->
+# world) including teardown-by-abort paths: prime lifetime-bug ground.
 ./build-sanitize/tests/fault_test
 # The scenario suite's error-path and 512-seed fuzz coverage is the point
 # here: malformed documents and generated programs must never trip
