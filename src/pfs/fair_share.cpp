@@ -9,48 +9,12 @@
 
 namespace iobts::pfs {
 
-FairShareStats fairShareInto(std::span<const FairShareItem> items,
-                             BytesPerSec capacity, FairShareScratch& scratch,
-                             std::vector<BytesPerSec>& allocation) {
-  IOBTS_CHECK(capacity >= 0.0, "capacity must be non-negative");
-  FairShareStats stats;
-  allocation.assign(items.size(), 0.0);
-  if (items.empty() || capacity == 0.0) return stats;
-
-  // Validate, and classify the instance for the two pre-passes: how many
-  // items are capped, and the cap sum, smallest weight and cap coverage of
-  // the positive-weight items. The cap/weight ratios only order the
-  // saturating walk, so only that path computes them.
-  double active_weight = 0.0;
-  std::size_t n_capped = 0;
-  double cap_sum = 0.0;
-  double min_weight = std::numeric_limits<double>::infinity();
-  bool all_capped = true;
-  for (const auto& item : items) {
-    IOBTS_CHECK(!std::isnan(item.weight), "weights must not be NaN");
-    IOBTS_CHECK(item.weight >= 0.0, "weights must be non-negative");
-    IOBTS_CHECK(!std::isinf(item.weight), "weights must be finite");
-    if (item.cap) {
-      IOBTS_CHECK(!std::isnan(*item.cap), "caps must not be NaN");
-      IOBTS_CHECK(*item.cap >= 0.0, "caps must be non-negative");
-    }
-    active_weight += item.weight;
-    if (item.cap) ++n_capped;
-    if (item.weight > 0.0) {
-      min_weight = std::min(min_weight, item.weight);
-      if (item.cap) {
-        cap_sum += *item.cap;
-      } else {
-        all_capped = false;
-      }
-    }
-  }
-
-  // All-saturating pre-pass, the mirror of the bucket pre-pass below. When
-  // every positive-weight item is capped and the caps sum to S <= C(1 - d),
-  // the sorted walk pins every item at its cap, ends with lambda = 0 and
-  // never breaks, so the caps are the answer and the sort is pure overhead.
-  // The margin d must absorb the walk's rounding. Exactly, step k offers
+bool FairShareClass::allSaturating(BytesPerSec capacity) const {
+  // The mirror of the bucket pre-pass below. When every positive-weight
+  // item is capped and the caps sum to S <= C(1 - d), the sorted walk pins
+  // every item at its cap, ends with lambda = 0 and never breaks, so the
+  // caps are the answer and the sort is pure overhead. The margin d must
+  // absorb the walk's rounding. Exactly, step k offers
   // lambda_k * w_k >= cap_k + (C - S) * w_k / active_k (the items still
   // active have ratios >= cap_k / w_k). In floating point `remaining`
   // carries at most about (N + k) eps C of absolute error and
@@ -63,18 +27,44 @@ FairShareStats fairShareInto(std::span<const FairShareItem> items,
   // error, so the smallest fill level the walk can reach, d C / W, times
   // min(1, w_min) must also stay normal. Seeded near-boundary fuzzing found
   // no mismatch against the sorted walk even at 1/32 of this d (DESIGN.md
-  // section 6).
-  bool all_saturating = false;
-  if (all_capped && std::isfinite(min_weight) && std::isfinite(capacity) &&
-      std::isfinite(cap_sum)) {
-    constexpr double kEps = std::numeric_limits<double>::epsilon();
-    const double margin = 8.0 * static_cast<double>(items.size() + 1) *
-                          (1.0 + active_weight / min_weight) * kEps;
-    all_saturating =
-        margin < 0.5 && cap_sum <= capacity * (1.0 - margin) &&
-        margin * capacity / active_weight * std::min(1.0, min_weight) >=
-            2.0 * std::numeric_limits<double>::min();
+  // section 6). The caps then sum to at most C (1 - d) <= C, so the
+  // overshoot guard never scales them.
+  if (!all_capped || !std::isfinite(min_weight) || !std::isfinite(capacity) ||
+      !std::isfinite(cap_sum)) {
+    return false;
   }
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  const double margin = 8.0 * static_cast<double>(n_items + 1) *
+                        (1.0 + active_weight / min_weight) * kEps;
+  return margin < 0.5 && cap_sum <= capacity * (1.0 - margin) &&
+         margin * capacity / active_weight * std::min(1.0, min_weight) >=
+             2.0 * std::numeric_limits<double>::min();
+}
+
+FairShareStats fairShareInto(std::span<const FairShareItem> items,
+                             BytesPerSec capacity, FairShareScratch& scratch,
+                             std::vector<BytesPerSec>& allocation) {
+  FairShareClass classification;
+  for (const auto& item : items) classification.add(item);
+  return fairShareAllocate(items, capacity, classification, scratch,
+                           allocation);
+}
+
+FairShareStats fairShareAllocate(std::span<const FairShareItem> items,
+                                 BytesPerSec capacity,
+                                 const FairShareClass& classification,
+                                 FairShareScratch& scratch,
+                                 std::vector<BytesPerSec>& allocation) {
+  IOBTS_CHECK(capacity >= 0.0, "capacity must be non-negative");
+  IOBTS_CHECK(classification.n_items == items.size(),
+              "the classification must cover every item");
+  FairShareStats stats;
+  allocation.assign(items.size(), 0.0);
+  if (items.empty() || capacity == 0.0) return stats;
+
+  double active_weight = classification.active_weight;
+  const std::size_t n_capped = classification.n_capped;
+  const bool all_saturating = classification.allSaturating(capacity);
 
   // Bucket pre-pass. Progressive filling saturates items in ascending
   // cap/weight order and its fill level only ever rises, so when no
@@ -200,6 +190,7 @@ FairShareStats fairShareInto(std::span<const FairShareItem> items,
   }
 
   stats.fill_level = lambda;
+  stats.all_saturating = all_saturating;
   stats.total = std::accumulate(allocation.begin(), allocation.end(), 0.0);
   // Guard against floating-point overshoot.
   if (stats.total > capacity && stats.total > 0.0) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -18,6 +19,13 @@ constexpr double kDrainEpsilonBytes = 0.5;
 // The transfer table's encoding of "no noise cap". A real noise cap never
 // exceeds the (finite) channel capacity.
 constexpr double kNoNoiseCap = std::numeric_limits<double>::infinity();
+
+// A stream weight scales a fair share, so it must be a positive real: an
+// infinite one would only surface later, from inside a resolve.
+void checkStreamWeight(double weight) {
+  IOBTS_CHECK(weight > 0.0, "stream weight must be positive");
+  IOBTS_CHECK(std::isfinite(weight), "stream weight must be finite");
+}
 }  // namespace
 
 // A transfer's cold record: what only admission and completion read. It is a
@@ -49,6 +57,30 @@ struct SharedLink::Transfer {
   BytesPerSec noise_cap = kNoNoiseCap;
   StreamId stream = 0;
   TransferRecord* record = nullptr;
+};
+
+// The next completion sweep and the next-interesting-time bound of a set of
+// rows under their current rates: the earliest full drain
+// (remaining / rate) and the earliest crossing of the drain threshold
+// ((remaining - epsilon) / rate), folded in table order. A row without rate
+// never drains.
+struct SharedLink::SweepBounds {
+  sim::Time next = std::numeric_limits<double>::infinity();
+  sim::Time interesting = std::numeric_limits<double>::infinity();
+
+  void add(double remaining, double rate) {
+    if (rate > 0.0) {
+      next = std::min(next, remaining / rate);
+      interesting =
+          std::min(interesting, (remaining - kDrainEpsilonBytes) / rate);
+    }
+  }
+
+  static SweepBounds of(const std::vector<Transfer>& rows) {
+    SweepBounds bounds;
+    for (const Transfer& t : rows) bounds.add(t.remaining, t.rate);
+    return bounds;
+  }
 };
 
 // A stream's solve inputs, flat beside streams_ so the level-1 pass reads one
@@ -105,6 +137,7 @@ struct SharedLink::ChannelState {
   std::uint64_t resolves_executed = 0;
   std::uint64_t resolves_skipped = 0;
   std::uint64_t full_solves = 0;
+  std::uint64_t all_saturating_solves = 0;
 
   // --- Incremental-resolve bookkeeping ----------------------------------
   // The solve inputs (stream membership, caps, weights, noise caps) are
@@ -184,8 +217,7 @@ const SharedLink::ChannelState& SharedLink::chan(
 }
 
 StreamId SharedLink::createStream(std::string name, double weight) {
-  IOBTS_CHECK(weight > 0.0, "stream weight must be positive");
-  IOBTS_CHECK(!std::isnan(weight), "stream weight must not be NaN");
+  checkStreamWeight(weight);
   auto stream = std::make_unique<Stream>();
   stream->name = std::move(name);
   streams_.push_back(std::move(stream));
@@ -224,8 +256,7 @@ std::optional<BytesPerSec> SharedLink::streamCap(StreamId stream) const {
 
 void SharedLink::setStreamWeight(StreamId stream, double weight) {
   IOBTS_CHECK(stream < streams_.size(), "unknown stream");
-  IOBTS_CHECK(weight > 0.0, "stream weight must be positive");
-  IOBTS_CHECK(!std::isnan(weight), "stream weight must not be NaN");
+  checkStreamWeight(weight);
   stream_inputs_[stream].weight = weight;
   for (std::size_t c = 0; c < kChannels; ++c) {
     if (streams_[stream]->active[c] > 0) {
@@ -442,15 +473,20 @@ void SharedLink::resolve(Channel channel) {
   // (membership, caps, weights) changed since the last solve. A resolve
   // with unchanged inputs (e.g. a coalesced dirty notification arriving
   // right after a sweep already resolved at this instant) cannot change any
-  // rate, so settle + sweep rescheduling is sufficient.
+  // rate, so settle + sweep rescheduling is sufficient. The solve derives
+  // the sweep bounds of step 4 from the rates it writes; a resolve that
+  // settles without solving derives them from the rates it kept.
+  SweepBounds bounds;
   if (cs.input_version != cs.solved_version || config_.force_full_resolve) {
-    const std::size_t groups = solveRates(cs, channel, now);
+    const std::size_t groups = solveRates(cs, channel, now, bounds);
     cs.solved_version = cs.input_version;
     ++cs.full_solves;
     if (sink != nullptr) {
       sink->instant("pfs", "solve", obs::track::kLink, trace_tid, now,
                     static_cast<double>(groups));
     }
+  } else {
+    bounds = SweepBounds::of(cs.active);
   }
 
   // 4. Schedule the next completion sweep and re-derive the
@@ -460,21 +496,12 @@ void SharedLink::resolve(Channel channel) {
   // the bound never exceeds the sweep time and the sweep itself is never
   // lazily skipped.
   ++cs.sweep_generation;
-  sim::Time next = std::numeric_limits<double>::infinity();
-  sim::Time interesting = std::numeric_limits<double>::infinity();
-  for (const Transfer& t : cs.active) {
-    if (t.rate > 0.0) {
-      next = std::min(next, t.remaining / t.rate);
-      interesting =
-          std::min(interesting, (t.remaining - kDrainEpsilonBytes) / t.rate);
-    }
-  }
-  cs.next_interesting = std::isfinite(interesting)
-                            ? now + std::max(0.0, interesting)
+  cs.next_interesting = std::isfinite(bounds.interesting)
+                            ? now + std::max(0.0, bounds.interesting)
                             : std::numeric_limits<double>::infinity();
-  if (std::isfinite(next)) {
+  if (std::isfinite(bounds.next)) {
     const std::uint64_t gen = cs.sweep_generation;
-    sim_.post(next, [this, channel, gen] {
+    sim_.post(bounds.next, [this, channel, gen] {
       if (chan(channel).sweep_generation == gen) resolve(channel);
     });
   } else if (!cs.active.empty() && cs.degrade_factor != 0.0) {
@@ -493,20 +520,121 @@ void SharedLink::resolve(Channel channel) {
 }
 
 std::size_t SharedLink::solveRates(ChannelState& cs, Channel channel,
-                                   sim::Time now) {
+                                   sim::Time now, SweepBounds& bounds) {
   //    Level 1: streams (weight = stream weight, cap = stream cap combined
   //    with the sum of its transfers' noise caps).
   //    Level 2: a stream's transfers split its allocation equally, subject
   //    to per-transfer noise caps.
-  // Group k is a stream and holds the table rows member(begin(k)) ..
-  // member(begin(k + 1) - 1), groups in order of first appearance in the
-  // table. While no stream holds two transfers, that grouping is the table
-  // itself: group k is row k. Otherwise the rows are grouped through the
-  // epoch-stamped slot map (no per-resolve O(total streams) clear) into
-  // flat reused buffers (no per-resolve vector-of-vectors).
-  const bool grouping = cs.shared_streams > 0;
+
+  // Degradation/blackout windows scale the deliverable capacity. Guarded so
+  // a healthy link's arithmetic stays bit-identical to the pre-fault-plane
+  // solve (the golden-digest gate depends on it).
+  double effective_capacity = cs.capacity;
+  if (cs.degrade_factor != 1.0) effective_capacity *= cs.degrade_factor;
+  // Congestion: aggregate efficiency drops with concurrent writers.
+  if (config_.congestion_gamma > 0.0 && cs.active.size() > 1) {
+    effective_capacity /=
+        1.0 + config_.congestion_gamma *
+                  static_cast<double>(cs.active.size() - 1);
+  }
+
+  double total_rate = 0.0;
+  double total_demand = 0.0;
+  const BytesPerSec channel_capacity = cs.capacity;
+  const BytesPerSec client_rate_cap = config_.client_rate_cap;
+  const bool noisy = config_.noise_sigma > 0.0;
+  // Writes level-1 item k for a stream with inputs `in` whose transfers'
+  // noise caps sum to `noise_sum` (read only with noise on), adds its
+  // demand, and returns its (capped, cap) pair. The cap is carried as that
+  // pair and the item is written field by field: assembling a
+  // std::optional temporary and copying it in reloads two narrow stores as
+  // one wide load, a store-forwarding stall on every item.
+  const auto writeItem = [&](std::size_t k, const StreamInputs& in,
+                             double noise_sum) {
+    bool capped = in.capped;
+    BytesPerSec cap = in.cap;
+    if (client_rate_cap > 0.0) {
+      const BytesPerSec client_cap = client_rate_cap * in.weight;
+      cap = capped ? std::min(cap, client_cap) : client_cap;
+      capped = true;
+    }
+    if (noisy) {
+      // With noise on, every transfer carries a noise cap.
+      cap = capped ? std::min(cap, noise_sum) : noise_sum;
+      capped = true;
+    }
+    FairShareItem& item = cs.level1[k];
+    item.weight = in.weight;
+    if (capped) {
+      item.cap = cap;
+    } else {
+      item.cap.reset();
+    }
+    total_demand +=
+        capped ? std::min(cap, channel_capacity) : channel_capacity;
+    return std::pair{capped, cap};
+  };
+  const auto noiseCap = [](const Transfer& t) {
+    return t.noise_cap != kNoNoiseCap ? std::optional<BytesPerSec>(t.noise_cap)
+                                      : std::nullopt;
+  };
+  const auto recordRate = [&](StreamId sid, BytesPerSec rate) {
+    streams_[sid]->rate_series[static_cast<int>(channel)].add(now, rate);
+  };
+
   std::size_t n_groups = cs.active.size();
-  if (grouping) {
+  if (cs.shared_streams == 0) {
+    // Every stream holds at most one of the table's transfers, so the
+    // grouping is the table itself: level-1 item k is row k, and each
+    // level-2 solve is a lone transfer's. Two walks. The first writes the
+    // items and folds in the demand and fairShareAllocate's validation scan
+    // (FairShareClass); the second writes the rates and folds in their
+    // total and the sweep bounds. A lone transfer takes its stream's whole
+    // allocation up to its noise cap: fairShareSingle gives the level-2
+    // solve's exact bits without running it. Every floating-point chain
+    // keeps the operands and order of the separate loops it replaces.
+    cs.level1.resize(n_groups);
+    FairShareClass scan;  // a local, so its sums stay out of memory
+    for (std::size_t k = 0; k < n_groups; ++k) {
+      const Transfer& t = cs.active[k];
+      const StreamInputs& in = stream_inputs_[t.stream];
+      // A one-row group's noise sum, 0.0 + noise_cap, is noise_cap: noise
+      // caps are never -0.0.
+      const auto [capped, cap] = writeItem(k, in, t.noise_cap);
+      scan.add(in.weight, capped, cap);
+    }
+    const FairShareClass classification = scan;
+    // Stream weights are positive, so when the all-saturating rule holds
+    // every item is capped and its allocation is its cap: no allocation
+    // vector, no total. Otherwise the classification goes straight to the
+    // allocation step.
+    const bool saturated = classification.allSaturating(effective_capacity);
+    if (saturated) {
+      ++cs.all_saturating_solves;
+    } else {
+      fairShareAllocate(cs.level1, effective_capacity, classification,
+                        cs.fair_share_scratch, cs.level1_alloc);
+    }
+    const bool recording = !recorded_streams_.empty();
+    SweepBounds found;  // a local, so the minima stay out of memory
+    for (std::size_t k = 0; k < n_groups; ++k) {
+      Transfer& t = cs.active[k];
+      const BytesPerSec rate = fairShareSingle(
+          noiseCap(t), saturated ? *cs.level1[k].cap : cs.level1_alloc[k]);
+      t.rate = rate;
+      total_rate += rate;
+      if (recording && stream_inputs_[t.stream].record) {
+        recordRate(t.stream, rate);
+      }
+      found.add(t.remaining, rate);
+    }
+    bounds = found;
+  } else {
+    // Group k is a stream and holds the table rows member(begin(k)) ..
+    // member(begin(k + 1) - 1), groups in order of first appearance in the
+    // table, grouped through the epoch-stamped slot map (no per-resolve
+    // O(total streams) clear) into flat reused buffers (no per-resolve
+    // vector-of-vectors).
     const std::uint32_t epoch = ++cs.grouping_epoch;
     if (cs.slot_epoch.size() < streams_.size()) {
       cs.slot_epoch.resize(streams_.size(), 0);
@@ -536,79 +664,34 @@ std::size_t SharedLink::solveRates(ChannelState& cs, Channel channel,
       const std::uint32_t g = cs.slot[cs.active[i].stream];
       cs.grouped[cs.group_offset[g] + cs.group_count[g]++] = i;
     }
-  }
-  const auto begin = [&](std::size_t k) -> std::uint32_t {
-    return grouping ? cs.group_offset[k] : static_cast<std::uint32_t>(k);
-  };
-  const auto member = [&](std::uint32_t j) -> Transfer& {
-    return cs.active[grouping ? cs.grouped[j] : j];
-  };
-  const auto streamOf = [&](std::size_t k) -> StreamId {
-    return grouping ? cs.group_streams[k] : cs.active[k].stream;
-  };
-  const auto noiseCap = [](const Transfer& t) {
-    return t.noise_cap != kNoNoiseCap ? std::optional<BytesPerSec>(t.noise_cap)
-                                      : std::nullopt;
-  };
+    const auto begin = [&](std::size_t k) { return cs.group_offset[k]; };
+    const auto member = [&](std::uint32_t j) -> Transfer& {
+      return cs.active[cs.grouped[j]];
+    };
 
-  // Degradation/blackout windows scale the deliverable capacity. Guarded so
-  // a healthy link's arithmetic stays bit-identical to the pre-fault-plane
-  // solve (the golden-digest gate depends on it).
-  double effective_capacity = cs.capacity;
-  if (cs.degrade_factor != 1.0) effective_capacity *= cs.degrade_factor;
-  // Congestion: aggregate efficiency drops with concurrent writers.
-  if (config_.congestion_gamma > 0.0 && cs.active.size() > 1) {
-    effective_capacity /=
-        1.0 + config_.congestion_gamma *
-                  static_cast<double>(cs.active.size() - 1);
-  }
-
-  double total_rate = 0.0;
-  double total_demand = 0.0;
-  if (n_groups > 0) {
     cs.level1.resize(n_groups);
     for (std::size_t k = 0; k < n_groups; ++k) {
-      const StreamId sid = streamOf(k);
-      const StreamInputs& in = stream_inputs_[sid];
-      // The cap is carried as a (capped, cap) pair and the item is written
-      // field by field: assembling a std::optional temporary and copying it
-      // in reloads two narrow stores as one wide load, a store-forwarding
-      // stall on every item.
-      bool capped = in.capped;
-      BytesPerSec cap = in.cap;
-      if (config_.client_rate_cap > 0.0) {
-        const BytesPerSec client_cap = config_.client_rate_cap * in.weight;
-        cap = capped ? std::min(cap, client_cap) : client_cap;
-        capped = true;
-      }
-      if (config_.noise_sigma > 0.0) {
-        // With noise on, every transfer carries a noise cap.
-        double noise_sum = 0.0;
+      double noise_sum = 0.0;
+      if (noisy) {
         for (std::uint32_t j = begin(k); j < begin(k + 1); ++j) {
           noise_sum += member(j).noise_cap;
         }
-        cap = capped ? std::min(cap, noise_sum) : noise_sum;
-        capped = true;
       }
-      FairShareItem& item = cs.level1[k];
-      item.weight = in.weight;
-      if (capped) {
-        item.cap = cap;
-      } else {
-        item.cap.reset();
-      }
-      total_demand += capped ? std::min(cap, cs.capacity) : cs.capacity;
+      writeItem(k, stream_inputs_[cs.group_streams[k]], noise_sum);
     }
-    fairShareInto(cs.level1, effective_capacity, cs.fair_share_scratch,
-                  cs.level1_alloc);
+    if (fairShareInto(cs.level1, effective_capacity, cs.fair_share_scratch,
+                      cs.level1_alloc)
+            .all_saturating) {
+      ++cs.all_saturating_solves;
+    }
 
     for (std::size_t k = 0; k < n_groups; ++k) {
       const std::uint32_t first = begin(k);
       const std::uint32_t count = begin(k + 1) - first;
       BytesPerSec stream_rate = 0.0;
       if (count == 1) {
-        // A lone transfer takes its stream's whole allocation up to its
-        // noise cap: the level-2 solve's exact bits without running it.
+        // A lone transfer: the level-2 solve's exact bits without running
+        // it, as above.
         Transfer& t = member(first);
         t.rate = fairShareSingle(noiseCap(t), cs.level1_alloc[k]);
         stream_rate = t.rate;
@@ -626,12 +709,10 @@ std::size_t SharedLink::solveRates(ChannelState& cs, Channel channel,
         }
       }
       total_rate += stream_rate;
-      const StreamId sid = streamOf(k);
-      if (stream_inputs_[sid].record) {
-        streams_[sid]->rate_series[static_cast<int>(channel)].add(now,
-                                                                  stream_rate);
-      }
+      const StreamId sid = cs.group_streams[k];
+      if (stream_inputs_[sid].record) recordRate(sid, stream_rate);
     }
+    bounds = SweepBounds::of(cs.active);
   }
   // Opted-in streams with no active transfers drop to zero in the record.
   for (const StreamId sid : recorded_streams_) {
@@ -784,6 +865,7 @@ SharedLink::ResolveStats SharedLink::resolveStats(
   return ResolveStats{.executed = cs.resolves_executed,
                       .lazy_skipped = cs.resolves_skipped,
                       .full_solves = cs.full_solves,
+                      .all_saturating_solves = cs.all_saturating_solves,
                       .faulted_transfers = cs.faulted_transfers,
                       .capacity_edges = cs.capacity_edges};
 }

@@ -27,7 +27,13 @@
 // resolve settles, completes drained transfers and compacts the table in
 // one pass. The solve groups the table by stream only while some stream
 // holds two or more of the channel's transfers; otherwise the table rows
-// are the level-1 items themselves.
+// are the level-1 items themselves, and the solve is two more walks over
+// the table. The first writes the level-1 items and folds in the demand and
+// fair-share's validation scan (FairShareClass); the second writes the rates
+// and folds in their total, the time of the next completion sweep and the
+// next-interesting-time bound (below). When the all-saturating rule decides
+// the level-1 solve (every stream gets its cap) nothing runs between the
+// walks; otherwise fairShareAllocate does.
 //
 // Each channel additionally tracks a "next interesting time": the earliest
 // virtual time at which any active transfer could cross the drain threshold
@@ -134,7 +140,8 @@ class SharedLink {
   ~SharedLink();
 
   /// Register a traffic stream (a rank or a job). Weight scales the fair
-  /// share relative to other streams.
+  /// share relative to other streams; it must be positive and finite, here
+  /// and in setStreamWeight.
   StreamId createStream(std::string name, double weight = 1.0);
 
   /// Set or clear the stream's aggregate rate cap (applies to each channel
@@ -214,6 +221,10 @@ class SharedLink {
     std::uint64_t lazy_skipped = 0;
     /// Two-level solves actually run (<= executed).
     std::uint64_t full_solves = 0;
+    /// Of those, the ones whose level-1 solve the all-saturating rule
+    /// decided (FairShareClass::allSaturating: every stream got its cap).
+    /// Kept out of exportMetrics, checkpoints and run summaries.
+    std::uint64_t all_saturating_solves = 0;
     /// Transfers that completed with a Faulted status (fault plan verdicts).
     std::uint64_t faulted_transfers = 0;
     /// Effective-capacity changes applied (degradation/blackout edges).
@@ -236,6 +247,7 @@ class SharedLink {
   struct StreamInputs;
   struct Stream;
   struct ChannelState;
+  struct SweepBounds;
 
   ChannelState& chan(Channel channel) noexcept;
   const ChannelState& chan(Channel channel) const noexcept;
@@ -247,8 +259,10 @@ class SharedLink {
 
   /// The two-level weighted max-min solve over the channel's active
   /// transfers (allocation-free: reuses the channel's scratch buffers).
+  /// Folds every row's sweep bounds under its new rate into `bounds`.
   /// Returns the number of level-1 items (streams with active transfers).
-  std::size_t solveRates(ChannelState& cs, Channel channel, sim::Time now);
+  std::size_t solveRates(ChannelState& cs, Channel channel, sim::Time now,
+                         SweepBounds& bounds);
 
   /// Request a (possibly quantized) resolve.
   void markDirty(Channel channel);

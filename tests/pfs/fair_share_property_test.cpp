@@ -22,6 +22,13 @@
 // within a few margins of that boundary on both sides, and the single-item
 // helper fairShareSingle() is checked against fairShareInto() over random
 // and extreme values.
+//
+// The split entry (FairShareClass + fairShareAllocate) runs beside
+// fairShareInto() the way SharedLink's level-1 pass drives it: when the
+// all-saturating rule holds it takes the caps with no allocation step. Its
+// allocations must match bit for bit, its rule must decide exactly the
+// instances fairShareInto()'s pre-pass decides, and it must reject the same
+// inputs.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -125,6 +132,31 @@ ReferenceResult referenceFairShare(const std::vector<FairShareItem>& items,
   return result;
 }
 
+std::uint64_t bitsOf(double value) {
+  return std::bit_cast<std::uint64_t>(value);
+}
+
+// The split entry as SharedLink's level-1 pass drives it: fold each item
+// into a FairShareClass; when the all-saturating rule holds, give every
+// positive-weight item its cap (zero-weight items 0) without an allocation
+// step, otherwise hand the classification to fairShareAllocate. Returns
+// whether the rule decided.
+bool splitFairShare(const std::vector<FairShareItem>& items, double capacity,
+                    FairShareScratch& scratch,
+                    std::vector<double>& allocation) {
+  FairShareClass classification;
+  for (const auto& item : items) classification.add(item);
+  if (classification.allSaturating(capacity)) {
+    allocation.assign(items.size(), 0.0);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (items[i].weight > 0.0) allocation[i] = *items[i].cap;
+    }
+    return true;
+  }
+  fairShareAllocate(items, capacity, classification, scratch, allocation);
+  return false;
+}
+
 struct Instance {
   std::vector<FairShareItem> items;
   double capacity = 0.0;
@@ -218,21 +250,36 @@ constexpr std::uint64_t kSeeds = 1200;
 TEST(FairShareProperty, MatchesReferenceBitForBitAcrossSeeds) {
   FairShareScratch scratch;
   std::vector<double> allocation;
+  std::vector<double> split_allocation;
+  std::size_t decided = 0;
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     const Instance inst = drawInstance(seed);
     const FairShareStats stats =
         fairShareInto(inst.items, inst.capacity, scratch, allocation);
     const ReferenceResult ref = referenceFairShare(inst.items, inst.capacity);
+    const bool rule =
+        splitFairShare(inst.items, inst.capacity, scratch, split_allocation);
+    ASSERT_EQ(rule, stats.all_saturating)
+        << "seed " << seed << " shape " << inst.shape;
+    if (rule) ++decided;
     ASSERT_EQ(stats.total, ref.total)
         << "seed " << seed << " shape " << inst.shape;
     ASSERT_EQ(stats.fill_level, ref.fill_level)
         << "seed " << seed << " shape " << inst.shape;
     ASSERT_EQ(allocation.size(), ref.allocation.size());
+    ASSERT_EQ(split_allocation.size(), ref.allocation.size());
     for (std::size_t i = 0; i < allocation.size(); ++i) {
       ASSERT_EQ(allocation[i], ref.allocation[i])
           << "seed " << seed << " shape " << inst.shape << " item " << i;
+      ASSERT_EQ(bitsOf(split_allocation[i]), bitsOf(allocation[i]))
+          << "seed " << seed << " shape " << inst.shape << " item " << i;
+      ASSERT_EQ(bitsOf(split_allocation[i]), bitsOf(ref.allocation[i]))
+          << "seed " << seed << " shape " << inst.shape << " item " << i;
     }
   }
+  // The rule decides some instances (234 of the 1,200), not most.
+  EXPECT_GT(decided, 0u);
+  EXPECT_LT(decided, kSeeds / 2);
 }
 
 TEST(FairShareProperty, ConservationAndCapRespectAcrossSeeds) {
@@ -332,22 +379,40 @@ TEST(FairShareProperty, PermutationInvariantAcrossSeeds) {
 TEST(FairShareProperty, RejectsNegativeAndNonFiniteWeights) {
   // Regression: negative weights must be rejected on every path (including
   // the pre-pass fast paths), and infinite weights -- which would silently
-  // zero the fill level -- are now rejected too.
-  EXPECT_THROW(fairShare({{-1.0, {}}}, 100.0), CheckError);
-  EXPECT_THROW(fairShare({{1.0, {}}, {-0.5, 10.0}}, 100.0), CheckError);
-  EXPECT_THROW(fairShare({{kInf, {}}}, 100.0), CheckError);
-  EXPECT_THROW(fairShare({{1.0, 5.0}, {kInf, 10.0}}, 100.0), CheckError);
-  EXPECT_THROW(fairShare({{std::nan(""), {}}}, 100.0), CheckError);
-  EXPECT_THROW(fairShare({{1.0, -5.0}}, 100.0), CheckError);
-  EXPECT_THROW(fairShare({{1.0, std::nan("")}}, 100.0), CheckError);
+  // zero the fill level -- are now rejected too. fairShare and the split
+  // entry reject the same inputs.
+  FairShareScratch scratch;
+  std::vector<double> allocation;
+  const auto split = [&](const std::vector<FairShareItem>& items,
+                         double capacity) {
+    splitFairShare(items, capacity, scratch, allocation);
+  };
+  for (const double capacity : {100.0, 0.0}) {
+    // Every item is checked, also at capacity 0 where nothing is allocated.
+    EXPECT_THROW(fairShare({{-1.0, {}}}, capacity), CheckError);
+    EXPECT_THROW(split({{-1.0, {}}}, capacity), CheckError);
+    EXPECT_THROW(fairShare({{1.0, {}}, {-0.5, 10.0}}, capacity), CheckError);
+    EXPECT_THROW(split({{1.0, {}}, {-0.5, 10.0}}, capacity), CheckError);
+    EXPECT_THROW(fairShare({{kInf, {}}}, capacity), CheckError);
+    EXPECT_THROW(split({{kInf, {}}}, capacity), CheckError);
+    EXPECT_THROW(fairShare({{1.0, 5.0}, {kInf, 10.0}}, capacity), CheckError);
+    EXPECT_THROW(split({{1.0, 5.0}, {kInf, 10.0}}, capacity), CheckError);
+    EXPECT_THROW(fairShare({{std::nan(""), {}}}, capacity), CheckError);
+    EXPECT_THROW(split({{std::nan(""), {}}}, capacity), CheckError);
+    EXPECT_THROW(fairShare({{1.0, -5.0}}, capacity), CheckError);
+    EXPECT_THROW(split({{1.0, -5.0}}, capacity), CheckError);
+    EXPECT_THROW(fairShare({{1.0, std::nan("")}}, capacity), CheckError);
+    EXPECT_THROW(split({{1.0, std::nan("")}}, capacity), CheckError);
+  }
   EXPECT_THROW(fairShare({{1.0, {}}}, -1.0), CheckError);
+  EXPECT_THROW(split({{1.0, {}}}, -1.0), CheckError);
+  // A capped item below a negative capacity is no all-saturating solve.
+  EXPECT_THROW(fairShare({{1.0, 0.0}}, -1.0), CheckError);
+  EXPECT_THROW(split({{1.0, 0.0}}, -1.0), CheckError);
   // +inf caps stay legal: they mean "uncapped" and must not throw.
   const FairShareResult r = fairShare({{1.0, kInf}, {1.0, {}}}, 100.0);
   EXPECT_DOUBLE_EQ(r.total, 100.0);
-}
-
-std::uint64_t bitsOf(double value) {
-  return std::bit_cast<std::uint64_t>(value);
+  EXPECT_NO_THROW(split({{1.0, kInf}, {1.0, {}}}, 100.0));
 }
 
 // The all-saturating pre-pass margin, restated: 8 (N + 1)(1 + W / w_min) eps
@@ -442,19 +507,29 @@ TEST(FairShareProperty, AllSaturatingBoundaryMatchesReferenceBitForBit) {
   constexpr std::uint64_t kBoundarySeeds = 2500;
   FairShareScratch scratch;
   std::vector<double> allocation;
+  std::vector<double> split_allocation;
   std::size_t mismatches = 0;
   std::size_t all_pinned = 0;
+  std::size_t decided = 0;
   std::string first_mismatch;
   for (std::uint64_t seed = 0; seed < kBoundarySeeds; ++seed) {
     const Instance inst = drawBoundaryInstance(seed);
     const FairShareStats stats =
         fairShareInto(inst.items, inst.capacity, scratch, allocation);
     const ReferenceResult ref = referenceFairShare(inst.items, inst.capacity);
-    bool match = bitsOf(stats.total) == bitsOf(ref.total) &&
+    const bool rule =
+        splitFairShare(inst.items, inst.capacity, scratch, split_allocation);
+    if (rule) ++decided;
+    bool match = rule == stats.all_saturating &&
+                 split_allocation.size() == allocation.size() &&
+                 bitsOf(stats.total) == bitsOf(ref.total) &&
                  bitsOf(stats.fill_level) == bitsOf(ref.fill_level);
     bool pinned = ref.fill_level == 0.0;
+    for (std::size_t i = 0; match && i < allocation.size(); ++i) {
+      match = bitsOf(allocation[i]) == bitsOf(ref.allocation[i]) &&
+              bitsOf(split_allocation[i]) == bitsOf(ref.allocation[i]);
+    }
     for (std::size_t i = 0; i < allocation.size(); ++i) {
-      match = match && bitsOf(allocation[i]) == bitsOf(ref.allocation[i]);
       const auto& item = inst.items[i];
       if (item.weight > 0.0) {
         pinned = pinned && item.cap && ref.allocation[i] == *item.cap;
@@ -468,9 +543,10 @@ TEST(FairShareProperty, AllSaturatingBoundaryMatchesReferenceBitForBit) {
   }
   EXPECT_EQ(mismatches, 0u) << "first mismatch: " << first_mismatch;
   // The generator must straddle the boundary: plenty of instances on each
-  // side of it.
+  // side of it. The rule decides 424 of them, all pinned ones.
   EXPECT_GT(all_pinned, kBoundarySeeds / 4);
   EXPECT_LT(all_pinned, kBoundarySeeds * 3 / 4);
+  EXPECT_GT(decided, kBoundarySeeds / 8);
 }
 
 TEST(FairShareProperty, SingleItemHelperMatchesFairShareInto) {

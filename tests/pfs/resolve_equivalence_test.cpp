@@ -106,6 +106,9 @@ struct ScenarioResult {
   std::vector<std::pair<double, double>> stream0_rate_points[kChannels];
   std::uint64_t resolves_executed[kChannels] = {0, 0};
   std::uint64_t resolves_skipped[kChannels] = {0, 0};
+  // Solves of both channels, and those the all-saturating rule decided.
+  std::uint64_t full_solves = 0;
+  std::uint64_t all_saturating_solves = 0;
 };
 
 struct ScenarioParams {
@@ -218,6 +221,8 @@ ScenarioResult runScenario(const ScenarioParams& p) {
     const SharedLink::ResolveStats stats = link.resolveStats(ch);
     result.resolves_executed[c] = stats.executed;
     result.resolves_skipped[c] = stats.lazy_skipped;
+    result.full_solves += stats.full_solves;
+    result.all_saturating_solves += stats.all_saturating_solves;
     const auto& series = link.totalRateSeries(ch);
     for (double t = 0.0; t <= result.end_time + 1.0; t += 0.25) {
       result.total_rate_samples[c].push_back(series.at(t));
@@ -411,6 +416,8 @@ constexpr std::uint64_t kLinkBitsDigest = 0x5b6f11d8c475c570ULL;
 TEST(ResolveEquivalence, LinkBitsArePinned) {
   std::string folded;
   SharingSpans spans;
+  std::uint64_t solves = 0;
+  std::uint64_t saturating = 0;
   for (const ScenarioParams& setup : pinnedSetups()) {
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
       ScenarioParams p = setup;
@@ -434,12 +441,19 @@ TEST(ResolveEquivalence, LinkBitsArePinned) {
         }
       }
       addSharingSpans(r, spans);
+      solves += r.full_solves;
+      saturating += r.all_saturating_solves;
     }
   }
   // The corpus drives both selections of the solve: spans where a stream
-  // holds two transfers (the grouped solve) and spans where none does.
+  // holds two transfers (the grouped solve) and spans where none does. It
+  // also has level-1 solves on both sides of the all-saturating rule (256
+  // of 2,249 solves are decided by it; the rest, which include the solves
+  // of an emptied table, are not).
   EXPECT_GT(spans.shared, 0.0);
   EXPECT_GT(spans.unshared, 0.0);
+  EXPECT_GT(saturating, 0u);
+  EXPECT_LT(saturating, solves);
 #if defined(__GLIBC__)
   EXPECT_EQ(hashName(folded), kLinkBitsDigest)
       << std::hex << "0x" << hashName(folded);

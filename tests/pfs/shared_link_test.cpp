@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -437,6 +439,29 @@ TEST(SharedLink, UnknownStreamThrows) {
   SharedLink link(sim, smallLink());
   EXPECT_THROW(link.setStreamCap(42, 1.0), CheckError);
   EXPECT_THROW(link.streamBytes(42), CheckError);
+}
+
+TEST(SharedLink, NonFiniteOrNonPositiveStreamWeightThrowsAtTheCall) {
+  // A bad weight is rejected where it is set, not later from inside a
+  // resolve callback.
+  sim::Simulation sim;
+  SharedLink link(sim, smallLink());
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double weight : {inf, -inf, std::nan(""), 0.0, -1.0}) {
+    EXPECT_THROW(link.createStream("bad", weight), CheckError) << weight;
+  }
+  EXPECT_EQ(link.streamCount(), 0u);
+  const StreamId s = link.createStream("s", 2.0);
+  for (const double weight : {inf, -inf, std::nan(""), 0.0, -1.0}) {
+    EXPECT_THROW(link.setStreamWeight(s, weight), CheckError) << weight;
+  }
+  EXPECT_EQ(link.streamWeight(s), 2.0);
+  // The largest finite weight is still a weight.
+  link.setStreamWeight(s, std::numeric_limits<double>::max());
+  int done = 0;
+  sim.spawn(oneTransfer(link, s, 100, done));
+  sim.run();
+  EXPECT_EQ(done, 1);
 }
 
 TEST(SharedLink, InvalidConfigThrows) {
