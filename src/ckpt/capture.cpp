@@ -133,7 +133,7 @@ Section captureStats(scenario::Instance& instance) {
 Section captureWorld(scenario::Instance& instance, std::size_t index) {
   mpisim::World& world = instance.world(index);
   SectionBuilder b;
-  b.raw("name=" + instance.spec().worlds[index].name + "\n");
+  b.raw("name=" + instance.spec().worlds[index].config.name + "\n");
   b.kv("ranks", world.config().ranks);
   b.kv("finished", world.finished());
   b.kv("failed_ranks", world.failedRanks());

@@ -5,22 +5,27 @@
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/string_util.hpp"
 
 namespace iobts::fault {
 
 void FaultPlan::validateWindow(const TimeWindow& window) {
   IOBTS_CHECK(std::isfinite(window.begin) && window.begin >= 0.0,
-              "fault window must begin at a finite, non-negative time");
+              strfmt("fault window [%g, %g) must begin at a finite, "
+                     "non-negative time",
+                     window.begin, window.end));
   IOBTS_CHECK(!std::isnan(window.end) && window.end > window.begin,
-              "fault window must be non-empty (end > begin)");
+              strfmt("fault window [%g, %g) must be non-empty (end > begin)",
+                     window.begin, window.end));
 }
 
 FaultPlan& FaultPlan::degradeChannel(pfs::Channel channel, double factor,
                                      TimeWindow window) {
   validateWindow(window);
   IOBTS_CHECK(factor > 0.0 && factor <= 1.0,
-              "degradation factor must lie in (0, 1]; use addBlackout for a "
-              "full outage");
+              strfmt("degradation factor must lie in (0, 1], got %g (a full "
+                     "outage is a blackout)",
+                     factor));
   degradations_.push_back(DegradationEvent{channel, factor, window});
   return *this;
 }
@@ -29,7 +34,8 @@ FaultPlan& FaultPlan::addTransferFault(TransferFaultRule rule) {
   validateWindow(rule.window);
   IOBTS_CHECK(rule.probability >= 0.0 && rule.probability <= 1.0 &&
                   !std::isnan(rule.probability),
-              "fault probability must lie in [0, 1]");
+              strfmt("transfer fault probability must lie in [0, 1], got %g",
+                     rule.probability));
   faults_.push_back(rule);
   return *this;
 }
@@ -38,7 +44,10 @@ FaultPlan& FaultPlan::addBlackout(TimeWindow window) {
   validateWindow(window);
   for (const BlackoutEvent& existing : blackouts_) {
     IOBTS_CHECK(!window.overlaps(existing.window),
-                "blackout windows must not overlap");
+                strfmt("blackout window [%g, %g) overlaps the blackout "
+                       "[%g, %g); blackouts must not overlap",
+                       window.begin, window.end, existing.window.begin,
+                       existing.window.end));
   }
   blackouts_.push_back(BlackoutEvent{window});
   return *this;
@@ -47,7 +56,7 @@ FaultPlan& FaultPlan::addBlackout(TimeWindow window) {
 FaultPlan& FaultPlan::addOutage(double fraction, TimeWindow window) {
   validateWindow(window);
   IOBTS_CHECK(fraction > 0.0 && fraction <= 1.0 && !std::isnan(fraction),
-              "outage fraction must lie in (0, 1]");
+              strfmt("outage fraction must lie in (0, 1], got %g", fraction));
   outages_.push_back(OutageEvent{fraction, window});
   return *this;
 }

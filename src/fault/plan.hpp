@@ -122,6 +122,9 @@ class FaultPlan {
                     sim::Time completion) const noexcept;
 
   std::uint64_t seed() const noexcept { return seed_; }
+  /// Verdicts read the seed when asked, so it may be set after the windows
+  /// (a document's `faults` block may name its seed last).
+  void setSeed(std::uint64_t seed) noexcept { seed_ = seed; }
 
   /// Emit one instant event per planned window edge into `sink` (category
   /// "fault", link track): the *planned* schedule, distinct from the edges

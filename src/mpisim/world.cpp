@@ -1,10 +1,12 @@
 #include "mpisim/world.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
+#include "util/string_util.hpp"
 
 namespace iobts::mpisim {
 
@@ -225,6 +227,18 @@ Bytes File::size() const {
 // ---------------------------------------------------------------------------
 // World
 
+void checkWorldConfig(const WorldConfig& config) {
+  const double max_jitter = std::log(std::numeric_limits<double>::max()) /
+                            std::sqrt(106.0 * std::log(2.0));
+  IOBTS_CHECK(config.ranks > 0, "world needs at least one rank");
+  IOBTS_CHECK(config.compute_jitter_sigma >= 0.0,
+              "compute jitter must be non-negative");
+  IOBTS_CHECK(config.compute_jitter_sigma <= max_jitter,
+              strfmt("compute jitter must be finite and at most %g (a larger "
+                     "sigma can overflow a compute phase to infinity)",
+                     max_jitter));
+}
+
 World::World(sim::Simulation& simulation, pfs::SharedLink& link,
              pfs::FileStore& store, WorldConfig config, IoHooks* hooks)
     : sim_(simulation),
@@ -233,7 +247,7 @@ World::World(sim::Simulation& simulation, pfs::SharedLink& link,
       config_(std::move(config)),
       hooks_(hooks),
       done_(simulation) {
-  IOBTS_CHECK(config_.ranks > 0, "world needs at least one rank");
+  checkWorldConfig(config_);
   barrier_ = std::make_unique<sim::Barrier>(
       sim_, static_cast<std::size_t>(config_.ranks));
   ranks_.reserve(static_cast<std::size_t>(config_.ranks));

@@ -74,6 +74,14 @@ struct WorldConfig {
   std::string name = "world";
 };
 
+/// The world's value rules, which the World constructor runs: at least one
+/// rank, and a compute jitter sigma in [0, ln(DBL_MAX) / sqrt(106 ln 2)
+/// ~= 82.8]. Jitter scales each compute phase by exp(sigma * z) with z from
+/// Rng::normal, Box-Muller over 53-bit uniforms, so |z| <= sqrt(106 ln 2)
+/// ~= 8.57; a larger sigma can overflow a compute phase to infinity, and
+/// the run would never end. Throws CheckError naming the value at fault.
+void checkWorldConfig(const WorldConfig& config);
+
 /// Wall-clock (virtual) breakdown of one rank's run; the raw material of the
 /// paper's Figs. 6, 7 and 11.
 struct RankTimes {

@@ -15,9 +15,11 @@
 #include <fstream>
 #include <memory>
 
+#include "util/check.hpp"
 #include "util/file_io.hpp"
 #include "util/hash.hpp"
 #include "util/le_bytes.hpp"
+#include "util/string_util.hpp"
 
 namespace iobts::obs {
 namespace {
@@ -1475,15 +1477,31 @@ class BinlogEncoder {
 
 // --- Writer -----------------------------------------------------------------
 
+namespace {
+
+/// The writer's range rule for flush_bytes, checked before the container
+/// opens its file or sizes its buffers.
+std::size_t checkedFlushBytes(const BinaryTraceWriterConfig& config) {
+  using Config = BinaryTraceWriterConfig;
+  IOBTS_CHECK(config.flush_bytes >= Config::kMinFlushBytes &&
+                  config.flush_bytes <= Config::kMaxFlushBytes,
+              strfmt("flush_bytes must lie in [%zu, %zu], got %zu",
+                     Config::kMinFlushBytes, Config::kMaxFlushBytes,
+                     config.flush_bytes));
+  return config.flush_bytes;
+}
+
+}  // namespace
+
 BinaryTraceWriter::BinaryTraceWriter(TraceSink& sink, const std::string& path,
                                      BinaryTraceWriterConfig config)
     : BinaryTraceWriter(sink, std::make_unique<detail::BinlogContainer>(
-                                  path, config.flush_bytes)) {}
+                                  path, checkedFlushBytes(config))) {}
 
 BinaryTraceWriter::BinaryTraceWriter(TraceSink& sink, std::string* out,
                                      BinaryTraceWriterConfig config)
     : BinaryTraceWriter(sink, std::make_unique<detail::BinlogContainer>(
-                                  out, config.flush_bytes)) {}
+                                  out, checkedFlushBytes(config))) {}
 
 BinaryTraceWriter::BinaryTraceWriter(
     TraceSink& sink, std::unique_ptr<detail::BinlogContainer> container)

@@ -286,8 +286,13 @@ struct BinaryTraceWriterConfig {
   /// Finished chunks accumulate in memory and flush to the file once the
   /// staging buffer exceeds this size (and at close). Doubles as the
   /// events-chunk seal threshold, so small values make the file grow in
-  /// small independently-decodable chunks -- what --follow tails.
+  /// small independently-decodable chunks -- what --follow tails. The
+  /// writer rejects a value outside [kMinFlushBytes, kMaxFlushBytes] with
+  /// CheckError: it allocates buffers of about this size up front.
   std::size_t flush_bytes = 1 << 20;
+
+  static constexpr std::size_t kMinFlushBytes = 1;
+  static constexpr std::size_t kMaxFlushBytes = std::size_t{1} << 24;
 };
 
 /// Incremental binary exporter bound to one TraceSink. Construction

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "obs/export.hpp"
+#include "util/string_util.hpp"
 
 namespace iobts::obs {
 namespace {
@@ -36,10 +37,6 @@ void appendDuration(std::string& out, double seconds) {
   } else {
     appendf(out, "%10.3f us", seconds * 1e6);
   }
-}
-
-bool startsWith(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
 }
 
 std::string journeyIdString(std::uint64_t journey) {

@@ -43,7 +43,7 @@ ckpt::Section summaryPhases(scenario::Instance& instance, std::size_t index,
                             const SummaryOptions& opt) {
   const tmio::Tracer& tracer = instance.tracer(index);
   SectionBuilder b;
-  b.raw("world=" + instance.spec().worlds[index].name + "\n");
+  b.raw("world=" + instance.spec().worlds[index].config.name + "\n");
   const auto& phases = tracer.phaseRecords();
   b.kv("records", static_cast<std::uint64_t>(phases.size()));
   WordDigest rows;
@@ -100,7 +100,7 @@ ckpt::Section summaryStalls(scenario::Instance& instance, std::size_t index) {
     total.sync_read += s.sync_read;
   }
   SectionBuilder b;
-  b.raw("world=" + instance.spec().worlds[index].name + "\n");
+  b.raw("world=" + instance.spec().worlds[index].config.name + "\n");
   b.kv("ranks", world.config().ranks);
   b.kv("write_exploit", total.write_exploit);
   b.kv("read_exploit", total.read_exploit);

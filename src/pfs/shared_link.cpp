@@ -165,28 +165,33 @@ struct SharedLink::ChannelState {
   FairShareScratch fair_share_scratch;
 };
 
+void checkLinkConfig(const LinkConfig& config) {
+  const auto nonNegative = [](double value) {
+    return value >= 0.0 && std::isfinite(value);
+  };
+  IOBTS_CHECK(config.read_capacity > 0.0 &&
+                  std::isfinite(config.read_capacity),
+              "read capacity must be positive and finite");
+  IOBTS_CHECK(config.write_capacity > 0.0 &&
+                  std::isfinite(config.write_capacity),
+              "write capacity must be positive and finite");
+  IOBTS_CHECK(nonNegative(config.noise_sigma),
+              "noise sigma must be non-negative and finite");
+  IOBTS_CHECK(nonNegative(config.noise_reference_rate),
+              "noise reference rate must be non-negative and finite");
+  IOBTS_CHECK(nonNegative(config.congestion_gamma),
+              "congestion gamma must be non-negative and finite");
+  IOBTS_CHECK(nonNegative(config.recompute_quantum),
+              "recompute quantum must be non-negative and finite");
+  IOBTS_CHECK(nonNegative(config.client_rate_cap),
+              "client rate cap must be non-negative and finite");
+}
+
 SharedLink::SharedLink(sim::Simulation& simulation, LinkConfig config)
     : sim_(simulation),
       config_(config),
       noise_rng_(config.seed, "pfs-noise") {
-  IOBTS_CHECK(config_.read_capacity > 0.0 &&
-                  std::isfinite(config_.read_capacity),
-              "read capacity must be positive and finite");
-  IOBTS_CHECK(config_.write_capacity > 0.0 &&
-                  std::isfinite(config_.write_capacity),
-              "write capacity must be positive and finite");
-  IOBTS_CHECK(config_.noise_sigma >= 0.0 && !std::isnan(config_.noise_sigma),
-              "noise sigma must be non-negative");
-  IOBTS_CHECK(config_.noise_reference_rate >= 0.0 &&
-                  !std::isnan(config_.noise_reference_rate),
-              "noise reference rate must be non-negative");
-  IOBTS_CHECK(config_.congestion_gamma >= 0.0 &&
-                  !std::isnan(config_.congestion_gamma),
-              "congestion gamma must be non-negative");
-  IOBTS_CHECK(config_.recompute_quantum >= 0.0,
-              "recompute quantum must be non-negative");
-  IOBTS_CHECK(config_.client_rate_cap >= 0.0,
-              "client rate cap must be non-negative");
+  checkLinkConfig(config_);
   for (std::size_t c = 0; c < kChannels; ++c) {
     channels_[c] = std::make_unique<ChannelState>();
     channels_[c]->ch = static_cast<Channel>(c);

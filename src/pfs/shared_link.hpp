@@ -112,6 +112,12 @@ struct LinkConfig {
   bool force_full_resolve = false;
 };
 
+/// The link's value rules, which the SharedLink constructor runs: both
+/// capacities positive and finite, every other number non-negative and
+/// finite (an infinite quantum would defer every re-solve forever). Throws
+/// CheckError naming the first value that breaks them.
+void checkLinkConfig(const LinkConfig& config);
+
 /// Outcome of a transfer. Faulted transfers run to their full (fair-share)
 /// duration and consume bandwidth, but the payload is lost -- the EIO-class
 /// error a client sees when an OST fails the request at completion.

@@ -216,7 +216,7 @@ class Lowering {
       if (it->first == expr.name) return it->second;
     }
     // Unreachable after static validation; kept as a hard error, not UB.
-    fail(expr.line, program.world->name,
+    fail(expr.line, program.world->config.name,
          "unknown variable '" + expr.name + "'");
   }
 
@@ -325,7 +325,7 @@ struct RankEnv {
   std::vector<sim::Semaphore*> channels;            // by channel
   std::uint64_t ops = 0;
 
-  const std::string& worldName() const { return program->world->name; }
+  const std::string& worldName() const { return program->world->config.name; }
 };
 
 // --- expression evaluation -------------------------------------------------

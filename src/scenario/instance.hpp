@@ -1,12 +1,14 @@
 // Scenario execution harness.
 //
-// An Instance owns the full simulation stack for one parsed scenario: the
-// SharedLink built from the `link` block, a FileStore, the FaultPlan from
-// the `faults` block, and -- per `world` -- a tmio::Tracer (the world's
-// strategy/tolerance) and an mpisim::World whose rank program is the
-// compiled DSL program. All worlds share the link and store, so multi-world
-// scenarios (the streaming-pipeline class) contend for the same PFS exactly
-// like the paper's co-running jobs.
+// An Instance owns the full simulation stack for one parsed scenario. The
+// spec already holds the simulator's own configs, each checked by its
+// module as the document was read, so the Instance converts nothing: it
+// builds the SharedLink from the spec's LinkConfig and installs the spec's
+// FaultPlan on it, a FileStore, and -- per `world` -- a tmio::Tracer from
+// the world's TracerConfig and an mpisim::World from its WorldConfig,
+// whose rank program is the compiled DSL program. All worlds share the
+// link and store, so multi-world scenarios (the streaming-pipeline class)
+// contend for the same PFS exactly like the paper's co-running jobs.
 //
 // The caller drives the simulation:
 //
@@ -28,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "fault/plan.hpp"
 #include "mpisim/world.hpp"
 #include "pfs/file_store.hpp"
 #include "pfs/shared_link.hpp"
@@ -61,7 +62,8 @@ struct RunStats {
 class Instance {
  public:
   /// Takes the spec by value; it must come from parseScenario and is
-  /// immutable afterwards (compiled programs point into it).
+  /// immutable afterwards (compiled programs and the link's installed
+  /// fault plan point into it).
   Instance(sim::Simulation& simulation, ScenarioSpec spec);
   Instance(const Instance&) = delete;
   Instance& operator=(const Instance&) = delete;
@@ -113,7 +115,6 @@ class Instance {
 
   sim::Simulation& sim_;
   ScenarioSpec spec_;
-  fault::FaultPlan fault_plan_;
   pfs::SharedLink link_;
   pfs::FileStore store_;
   std::vector<WorldEntry> worlds_;

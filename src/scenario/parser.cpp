@@ -13,16 +13,16 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <initializer_list>
 #include <limits>
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "tmio/strategy.hpp"
+#include "util/check.hpp"
 #include "util/file_io.hpp"
 
 namespace iobts::scenario {
@@ -36,6 +36,18 @@ constexpr int kMaxRanks = 16384;
 [[noreturn]] void fail(int line, const std::string& field,
                        const std::string& message) {
   throw ScenarioError(line, field, message);
+}
+
+/// Run the owning module's check on a value just read: its CheckError
+/// becomes a ScenarioError at `line`, naming `field`, with the module's
+/// reason.
+template <typename Check>
+void checkAt(int line, const std::string& field, Check&& check) {
+  try {
+    check();
+  } catch (const CheckError& e) {
+    fail(line, field, e.reason());
+  }
 }
 
 // --- Lexer -----------------------------------------------------------------
@@ -355,7 +367,7 @@ class Parser {
         if (saw_faults) fail(t.line, "faults", "duplicate faults block");
         saw_faults = true;
         advance();
-        spec.faults = parseFaultsBlock();
+        parseFaultsBlock(spec.faults);
       } else if (t.text == "let") {
         spec.globals.push_back(parseLet());
       } else if (t.text == "world") {
@@ -442,12 +454,15 @@ class Parser {
   }
 
   // --- header blocks ---
-  void parseLinkBlock(LinkSpec& link) {
+  // Each key or fault declaration goes straight into the simulator's own
+  // config and is checked there, by its module, before the next one.
+  void parseLinkBlock(pfs::LinkConfig& link) {
     expectPunct("{", "link");
     while (!acceptPunct("}")) {
       const int line = peek().line;
       const std::string key = expectIdentAny("link key");
-      expectPunct("=", "link." + key);
+      const std::string field = "link." + key;
+      expectPunct("=", field);
       if (key == "write") {
         link.write_capacity = expectNumber(key);
       } else if (key == "read") {
@@ -470,6 +485,7 @@ class Parser {
                  "' in link block (expected write, read, client_cap, "
                  "congestion, noise, noise_ref, quantum or seed)");
       }
+      checkAt(line, field, [&] { pfs::checkLinkConfig(link); });
     }
   }
 
@@ -485,86 +501,93 @@ class Parser {
              ", got '" + word + "'");
   }
 
-  void parseWindow(FaultDecl& decl, const std::string& what) {
+  fault::TimeWindow parseWindow(const std::string& what) {
+    fault::TimeWindow window;
     expectKeyword("from", "expected 'from <t>' in " + what);
-    decl.begin = expectNumber(what + ".from");
+    window.begin = expectNumber(what + ".from");
     expectKeyword("to", "expected 'to <t>' in " + what);
-    decl.end = expectNumber(what + ".to");
+    window.end = expectNumber(what + ".to");
+    return window;
   }
 
-  FaultSpec parseFaultsBlock() {
-    FaultSpec faults;
+  void parseFaultsBlock(fault::FaultPlan& plan) {
     expectPunct("{", "faults");
     while (!acceptPunct("}")) {
       const int line = peek().line;
       const std::string word = expectIdentAny("faults");
+      const std::string field = "faults." + word;
       if (word == "seed") {
-        expectPunct("=", "faults.seed");
-        faults.seed = static_cast<std::uint64_t>(expectInt("faults.seed"));
-        continue;
-      }
-      FaultDecl decl;
-      decl.line = line;
-      if (word == "degrade") {
-        decl.kind = FaultDecl::Kind::Degrade;
-        decl.channel = parseFaultChannel("degrade", /*allow_any=*/false);
-        decl.value = expectNumber("degrade.factor");
-        parseWindow(decl, "degrade");
+        expectPunct("=", field);
+        plan.setSeed(static_cast<std::uint64_t>(expectInt(field)));
+      } else if (word == "degrade") {
+        const pfs::Channel channel =
+            *parseFaultChannel(word, /*allow_any=*/false);
+        const double factor = expectNumber("degrade.factor");
+        const fault::TimeWindow window = parseWindow(word);
+        checkAt(line, field,
+                [&] { plan.degradeChannel(channel, factor, window); });
       } else if (word == "blackout") {
-        decl.kind = FaultDecl::Kind::Blackout;
-        parseWindow(decl, "blackout");
+        const fault::TimeWindow window = parseWindow(word);
+        checkAt(line, field, [&] { plan.addBlackout(window); });
       } else if (word == "transfer_fault") {
-        decl.kind = FaultDecl::Kind::TransferFault;
-        decl.channel = parseFaultChannel("transfer_fault", /*allow_any=*/true);
-        decl.value = expectNumber("transfer_fault.probability");
-        parseWindow(decl, "transfer_fault");
+        fault::TransferFaultRule rule;
+        rule.channel = parseFaultChannel(word, /*allow_any=*/true);
+        rule.probability = expectNumber("transfer_fault.probability");
+        rule.window = parseWindow(word);
+        checkAt(line, field, [&] { plan.addTransferFault(rule); });
       } else if (word == "outage") {
-        decl.kind = FaultDecl::Kind::Outage;
-        decl.value = expectNumber("outage.fraction");
-        parseWindow(decl, "outage");
+        const double fraction = expectNumber("outage.fraction");
+        const fault::TimeWindow window = parseWindow(word);
+        checkAt(line, field, [&] { plan.addOutage(fraction, window); });
       } else {
         fail(line, "faults",
              "unknown fault declaration '" + word +
                  "' (expected seed, degrade, blackout, outage or "
                  "transfer_fault)");
       }
-      faults.decls.push_back(std::move(decl));
     }
-    return faults;
   }
 
   void parseWorld(ScenarioSpec& spec) {
     WorldSpec world;
     world.line = peek().line;
-    world.name = expectName("world name");
-    expectPunct("{", "world " + world.name);
+    world.config.name = expectName("world name");
+    expectPunct("{", "world " + world.config.name);
     while (!acceptPunct("}")) {
       const int line = peek().line;
       const std::string key = expectIdentAny("world key");
-      expectPunct("=", "world." + key);
+      const std::string field = "world." + key;
+      expectPunct("=", field);
       if (key == "ranks") {
-        world.ranks = static_cast<int>(expectInt(key));
+        world.config.ranks = static_cast<int>(expectInt(key));
       } else if (key == "seed") {
-        world.seed = static_cast<std::uint64_t>(expectInt(key));
+        world.config.seed = static_cast<std::uint64_t>(expectInt(key));
       } else if (key == "jitter") {
-        world.jitter = expectNumber(key);
+        world.config.compute_jitter_sigma = expectNumber(key);
       } else if (key == "strategy") {
-        world.strategy = expectString(key);
+        const std::string name = expectString(key);
+        checkAt(line, field,
+                [&] { world.tracer.strategy = tmio::parseStrategy(name); });
       } else if (key == "tolerance") {
-        world.tolerance = expectNumber(key);
+        world.tracer.params.tolerance = expectNumber(key);
+        checkAt(line, field, [&] {
+          tmio::makeStrategy(world.tracer.strategy, world.tracer.params);
+        });
       } else if (key == "burst_buffer") {
         const std::int64_t on = expectInt(key);
         if (on != 0 && on != 1) {
-          fail(line, "world." + key,
+          fail(line, field,
                "burst_buffer must be 0 or 1, got " + std::to_string(on));
         }
-        world.burst_buffer = on == 1;
+        world.config.burst_buffer.reset();
+        if (on == 1) world.config.burst_buffer.emplace();
       } else {
-        fail(line, "world " + world.name,
+        fail(line, "world " + world.config.name,
              "unknown key '" + key +
                  "' in world block (expected ranks, seed, jitter, strategy, "
                  "tolerance or burst_buffer)");
       }
+      checkAt(line, field, [&] { mpisim::checkWorldConfig(world.config); });
     }
     spec.worlds.push_back(std::move(world));
   }
@@ -890,17 +913,17 @@ class Parser {
   void attachPrograms(ScenarioSpec& spec) {
     std::set<std::string> world_names;
     for (WorldSpec& world : spec.worlds) {
-      if (!world_names.insert(world.name).second) {
-        fail(world.line, "world " + world.name, "duplicate world name");
+      const std::string& name = world.config.name;
+      if (!world_names.insert(name).second) {
+        fail(world.line, "world " + name, "duplicate world name");
       }
-      auto it = programs_.find(world.name);
+      auto it = programs_.find(name);
       if (it == programs_.end()) {
-        fail(world.line, "world " + world.name,
-             "world has no matching 'program " + world.name + "' block");
+        fail(world.line, "world " + name,
+             "world has no matching 'program " + name + "' block");
       }
       world.stmts = std::move(it->second.stmts);
       world.phases = std::move(it->second.phases);
-      world.has_program = true;
       programs_.erase(it);
     }
     if (!programs_.empty()) {
@@ -1162,7 +1185,7 @@ void checkStmts(const std::vector<Stmt>& stmts, ProgramScope& scope,
 }
 
 void checkPhaseGraph(const WorldSpec& world) {
-  const std::string what = "world " + world.name;
+  const std::string what = "world " + world.config.name;
   std::map<std::string, std::size_t> index;
   for (std::size_t i = 0; i < world.phases.size(); ++i) {
     const Phase& phase = world.phases[i];
@@ -1207,120 +1230,21 @@ void checkPhaseGraph(const WorldSpec& world) {
   }
 }
 
-// Compute jitter scales every compute phase by exp(sigma * z), with z from
-// Rng::normal: Box-Muller over 53-bit uniforms, so |z| <= sqrt(106 ln 2)
-// ~= 8.57. Above ln(DBL_MAX) / 8.57 ~= 82.8 the factor can overflow to inf,
-// and a compute phase of infinite length keeps the run from ever ending.
-double maxComputeJitter() {
-  return std::log(std::numeric_limits<double>::max()) /
-         std::sqrt(106.0 * std::log(2.0));
-}
-
-void checkLinkSpec(const LinkSpec& link) {
-  // A number literal that overflows lexes as inf. The link rejects an
-  // infinite capacity at construction, and an infinite quantum posts every
-  // deferred re-solve at an infinite time, so the run never ends.
-  for (const double value :
-       {link.write_capacity, link.read_capacity, link.client_rate_cap,
-        link.congestion_gamma, link.noise_sigma, link.noise_reference_rate,
-        link.recompute_quantum}) {
-    if (!std::isfinite(value)) {
-      fail(0, "link", "link parameters must be finite");
-    }
-  }
-  if (!(link.write_capacity > 0.0) || !(link.read_capacity > 0.0)) {
-    fail(0, "link", "link capacities must be positive");
-  }
-  if (link.client_rate_cap < 0.0 || link.congestion_gamma < 0.0 ||
-      link.noise_sigma < 0.0 || link.noise_reference_rate < 0.0 ||
-      link.recompute_quantum < 0.0) {
-    fail(0, "link", "link parameters must be non-negative");
-  }
-}
-
-void checkFaultSpec(const FaultSpec& faults) {
-  std::vector<const FaultDecl*> blackouts;
-  for (const FaultDecl& decl : faults.decls) {
-    if (!(decl.begin >= 0.0) || !(decl.end > decl.begin)) {
-      fail(decl.line, "faults",
-           "fault window must satisfy 0 <= from < to");
-    }
-    switch (decl.kind) {
-      case FaultDecl::Kind::Degrade:
-        if (!(decl.value > 0.0) || decl.value > 1.0) {
-          fail(decl.line, "faults",
-               "degrade factor must lie in (0, 1], got " +
-                   std::to_string(decl.value));
-        }
-        break;
-      case FaultDecl::Kind::TransferFault:
-        if (decl.value < 0.0 || decl.value > 1.0) {
-          fail(decl.line, "faults",
-               "transfer fault probability must lie in [0, 1], got " +
-                   std::to_string(decl.value));
-        }
-        break;
-      case FaultDecl::Kind::Outage:
-        if (!(decl.value > 0.0) || decl.value > 1.0) {
-          fail(decl.line, "faults",
-               "outage fraction must lie in (0, 1], got " +
-                   std::to_string(decl.value));
-        }
-        break;
-      case FaultDecl::Kind::Blackout:
-        // fault::FaultPlan rejects overlapping blackouts; same rule as
-        // fault::TimeWindow::overlaps.
-        for (const FaultDecl* other : blackouts) {
-          if (decl.begin < other->end && other->begin < decl.end) {
-            fail(decl.line, "faults",
-                 "blackout window overlaps the blackout declared on line " +
-                     std::to_string(other->line));
-          }
-        }
-        blackouts.push_back(&decl);
-        break;
-    }
-  }
-}
-
-const std::set<std::string>& knownStrategies() {
-  static const std::set<std::string> names = {"none", "direct", "up-only",
-                                              "adaptive", "mfu"};
-  return names;
-}
-
 void validate(const ScenarioSpec& spec) {
-  checkLinkSpec(spec.link);
-  if (spec.faults) checkFaultSpec(*spec.faults);
-
   // Global lets resolve against rank/ranks of whichever world they run in;
   // validate them once per world below (cheap: globals are tiny).
   std::map<std::string, std::set<int>> channel_ranks;  // channel -> rank counts
   std::set<std::string> all_signals, all_recvs;
 
   for (const WorldSpec& world : spec.worlds) {
-    const std::string what = "world " + world.name;
-    if (world.ranks < 1 || world.ranks > kMaxRanks) {
+    const std::string& name = world.config.name;
+    const std::string what = "world " + name;
+    // World itself rejects ranks < 1 (checked as the key was read); the
+    // cap is the DSL's own.
+    if (world.config.ranks > kMaxRanks) {
       fail(world.line, what,
            "ranks must lie in [1, " + std::to_string(kMaxRanks) + "], got " +
-               std::to_string(world.ranks));
-    }
-    if (world.jitter < 0.0) {
-      fail(world.line, what, "jitter must be non-negative");
-    }
-    if (!(world.jitter <= maxComputeJitter())) {  // inf and NaN included
-      std::ostringstream message;
-      message << "jitter must be finite and at most " << maxComputeJitter()
-              << " (a larger sigma can overflow a compute phase to infinity)";
-      fail(world.line, what, message.str());
-    }
-    if (!(world.tolerance > 0.0)) {
-      fail(world.line, what, "tolerance must be positive");
-    }
-    if (knownStrategies().count(world.strategy) == 0) {
-      fail(world.line, what,
-           "unknown strategy '" + world.strategy +
-               "' (expected none, direct, up-only, adaptive or mfu)");
+               std::to_string(world.config.ranks));
     }
     checkPhaseGraph(world);
     for (const Phase& phase : world.phases) {
@@ -1333,8 +1257,7 @@ void validate(const ScenarioSpec& spec) {
     scope.define("ranks");
     scope.tainted.insert("rank");
     ProgramUsage usage;
-    checkStmts(spec.globals, scope, usage, /*rank_dependent=*/false,
-               world.name);
+    checkStmts(spec.globals, scope, usage, /*rank_dependent=*/false, name);
     // Keep the globals' scope frame alive for the program body.
     scope.scopes.emplace_back();
     for (const Stmt& global : spec.globals) {
@@ -1346,13 +1269,11 @@ void validate(const ScenarioSpec& spec) {
         if (phase.repeat) checkExpr(*phase.repeat, scope, what);
         scope.scopes.emplace_back();
         if (!phase.loop_var.empty()) scope.define(phase.loop_var);
-        checkStmts(phase.body, scope, usage, /*rank_dependent=*/false,
-                   world.name);
+        checkStmts(phase.body, scope, usage, /*rank_dependent=*/false, name);
         scope.scopes.pop_back();
       }
     } else {
-      checkStmts(world.stmts, scope, usage, /*rank_dependent=*/false,
-                 world.name);
+      checkStmts(world.stmts, scope, usage, /*rank_dependent=*/false, name);
     }
 
     for (const std::string& slot : usage.waited_slots) {
@@ -1381,11 +1302,11 @@ void validate(const ScenarioSpec& spec) {
     }
     for (const std::string& channel : usage.signals) {
       all_signals.insert(channel);
-      channel_ranks[channel].insert(world.ranks);
+      channel_ranks[channel].insert(world.config.ranks);
     }
     for (const std::string& channel : usage.recvs) {
       all_recvs.insert(channel);
-      channel_ranks[channel].insert(world.ranks);
+      channel_ranks[channel].insert(world.config.ranks);
     }
   }
 

@@ -42,6 +42,15 @@
 // (`signal name` / `recv name`), i.e. no file-system round-trip between
 // them.
 //
+// The header blocks parse straight into the simulator's own configs
+// (pfs::LinkConfig, fault::FaultPlan, mpisim::WorldConfig and
+// tmio::TracerConfig), and each value has one rule, held by the module
+// that owns it. The parser runs that module's check as it reads each key
+// or fault declaration and reports a rejection at that line, naming the
+// key ("link.quantum", "world.jitter", "faults.blackout") and giving the
+// module's reason. The validator keeps only the DSL's own rules: the rank
+// cap, burst_buffer 0/1 and every program check.
+//
 // Every parse/compile/runtime diagnostic is a ScenarioError carrying the
 // source line and the field/construct it refers to; malformed input never
 // crashes (asserted by the error-path suite under ASan/UBSan).
@@ -53,8 +62,10 @@
 #include <string>
 #include <vector>
 
-#include "pfs/channel.hpp"
-#include "util/units.hpp"
+#include "fault/plan.hpp"
+#include "mpisim/world.hpp"
+#include "pfs/shared_link.hpp"
+#include "tmio/tracer.hpp"
 
 namespace iobts::scenario {
 
@@ -162,57 +173,26 @@ struct Phase {
 
 // --- Scenario header blocks ------------------------------------------------
 
-struct LinkSpec {
-  BytesPerSec write_capacity = 106.0e9;
-  BytesPerSec read_capacity = 120.0e9;
-  BytesPerSec client_rate_cap = 0.0;
-  double congestion_gamma = 0.0;
-  double noise_sigma = 0.0;
-  BytesPerSec noise_reference_rate = 0.0;
-  double recompute_quantum = 0.0;
-  std::uint64_t seed = 1;
-};
-
-struct FaultDecl {
-  enum class Kind { Degrade, Blackout, TransferFault, Outage };
-  Kind kind = Kind::Degrade;
-  int line = 0;
-  /// Degrade: the degraded channel. TransferFault: nullopt = both channels.
-  std::optional<pfs::Channel> channel;
-  /// Degrade: capacity factor in (0,1]. TransferFault: probability in [0,1].
-  /// Outage: fraction of both channels' capacity lost, in (0,1].
-  double value = 1.0;
-  double begin = 0.0;
-  double end = 0.0;
-};
-
-struct FaultSpec {
-  std::uint64_t seed = 1;
-  std::vector<FaultDecl> decls;
-};
-
+/// One `world` block and its program. The block's keys parse straight into
+/// the simulator's own configs: ranks, seed, jitter and burst_buffer set
+/// `config` (whose `name` is the world's name), strategy and tolerance set
+/// `tracer`.
 struct WorldSpec {
-  std::string name;
   int line = 0;
-  int ranks = 1;
-  std::uint64_t seed = 1;
-  double jitter = 0.0;
-  /// tmio limiting strategy: none|direct|up-only|adaptive|mfu.
-  std::string strategy = "none";
-  double tolerance = 1.1;
-  /// `burst_buffer = 1`: every rank writes through a node-local burst
-  /// buffer with the default pfs::BurstBufferConfig.
-  bool burst_buffer = false;
+  mpisim::WorldConfig config;
+  tmio::TracerConfig tracer;
   /// Program body: either flat statements or a phase chain, never both.
   std::vector<Stmt> stmts;
   std::vector<Phase> phases;
-  bool has_program = false;
 };
 
 struct ScenarioSpec {
   std::string name;
-  LinkSpec link;
-  std::optional<FaultSpec> faults;
+  /// The `link` block's keys.
+  pfs::LinkConfig link;
+  /// The `faults` block's declarations, added by the plan's own builders;
+  /// the null plan when the document has no faults.
+  fault::FaultPlan faults;
   /// Top-level `let` bindings, prepended to every world's program (evaluated
   /// per rank, in declaration order, with that world's rank/ranks in scope).
   std::vector<Stmt> globals;

@@ -2,30 +2,47 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
+#include <string>
 
 #include "util/check.hpp"
 
 namespace iobts::tmio {
 
+namespace {
+
+struct StrategySpelling {
+  StrategyKind kind;
+  const char* name;
+};
+
+/// The one table of strategy names.
+constexpr StrategySpelling kStrategyNames[] = {
+    {StrategyKind::None, "none"},         {StrategyKind::Direct, "direct"},
+    {StrategyKind::UpOnly, "up-only"},    {StrategyKind::Adaptive, "adaptive"},
+    {StrategyKind::Mfu, "mfu"}};
+
+}  // namespace
+
 const char* strategyName(StrategyKind kind) noexcept {
-  switch (kind) {
-    case StrategyKind::None: return "none";
-    case StrategyKind::Direct: return "direct";
-    case StrategyKind::UpOnly: return "up-only";
-    case StrategyKind::Adaptive: return "adaptive";
-    case StrategyKind::Mfu: return "mfu";
+  for (const StrategySpelling& entry : kStrategyNames) {
+    if (entry.kind == kind) return entry.name;
   }
   return "?";
 }
 
 StrategyKind parseStrategy(std::string_view name) {
-  if (name == "none") return StrategyKind::None;
-  if (name == "direct") return StrategyKind::Direct;
-  if (name == "up-only" || name == "uponly") return StrategyKind::UpOnly;
-  if (name == "adaptive") return StrategyKind::Adaptive;
-  if (name == "mfu") return StrategyKind::Mfu;
-  IOBTS_CHECK(false, "unknown strategy '" + std::string(name) + "'");
+  for (const StrategySpelling& entry : kStrategyNames) {
+    if (name == entry.name) return entry.kind;
+  }
+  std::string expected;
+  for (std::size_t i = 0; i < std::size(kStrategyNames); ++i) {
+    if (i > 0) expected += i + 1 == std::size(kStrategyNames) ? " or " : ", ";
+    expected += kStrategyNames[i].name;
+  }
+  IOBTS_CHECK(false, "unknown strategy '" + std::string(name) +
+                         "' (expected " + expected + ")");
   return StrategyKind::None;  // unreachable
 }
 

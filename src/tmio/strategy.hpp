@@ -31,7 +31,8 @@ enum class StrategyKind : int { None = 0, Direct, UpOnly, Adaptive, Mfu };
 
 const char* strategyName(StrategyKind kind) noexcept;
 
-/// Parse "none" | "direct" | "up-only" | "adaptive"; throws on other input.
+/// Parse "none" | "direct" | "up-only" | "adaptive" | "mfu" (the names
+/// strategyName prints); throws CheckError listing them on other input.
 StrategyKind parseStrategy(std::string_view name);
 
 struct StrategyParams {

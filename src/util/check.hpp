@@ -10,13 +10,22 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace iobts {
 
 /// Error thrown by IOBTS_CHECK on a violated invariant.
 class CheckError : public std::logic_error {
  public:
-  explicit CheckError(const std::string& what) : std::logic_error(what) {}
+  explicit CheckError(const std::string& what, std::string reason = {})
+      : std::logic_error(what), reason_(std::move(reason)) {}
+
+  /// The check's message alone, without the expression and source location
+  /// that what() carries: what a front end (the scenario parser) reports.
+  const std::string& reason() const noexcept { return reason_; }
+
+ private:
+  std::string reason_;
 };
 
 namespace detail {
@@ -25,7 +34,7 @@ namespace detail {
   std::ostringstream os;
   os << "IOBTS_CHECK failed: (" << expr << ") at " << file << ':' << line;
   if (!msg.empty()) os << " -- " << msg;
-  throw CheckError(os.str());
+  throw CheckError(os.str(), msg);
 }
 }  // namespace detail
 

@@ -42,57 +42,6 @@ void RunningStats::merge(const RunningStats& other) noexcept {
   max_ = std::max(max_, other.max_);
 }
 
-double Percentiles::percentile(double p) const {
-  if (samples_.empty()) return 0.0;
-  IOBTS_CHECK(p >= 0.0 && p <= 100.0, "percentile out of range");
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  if (samples_.size() == 1) return samples_.front();
-  const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  IOBTS_CHECK(hi > lo, "histogram range must be non-empty");
-  IOBTS_CHECK(bins > 0, "histogram needs at least one bin");
-}
-
-void Histogram::add(double x) noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<long>((x - lo_) / width);
-  idx = std::clamp(idx, 0L, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::binLow(std::size_t i) const noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::binHigh(std::size_t i) const noexcept {
-  return binLow(i + 1);
-}
-
-std::string Histogram::sparkline() const {
-  static const char* kBlocks[] = {" ", "▁", "▂", "▃", "▄", "▅", "▆", "▇", "█"};
-  std::size_t peak = 0;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (const auto c : counts_) {
-    const std::size_t level =
-        peak == 0 ? 0 : (c * 8 + peak - 1) / peak;  // ceil to show nonzero
-    out += kBlocks[std::min<std::size_t>(level, 8)];
-  }
-  return out;
-}
-
 void StepSeries::add(double t, double value) {
   IOBTS_CHECK(points_.empty() || t >= points_.back().first,
               "StepSeries samples must be time-ordered");

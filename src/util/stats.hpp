@@ -1,15 +1,12 @@
 // Online and batch statistics.
 //
 // RunningStats  -- Welford mean/variance/min/max, O(1) memory.
-// Percentiles   -- exact percentiles over a retained sample vector.
-// Histogram     -- fixed-width bins for quick distribution summaries.
-// TimeSeries    -- (t, value) samples; supports step-function integration and
+// StepSeries    -- (t, value) samples; supports step-function integration and
 //                  resampling, used for the bandwidth-vs-time figures.
 #pragma once
 
 #include <cstddef>
 #include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -39,45 +36,6 @@ class RunningStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Exact percentile over retained samples (linear interpolation, type-7).
-class Percentiles {
- public:
-  void add(double x) { samples_.push_back(x); }
-  void reserve(std::size_t n) { samples_.reserve(n); }
-  std::size_t count() const noexcept { return samples_.size(); }
-
-  /// p in [0, 100]. Returns 0 for an empty sample.
-  double percentile(double p) const;
-  double median() const { return percentile(50.0); }
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-/// first/last bin so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::size_t bin(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::size_t total() const noexcept { return total_; }
-  double binLow(std::size_t i) const noexcept;
-  double binHigh(std::size_t i) const noexcept;
-
-  /// One-line ASCII sparkline of the distribution.
-  std::string sparkline() const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Piecewise-constant time series: value holds from sample i until sample

@@ -1,42 +1,31 @@
 #include "util/string_util.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace iobts {
-
-std::vector<std::string> split(std::string_view text, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(text.substr(start));
-      break;
-    }
-    out.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
-std::string_view trim(std::string_view text) {
-  std::size_t b = 0;
-  std::size_t e = text.size();
-  while (b < e && (text[b] == ' ' || text[b] == '\t' || text[b] == '\n' ||
-                   text[b] == '\r')) {
-    ++b;
-  }
-  while (e > b && (text[e - 1] == ' ' || text[e - 1] == '\t' ||
-                   text[e - 1] == '\n' || text[e - 1] == '\r')) {
-    --e;
-  }
-  return text.substr(b, e - b);
-}
 
 bool startsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
+}
+
+std::optional<double> parseDouble(std::string_view text) {
+  // strtod would also skip leading whitespace and take '+' and hex floats.
+  if (text.empty() || text.front() == '+' ||
+      std::isspace(static_cast<unsigned char>(text.front())) != 0 ||
+      text.find_first_of("xX") != text.npos) {
+    return std::nullopt;
+  }
+  const std::string token(text);  // strtod reads up to a terminating NUL
+  char* stop = nullptr;
+  errno = 0;
+  const double value = std::strtod(token.c_str(), &stop);
+  if (errno != 0 || stop != token.c_str() + token.size()) return std::nullopt;
+  return value;
 }
 
 std::string padLeft(std::string_view text, std::size_t width) {

@@ -20,6 +20,7 @@
 #include "obs/binlog.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
+#include "util/check.hpp"
 
 namespace iobts::obs {
 namespace {
@@ -140,6 +141,37 @@ TEST(Binlog, FileModeMatchesMemoryModeByteForByte) {
   std::ostringstream ss;
   ss << in.rdbuf();
   EXPECT_EQ(ss.str(), memory);
+}
+
+TEST(Binlog, FlushBytesOutsideTheWriterRangeThrowsBeforeTheFileOpens) {
+  // The writer holds the range rule the CLI's --trace-flush-bytes applies:
+  // a threshold it would have to allocate is rejected up front, and no file
+  // is created for it.
+  const std::string path = ::testing::TempDir() + "/binlog_bad_flush.bin";
+  for (const std::size_t flush :
+       {std::size_t{0}, BinaryTraceWriterConfig::kMaxFlushBytes + 1,
+        ~std::size_t{0}}) {
+    SCOPED_TRACE(flush);
+    fs::remove(path);
+    TraceSink sink;
+    BinaryTraceWriterConfig cfg;
+    cfg.flush_bytes = flush;
+    std::string bytes;
+    EXPECT_THROW(BinaryTraceWriter(sink, &bytes, cfg), CheckError);
+    EXPECT_THROW(BinaryTraceWriter(sink, path, cfg), CheckError);
+    EXPECT_FALSE(fs::exists(path));
+  }
+  for (const std::size_t flush : {BinaryTraceWriterConfig::kMinFlushBytes,
+                                  BinaryTraceWriterConfig::kMaxFlushBytes}) {
+    TraceSink sink;
+    BinaryTraceWriterConfig cfg;
+    cfg.flush_bytes = flush;
+    std::string bytes;
+    BinaryTraceWriter writer(sink, &bytes, cfg);
+    sink.complete("cat", "span", 1, 0, 0.0, 0.5, 1.0);
+    EXPECT_TRUE(writer.close());
+    EXPECT_EQ(decodeBinaryTrace(bytes, "<memory>").events.size(), 1u);
+  }
 }
 
 TEST(Binlog, TinyRingAndFlushThresholdSealManyChunksThatStillRoundTrip) {

@@ -72,9 +72,10 @@ TEST(ScenarioCorpus, EveryInvalidScenarioIsRejected) {
       ScenarioSpec spec = loadScenarioFile(file.string());
       ADD_FAILURE() << "invalid scenario parsed cleanly";
     } catch (const ScenarioError& e) {
-      // Diagnostics must name the offending file.
+      // Diagnostics must name the offending file and the line at fault.
       EXPECT_NE(e.field().find(file.filename().string()), std::string::npos)
           << e.what();
+      EXPECT_GT(e.line(), 0) << e.what();
     }
   }
 }

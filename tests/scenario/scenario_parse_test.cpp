@@ -129,7 +129,8 @@ TEST(ScenarioParse, BurstBufferKeyGivesEveryRankTheDefaultBuffer) {
                            " }\n"
                            "program main { write file \"/f.{rank}\" at 0 "
                            "bytes 1MiB }"));
-    EXPECT_EQ(instance.spec().worlds[0].burst_buffer, on == 1);
+    EXPECT_EQ(instance.spec().worlds[0].config.burst_buffer.has_value(),
+              on == 1);
     EXPECT_EQ(instance.world(0).config().burst_buffer.has_value(), on == 1);
     instance.launch();
     sim.run();
@@ -141,7 +142,9 @@ TEST(ScenarioParseError, UnknownStrategy) {
   expectParseError("scenario \"t\"\n"
                    "world main { ranks = 2  strategy = \"turbo\" }\n"
                    "program main { barrier }",
-                   2, "world main", "unknown strategy 'turbo'");
+                   2, "world.strategy",
+                   "unknown strategy 'turbo' (expected none, direct, up-only, "
+                   "adaptive or mfu)");
 }
 
 TEST(ScenarioParseError, DuplicateLinkBlock) {
@@ -182,9 +185,11 @@ TEST(ScenarioParseError, NoWorlds) {
 // --- semantic validation -----------------------------------------------------
 
 TEST(ScenarioParseError, RanksOutOfRange) {
+  // World holds the lower bound and rejects at the key; the cap is the
+  // DSL's own and the validator reports it for the world.
   expectParseError("scenario \"t\"\nworld main { ranks = 0 }\n"
                    "program main { barrier }",
-                   2, "world main", "ranks must lie in [1, 16384]");
+                   2, "world.ranks", "world needs at least one rank");
   expectParseError("scenario \"t\"\nworld main { ranks = 16385 }\n"
                    "program main { barrier }",
                    2, "world main", "ranks must lie in [1, 16384]");
@@ -207,14 +212,27 @@ TEST(ScenarioParse, LargestRankCountRunsToCompletion) {
 }
 
 TEST(ScenarioParseError, NonFiniteLinkNumbers) {
-  // 1e999 overflows a double and lexes as inf.
-  for (const char* key : {"write", "read", "client_cap", "congestion", "noise",
-                          "noise_ref", "quantum"}) {
-    SCOPED_TRACE(key);
-    expectParseError("scenario \"t\"\nlink { " + std::string(key) +
+  // 1e999 overflows a double and lexes as inf; SharedLink's rule rejects it
+  // at the key's line.
+  const struct {
+    const char* key;
+    const char* reason;
+  } cases[] = {
+      {"write", "write capacity must be positive and finite"},
+      {"read", "read capacity must be positive and finite"},
+      {"client_cap", "client rate cap must be non-negative and finite"},
+      {"congestion", "congestion gamma must be non-negative and finite"},
+      {"noise", "noise sigma must be non-negative and finite"},
+      {"noise_ref", "noise reference rate must be non-negative and finite"},
+      {"quantum", "recompute quantum must be non-negative and finite"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.key);
+    expectParseError("scenario \"t\"\nlink { write = 2e9\n" +
+                         std::string(c.key) +
                          " = 1e999 }\nworld main { ranks = 2 }\n"
                          "program main { barrier }",
-                     -1, "link", "link parameters must be finite");
+                     3, "link." + std::string(c.key), c.reason);
   }
 }
 
@@ -225,7 +243,8 @@ TEST(ScenarioParseError, NonFiniteOrOverflowingJitter) {
     SCOPED_TRACE(jitter);
     expectParseError("scenario \"t\"\nworld main { ranks = 2  jitter = " +
                          std::string(jitter) + " }\nprogram main { barrier }",
-                     2, "world main", "jitter must be finite and at most");
+                     2, "world.jitter",
+                     "compute jitter must be finite and at most 82.8056");
   }
   EXPECT_NO_THROW(parseScenario(
       "scenario \"t\"\nworld main { ranks = 2  jitter = 82.805 }\n"
@@ -532,23 +551,27 @@ TEST(ScenarioParse, AcceptsUnitSuffixesAndHex) {
 }
 
 TEST(ScenarioParse, AcceptsOutageFaultDecl) {
+  // The seed may follow the windows: the plan reads it at verdict time.
   const ScenarioSpec spec = parseScenario(
       "scenario \"t\"\n"
       "faults {\n"
-      "  seed = 7\n"
       "  outage 0.5 from 2.0 to 4.0\n"
       "  blackout from 5.0 to 5.5\n"
+      "  seed = 7\n"
       "}\n"
       "world main { ranks = 2 }\n"
       "program main { compute 0.1 }\n");
-  ASSERT_TRUE(spec.faults.has_value());
-  ASSERT_EQ(spec.faults->decls.size(), 2u);
-  const FaultDecl& outage = spec.faults->decls[0];
-  EXPECT_EQ(outage.kind, FaultDecl::Kind::Outage);
-  EXPECT_EQ(outage.value, 0.5);
-  EXPECT_EQ(outage.begin, 2.0);
-  EXPECT_EQ(outage.end, 4.0);
-  EXPECT_FALSE(outage.channel.has_value());
+  EXPECT_EQ(spec.faults.seed(), 7u);
+  ASSERT_EQ(spec.faults.outages().size(), 1u);
+  ASSERT_EQ(spec.faults.blackouts().size(), 1u);
+  EXPECT_TRUE(spec.faults.degradations().empty());
+  EXPECT_FALSE(spec.faults.hasTransferFaults());
+  const fault::OutageEvent& outage = spec.faults.outages()[0];
+  EXPECT_EQ(outage.fraction, 0.5);
+  EXPECT_EQ(outage.window.begin, 2.0);
+  EXPECT_EQ(outage.window.end, 4.0);
+  EXPECT_EQ(spec.faults.blackouts()[0].window.begin, 5.0);
+  EXPECT_EQ(spec.faults.blackouts()[0].window.end, 5.5);
 }
 
 TEST(ScenarioParseError, OutageFractionOutOfRange) {
@@ -560,10 +583,10 @@ TEST(ScenarioParseError, OutageFractionOutOfRange) {
            "world main { ranks = 2 }\n"
            "program main { compute 0.1 }\n";
   };
-  expectParseError(doc("0.0"), 2, "faults",
-                   "outage fraction must lie in (0, 1]");
-  expectParseError(doc("1.5"), 2, "faults",
-                   "outage fraction must lie in (0, 1]");
+  expectParseError(doc("0.0"), 2, "faults.outage",
+                   "outage fraction must lie in (0, 1], got 0");
+  expectParseError(doc("1.5"), 2, "faults.outage",
+                   "outage fraction must lie in (0, 1], got 1.5");
 }
 
 TEST(ScenarioRuntime, RecordPathsNameEveryWorld) {

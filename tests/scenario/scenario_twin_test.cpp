@@ -33,7 +33,7 @@ std::string scenarioPath(const char* file) {
 void runWithStrategy(ScenarioSpec spec, const std::string& strategy,
                      std::string& canon, const char* label) {
   ASSERT_EQ(spec.worlds.size(), 1u);
-  spec.worlds[0].strategy = strategy;
+  spec.worlds[0].tracer.strategy = tmio::parseStrategy(strategy);
   sim::Simulation sim;
   Instance instance(sim, std::move(spec));
   instance.launch();
@@ -46,7 +46,7 @@ void runWithStrategy(ScenarioSpec spec, const std::string& strategy,
 TEST(ScenarioTwin, Fig10DslMatchesHandCodedDigest) {
   const ScenarioSpec spec = loadScenarioFile(scenarioPath("fig10_quick.scn"));
   EXPECT_EQ(spec.name, "fig10-quick");
-  EXPECT_EQ(spec.worlds[0].ranks, workloads::kFig10QuickRanks);
+  EXPECT_EQ(spec.worlds[0].config.ranks, workloads::kFig10QuickRanks);
 
   // Same canonical layout as GoldenDigest.Fig10WacommPipeline: the header
   // line, then the up-only and none cases in that order.
@@ -59,12 +59,12 @@ TEST(ScenarioTwin, Fig10DslMatchesHandCodedDigest) {
 TEST(ScenarioTwin, Fig13DslMatchesHandCodedDigest) {
   const ScenarioSpec spec = loadScenarioFile(scenarioPath("fig13_quick.scn"));
   EXPECT_EQ(spec.name, "fig13-quick");
-  EXPECT_EQ(spec.worlds[0].ranks, workloads::kFig13QuickRanks);
+  EXPECT_EQ(spec.worlds[0].config.ranks, workloads::kFig13QuickRanks);
 
   std::string canon = "fig13-mini\n";
   for (const char* label : {"direct", "up-only", "adaptive", "none"}) {
     ScenarioSpec variant = spec;
-    variant.worlds[0].strategy = label;
+    variant.worlds[0].tracer.strategy = tmio::parseStrategy(label);
     sim::Simulation sim;
     Instance instance(sim, std::move(variant));
     instance.launch();

@@ -11,10 +11,16 @@ TEST(Strategy, NamesRoundTrip) {
   EXPECT_EQ(parseStrategy("none"), StrategyKind::None);
   EXPECT_EQ(parseStrategy("direct"), StrategyKind::Direct);
   EXPECT_EQ(parseStrategy("up-only"), StrategyKind::UpOnly);
-  EXPECT_EQ(parseStrategy("uponly"), StrategyKind::UpOnly);
   EXPECT_EQ(parseStrategy("adaptive"), StrategyKind::Adaptive);
   EXPECT_THROW(parseStrategy("bogus"), CheckError);
+  // One spelling per strategy: the old "uponly" alias is gone.
+  EXPECT_THROW(parseStrategy("uponly"), CheckError);
   EXPECT_STREQ(strategyName(StrategyKind::UpOnly), "up-only");
+  for (const StrategyKind kind :
+       {StrategyKind::None, StrategyKind::Direct, StrategyKind::UpOnly,
+        StrategyKind::Adaptive, StrategyKind::Mfu}) {
+    EXPECT_EQ(parseStrategy(strategyName(kind)), kind);
+  }
 }
 
 TEST(Strategy, NoneNeverLimits) {

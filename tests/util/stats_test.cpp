@@ -66,73 +66,6 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(b.mean(), 1.5);
 }
 
-TEST(Percentiles, MedianOfOdd) {
-  Percentiles p;
-  for (const double x : {5.0, 1.0, 3.0}) p.add(x);
-  EXPECT_DOUBLE_EQ(p.median(), 3.0);
-}
-
-TEST(Percentiles, Interpolates) {
-  Percentiles p;
-  for (const double x : {10.0, 20.0, 30.0, 40.0}) p.add(x);
-  EXPECT_DOUBLE_EQ(p.percentile(0), 10.0);
-  EXPECT_DOUBLE_EQ(p.percentile(100), 40.0);
-  EXPECT_DOUBLE_EQ(p.percentile(50), 25.0);
-  EXPECT_DOUBLE_EQ(p.percentile(25), 17.5);
-}
-
-TEST(Percentiles, EmptyReturnsZero) {
-  Percentiles p;
-  EXPECT_DOUBLE_EQ(p.percentile(50), 0.0);
-}
-
-TEST(Percentiles, AddAfterQueryStaysCorrect) {
-  Percentiles p;
-  p.add(1.0);
-  p.add(3.0);
-  EXPECT_DOUBLE_EQ(p.median(), 2.0);
-  p.add(100.0);
-  EXPECT_DOUBLE_EQ(p.median(), 3.0);
-}
-
-TEST(Percentiles, OutOfRangeThrows) {
-  Percentiles p;
-  p.add(1.0);
-  EXPECT_THROW(p.percentile(-1), CheckError);
-  EXPECT_THROW(p.percentile(101), CheckError);
-}
-
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);    // bin 0
-  h.add(9.99);   // bin 9
-  h.add(-5.0);   // clamps to bin 0
-  h.add(42.0);   // clamps to bin 9
-  h.add(5.0);    // bin 5
-  EXPECT_EQ(h.bin(0), 2u);
-  EXPECT_EQ(h.bin(9), 2u);
-  EXPECT_EQ(h.bin(5), 1u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 100.0, 4);
-  EXPECT_DOUBLE_EQ(h.binLow(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.binHigh(0), 25.0);
-  EXPECT_DOUBLE_EQ(h.binLow(3), 75.0);
-}
-
-TEST(Histogram, InvalidConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), CheckError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), CheckError);
-}
-
-TEST(Histogram, SparklineNonEmpty) {
-  Histogram h(0.0, 1.0, 8);
-  for (int i = 0; i < 100; ++i) h.add(i / 100.0);
-  EXPECT_EQ(h.sparkline().empty(), false);
-}
-
 TEST(StepSeries, AtBeforeFirstSampleIsZero) {
   StepSeries s;
   s.add(1.0, 5.0);

@@ -5,37 +5,36 @@
 namespace iobts {
 namespace {
 
-TEST(Split, BasicFields) {
-  const auto parts = split("a,b,c", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "c");
-}
-
-TEST(Split, KeepsEmptyFields) {
-  const auto parts = split("a,,c,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[3], "");
-}
-
-TEST(Split, NoDelimiterSingleField) {
-  const auto parts = split("hello", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "hello");
-}
-
-TEST(Trim, StripsBothEnds) {
-  EXPECT_EQ(trim("  hi \t\n"), "hi");
-  EXPECT_EQ(trim("hi"), "hi");
-  EXPECT_EQ(trim("   "), "");
-  EXPECT_EQ(trim(""), "");
-}
-
 TEST(StartsWith, Basic) {
   EXPECT_TRUE(startsWith("--csv=out", "--csv"));
   EXPECT_FALSE(startsWith("-c", "--csv"));
   EXPECT_TRUE(startsWith("abc", ""));
+}
+
+TEST(ParseNumber, ReadsTheWholeTokenWithinTheRange) {
+  EXPECT_EQ(parseNumber<std::size_t>("4096", 1, 1 << 26), 4096u);
+  EXPECT_EQ(parseNumber<int>("-3", -5, 5), -3);
+  EXPECT_EQ(parseNumber<double>("2.5e-1", 0.0, 1.0), 0.25);
+  EXPECT_EQ(parseNumber<double>("8", 0.0, 8.0), 8.0);  // bounds included
+  EXPECT_EQ(parseNumber<double>("-1.5E3", -2e3, 0.0), -1500.0);
+  EXPECT_EQ(parseNumber<double>(".5", 0.0, 1.0), 0.5);
+}
+
+TEST(ParseNumber, RejectsGarbageOverflowAndOutOfRange) {
+  for (const char* text : {"", "abc", "12abc", " 12", "12 ", "+12", "0x10",
+                           "1.5", "-1", "99999999999999999999999"}) {
+    SCOPED_TRACE(text);
+    EXPECT_FALSE(parseNumber<std::size_t>(text, 0, 1 << 26).has_value());
+  }
+  EXPECT_FALSE(
+      parseNumber<std::size_t>("99999999999999", 1, 1 << 26).has_value());
+  EXPECT_FALSE(parseNumber<std::size_t>("0", 1, 1 << 26).has_value());
+  EXPECT_FALSE(parseNumber<int>("-6", -5, 5).has_value());
+  for (const char* text : {"", "abc", "1.5x", "inf", "nan", "1e999", "1e-400",
+                           "-0.5", " 1", "\t1", "+1", "1 ", "0x1p3", "-"}) {
+    SCOPED_TRACE(text);
+    EXPECT_FALSE(parseNumber<double>(text, 0.0, 1e9).has_value());
+  }
 }
 
 TEST(Pad, LeftAndRight) {

@@ -49,11 +49,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "ckpt/runner.hpp"
+#include "number_flag.hpp"
 
 #include "mpisim/world.hpp"
 #include "obs/binlog.hpp"
@@ -81,7 +83,7 @@ struct CliOptions {
   std::optional<std::string> jsonl;
   std::optional<std::string> csv;
   std::optional<std::string> trace;
-  std::size_t trace_flush_bytes = 0;  // 0 = writer default
+  obs::BinaryTraceWriterConfig trace_config;
   std::optional<std::string> summary;
   bool digest = false;
   std::optional<std::string> checkpoint_dir;
@@ -108,6 +110,10 @@ CliOptions parse(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
+  auto number = [&](int& i, auto lo, auto hi) {
+    const char* flag = argv[i];
+    return numberFlag("iobts_run", flag, next(i), lo, hi);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--scenario") opt.scenario = next(i);
@@ -118,15 +124,21 @@ CliOptions parse(int argc, char** argv) {
     else if (arg == "--csv") opt.csv = next(i);
     else if (arg == "--trace") opt.trace = next(i);
     else if (arg == "--trace-flush-bytes") {
-      // Chunk seal threshold for the binary recorder. Small values seal
-      // many small chunks -- what a live `iobts_profile --follow` wants to
-      // see, since only sealed chunks are visible to the tail.
-      opt.trace_flush_bytes = static_cast<std::size_t>(std::atol(next(i)));
+      // Chunk seal threshold for the binary recorder, in the writer's own
+      // range. Small values seal many small chunks -- what a live
+      // `iobts_profile --follow` wants to see, since only sealed chunks are
+      // visible to the tail.
+      opt.trace_config.flush_bytes =
+          number(i, obs::BinaryTraceWriterConfig::kMinFlushBytes,
+                 obs::BinaryTraceWriterConfig::kMaxFlushBytes);
     }
     else if (arg == "--summary") opt.summary = next(i);
     else if (arg == "--digest") opt.digest = true;
     else if (arg == "--checkpoint-dir") opt.checkpoint_dir = next(i);
-    else if (arg == "--checkpoint-every") opt.checkpoint_every = std::atof(next(i));
+    else if (arg == "--checkpoint-every") {
+      opt.checkpoint_every =
+          number(i, 0.0, std::numeric_limits<double>::max());
+    }
     else if (arg == "--help" || arg == "-h") usage(argv[0]);
     else {
       std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
@@ -165,10 +177,8 @@ bool startTrace(const CliOptions& opt, TraceRecording& rec) {
   if (!opt.trace) return true;
   rec.sink = std::make_unique<obs::TraceSink>();
   rec.install = std::make_unique<obs::ScopedTraceSink>(*rec.sink);
-  obs::BinaryTraceWriterConfig config;
-  if (opt.trace_flush_bytes > 0) config.flush_bytes = opt.trace_flush_bytes;
-  rec.writer =
-      std::make_unique<obs::BinaryTraceWriter>(*rec.sink, *opt.trace, config);
+  rec.writer = std::make_unique<obs::BinaryTraceWriter>(*rec.sink, *opt.trace,
+                                                       opt.trace_config);
   if (!rec.writer->good()) {
     std::fprintf(stderr, "cannot open trace file %s\n", opt.trace->c_str());
     return false;
